@@ -68,16 +68,13 @@ from .quantize import (
     weyl_matrix,
 )
 from .moyal import (
-    involution,
     moyal_direct_probe,
     moyal_product,
-    phase_space_integral,
     product_kernel,
     validate_gauge,
 )
 from .wigner import (
     fourier_wigner,
-    hilbert_schmidt_norm,
     rank_one_kernel,
     rank_one_symbol,
     weyl_span_probe,

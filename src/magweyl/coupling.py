@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential
-from .grid import PhaseSpaceGrid, SymbolEvaluator, SymbolGrid
+from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
+from .grid import PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _lattice_mesh
 
 __all__ = [
     "PolynomialSymbol",
@@ -84,18 +84,11 @@ class PolynomialSymbol:
         return SymbolEvaluator(self.dim, fn, decay="poly-gaussian", name="poly-cutoff")
 
 
-def _lattice_points(grid: PhaseSpaceGrid, kind: str):
-    caxis = grid.config_axis if kind == "standard" else grid.midpoint_axis
-    cmesh = np.meshgrid(*([caxis] * grid.dim), indexing="ij")
-    cshape = cmesh[0].shape
-    x = np.stack([m.ravel() for m in cmesh], axis=-1)
-    return x, cshape
-
-
 def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,
                  correction: bool) -> np.ndarray:
     """Evaluate sum c(x) prod_j (p_j - A_j(x))^a_j (+ degree-3 correction)."""
-    x, cshape = _lattice_points(grid, kind)
+    caxis = grid.config_axis if kind == "standard" else grid.midpoint_axis
+    x = _lattice_mesh([caxis] * grid.dim)
     kpts = grid.momentum_points()
     Avals = np.zeros((len(x), grid.dim)) if A is None else np.asarray(A.eval(x), dtype=float)
     out = np.zeros((len(x), grid.size), dtype=complex)
@@ -112,7 +105,7 @@ def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,
         if x_coeff is not None:
             term = term * np.asarray(x_coeff(x), dtype=complex)[:, None]
         out += term
-    return out.reshape(cshape + grid.shape)
+    return out.reshape((len(caxis),) * grid.dim + grid.shape)
 
 
 def _third_order_correction(A: VectorPotential, idx, x) -> np.ndarray:
@@ -130,25 +123,24 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
 
     Per configuration point: transform the momentum dependence to the
     difference variable, multiply the segment-averaged potential phase
-    ``exp(i y . int_{-1/2}^{1/2} A(x + t y) dt)``, transform back.
+    ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.
     """
     g = grid
-    x, cshape = _lattice_points(g, kind)
-    kpts = g.momentum_points()
+    caxis = g.config_axis if kind == "standard" else g.midpoint_axis
+    x = _lattice_mesh([caxis] * g.dim)
     ypts = g.config_points()
+    if A is not None:
+        # built first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
+        lam = np.exp(1j * _circulation_sum(A, x[:, None, :] - 0.5 * ypts, ypts[None], quad))
+    kpts = g.momentum_points()
     fvals = f(x[:, None, :], kpts[None, :, :])                      # (C, K)
     E1 = g.momentum_weight * np.exp(1j * ypts @ kpts.T)             # (Y, K)
     fch = fvals @ E1.T                                              # (C, Y)
     if A is not None:
-        acc = np.zeros((len(x), g.size))
-        nodes, weights = quad.shifted(-0.5, 0.5)
-        for t, w in zip(nodes, weights):
-            pts = x[:, None, :] + t * ypts[None, :, :]
-            acc += w * np.einsum("yi,cyi->cy", ypts, np.asarray(A.eval(pts), dtype=float))
-        fch = fch * np.exp(1j * acc)
+        fch = fch * lam
     E2 = g.config_weight * np.exp(-1j * ypts @ kpts.T)              # (Y, K)
     out = fch @ E2
-    return out.reshape(cshape + g.shape)
+    return out.reshape((len(caxis),) * g.dim + g.shape)
 
 
 def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -181,11 +173,7 @@ def minimal_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         return SymbolGrid(grid, kind, _poly_values(f, A, grid, kind, correction=False))
     if not isinstance(f, SymbolEvaluator):
         raise InputError("unsupported symbol type %r" % type(f))
-    x, cshape = _lattice_points(grid, kind)
-    kpts = grid.momentum_points()
-    Avals = np.zeros((len(x), grid.dim)) if A is None else np.asarray(A.eval(x), dtype=float)
-    vals = f(x[:, None, :], kpts[None, :, :] - Avals[:, None, :])
-    return SymbolGrid(grid, kind, vals.reshape(cshape + grid.shape))
+    return (f if A is None else minimal_coupling_evaluator(f, A)).sample(grid, kind)
 
 
 def minimal_coupling_evaluator(f: SymbolEvaluator, A: VectorPotential) -> SymbolEvaluator:
@@ -213,7 +201,7 @@ def coupling_discrepancy(f: PolynomialSymbol, A: VectorPotential, grid: PhaseSpa
     tci = covariant_coupling(f, A, grid, quad, kind)
     mci = minimal_coupling(f, A, grid, kind)
     diff = tci - mci
-    x, _ = _lattice_points(grid, kind)
+    x = _lattice_mesh([grid.config_axis if kind == "standard" else grid.midpoint_axis] * grid.dim)
     per_term = []
     for coeff, powers, x_coeff in f.terms:
         if sum(powers) == 3:

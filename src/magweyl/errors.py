@@ -4,7 +4,8 @@ The split mirrors the reporting contract of the command line driver:
 ``InputError`` subclasses signal bad usage or inconsistent inputs (exit
 code 2), ``NumericError`` signals a computation that produced garbage
 (exit code 1), and ``ResourceLimitError`` guards deliberately expensive
-brute-force evaluations.
+brute-force evaluations (exit code 2: the configuration asks for too
+much).
 """
 
 

@@ -79,10 +79,6 @@ class Quadrature:
         object.__setattr__(self, "nodes", 0.5 * (x + 1.0))
         object.__setattr__(self, "weights", 0.5 * w)
 
-    def shifted(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights for the interval [lo, hi]."""
-        return lo + (hi - lo) * self.nodes, (hi - lo) * self.weights
-
 
 DEFAULT_QUADRATURE = Quadrature(16)
 
@@ -309,6 +305,25 @@ def _check_dims(dim, *points):
             )
 
 
+def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) -> np.ndarray:
+    """Quadrature of ``d . A(a + s d)`` over ``s`` in [0, 1] (``a`` = start, ``d`` = displacement).
+
+    The one circulation engine: every segment phase table goes through it.
+    The per-node dot products are summed into an array of the broadcast
+    leading shape of the two arguments; passing them unbroadcast (e.g.
+    ``(X, 1, N)`` against ``(1, Y, N)``) keeps only that result and the
+    per-node evaluation points in memory.
+    """
+    _check_dims(A.dim, start, displacement)
+    acc = np.zeros(np.broadcast_shapes(np.shape(start)[:-1], np.shape(displacement)[:-1]))
+    for s, w in zip(quad.nodes, quad.weights):
+        vals = np.asarray(A.eval(start + s * displacement), dtype=float)
+        acc += w * np.einsum("...i,...i->...", displacement, vals)
+    if not np.all(np.isfinite(acc)):
+        raise NumericError("potential non-finite along integration segment")
+    return acc
+
+
 def circulation(A: VectorPotential, a, b, quad: Quadrature = DEFAULT_QUADRATURE):
     """Circulation of ``A`` along the straight segment from ``a`` to ``b``.
 
@@ -319,14 +334,7 @@ def circulation(A: VectorPotential, a, b, quad: Quadrature = DEFAULT_QUADRATURE)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_dims(A.dim, a, b)
-    a, b = np.broadcast_arrays(a, b)
-    d = b - a
-    acc = np.zeros(a.shape)
-    for s, w in zip(quad.nodes, quad.weights):
-        acc += w * np.asarray(A.eval(a + s * d), dtype=float)
-    if not np.all(np.isfinite(acc)):
-        raise NumericError("potential non-finite along integration segment")
-    return np.einsum("...i,...i->...", d, acc)
+    return _circulation_sum(A, a, b - a, quad)
 
 
 def flux_triangle(B: MagneticField, a, b, c, quad: Quadrature = DEFAULT_QUADRATURE):

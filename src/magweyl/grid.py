@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential
+from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -130,16 +130,10 @@ class PhaseSpaceGrid:
 
     def config_points(self) -> np.ndarray:
         """All lattice points, shape (n^N, N), row-major axis order."""
-        mesh = np.meshgrid(*([self.config_axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice_mesh([self.config_axis] * self.dim)
 
     def momentum_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*([self.momentum_axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def midpoint_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*([self.midpoint_axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice_mesh([self.momentum_axis] * self.dim)
 
     @cached_property
     def _fwd_matrix(self) -> np.ndarray:
@@ -161,6 +155,32 @@ class PhaseSpaceGrid:
 
             raise OffLatticeError("point %r is not on the configuration lattice" % (x,))
         return ridx.astype(int)
+
+
+def _lattice_mesh(axes) -> np.ndarray:
+    """All points of the product lattice of the 1-D ``axes``, shape (prod len, N), row-major."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _shift_index_table(grid: PhaseSpaceGrid, steps, boundary: str = "zero"):
+    """Flat lattice indices of ``y + s`` for every lattice point ``y`` and integer step ``s``.
+
+    ``steps`` is an integer array of shape (..., N), in units of the spacing h.  Returns
+    ``(cols, valid)``, both of shape (n^N, ...): with ``"cyclic"`` the
+    targets wrap around the box and all are valid; with ``"zero"`` the
+    targets outside the box are marked invalid (their clipped ``cols`` are
+    placeholders to be masked out, the zero-fill convention).
+    """
+    idx = np.indices(grid.shape).reshape((grid.dim, grid.size) + (1,) * (steps.ndim - 1))
+    tgt = idx + np.moveaxis(steps, -1, 0)[:, None]
+    if boundary == "cyclic":
+        tgt %= grid.n
+        valid = np.ones(tgt.shape[1:], dtype=bool)
+    else:
+        valid = np.all((tgt >= 0) & (tgt < grid.n), axis=0)
+        tgt = np.clip(tgt, 0, grid.n - 1)
+    return np.ravel_multi_index(tuple(tgt), grid.shape), valid
 
 
 def _apply_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -321,12 +341,7 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
         raise DimensionMismatchError("potential dimension does not match grid")
     pts = grid.config_points()
     a = pts[:, None, :]
-    d = pts[None, :, :] - a
-    acc = np.zeros((grid.size, grid.size))
-    for s, w in zip(quad.nodes, quad.weights):
-        vals = np.asarray(A.eval(a + s * d), dtype=float)
-        acc += w * np.einsum("xyi,xyi->xy", d, vals)
-    return np.exp(-1j * acc)
+    return np.exp(-1j * _circulation_sum(A, a, pts[None, :, :] - a, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +373,9 @@ class SymbolEvaluator:
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
         caxis = grid.config_axis if kind == "standard" else grid.midpoint_axis
-        cmesh = np.meshgrid(*([caxis] * grid.dim), indexing="ij")
-        pmesh = np.meshgrid(*([grid.momentum_axis] * grid.dim), indexing="ij")
-        cshape = cmesh[0].shape
-        pshape = pmesh[0].shape
-        x = np.stack([m.ravel() for m in cmesh], axis=-1)
-        p = np.stack([m.ravel() for m in pmesh], axis=-1)
-        vals = self(x[:, None, :], p[None, :, :]).reshape(cshape + pshape)
-        return SymbolGrid(grid, kind, vals)
+        x = _lattice_mesh([caxis] * grid.dim)
+        vals = self(x[:, None, :], grid.momentum_points()[None, :, :])
+        return SymbolGrid(grid, kind, vals.reshape((len(caxis),) * grid.dim + grid.shape))
 
 
 class SymbolGrid:
@@ -408,13 +418,19 @@ class SymbolGrid:
         return self.config_spacing**self.grid.dim * self.grid.momentum_weight
 
     def integral(self) -> complex:
-        """Phase-space integral with the lattice cell weights."""
+        """Phase-space integral with the lattice cell weights.
+
+        For alias-doubled midpoint tables this reproduces the weighted trace
+        of the underlying kernel exactly (the doubled values sit on the
+        midpoint classes that carry diagonal information).
+        """
         return complex(self.cell_weight * self.values.sum())
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.cell_weight * (np.abs(self.values) ** 2).sum()))
 
     def conj(self) -> "SymbolGrid":
+        """Pointwise complex conjugation; the adjoint on the symbol side."""
         return SymbolGrid(self.grid, self.kind, np.conj(self.values), self.alias_doubled)
 
     def inner_band(self) -> np.ndarray:
@@ -669,11 +685,9 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     spec = letters + "," + ",".join(l + k for l, k in zip(letters, klets)) + "->" + klets
     out = np.zeros((2 * n - 1,) * N + (n,) * N, dtype=complex)
     for smulti in np.ndindex(*((2 * n - 1,) * N)):
-        wlist = [windows[s] for s in smulti]
-        imesh = np.meshgrid(*wlist, indexing="ij")
-        jmesh = [s - im for s, im in zip(smulti, imesh)]
-        xf = np.ravel_multi_index(imesh, (n,) * N)
-        yf = np.ravel_multi_index(jmesh, (n,) * N)
-        block = psi.reshape(g.size, g.size)[xf, yf]
+        ipts = _lattice_mesh([windows[s] for s in smulti])  # first indices of the pairs
+        xf = np.ravel_multi_index(tuple(ipts.T), (n,) * N)
+        yf = np.ravel_multi_index(tuple((np.asarray(smulti) - ipts).T), (n,) * N)
+        block = psi.reshape(g.size, g.size)[xf, yf].reshape([len(windows[s]) for s in smulti])
         out[smulti] = np.einsum(spec, block, *[phase[s] for s in smulti])
     return SymbolGrid(g, "midpoint", out, alias_doubled=True)

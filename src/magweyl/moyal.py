@@ -39,13 +39,12 @@ from .grid import (
     kernel_from_symbol,
     symbol_from_kernel,
     kernel_compose,
+    _lattice_mesh,
 )
 
 __all__ = [
     "moyal_product",
     "moyal_direct_probe",
-    "involution",
-    "phase_space_integral",
     "validate_gauge",
 ]
 
@@ -89,21 +88,6 @@ def product_kernel(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid,
                           kernel_from_symbol(g, A, grid, quad))
 
 
-def involution(F: SymbolGrid) -> SymbolGrid:
-    """Pointwise complex conjugation; the adjoint on the symbol side."""
-    return F.conj()
-
-
-def phase_space_integral(F: SymbolGrid) -> complex:
-    """Integral of a symbol table with its lattice cell weights.
-
-    For alias-doubled midpoint tables this reproduces the weighted trace of
-    the underlying kernel exactly (the doubled values sit on the midpoint
-    classes that carry diagonal information).
-    """
-    return F.integral()
-
-
 def _axis_lattice(half_width: float, count: int) -> tuple[np.ndarray, float]:
     step = 2.0 * half_width / count
     return -half_width + step * (np.arange(count) + 0.5), step
@@ -141,10 +125,8 @@ def moyal_direct_probe(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     cw = dx**N
     mw = (dk / (2.0 * np.pi)) ** N
 
-    cmesh = np.meshgrid(*([xax] * N), indexing="ij")
-    xpts = np.stack([c.ravel() for c in cmesh], axis=-1)      # (M, N) config nodes
-    kmesh = np.meshgrid(*([kax] * N), indexing="ij")
-    kpts = np.stack([c.ravel() for c in kmesh], axis=-1)
+    xpts = _lattice_mesh([xax] * N)                           # (M, N) config nodes
+    kpts = _lattice_mesh([kax] * N)
 
     # momentum integrals: for each config node x of f,
     #   Gf[x, y] = int dk~ e^{+2 i (q - y) . k} f(x, k)

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, OffLatticeError
-from .fields import DEFAULT_QUADRATURE, Quadrature, ScalarPotential, VectorPotential, circulation
+from .fields import (
+    DEFAULT_QUADRATURE,
+    Quadrature,
+    ScalarPotential,
+    VectorPotential,
+    _circulation_sum,
+    circulation,
+)
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
@@ -42,9 +49,9 @@ from .grid import (
     difference_mask,
     fourier_symplectic,
     kernel_from_symbol,
-    segment_phase_matrix,
     symplectic_parity,
     _pair_index_tables,
+    _shift_index_table,
 )
 
 __all__ = [
@@ -89,26 +96,8 @@ def _shift_components(grid: PhaseSpaceGrid, x) -> np.ndarray:
 def _translate_values(grid: PhaseSpaceGrid, values: np.ndarray, shifts: np.ndarray,
                       boundary: str) -> np.ndarray:
     """Samples of u(y + x): shift indices by +shifts with zero-fill or wrap."""
-    out = values
-    for ax, s in enumerate(shifts):
-        if s == 0:
-            continue
-        if boundary == "cyclic":
-            out = np.roll(out, -int(s), axis=ax)
-        else:
-            shifted = np.zeros_like(out)
-            n = grid.n
-            s = int(s)
-            if abs(s) < n:
-                src = slice(s, n) if s > 0 else slice(0, n + s)
-                dst = slice(0, n - s) if s > 0 else slice(-s, n)
-                idx_src = [slice(None)] * out.ndim
-                idx_dst = [slice(None)] * out.ndim
-                idx_src[ax] = src
-                idx_dst[ax] = dst
-                shifted[tuple(idx_dst)] = out[tuple(idx_src)]
-            out = shifted
-    return out
+    cols, valid = _shift_index_table(grid, shifts, boundary)
+    return np.where(valid, values.ravel()[cols], 0).reshape(values.shape)
 
 
 def weyl_apply(A: VectorPotential | None, xi, u: WaveFunction,
@@ -145,19 +134,9 @@ def weyl_matrix(A: VectorPotential | None, xi, grid: PhaseSpaceGrid,
     phase = np.exp(-1j * (pts + 0.5 * x) @ p)
     if A is not None:
         phase = phase * np.exp(-1j * circulation(A, pts, pts + x, quad))
-    n = grid.n
-    idx = np.indices(grid.shape).reshape(grid.dim, -1)
-    tgt = idx + shifts[:, None]
-    if boundary == "cyclic":
-        tgt %= n
-        valid = np.ones(grid.size, dtype=bool)
-    else:
-        valid = np.all((tgt >= 0) & (tgt < n), axis=0)
-        tgt = np.clip(tgt, 0, n - 1)
-    cols = np.ravel_multi_index(list(tgt), grid.shape)
+    cols, valid = _shift_index_table(grid, shifts, boundary)
     m = np.zeros((grid.size, grid.size), dtype=complex)
-    rows = np.arange(grid.size)[valid]
-    m[rows, cols[valid]] = phase[valid]
+    m[np.flatnonzero(valid), cols[valid]] = phase[valid]
     return OperatorKernel.from_operator_matrix(grid, m)
 
 
@@ -181,13 +160,7 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
     pts = grid.config_points()
-    y = pts[:, None, :]
-    x = pts[None, :, :]
-    acc = np.zeros((grid.size, grid.size))
-    for s, w in zip(quad.nodes, quad.weights):
-        vals = np.asarray(A.eval(y + s * x), dtype=float)
-        acc += w * np.einsum("yxi,yxi->yx", np.broadcast_to(x, vals.shape), vals)
-    return np.exp(-1j * acc)
+    return np.exp(-1j * _circulation_sum(A, pts[:, None, :], pts[None, :, :], quad))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +178,11 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     g = grid
     pts = g.config_points()
     size = g.size
-    # phases e^{i (x - y) . k} depend only on the wrapped index difference
+    # phases e^{i (x - y) . k} depend only on the wrapped index difference,
+    # whose values are the configuration lattice points again
     _, dcol = _pair_index_tables(g)
-    diff = g.config_points()  # wrapped differences share the config lattice values
     kpts = g.momentum_points()
-    wphase = g.momentum_weight * np.exp(1j * diff @ kpts.T)  # (diff index, k index)
+    wphase = g.momentum_weight * np.exp(1j * pts @ kpts.T)  # (diff index, k index)
     scaled_k = hbar * kpts
     kern = np.zeros((size, size), dtype=complex)
     for a in range(size):
@@ -217,12 +190,7 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
         fvals = f(epts[:, None, :], scaled_k[None, :, :])  # (size_y, size_k)
         kern[a] = np.einsum("yk,yk->y", wphase[dcol[a]], fvals)
     if A is not None:
-        seg = np.zeros((size, size))
-        x = pts[:, None, :]
-        d = pts[None, :, :] - x
-        for s, w in zip(quad.nodes, quad.weights):
-            vals = np.asarray(A.eval(x + s * d), dtype=float)
-            seg += w * np.einsum("xyi,xyi->xy", d, vals)
+        seg = _circulation_sum(A, pts[:, None, :], pts[None, :, :] - pts[:, None, :], quad)
         kern = kern * np.exp(-1j * seg / hbar)
     if mask:
         kern = difference_mask(g) * kern
@@ -268,17 +236,11 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     half = np.exp(-0.5j * pts @ kpts.T)  # (x, p)
     d = (c * half) @ (g.momentum_weight * ephase)
     lam = translation_phase_table(A, g, quad)  # (y, x)
-    n = g.n
-    idx = np.indices(g.shape).reshape(g.dim, -1)
+    # for a fixed row y the map x -> y + x is one-to-one, so each entry is
+    # hit at most once and one scatter assignment places every term
+    cols, valid = _shift_index_table(g, np.rint(pts / g.h).astype(int))  # (y, x)
     m = np.zeros((g.size, g.size), dtype=complex)
-    xint = np.rint(pts / g.h).astype(int)
-    for xi_flat in range(g.size):
-        shifts = xint[xi_flat]
-        tgt = idx + shifts[:, None]
-        valid = np.all((tgt >= 0) & (tgt < n), axis=0)
-        cols = np.ravel_multi_index(list(np.clip(tgt, 0, n - 1)), g.shape)
-        rows = np.arange(g.size)[valid]
-        m[rows, cols[valid]] += (g.config_weight * lam[rows, xi_flat] * d[xi_flat, rows])
+    m[np.nonzero(valid)[0], cols[valid]] = (g.config_weight * lam * d.T)[valid]
     return OperatorKernel.from_operator_matrix(g, m)
 
 

@@ -95,7 +95,7 @@ def run_battery(grid, B, gauges, quad, rng, tol_scale=1.0):
 
     # trace identity
     prod = my.moyal_product(f, h, B, A, grid, quad, check_gauge=False)
-    lhs_tr = my.phase_space_integral(prod)
+    lhs_tr = prod.integral()
     fg = f.sample(grid, "midpoint").values * h.sample(grid, "midpoint").values
     rhs_tr = gr.SymbolGrid(grid, "midpoint", fg).integral()
     items.append(_item("trace_identity", abs(lhs_tr - rhs_tr) / abs(rhs_tr), 1e-6 * scale))

@@ -26,6 +26,7 @@ from .grid import (
     PhaseSpaceGrid,
     SymbolGrid,
     WaveFunction,
+    _shift_index_table,
     fourier_symplectic,
 )
 from .quantize import translation_phase_table, weyl_matrix
@@ -33,7 +34,6 @@ from .quantize import translation_phase_table, weyl_matrix
 __all__ = [
     "fourier_wigner",
     "rank_one_symbol",
-    "hilbert_schmidt_norm",
     "weyl_span_probe",
 ]
 
@@ -42,33 +42,24 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
                    quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
     """Phase-space coefficient table ``<v, W(x, p) u>`` on the standard lattice.
 
-    Computed in factorized form: for each lattice translation the windowed
-    product ``conj(v) . phase . shifted u`` is transformed to the dual
-    lattice in one pass.  Zero-fill truncation matches the Weyl-operator
-    convention, so the table agrees with directly assembled inner products
-    to roundoff.
+    Computed in factorized form: one gather builds the windowed products
+    ``conj(v) . phase . shifted u`` for all lattice translations at once,
+    and one matrix product transforms them to the dual lattice.  Zero-fill
+    truncation matches the Weyl-operator convention, so the table agrees
+    with directly assembled inner products to roundoff.
     """
     if u.grid != v.grid:
         raise DimensionMismatchError("states live on different grids")
     g = u.grid
-    n, N = g.n, g.dim
     lam = translation_phase_table(A, g, quad)  # (y, x) circulation phases
     pts = g.config_points()
     kpts = g.momentum_points()
-    idx = np.indices(g.shape).reshape(N, -1)
-    xint = np.rint(pts / g.h).astype(int)
+    cols, valid = _shift_index_table(g, np.rint(pts / g.h).astype(int))  # (y, x)
     ephase = g.config_weight * np.exp(-1j * pts @ kpts.T)  # (y, p): h^N e^{-i y.p}
     half = np.exp(-0.5j * pts @ kpts.T)                    # (x, p): e^{-i (x/2).p}
-    vals = np.zeros((g.size, g.size), dtype=complex)
-    uflat = u.values.ravel()
     vconj = np.conj(v.values.ravel())
-    for xi_flat in range(g.size):
-        tgt = idx + xint[xi_flat][:, None]
-        valid = np.all((tgt >= 0) & (tgt < n), axis=0)
-        cols = np.ravel_multi_index(list(np.clip(tgt, 0, n - 1)), g.shape)
-        w = np.zeros(g.size, dtype=complex)
-        w[valid] = vconj[valid] * lam[valid, xi_flat] * uflat[cols[valid]]
-        vals[xi_flat] = half[xi_flat] * (w @ ephase)
+    w = np.where(valid, vconj[:, None] * lam * u.values.ravel()[cols], 0)  # (y, x)
+    vals = half * (w.T @ ephase)
     return SymbolGrid(g, "standard", vals.reshape(g.shape + g.shape))
 
 
@@ -86,11 +77,6 @@ def rank_one_kernel(u: WaveFunction, v: WaveFunction) -> OperatorKernel:
     if u.grid != v.grid:
         raise DimensionMismatchError("states live on different grids")
     return OperatorKernel(u.grid, np.outer(u.values.ravel(), np.conj(v.values.ravel())))
-
-
-def hilbert_schmidt_norm(phi: OperatorKernel) -> float:
-    """Hilbert-Schmidt norm of a kernel (weighted Frobenius norm)."""
-    return phi.hs_norm()
 
 
 def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,

@@ -128,7 +128,7 @@ def test_criterion_05_trace_identity_and_duality():
         h = G.gaussian_symbol(2, x_center=rng.uniform(-0.5, 0.5, 2),
                               p_center=rng.uniform(-0.3, 0.3, 2), x_width=0.9, p_width=1.0)
         prod = M.moyal_product(f, h, B, A, g, QUAD, check_gauge=False)
-        lhs = M.phase_space_integral(prod)
+        lhs = prod.integral()
         fg = f.sample(g, "midpoint").values * h.sample(g, "midpoint").values
         rhs = G.SymbolGrid(g, "midpoint", fg).integral()
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -192,7 +192,7 @@ def test_criterion_07_wigner_isometries():
     f = G.gaussian_symbol(2, x_center=[0.2, 0.1], p_center=[0.3, 0.0],
                           x_width=1.0, p_width=1.0)
     op = Q.op_quantize(f, A, g)
-    lhs = W.hilbert_schmidt_norm(op)
+    lhs = op.hs_norm()
     rhs = f.sample(g, "standard").l2_norm()
     report(7, "hilbert-schmidt isometry", abs(lhs - rhs) / rhs, 1e-6)
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magweyl import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, **overrides):
@@ -107,11 +110,14 @@ def test_moyal_unit_and_report(tmp_path):
     report = json.loads((tmp_path / "out" / "moyal_report.json").read_text())
     assert len(report["probes"]) == 2
     assert all(p["abs_diff"] < 1e-3 for p in report["probes"])
+    assert report["tolerance"] == cli.MOYAL_PROBE_TOLERANCE and report["passed"]
     assert (tmp_path / "out" / "product.csv").exists()
 
 
 def test_moyal_gauge_independence_across_runs(tmp_path):
-    # two potentials of the same constant field produce the same product table
+    # two potentials of the same constant field produce the same product table;
+    # the 8-point probes are too coarse for the default 1e-3 probe gate (they
+    # miss by ~0.1), so the runs widen it with the tolerance scale
     base = dict(
         grid={"dim": 2, "n": 8, "L": 5.0},
         symbol_f={"kind": "gaussian", "x_width": 0.9, "p_width": 0.9},
@@ -122,8 +128,9 @@ def test_moyal_gauge_independence_across_runs(tmp_path):
     write_config(c1, gauges=[{"kind": "symmetric", "b": 1.0}], **base)
     c2 = tmp_path / "c2.json"
     write_config(c2, gauges=[{"kind": "landau", "b": 1.0}], **base)
-    assert cli.main(["moyal", "--config", str(c1), "--out", str(tmp_path / "o1")]) == 0
-    assert cli.main(["moyal", "--config", str(c2), "--out", str(tmp_path / "o2")]) == 0
+    wide = ["--tolerance-scale", "200"]
+    assert cli.main(["moyal", "--config", str(c1), "--out", str(tmp_path / "o1")] + wide) == 0
+    assert cli.main(["moyal", "--config", str(c2), "--out", str(tmp_path / "o2")] + wide) == 0
     p1 = np.loadtxt(tmp_path / "o1" / "product.csv", delimiter=",")
     p2 = np.loadtxt(tmp_path / "o2" / "product.csv", delimiter=",")
     assert np.abs(p1 - p2).max() < 1e-8
@@ -138,12 +145,47 @@ def test_moyal_with_constant_unit_symbol(tmp_path):
                  symbol_f={"kind": "gaussian", "x_width": 0.5, "p_width": 0.42},
                  symbol_g={"kind": "constant", "value": 1.0},
                  probes={"count": 1, "points_per_axis": 12, "halfwidth": 4.0})
-    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    # the direct probe cannot integrate a constant symbol over its finite
+    # box (it misses by ~0.76), so the run widens the probe gate
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                   "--tolerance-scale", "1000"])
     assert rc == 0
     # product of f with the unit equals f at the probe point
     report = json.loads((tmp_path / "out" / "moyal_report.json").read_text())
     probe = report["probes"][0]
     assert abs(probe["kernel_route"][0] - 1.0) < 1e-6  # f(0, 0) = 1
+
+
+def test_moyal_probe_disagreement_exits_1(tmp_path, capsys):
+    # the shipped star-product config with 4-point probes over a too-small
+    # box: the worst probe misses the kernel route by ~0.23
+    cfg = json.loads((CONFIGS / "moyal_gaussians.json").read_text())
+    cfg["probes"] = {"count": 3, "points_per_axis": 4, "halfwidth": 1.0}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "moyal_report.json").read_text())
+    assert report["tolerance"] == cli.MOYAL_PROBE_TOLERANCE and not report["passed"]
+    assert max(p["abs_diff"] for p in report["probes"]) > 0.2
+    assert "FAIL" in capsys.readouterr().out
+    # the tolerance scale multiplies the probe gate like every other tolerance
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "wide"),
+                   "--tolerance-scale", "1000"])
+    assert rc == 0
+    assert json.loads((tmp_path / "wide" / "moyal_report.json").read_text())["passed"]
+
+
+def test_moyal_probe_over_size_cap_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    write_config(cfgfile,
+                 symbol_f={"kind": "gaussian", "x_width": 0.9, "p_width": 0.9},
+                 symbol_g={"kind": "gaussian", "x_width": 0.8, "p_width": 0.9},
+                 probes={"count": 1, "points_per_axis": 40, "halfwidth": 4.0})
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the cap" in err
 
 
 @pytest.mark.parametrize("terms,gauges,expected", [

@@ -253,6 +253,23 @@ def test_weyl_sum_route_close_to_kernel_route():
     assert np.linalg.norm(d) / np.linalg.norm(k_ref.apply(u).values) < 1e-4
 
 
+def test_weyl_sum_route_is_the_weighted_weyl_operator_sum():
+    # loop reference for the gathered Weyl-system sum: the integrand times
+    # the zero-filled Weyl operators, one lattice point at a time
+    g = G.PhaseSpaceGrid(2, 4, 2.0)
+    A = F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4), QUAD)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=1.0,
+                          amplitude=1.0 + 0.3j)
+    table = f.sample(g, "standard")
+    c = Q._weyl_sum_coefficients(table)
+    xs, ps = g.config_points(), g.momentum_points()
+    ref = sum(c[a, b] * Q.weyl_matrix(A, (xs[a], ps[b]), g, QUAD).operator_matrix
+              for a in range(g.size) for b in range(g.size))
+    ref = g.config_weight * g.momentum_weight * ref
+    got = Q.op_quantize(table, A, g, quad=QUAD).operator_matrix
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
 def test_quantize_momentum_symbol_matches_magnetic_momentum():
     # first-order symbol with a wide cutoff reproduces the momentum operator
     g = G.PhaseSpaceGrid(2, 32, 8.0)

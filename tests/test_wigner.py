@@ -153,10 +153,10 @@ def test_rank_one_linear_in_first_state():
 def test_hs_norm_basics():
     g = G.PhaseSpaceGrid(1, 16, 6.0)
     zero = G.OperatorKernel(g, np.zeros((16, 16)))
-    assert W.hilbert_schmidt_norm(zero) == 0.0
+    assert zero.hs_norm() == 0.0
     u = G.gaussian_wavefunction(g, width=0.8)
     proj = W.rank_one_kernel(u, u)
-    assert abs(W.hilbert_schmidt_norm(proj) - 1.0) < 1e-12
+    assert abs(proj.hs_norm() - 1.0) < 1e-12
 
 
 def test_hs_isometry_with_symbol_norm():
@@ -165,7 +165,7 @@ def test_hs_isometry_with_symbol_norm():
     f = G.gaussian_symbol(2, x_center=[0.2, 0.1], p_center=[0.3, 0.0],
                           x_width=1.0, p_width=1.0)
     op = Q.op_quantize(f, A, g)
-    lhs = W.hilbert_schmidt_norm(op)
+    lhs = op.hs_norm()
     rhs = f.sample(g, "standard").l2_norm()
     assert abs(lhs - rhs) / rhs < 1e-6
 
