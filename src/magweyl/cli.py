@@ -167,12 +167,15 @@ def cmd_moyal(cfg: dict, outdir: Path) -> int:
             raise InputError("moyal needs 'symbol_f' and 'symbol_g' entries")
     f, _ = symbol_from_spec(cfg["symbol_f"], grid.dim)
     g, _ = symbol_from_spec(cfg["symbol_g"], grid.dim)
-    prod = my.moyal_product(f, g, B, gauges[0], grid, quad)
-    prod.to_csv(outdir / "product.csv")
     pcfg = cfg.get("probes", {})
     count = int(pcfg.get("count", 3))
+    if not 1 <= count <= grid.dim + 1:
+        raise InputError("probes.count must be between 1 and dim + 1 = %d, got %d"
+                         % (grid.dim + 1, count))
     ppa = int(pcfg.get("points_per_axis", 12))
     half = float(pcfg.get("halfwidth", 4.0))
+    prod = my.moyal_product(f, g, B, gauges[0], grid, quad)
+    prod.to_csv(outdir / "product.csv")
     probes = []
     offsets = [np.zeros(grid.dim, dtype=int)]
     for a in range(grid.dim):

@@ -419,7 +419,7 @@ def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
 
 
 def check_potential_matches_field(A: VectorPotential, B: MagneticField,
-                                  points=None, step=1e-5, tol=1e-6) -> float:
+                                  points=None, step=1e-5) -> float:
     """Max deviation of the finite-difference ``dA`` from ``B`` on probe points."""
     if A.dim != B.dim:
         raise DimensionMismatchError("potential and field dimensions differ")

@@ -22,9 +22,11 @@ on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
 sample tables.
 
-``symbol_from_kernel`` inverts the map midpoint by midpoint.  With an even
-point count the pairs ``(x, y)`` sharing a midpoint supply only half the
-momentum modes (differences step by ``2h``), so the reconstructed table
+``symbol_from_kernel`` inverts the map with one gather of the pairs of each
+midpoint class into a window of one alias period of differences per axis,
+then one contraction per axis with the window's Fourier phases.  With an
+even point count the pairs ``(x, y)`` sharing a midpoint supply only half
+the momentum modes (differences step by ``2h``), so the reconstructed table
 holds the alias sum ``f(u, k) + f(u, k -+ n/2 * dp)``: values are faithful
 on the inner half of the momentum box whenever the symbol decays inside a
 quarter box, while the outer band carries the wrapped mirror of the
@@ -42,6 +44,7 @@ the one-period convention the pairings rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -509,32 +512,24 @@ def x_only_symbol(dim: int, fn) -> SymbolEvaluator:
 def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
     """Symplectic Fourier transform on the standard phase-space lattice.
 
-    ``forward`` computes ``sum_eta w_eta e^{-i sigma(xi, eta)} F(eta)``,
-    factorized as the configuration transform tensored with the inverse
-    momentum transform followed by the axis swap.  ``inverse`` applies the
-    exact algebraic inverse of those steps; since the transform is an
-    involution the two directions agree, and forward o inverse is the
-    identity to roundoff.
+    Computes ``sum_eta w_eta e^{-i sigma(xi, eta)} F(eta)``, factorized as
+    the configuration transform tensored with the inverse momentum transform
+    followed by the axis swap.  The transform is an involution, so
+    ``inverse`` runs the same steps as ``forward``, and applying it twice is
+    the identity to roundoff.
     """
     if F.kind != "standard":
         raise InputError("symplectic transform needs a standard-lattice symbol grid")
+    if direction not in ("forward", "inverse"):
+        raise InputError("direction must be 'forward' or 'inverse'")
     g = F.grid
     N = g.dim
     vals = F.values
-    if direction == "forward":
-        for ax in range(N):
-            vals = _apply_axis(vals, g._fwd_matrix, ax)
-        for ax in range(N, 2 * N):
-            vals = _apply_axis(vals, g._inv_matrix, ax)
-        vals = np.moveaxis(vals, list(range(2 * N)), list(range(N, 2 * N)) + list(range(N)))
-    elif direction == "inverse":
-        vals = np.moveaxis(vals, list(range(2 * N)), list(range(N, 2 * N)) + list(range(N)))
-        for ax in range(N):
-            vals = _apply_axis(vals, g._inv_matrix, ax)
-        for ax in range(N, 2 * N):
-            vals = _apply_axis(vals, g._fwd_matrix, ax)
-    else:
-        raise InputError("direction must be 'forward' or 'inverse'")
+    for ax in range(N):
+        vals = _apply_axis(vals, g._fwd_matrix, ax)
+    for ax in range(N, 2 * N):
+        vals = _apply_axis(vals, g._inv_matrix, ax)
+    vals = np.moveaxis(vals, list(range(2 * N)), list(range(N, 2 * N)) + list(range(N)))
     return SymbolGrid(g, "standard", vals)
 
 
@@ -628,66 +623,59 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         raise InputError("unsupported symbol type %r" % type(f))
     G = _midpoint_momentum_table(table, grid)
     srow, dcol = _pair_index_tables(grid)
-    base = scale * G.reshape((2 * grid.n - 1) ** grid.dim, grid.size)[srow, dcol]
-    lam = segment_phase_matrix(A, grid, quad)
-    kern = lam * base
+    kern = scale * G.reshape((2 * grid.n - 1) ** grid.dim, grid.size)[srow, dcol]
+    if A is not None:
+        kern = segment_phase_matrix(A, grid, quad) * kern
     if mask:
-        kern = difference_mask(grid) * kern
+        kern *= difference_mask(grid)
     return OperatorKernel(grid, kern)
-
-
-def _alias_windows(grid: PhaseSpaceGrid):
-    """Per-midpoint symmetric difference windows covering one alias period.
-
-    For the midpoint with axis index sum ``s`` the usable first indices are
-    those ``i`` with ``|2 i - s| <= n/2``: differences up to one half box in
-    either direction.  The two endpoints ``2 i - s = -+ n/2`` describe the
-    same difference modulo the box period; together with the trapezoid
-    weights the kernel map puts on them, the window is an exact one-period
-    quadrature that is symmetric under difference reversal.  Near the box
-    edges the window is clipped to the available pairs.
-    """
-    n = grid.n
-    windows = []
-    for s in range(2 * n - 1):
-        i_min = max(0, s - (n - 1))
-        i_max = min(n - 1, s)
-        lo = max(i_min, int(np.ceil((s - n // 2) / 2.0)))
-        hi = min(i_max, int(np.floor((s + n // 2) / 2.0)))
-        windows.append(np.arange(lo, hi + 1))
-    return windows
 
 
 def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
                        quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
     """Symbol of an operator kernel, on the midpoint phase-space lattice.
 
-    Inverts :func:`kernel_from_symbol`: the circulation phases are removed
-    and, midpoint by midpoint, the difference variable is Fourier-transformed
-    back to the dual lattice over one alias period.  The output is flagged
-    ``alias_doubled``: each value holds the symbol plus its half-box alias
-    mirror, so it is faithful on the inner momentum band for quarter-box
-    limited symbols and re-quantizes exactly (see module notes).
+    Inverts :func:`kernel_from_symbol`: the circulation phases are removed,
+    the pairs of every midpoint class are gathered into one window per axis,
+    and the difference variable of each window is Fourier-transformed back
+    to the dual lattice over one alias period, one axis at a time.  The
+    output is flagged ``alias_doubled``: each value holds the symbol plus
+    its half-box alias mirror, so it is faithful on the inner momentum band
+    for quarter-box limited symbols and re-quantizes exactly (see module
+    notes).
     """
     g = phi.grid
     n, N = g.n, g.dim
-    lam = segment_phase_matrix(A, g, quad)
-    psi = (phi.kernel * np.conj(lam)).reshape((n,) * (2 * N))
-    windows = _alias_windows(g)
-    # per-axis phase matrices e^{-i v k}; the kernel's trapezoid mask already
-    # carries the period-endpoint halves, so the window weights are plain
-    phase = []
-    for s in range(2 * n - 1):
-        v = (2.0 * windows[s] - s) * g.h  # difference x - y at this midpoint class
-        phase.append((2.0 * g.h) * np.exp(-1j * np.outer(v, g.momentum_axis)))
-    letters = "abc"[:N]
-    klets = "klm"[:N]
-    spec = letters + "," + ",".join(l + k for l, k in zip(letters, klets)) + "->" + klets
-    out = np.zeros((2 * n - 1,) * N + (n,) * N, dtype=complex)
-    for smulti in np.ndindex(*((2 * n - 1,) * N)):
-        ipts = _lattice_mesh([windows[s] for s in smulti])  # first indices of the pairs
-        xf = np.ravel_multi_index(tuple(ipts.T), (n,) * N)
-        yf = np.ravel_multi_index(tuple((np.asarray(smulti) - ipts).T), (n,) * N)
-        block = psi.reshape(g.size, g.size)[xf, yf].reshape([len(windows[s]) for s in smulti])
-        out[smulti] = np.einsum(spec, block, *[phase[s] for s in smulti])
+    S, W = 2 * n - 1, n // 2 + 1
+    # Per axis, the midpoint class s = i + j uses the first indices i with
+    # |2 i - s| <= n/2: differences up to one half box in either direction.
+    # The two ends 2 i - s = -+ n/2 describe the same difference modulo the
+    # box period; with the trapezoid weights the kernel map puts on them the
+    # window is an exact one-period quadrature, symmetric under difference
+    # reversal.  Near the box edges the window is clipped to the available
+    # pairs; slots past its end repeat its last pair with phase 0.
+    s = np.arange(S)[:, None]
+    lo = np.maximum(np.maximum(s - (n - 1), 0), (s - n // 2 + 1) // 2)
+    hi = np.minimum(np.minimum(s, n - 1), (s + n // 2) // 2)
+    first = lo + np.arange(W)
+    valid = first <= hi
+    first = np.minimum(first, hi)
+    # slot phases e^{-i v k} at the difference v = x - y, shape (S, n, W);
+    # the kernel's trapezoid mask already carries the period-endpoint
+    # halves, so the slot weights are plain
+    v = (2.0 * first - s) * g.h
+    phase = np.where(valid[:, None, :],
+                     (2.0 * g.h) * np.exp(-1j * v[:, None, :] * g.momentum_axis[:, None]), 0)
+    # block[s_1, t_1, ..., s_N, t_N] = psi[i_1, ..., i_N, s_1 - i_1, ..., s_N - i_N]
+    axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
+    pairs = tuple(ij.reshape(sh) for ij in (first, s - first) for sh in axis_shape)
+    psi = phi.kernel if A is None else phi.kernel * np.conj(segment_phase_matrix(A, g, quad))
+    out = psi.reshape((n,) * (2 * N))[pairs]
+    del psi  # free the phase-stripped copy before the contractions
+    # one batched contraction per axis: slot t_a -> momentum k_a, batched over s_a
+    for a in range(N):
+        head, tail = out.shape[:2 * a], out.shape[2 * a + 2:]
+        out = (phase @ out.reshape(math.prod(head), S, W, -1)).reshape(head + (S, n) + tail)
+    # (s_1, k_1, ..., s_N, k_N) -> configuration axes before momentum axes
+    out = out.transpose(list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2)))
     return SymbolGrid(g, "midpoint", out, alias_doubled=True)

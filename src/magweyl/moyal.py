@@ -39,6 +39,7 @@ from .grid import (
     kernel_from_symbol,
     symbol_from_kernel,
     kernel_compose,
+    segment_phase_matrix,
     _lattice_mesh,
 )
 
@@ -76,9 +77,15 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     """
     if check_gauge:
         validate_gauge(A, B)
-    kf = kernel_from_symbol(f, A, grid, quad)
-    kg = kernel_from_symbol(g, A, grid, quad)
-    return symbol_from_kernel(kernel_compose(kf, kg), A, quad)
+    kf, kg = (kernel_from_symbol(h, None, grid, quad) for h in (f, g))
+    # one table for both factors and the inverse map: lam * kernel_from_symbol(., None)
+    # is kernel_from_symbol(., A) to the last bit, as the mask weights 0, 1/2
+    # and 1 commute exactly with the phase factor
+    lam = segment_phase_matrix(A, grid, quad)
+    for k in (kf, kg):
+        np.multiply(lam, k.kernel, out=k.kernel)
+    composed = kernel_compose(kf, kg).kernel * np.conj(lam)
+    return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
 
 
 def product_kernel(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid,

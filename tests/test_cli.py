@@ -188,6 +188,20 @@ def test_moyal_probe_over_size_cap_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "exceeds the cap" in err
 
 
+@pytest.mark.parametrize("count", [0, 5])
+def test_moyal_probe_count_out_of_range_exits_2(tmp_path, capsys, count):
+    # the shipped 2-D config has dim + 1 = 3 probe points; other counts are
+    # refused before the product is computed
+    cfg = json.loads((CONFIGS / "moyal_gaussians.json").read_text())
+    cfg["probes"]["count"] = count
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "probes.count" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "product.csv").exists()
+
+
 @pytest.mark.parametrize("terms,gauges,expected", [
     # degree-2 symbol, quadratic potential: couplings agree
     ([{"coeff": 1.0, "powers": [2, 0]}],

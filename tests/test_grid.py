@@ -1,5 +1,9 @@
+import cmath
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magweyl import fields as F
 from magweyl import grid as G
@@ -259,6 +263,65 @@ def test_requantization_closes_for_magnetic_kernels_2d():
     k = G.kernel_from_symbol(f, A, g, QUAD)
     k2 = G.kernel_from_symbol(G.symbol_from_kernel(k, A, QUAD), A, g, QUAD)
     assert np.abs(k2.kernel - k.kernel).max() < 1e-11 * np.abs(k.kernel).max()
+
+
+def magnetic_potential(dim, b):
+    """Symmetric gauge of the constant field ``b``; in 1-D the pure gauge ``A(x) = b x / 2``."""
+    return F.symmetric_gauge(b) if dim == 2 else F.linear_potential([[b / 2.0]])
+
+
+def reference_symbol_from_kernel(kernel, lam, g):
+    """Alias-doubled midpoint table by plain loops over midpoint classes, window pairs and momenta.
+
+    The pairs ``(i, s - i)`` of the class ``s`` enter when ``|2 i - s| <= n/2``
+    on every axis (one alias period of differences), each with weight ``2h``
+    and phase ``e^{-i (x - y) k}`` per axis.
+    """
+    n, N = g.n, g.dim
+    psi = (kernel * np.conj(lam)).reshape((n,) * (2 * N))
+    out = np.zeros((2 * n - 1,) * N + (n,) * N, dtype=complex)
+    for s in itertools.product(range(2 * n - 1), repeat=N):
+        windows = [[i for i in range(n) if 0 <= sa - i < n and abs(2 * i - sa) <= n // 2]
+                   for sa in s]
+        for i in itertools.product(*windows):
+            j = tuple(sa - ia for sa, ia in zip(s, i))
+            for k in itertools.product(range(n), repeat=N):
+                term = psi[i + j]
+                for ia, sa, ka in zip(i, s, k):
+                    term *= 2.0 * g.h * cmath.exp(-1j * (2 * ia - sa) * g.h * g.momentum_axis[ka])
+                out[s + k] += term
+    return out
+
+
+@pytest.mark.parametrize("magnetic", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 6), (1, 8), (2, 2), (2, 6), (2, 8)])
+def test_symbol_from_kernel_matches_loop_reference(dim, n, magnetic):
+    # n = 6 has an odd n/2, so the window width changes with the parity of s;
+    # the classes near 0 and 2n - 2 have clipped windows
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    A = magnetic_potential(dim, 1.3) if magnetic else None
+    rng = np.random.default_rng(100 * dim + n)
+    k = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
+    ref = reference_symbol_from_kernel(k, G.segment_phase_matrix(A, g, QUAD), g)
+    rec = G.symbol_from_kernel(G.OperatorKernel(g, k), A, QUAD)
+    assert rec.alias_doubled
+    assert np.abs(rec.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2]), half_n=st.integers(1, 6),
+       L=st.floats(1.0, 8.0), b=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_map_roundtrip_on_its_image(dim, half_n, L, b, seed):
+    # kernel_from_symbol(symbol_from_kernel(K)) == K for every K the masked map produces
+    g = G.PhaseSpaceGrid(dim, 2 * half_n, L)
+    A = None if b is None else magnetic_potential(dim, b)
+    rng = np.random.default_rng(seed)
+    shape = (2 * g.n - 1,) * dim + g.shape
+    table = G.SymbolGrid(g, "midpoint", rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    k = G.kernel_from_symbol(table, A, g, QUAD)
+    back = G.kernel_from_symbol(G.symbol_from_kernel(k, A, QUAD), A, g, QUAD)
+    assert np.abs(back.kernel - k.kernel).max() <= 1e-12 * np.abs(k.kernel).max()
 
 
 # ---------------------------------------------------------------------------

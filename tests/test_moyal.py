@@ -95,6 +95,36 @@ def test_product_table_requantizes_to_operator_product():
     assert np.linalg.norm(lhs2.kernel - rhs2.kernel) / np.linalg.norm(rhs2.kernel) < 1e-4
 
 
+@pytest.mark.parametrize("gauge", ["symmetric", "transversal_gaussian"])
+def test_product_uses_one_phase_table(monkeypatch, gauge):
+    # the product equals the symbol of the composed magnetic kernels, with
+    # one circulation table shared by both factors and the inverse map
+    g = G.PhaseSpaceGrid(2, 10, 5.0)
+    if gauge == "symmetric":
+        B = F.constant_field_2d(1.0)
+        A = F.symmetric_gauge(1.0)
+    else:
+        B = F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2))
+        A = F.transversal_gauge(B, QUAD)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=0.8)
+    h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.0,
+                          p_width=0.9)
+    ref = G.symbol_from_kernel(G.kernel_compose(G.kernel_from_symbol(f, A, g, QUAD),
+                                                G.kernel_from_symbol(h, A, g, QUAD)), A, QUAD)
+    tables = []
+    original = G.segment_phase_matrix
+
+    def counted(A, grid, quad):
+        tables.append(A)
+        return original(A, grid, quad)
+
+    monkeypatch.setattr(G, "segment_phase_matrix", counted)
+    monkeypatch.setattr(M, "segment_phase_matrix", counted, raising=False)
+    out = M.moyal_product(f, h, B, A, g, QUAD)
+    assert [t for t in tables if t is not None] == [A]
+    assert np.abs(out.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
+
+
 def test_product_associative_on_lattice():
     # machine-exact at a well-resolved 1D rig
     g1 = G.PhaseSpaceGrid(1, 64, 10.0)
