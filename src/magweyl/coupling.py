@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
-from .grid import PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _lattice_mesh
+from .grid import PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _lattice_mesh, _lattice_phase
 
 __all__ = [
     "PolynomialSymbol",
@@ -132,13 +132,12 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     if A is not None:
         # built first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
         lam = np.exp(1j * _circulation_sum(A, x[:, None, :] - 0.5 * ypts, ypts[None], quad))
-    kpts = g.momentum_points()
-    fvals = f(x[:, None, :], kpts[None, :, :])                      # (C, K)
-    E1 = g.momentum_weight * np.exp(1j * ypts @ kpts.T)             # (Y, K)
+    fvals = f(x[:, None, :], g.momentum_points()[None, :, :])       # (C, K)
+    E1 = g.momentum_weight * _lattice_phase(g, 1.0)                 # (Y, K)
     fch = fvals @ E1.T                                              # (C, Y)
     if A is not None:
         fch = fch * lam
-    E2 = g.config_weight * np.exp(-1j * ypts @ kpts.T)              # (Y, K)
+    E2 = g.config_weight * _lattice_phase(g, -1.0)                  # (Y, K)
     out = fch @ E2
     return out.reshape((len(caxis),) * g.dim + g.shape)
 

@@ -23,6 +23,7 @@ around the closed path ``a -> b -> c -> a`` (checked by the test suite).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,6 +147,11 @@ class PolynomialMap:
 # ---------------------------------------------------------------------------
 # field / potential / scalar wrappers
 
+def _central_differences(fn, pts: np.ndarray, step: float) -> list:
+    """Central-difference partials ``[d_0 fn, ..., d_{dim-1} fn]``; two evaluations each."""
+    return [(fn(pts + e) - fn(pts - e)) / (2 * step) for e in step * np.eye(pts.shape[-1])]
+
+
 def _probe_points(dim: int, half_width: float = 6.0, count: int = 24) -> np.ndarray:
     rng = np.random.default_rng(1234 + dim)
     return rng.uniform(-half_width, half_width, size=(count, dim))
@@ -197,21 +203,11 @@ class MagneticField:
 
     def _check_closedness(self, pts, step=1e-4):
         # cyclic sum d_j B_kl + d_k B_lj + d_l B_jk, central differences
+        dB = _central_differences(self.eval, pts, step)
         worst = 0.0
-        for j in range(self.dim):
-            ej = np.zeros(self.dim)
-            ej[j] = step
-            dBj = (self.eval(pts + ej) - self.eval(pts - ej)) / (2 * step)
-            for k in range(j + 1, self.dim):
-                ek = np.zeros(self.dim)
-                ek[k] = step
-                dBk = (self.eval(pts + ek) - self.eval(pts - ek)) / (2 * step)
-                for l in range(k + 1, self.dim):
-                    el = np.zeros(self.dim)
-                    el[l] = step
-                    dBl = (self.eval(pts + el) - self.eval(pts - el)) / (2 * step)
-                    cyc = dBj[:, k, l] + dBk[:, l, j] + dBl[:, j, k]
-                    worst = max(worst, np.abs(cyc).max())
+        for j, k, l in itertools.combinations(range(self.dim), 3):
+            cyc = dB[j][:, k, l] + dB[k][:, l, j] + dB[l][:, j, k]
+            worst = max(worst, np.abs(cyc).max())
         if worst > 100.0 * step**2 + 1e-8:
             warnings.warn(
                 "field fails the closedness check on the probe set "
@@ -426,13 +422,10 @@ def check_potential_matches_field(A: VectorPotential, B: MagneticField,
     pts = _probe_points(A.dim, half_width=3.0, count=16) if points is None else np.asarray(points)
     worst = 0.0
     Bv = np.asarray(B.eval(pts), dtype=float)
+    dA = _central_differences(A.eval, pts, step)
     for j in range(A.dim):
-        ej = np.zeros(A.dim); ej[j] = step
-        dAj = (A.eval(pts + ej) - A.eval(pts - ej)) / (2 * step)
         for k in range(A.dim):
-            ek = np.zeros(A.dim); ek[k] = step
-            dAk = (A.eval(pts + ek) - A.eval(pts - ek)) / (2 * step)
-            worst = max(worst, np.abs(dAj[:, k] - dAk[:, j] - Bv[:, j, k]).max())
+            worst = max(worst, np.abs(dA[j][:, k] - dA[k][:, j] - Bv[:, j, k]).max())
     return worst
 
 

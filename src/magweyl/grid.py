@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -164,6 +164,16 @@ def _lattice_mesh(axes) -> np.ndarray:
     """All points of the product lattice of the 1-D ``axes``, shape (prod len, N), row-major."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _lattice_phase(grid: PhaseSpaceGrid, scale: float) -> np.ndarray:
+    """Fourier phases ``e^{i scale x.p}``, lattice points as rows and momenta as columns.
+
+    One ``n x n`` table per axis, joined by Kronecker products in the
+    row-major order of ``config_points`` and ``momentum_points``.
+    """
+    axis = np.exp(1j * (scale * np.outer(grid.config_axis, grid.momentum_axis)))
+    return reduce(np.kron, [axis] * grid.dim)
 
 
 def _shift_index_table(grid: PhaseSpaceGrid, steps, boundary: str = "zero"):

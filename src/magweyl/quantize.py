@@ -50,6 +50,7 @@ from .grid import (
     fourier_symplectic,
     kernel_from_symbol,
     symplectic_parity,
+    _lattice_phase,
     _pair_index_tables,
     _shift_index_table,
 )
@@ -93,11 +94,23 @@ def _shift_components(grid: PhaseSpaceGrid, x) -> np.ndarray:
     return rs.astype(int)
 
 
-def _translate_values(grid: PhaseSpaceGrid, values: np.ndarray, shifts: np.ndarray,
-                      boundary: str) -> np.ndarray:
-    """Samples of u(y + x): shift indices by +shifts with zero-fill or wrap."""
+def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadrature,
+                boundary: str):
+    """``(phase, cols, valid)`` of the Weyl operator at ``xi = (x, p)``, over lattice points y.
+
+    ``[W(xi) u](y) = phase[y] u[cols[y]]`` where ``valid[y]``, else 0 (see ``_shift_index_table``).
+    """
+    x = np.asarray(xi[0], dtype=float)
+    p = np.asarray(xi[1], dtype=float)
+    if p.shape != (grid.dim,):
+        raise DimensionMismatchError("momentum must be a %d-vector" % grid.dim)
+    shifts = _shift_components(grid, x)
+    pts = grid.config_points()
+    phase = np.exp(-1j * (pts + 0.5 * x) @ p)
+    if A is not None:
+        phase = phase * np.exp(-1j * circulation(A, pts, pts + x, quad))
     cols, valid = _shift_index_table(grid, shifts, boundary)
-    return np.where(valid, values.ravel()[cols], 0).reshape(values.shape)
+    return phase, cols, valid
 
 
 def weyl_apply(A: VectorPotential | None, xi, u: WaveFunction,
@@ -109,32 +122,14 @@ def weyl_apply(A: VectorPotential | None, xi, u: WaveFunction,
     or wrapped (``"cyclic"``).  Norm is preserved up to the truncated mass.
     """
     g = u.grid
-    x = np.asarray(xi[0], dtype=float)
-    p = np.asarray(xi[1], dtype=float)
-    if p.shape != (g.dim,):
-        raise DimensionMismatchError("momentum must be a %d-vector" % g.dim)
-    shifts = _shift_components(g, x)
-    pts = g.config_points()
-    mod = np.exp(-1j * (pts + 0.5 * x) @ p).reshape(g.shape)
-    if A is None:
-        lam = 1.0
-    else:
-        lam = np.exp(-1j * circulation(A, pts, pts + x, quad)).reshape(g.shape)
-    shifted = _translate_values(g, u.values, shifts, boundary)
-    return WaveFunction(g, mod * lam * shifted)
+    phase, cols, valid = _weyl_phase(A, xi, g, quad, boundary)
+    return WaveFunction(g, (phase * np.where(valid, u.values.ravel()[cols], 0)).reshape(g.shape))
 
 
 def weyl_matrix(A: VectorPotential | None, xi, grid: PhaseSpaceGrid,
                 quad: Quadrature = DEFAULT_QUADRATURE, boundary: str = "zero") -> OperatorKernel:
     """Materialize the Weyl operator at ``xi`` as an operator kernel."""
-    x = np.asarray(xi[0], dtype=float)
-    p = np.asarray(xi[1], dtype=float)
-    shifts = _shift_components(grid, x)
-    pts = grid.config_points()
-    phase = np.exp(-1j * (pts + 0.5 * x) @ p)
-    if A is not None:
-        phase = phase * np.exp(-1j * circulation(A, pts, pts + x, quad))
-    cols, valid = _shift_index_table(grid, shifts, boundary)
+    phase, cols, valid = _weyl_phase(A, xi, grid, quad, boundary)
     m = np.zeros((grid.size, grid.size), dtype=complex)
     m[np.flatnonzero(valid), cols[valid]] = phase[valid]
     return OperatorKernel.from_operator_matrix(grid, m)
@@ -149,9 +144,7 @@ def magnetic_translation(A: VectorPotential | None, x, grid: PhaseSpaceGrid,
 
 def momentum_modulation(p, grid: PhaseSpaceGrid) -> OperatorKernel:
     """Multiplication by ``e^{-i y . p}``; the Weyl operator at ``(0, p)``."""
-    p = np.asarray(p, dtype=float)
-    phase = np.exp(-1j * grid.config_points() @ p)
-    return OperatorKernel.from_operator_matrix(grid, np.diag(phase))
+    return weyl_matrix(None, (np.zeros(grid.dim), p), grid)
 
 
 def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -181,9 +174,8 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     # phases e^{i (x - y) . k} depend only on the wrapped index difference,
     # whose values are the configuration lattice points again
     _, dcol = _pair_index_tables(g)
-    kpts = g.momentum_points()
-    wphase = g.momentum_weight * np.exp(1j * pts @ kpts.T)  # (diff index, k index)
-    scaled_k = hbar * kpts
+    wphase = g.momentum_weight * _lattice_phase(g, 1.0)  # (diff index, k index)
+    scaled_k = hbar * g.momentum_points()
     kern = np.zeros((size, size), dtype=complex)
     for a in range(size):
         epts = (1.0 - tau) * pts[a][None, :] + tau * pts  # (size, N)
@@ -230,10 +222,9 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     g = F.grid
     c = _weyl_sum_coefficients(F)
     pts = g.config_points()
-    kpts = g.momentum_points()
     # d[x, a] = sum_p w c(x, p) e^{-i (y_a + x/2) p}
-    ephase = np.exp(-1j * kpts @ pts.T)  # (p, y)
-    half = np.exp(-0.5j * pts @ kpts.T)  # (x, p)
+    ephase = _lattice_phase(g, -1.0).T  # (p, y)
+    half = _lattice_phase(g, -0.5)      # (x, p)
     d = (c * half) @ (g.momentum_weight * ephase)
     lam = translation_phase_table(A, g, quad)  # (y, x)
     # for a fixed row y the map x -> y + x is one-to-one, so each entry is
@@ -286,17 +277,6 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
 # ---------------------------------------------------------------------------
 # basic observables
 
-def _axis_transform_matrices(grid: PhaseSpaceGrid):
-    fwd = grid._fwd_matrix
-    inv = grid._inv_matrix
-    F = fwd
-    I = inv
-    for _ in range(grid.dim - 1):
-        F = np.kron(F, fwd)
-        I = np.kron(I, inv)
-    return F, I
-
-
 def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -> OperatorKernel:
     """Magnetic momentum along axis j: the spectral derivative minus A_j(Q).
 
@@ -306,7 +286,8 @@ def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -
     """
     if not 0 <= j < grid.dim:
         raise InputError("axis index %d out of range for dimension %d" % (j, grid.dim))
-    F, Finv = _axis_transform_matrices(grid)
+    F = grid.config_weight * _lattice_phase(grid, -1.0).T    # (p, y): h^N e^{-i y.p}
+    Finv = grid.momentum_weight * _lattice_phase(grid, 1.0)  # (y, p): w e^{+i y.p}
     pj = grid.momentum_points()[:, j]
     mat = Finv @ (pj[:, None] * F)
     if A is not None:
@@ -339,18 +320,18 @@ def weyl_trotter_diagnostic(A: VectorPotential | None, xi, u: WaveFunction, step
     x = np.asarray(xi[0], dtype=float)
     p = np.asarray(xi[1], dtype=float)
     step = x / steps
-    shifts = _shift_components(g, step)
+    cols, valid = _shift_index_table(g, _shift_components(g, step))
     pts = g.config_points()
     aq = pts @ p
     if A is not None:
         aq = aq + np.asarray(A.eval(pts), dtype=float) @ x
-    phase_step = np.exp(-1j * aq / steps).reshape(g.shape)
-    vals = u.values
+    phase_step = np.exp(-1j * aq / steps)
+    vals = u.values.ravel()
     for _ in range(steps):
-        vals = phase_step * _translate_values(g, vals, shifts, "zero")
-    exact = weyl_apply(A, (x, p), u, quad)
-    return float(np.sqrt((np.abs(vals - exact.values) ** 2).sum())
-                 / np.sqrt((np.abs(exact.values) ** 2).sum()))
+        vals = phase_step * np.where(valid, vals[cols], 0)
+    exact = weyl_apply(A, (x, p), u, quad).values.ravel()
+    return float(np.sqrt((np.abs(vals - exact) ** 2).sum())
+                 / np.sqrt((np.abs(exact) ** 2).sum()))
 
 
 def gauge_conjugate(phi: OperatorKernel, rho: ScalarPotential,

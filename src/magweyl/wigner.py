@@ -26,6 +26,7 @@ from .grid import (
     PhaseSpaceGrid,
     SymbolGrid,
     WaveFunction,
+    _lattice_phase,
     _shift_index_table,
     fourier_symplectic,
 )
@@ -53,10 +54,9 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     g = u.grid
     lam = translation_phase_table(A, g, quad)  # (y, x) circulation phases
     pts = g.config_points()
-    kpts = g.momentum_points()
     cols, valid = _shift_index_table(g, np.rint(pts / g.h).astype(int))  # (y, x)
-    ephase = g.config_weight * np.exp(-1j * pts @ kpts.T)  # (y, p): h^N e^{-i y.p}
-    half = np.exp(-0.5j * pts @ kpts.T)                    # (x, p): e^{-i (x/2).p}
+    ephase = g.config_weight * _lattice_phase(g, -1.0)  # (y, p): h^N e^{-i y.p}
+    half = _lattice_phase(g, -0.5)                      # (x, p): e^{-i (x/2).p}
     vconj = np.conj(v.values.ravel())
     w = np.where(valid, vconj[:, None] * lam * u.values.ravel()[cols], 0)  # (y, x)
     vals = half * (w.T @ ephase)

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 
 from magweyl import fields as F
@@ -48,3 +52,17 @@ def test_three_dimensional_symbol_roundtrip():
     rec = G.symbol_from_kernel(k, None, QUAD)
     expect = f.sample(g, "midpoint")
     assert np.abs(rec.inner_band() - expect.inner_band()).max() < 1e-8
+
+
+def test_benchmark_layer_names_resolve():
+    # perfbench/traced_cli.py wraps these public functions by name; read its
+    # LAYERS table without importing the benchmark package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    tree = ast.parse(path.read_text())
+    node = next(stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    layers = ast.literal_eval(node)
+    assert layers
+    for module, name in layers:
+        assert callable(getattr(importlib.import_module("magweyl." + module), name, None)), \
+            (module, name)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,42 @@ def test_cocycle_identity():
 def test_field_antisymmetry_validation():
     with pytest.raises(InputError):
         F.MagneticField(2, lambda x: np.ones(np.shape(x)[:-1] + (2, 2)))
+
+
+def x3_field_3d(x):
+    # B_12 = x_3 and no other component: the cyclic sum d_3 B_12 is 1
+    out = np.zeros(np.shape(x)[:-1] + (3, 3))
+    out[..., 0, 1] = x[..., 2]
+    out[..., 1, 0] = -x[..., 2]
+    return out
+
+
+def test_closedness_check_warns_on_non_closed_field():
+    with pytest.warns(UserWarning, match="closedness"):
+        F.MagneticField(3, x3_field_3d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F.constant_field(3, [[0.0, 1.0, -0.5], [-1.0, 0.0, 2.0], [0.5, -2.0, 0.0]])
+
+
+def test_finite_difference_checks_evaluate_each_partial_once():
+    # one central difference per axis: 2N evaluations of A (N = 2) and of B (N = 3)
+    calls = []
+
+    def counted(fn):
+        def wrapped(x):
+            calls.append(1)
+            return fn(x)
+        return wrapped
+
+    A = F.VectorPotential(2, counted(F.symmetric_gauge(1.0).eval), _validate=False)
+    assert F.check_potential_matches_field(A, F.constant_field_2d(1.0)) < 1e-6
+    assert len(calls) == 4
+    calls.clear()
+    B3 = F.MagneticField(3, counted(x3_field_3d), _validate=False)
+    with pytest.warns(UserWarning, match="closedness"):
+        B3._check_closedness(F._probe_points(3)[:8])
+    assert len(calls) == 6
 
 
 def test_field_from_config_round_trip():

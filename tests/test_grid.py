@@ -89,6 +89,14 @@ def test_fourier_config_gaussian_analytic_pair():
     assert np.abs(fwd - expect).max() < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, -1.0, -0.5])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
+def test_lattice_phase_matches_outer_exponential(dim, n, scale):
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    ref = np.exp(1j * scale * (g.config_points() @ g.momentum_points().T))
+    assert np.abs(G._lattice_phase(g, scale) - ref).max() <= 1e-13
+
+
 def test_wavefunction_norm_and_inner():
     g = G.PhaseSpaceGrid(1, 32, 8.0)
     u = G.gaussian_wavefunction(g, width=1.0)

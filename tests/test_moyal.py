@@ -98,7 +98,8 @@ def test_product_table_requantizes_to_operator_product():
 @pytest.mark.parametrize("gauge", ["symmetric", "transversal_gaussian"])
 def test_product_uses_one_phase_table(monkeypatch, gauge):
     # the product equals the symbol of the composed magnetic kernels, with
-    # one circulation table shared by both factors and the inverse map
+    # one circulation table shared by both factors and the inverse map; the
+    # composed kernel alone also builds one table for both factors
     g = G.PhaseSpaceGrid(2, 10, 5.0)
     if gauge == "symmetric":
         B = F.constant_field_2d(1.0)
@@ -109,8 +110,9 @@ def test_product_uses_one_phase_table(monkeypatch, gauge):
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=0.8)
     h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.0,
                           p_width=0.9)
-    ref = G.symbol_from_kernel(G.kernel_compose(G.kernel_from_symbol(f, A, g, QUAD),
-                                                G.kernel_from_symbol(h, A, g, QUAD)), A, QUAD)
+    ref_kernel = G.kernel_compose(G.kernel_from_symbol(f, A, g, QUAD),
+                                  G.kernel_from_symbol(h, A, g, QUAD))
+    ref = G.symbol_from_kernel(ref_kernel, A, QUAD)
     tables = []
     original = G.segment_phase_matrix
 
@@ -123,6 +125,10 @@ def test_product_uses_one_phase_table(monkeypatch, gauge):
     out = M.moyal_product(f, h, B, A, g, QUAD)
     assert [t for t in tables if t is not None] == [A]
     assert np.abs(out.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
+    tables.clear()
+    kernel = M.product_kernel(f, h, A, g, QUAD)
+    assert tables == [A]
+    assert np.array_equal(kernel.kernel, ref_kernel.kernel)
 
 
 def test_product_associative_on_lattice():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
-from magweyl.errors import InputError, OffLatticeError
+from magweyl.errors import DimensionMismatchError, InputError, OffLatticeError
 
 QUAD = F.Quadrature(16)
 
@@ -65,6 +66,17 @@ def test_weyl_norm_preservation_on_interior_vectors():
     A = F.symmetric_gauge(1.0)
     out = Q.weyl_apply(A, (np.array([g.h, -g.h]), np.array([0.9, 0.2])), u, QUAD)
     assert abs(out.norm() - u.norm()) < 1e-8
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, p: Q.weyl_apply(None, (np.zeros(g.dim), p), interior_gaussian(g)),
+    lambda g, p: Q.weyl_matrix(None, (np.zeros(g.dim), p), g),
+    lambda g, p: Q.momentum_modulation(p, g),
+], ids=["weyl_apply", "weyl_matrix", "momentum_modulation"])
+def test_weyl_rejects_wrong_momentum_shape(build):
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    with pytest.raises(DimensionMismatchError):
+        build(g, np.zeros(3))
 
 
 def test_weyl_matrix_matches_apply():
@@ -212,6 +224,36 @@ def test_quantize_tau_adjoint_pairing():
     k = Q.op_quantize(f, A, g, Q.WeylParams(tau=0.3))
     kstar = Q.op_quantize(f.conj(), A, g, Q.WeylParams(tau=0.7))
     assert np.abs(k.kernel.conj().T - kstar.kernel).max() < 1e-12 * np.abs(k.kernel).max()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2]), half_n=st.integers(1, 4),
+       tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       hbar=st.one_of(st.just(1.0), st.floats(0.3, 2.0)),
+       b=st.one_of(st.none(), st.floats(-2.0, 2.0)), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_identity_property(dim, half_n, tau, hbar, b, seed):
+    # op(f, tau)^* = op(conj f, 1 - tau) for every ordering, Planck constant and gauge
+    g = G.PhaseSpaceGrid(dim, 2 * half_n, 4.0)
+    if b is None:
+        A = None
+    elif dim == 2:
+        A = F.symmetric_gauge(b)
+    else:
+        A = F.polynomial_potential(1, [[(b, (2,))]])
+    rng = np.random.default_rng(seed)
+    xc, pc = rng.uniform(-1.0, 1.0, size=(2, dim))
+    xw, pw = rng.uniform(0.5, 1.5, size=2)
+    amp, chirp = rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    def fn(x, p):
+        return amp * np.exp(-((x - xc) ** 2).sum(axis=-1) / (2 * xw**2)
+                            - ((p - pc) ** 2).sum(axis=-1) / (2 * pw**2)
+                            + 0.3 * chirp * ((x - xc) * (p - pc)).sum(axis=-1))
+
+    f = G.SymbolEvaluator(dim, fn)
+    k = Q.op_quantize(f, A, g, Q.WeylParams(tau=tau, hbar=hbar), QUAD)
+    kstar = Q.op_quantize(f.conj(), A, g, Q.WeylParams(tau=1.0 - tau, hbar=hbar), QUAD)
+    assert np.abs(k.kernel.conj().T - kstar.kernel).max() <= 1e-12 * np.abs(k.kernel).max()
 
 
 def test_quantize_general_route_matches_kernel_route_at_defaults():
