@@ -98,6 +98,17 @@ def build_rig(cfg: dict):
     return grid, B, gauges, quad, rng
 
 
+def gauss_orders(B, gauges, quad) -> dict:
+    """Gauss orders the rig's integrals use: requested, circulation per gauge, field flux.
+
+    Taken from the rule selection of the integrals themselves, so a report
+    states the orders its numbers were computed with.
+    """
+    return {"requested": quad.order,
+            "circulation": [fl._exact_rule(quad, A).order for A in gauges],
+            "flux": fl._exact_rule(quad, B).order}
+
+
 def symbol_from_spec(spec: dict, dim: int):
     """Build a symbol from a config record; returns (symbol, mask_flag)."""
     kind = spec.get("kind")
@@ -128,7 +139,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_verify(cfg: dict, outdir: Path) -> int:
     grid, B, gauges, quad, rng = build_rig(cfg)
     items = run_battery(grid, B, gauges, quad, rng, tol_scale=float(cfg["tolerance_scale"]))
-    report = {"config": cfg, "items": items, "all_passed": all(i["passed"] for i in items)}
+    report = {"config": cfg, "gauss_orders": gauss_orders(B, gauges, quad), "items": items,
+              "all_passed": all(i["passed"] for i in items)}
     _write_json(outdir / "verify_report.json", report)
     for item in items:
         status = "pass" if item["passed"] else "FAIL"
@@ -153,7 +165,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         return 1
     evs = op.eigenvalues()
     _write_json(outdir / "spectrum.json",
-                {"config": cfg, "hermiticity_defect": defect,
+                {"config": cfg, "gauss_orders": gauss_orders(B, gauges, quad),
+                 "hermiticity_defect": defect,
                  "eigenvalues": [float(e) for e in evs]})
     np.savetxt(outdir / "spectrum.csv", evs, delimiter=",", header="sorted eigenvalues")
     print("wrote %d eigenvalues in [%.6f, %.6f]" % (len(evs), evs[0], evs[-1]))
@@ -201,7 +214,8 @@ def cmd_moyal(cfg: dict, outdir: Path) -> int:
     tol = MOYAL_PROBE_TOLERANCE * float(cfg["tolerance_scale"])
     passed = worst <= tol
     _write_json(outdir / "moyal_report.json",
-                {"config": cfg, "probes": probes, "tolerance": tol, "passed": passed})
+                {"config": cfg, "gauss_orders": gauss_orders(B, gauges, quad), "probes": probes,
+                 "tolerance": tol, "passed": passed})
     print("product lattice written; %d probes, worst |kernel - direct| = %.3e (tol %.1e)  %s"
           % (len(probes), worst, tol, "pass" if passed else "FAIL"))
     return 0 if passed else 1
@@ -229,6 +243,7 @@ def cmd_compare_coupling(cfg: dict, outdir: Path) -> int:
         expected = "differ"
     report = {
         "config": cfg,
+        "gauss_orders": gauss_orders(B, gauges, quad),
         "symbol": spec,
         "potential": cfg["gauges"][0],
         "max_abs_difference": maxdiff,

@@ -11,7 +11,9 @@ from,
 
 and the unit-modulus phase factors attached to them.  Everything is a pure
 function of closed-form evaluators; integrals use Gauss-Legendre rules so
-polynomial inputs are integrated exactly.
+polynomial inputs are integrated exactly.  A potential or field that declares
+its polynomial degree is integrated with the fewest nodes that stay exact
+(see ``_exact_rule``); undeclared data use the caller's full rule.
 
 Triangle convention: the flux of ``B`` through ``<a, b, c>`` is
 
@@ -24,6 +26,7 @@ around the closed path ``a -> b -> c -> a`` (checked by the test suite).
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,7 +69,10 @@ __all__ = [
 class Quadrature:
     """Gauss-Legendre rule with `order` nodes, mapped to [0, 1].
 
-    Exact for polynomial integrands of degree <= 2*order - 1.
+    Exact for polynomial integrands of degree <= 2*order - 1.  The integrals
+    of this module take `order` as a cap: for data with a declared polynomial
+    degree they use the lowest order that is still exact (``_exact_rule``),
+    and the full `order` only for data without one.
     """
 
     order: int
@@ -82,6 +88,26 @@ class Quadrature:
 
 
 DEFAULT_QUADRATURE = Quadrature(16)
+
+
+def _exact_rule(quad: Quadrature, data) -> Quadrature:
+    """The Gauss rule the integrals of ``data`` use: ``quad``, or fewer nodes where still exact.
+
+    ``data`` is a VectorPotential or a MagneticField with declared degree d
+    (``degree_hint``).  A circulation integrates ``d . A(a + s d)``, of
+    degree d in s; a triangle flux (through the Duffy jacobian ``1 - xi``)
+    and the ray integral of the transversal gauge (through its factor s)
+    integrate degree d + 1.  m nodes are exact to degree 2m - 1, so the rule
+    has ``deg // 2 + 1`` nodes, capped by ``quad.order``.  Undeclared degree
+    (non-polynomial data) keeps ``quad``.
+    """
+    deg = data.degree_hint
+    if deg is None:
+        return quad
+    if isinstance(data, MagneticField):
+        deg += 1
+    order = deg // 2 + 1
+    return quad if order >= quad.order else Quadrature(order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +178,22 @@ def _central_differences(fn, pts: np.ndarray, step: float) -> list:
     return [(fn(pts + e) - fn(pts - e)) / (2 * step) for e in step * np.eye(pts.shape[-1])]
 
 
+def _checked_degree(degree_hint, poly: PolynomialMap | None = None) -> int | None:
+    """The declared degree: ``degree_hint``, else ``poly.degree``.
+
+    Raises InputError for a hint that is not an integer >= 0 or that contradicts ``poly``.
+    """
+    if degree_hint is None:
+        return None if poly is None else poly.degree
+    if (isinstance(degree_hint, bool) or not isinstance(degree_hint, numbers.Integral)
+            or degree_hint < 0):
+        raise InputError("degree_hint must be None or an integer >= 0, got %r" % (degree_hint,))
+    if poly is not None and degree_hint != poly.degree:
+        raise InputError("degree_hint %d disagrees with the polynomial's degree %d"
+                         % (degree_hint, poly.degree))
+    return int(degree_hint)
+
+
 def _probe_points(dim: int, half_width: float = 6.0, count: int = 24) -> np.ndarray:
     rng = np.random.default_rng(1234 + dim)
     return rng.uniform(-half_width, half_width, size=(count, dim))
@@ -168,7 +210,10 @@ class MagneticField:
         Vectorized map from points of shape (..., N) to matrices of shape
         (..., N, N).
     degree_hint : int or None
-        Polynomial degree when known; drives quadrature exactness choices.
+        Polynomial degree of the field when known.  It is a contract: the
+        flux and transversal-gauge integrals use the fewest Gauss nodes that
+        are exact for this degree, so a hint below the true degree gives
+        wrong phases.  Must be None or an integer >= 0 (else InputError).
 
     Antisymmetry is validated on a probe set at construction; the closedness
     (Jacobi/cocycle) condition is checked by finite differences for N >= 3
@@ -178,7 +223,7 @@ class MagneticField:
     def __init__(self, dim, eval, degree_hint=None, name="field", _validate=True):
         self.dim = int(dim)
         self.eval = eval
-        self.degree_hint = degree_hint
+        self.degree_hint = _checked_degree(degree_hint)
         self.name = name
         if _validate:
             self._validate()
@@ -224,13 +269,19 @@ class VectorPotential:
 
     `poly` optionally holds the exact PolynomialMap behind the evaluator,
     which unlocks analytic derivatives for the coupling closed forms.
+
+    `degree_hint` is the polynomial degree of the potential when known
+    (``poly.degree`` when only `poly` is given).  It is a contract: every
+    circulation of the potential uses the fewest Gauss nodes that are exact
+    for this degree, so a hint below the true degree gives wrong phases.  It
+    must be None or an integer >= 0 and agree with `poly`, else InputError.
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
                  name="potential", _validate=True):
         self.dim = int(dim)
         self.eval = eval
-        self.degree_hint = degree_hint
+        self.degree_hint = _checked_degree(degree_hint, poly)
         self.poly = poly
         self.name = name
         if _validate:
@@ -308,9 +359,10 @@ def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) 
     The per-node dot products are summed into an array of the broadcast
     leading shape of the two arguments; passing them unbroadcast (e.g.
     ``(X, 1, N)`` against ``(1, Y, N)``) keeps only that result and the
-    per-node evaluation points in memory.
+    per-node evaluation points in memory.  The rule is ``_exact_rule(quad, A)``.
     """
     _check_dims(A.dim, start, displacement)
+    quad = _exact_rule(quad, A)
     acc = np.zeros(np.broadcast_shapes(np.shape(start)[:-1], np.shape(displacement)[:-1]))
     for s, w in zip(quad.nodes, quad.weights):
         vals = np.asarray(A.eval(start + s * displacement), dtype=float)
@@ -324,8 +376,9 @@ def circulation(A: VectorPotential, a, b, quad: Quadrature = DEFAULT_QUADRATURE)
     """Circulation of ``A`` along the straight segment from ``a`` to ``b``.
 
     Returns ``(b - a) . int_0^1 A(a + s (b - a)) ds``; broadcasts over
-    leading axes of ``a`` and ``b``.  Exact to roundoff for polynomial
-    potentials of degree < 2*order - 1.
+    leading axes of ``a`` and ``b``.  A potential of declared degree d is
+    integrated with ``min(quad.order, d // 2 + 1)`` nodes, exact to
+    roundoff; one without a declared degree uses all of ``quad``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -338,8 +391,10 @@ def flux_triangle(B: MagneticField, a, b, c, quad: Quadrature = DEFAULT_QUADRATU
 
     Orientation follows the vertex order; swapping two vertices flips the
     sign.  The reference-simplex integral uses a collapsed (Duffy) tensor
-    Gauss-Legendre rule, exact for polynomial fields of degree
-    <= order - 1.  Broadcasts over leading axes of the vertices.
+    Gauss-Legendre rule.  A field of declared degree d is integrated with
+    ``min(quad.order, (d + 1) // 2 + 1)`` nodes per axis, exact to roundoff
+    (the integrand has degree d + 1); one without a declared degree uses all
+    of ``quad``.  Broadcasts over leading axes of the vertices.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -348,6 +403,7 @@ def flux_triangle(B: MagneticField, a, b, c, quad: Quadrature = DEFAULT_QUADRATU
     a, b, c = np.broadcast_arrays(a, b, c)
     u = b - a
     v = c - a
+    quad = _exact_rule(quad, B)
     acc = np.zeros(a.shape[:-1])
     # simplex {s,t>=0, s+t<=1} as s = xi, t = eta (1 - xi), jacobian (1 - xi)
     for xi, wx in zip(quad.nodes, quad.weights):
@@ -387,7 +443,13 @@ def flux_phase(B: MagneticField, q, x, y, quad: Quadrature = DEFAULT_QUADRATURE)
 
 
 def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -> VectorPotential:
-    """Canonical potential ``A_i(x) = -sum_j int_0^1 B_ij(s x) s x_j ds`` with dA = B."""
+    """Canonical potential ``A_i(x) = -sum_j int_0^1 B_ij(s x) s x_j ds`` with dA = B.
+
+    The ray integral uses ``min(quad.order, (d + 1) // 2 + 1)`` nodes for a
+    field of declared degree d (exact; the integrand has degree d + 1) and
+    all of ``quad`` otherwise.  The potential declares degree d + 1.
+    """
+    quad = _exact_rule(quad, B)
 
     def eval(x):
         x = np.asarray(x, dtype=float)
@@ -403,14 +465,21 @@ def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -
 
 
 def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
-    """Gauge-transformed potential ``A + grad(rho)``; generates the same field."""
+    """Gauge-transformed potential ``A + grad(rho)``; generates the same field.
+
+    Declares degree ``max(deg A, deg rho - 1)`` when ``A`` declares a degree
+    and ``rho`` carries its polynomial, and no degree otherwise.
+    """
     if rho.dim != A.dim:
         raise DimensionMismatchError("gauge function dimension does not match potential")
 
     def eval(x):
         return np.asarray(A.eval(x), dtype=float) + np.asarray(rho.gradient(x), dtype=float)
 
-    return VectorPotential(A.dim, eval, degree_hint=None, name="%s+grad(%s)" % (A.name, rho.name),
+    hint = None
+    if A.degree_hint is not None and rho.poly is not None:
+        hint = max(A.degree_hint, rho.poly.degree - 1)
+    return VectorPotential(A.dim, eval, degree_hint=hint, name="%s+grad(%s)" % (A.name, rho.name),
                            _validate=False)
 
 
@@ -501,7 +570,7 @@ def zero_field(dim: int) -> MagneticField:
 
 def zero_potential(dim: int) -> VectorPotential:
     poly = PolynomialMap(dim, [[] for _ in range(dim)])
-    return VectorPotential(dim, poly, degree_hint=0, poly=poly, name="zero")
+    return VectorPotential(dim, poly, poly=poly, name="zero")
 
 
 def constant_potential(values) -> VectorPotential:
@@ -509,7 +578,7 @@ def constant_potential(values) -> VectorPotential:
     dim = v.shape[0]
     comps = [[(float(v[i]), (0,) * dim)] for i in range(dim)]
     poly = PolynomialMap(dim, comps)
-    return VectorPotential(dim, poly, degree_hint=0, poly=poly, name="constant")
+    return VectorPotential(dim, poly, poly=poly, name="constant")
 
 
 def linear_potential(matrix) -> VectorPotential:
@@ -526,12 +595,12 @@ def linear_potential(matrix) -> VectorPotential:
                 row.append((float(m[i, j]), tuple(pw)))
         comps.append(row)
     poly = PolynomialMap(dim, comps)
-    return VectorPotential(dim, poly, degree_hint=1, poly=poly, name="linear")
+    return VectorPotential(dim, poly, poly=poly, name="linear")
 
 
 def polynomial_potential(dim: int, components) -> VectorPotential:
     poly = PolynomialMap(dim, [list(c) for c in components])
-    return VectorPotential(dim, poly, degree_hint=poly.degree, poly=poly, name="polynomial")
+    return VectorPotential(dim, poly, poly=poly, name="polynomial")
 
 
 def symmetric_gauge(b: float) -> VectorPotential:

@@ -27,6 +27,7 @@ translation cocycle; the test suite pins both the sign and the magnitude).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,6 @@ from .grid import (
     kernel_from_symbol,
     symplectic_parity,
     _lattice_phase,
-    _pair_index_tables,
     _shift_index_table,
 )
 
@@ -167,20 +167,29 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     in general, which closed-form symbols support directly); the momentum
     sum runs over the hbar-scaled dual lattice so constants still quantize
     to the identity.
+
+    One pass per lattice difference ``d = y - x``: the rows ``x`` with
+    ``x + d`` in the box share the phases ``e^{i (x - y) . k}``, so their
+    entries are one matrix-vector product.  With the mask on, differences
+    beyond half a period per axis (weight 0) are skipped.
     """
     g = grid
+    n = g.n
     pts = g.config_points()
     size = g.size
     # phases e^{i (x - y) . k} depend only on the wrapped index difference,
     # whose values are the configuration lattice points again
-    _, dcol = _pair_index_tables(g)
     wphase = g.momentum_weight * _lattice_phase(g, 1.0)  # (diff index, k index)
-    scaled_k = hbar * g.momentum_points()
+    scaled_k = hbar * g.momentum_points()[None, :, :]
+    reach = n // 2 if mask else n - 1
     kern = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        epts = (1.0 - tau) * pts[a][None, :] + tau * pts  # (size, N)
-        fvals = f(epts[:, None, :], scaled_k[None, :, :])  # (size_y, size_k)
-        kern[a] = np.einsum("yk,yk->y", wphase[dcol[a]], fvals)
+    for d in itertools.product(range(-reach, reach + 1), repeat=g.dim):
+        rows = np.ix_(*[np.arange(max(0, -da), min(n, n - da)) for da in d])
+        xs = np.ravel_multi_index(rows, g.shape).ravel()
+        ys = np.ravel_multi_index(tuple(r + da for r, da in zip(rows, d)), g.shape).ravel()
+        epts = (1.0 - tau) * pts[xs] + tau * pts[ys]
+        fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
+        kern[xs, ys] = fvals @ wphase[np.ravel_multi_index((n // 2 - np.array(d)) % n, g.shape)]
     if A is not None:
         seg = _circulation_sum(A, pts[:, None, :], pts[None, :, :] - pts[:, None, :], quad)
         kern = kern * np.exp(-1j * seg / hbar)

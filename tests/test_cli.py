@@ -34,6 +34,8 @@ def test_verify_default_config_passes(tmp_path):
     assert {i["name"] for i in report["items"]} >= {
         "stokes_factorization", "cocycle_identity", "weyl_composition_law",
         "homomorphism_structural", "trace_identity", "rank_one_reconstruction"}
+    # constant field, two linear gauges: one Gauss node for every integral
+    assert report["gauss_orders"] == {"requested": 16, "circulation": [1, 1], "flux": 1}
 
 
 def test_verify_is_deterministic(tmp_path):
@@ -238,3 +240,26 @@ def test_compare_coupling_high_degree_exits_2(tmp_path):
     rc = cli.main(["compare-coupling", "--config", str(cfgfile),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, report, overrides, orders", [
+    # quadratic potential of the linear field; the cap applies
+    ("compare-coupling", "coupling_report.json",
+     {"quadrature_order": 12,
+      "field": {"kind": "linear", "dim": 2, "b0": 0.0, "gradient": [2.0, 0.0]},
+      "gauges": [{"kind": "polynomial", "dim": 2,
+                  "components": [[], [{"coeff": 1.0, "powers": [2, 0]}]]}],
+      "symbol": {"kind": "momentum_polynomial", "terms": [{"coeff": 1.0, "powers": [2, 0]}]}},
+     {"requested": 12, "circulation": [2], "flux": 2}),
+    # a Gaussian field has no degree: it and its transversal gauge keep the requested order
+    ("spectrum", "spectrum.json",
+     {"grid": {"dim": 2, "n": 4, "L": 3.0},
+      "field": {"kind": "gaussian", "dim": 2, "amplitude": 1.0, "width": 1.6},
+      "gauges": [{"kind": "transversal"}], "symbol": {"kind": "kinetic"}},
+     {"requested": 16, "circulation": [16], "flux": 16}),
+])
+def test_reports_record_gauss_orders(tmp_path, command, report, overrides, orders):
+    cfgfile = tmp_path / "cfg.json"
+    write_config(cfgfile, **overrides)
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / report).read_text())["gauss_orders"] == orders
