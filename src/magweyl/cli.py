@@ -187,6 +187,9 @@ def cmd_moyal(cfg: dict, outdir: Path) -> int:
                          % (grid.dim + 1, count))
     ppa = int(pcfg.get("points_per_axis", 12))
     half = float(pcfg.get("halfwidth", 4.0))
+    if ppa < 1 or not half > 0:  # refuses NaN too
+        raise InputError("probes.points_per_axis must be >= 1 and probes.halfwidth > 0, "
+                         "got %d and %g" % (ppa, half))
     prod = my.moyal_product(f, g, B, gauges[0], grid, quad)
     prod.to_csv(outdir / "product.csv")
     probes = []

@@ -130,7 +130,8 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     x = _lattice_mesh([caxis] * g.dim)
     ypts = g.config_points()
     if A is not None:
-        # built first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
+        # midpoint-centred segments, no lattice pairs, so not the segment table; built
+        # first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
         lam = np.exp(1j * _circulation_sum(A, x[:, None, :] - 0.5 * ypts, ypts[None], quad))
     fvals = f(x[:, None, :], g.momentum_points()[None, :, :])       # (C, K)
     E1 = g.momentum_weight * _lattice_phase(g, 1.0)                 # (Y, K)

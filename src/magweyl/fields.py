@@ -76,8 +76,9 @@ class Quadrature:
     """
 
     order: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    # derived from `order`, so rules compare and hash by their order alone
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -101,13 +102,36 @@ def _exact_rule(quad: Quadrature, data) -> Quadrature:
     has ``deg // 2 + 1`` nodes, capped by ``quad.order``.  Undeclared degree
     (non-polynomial data) keeps ``quad``.
     """
-    deg = data.degree_hint
-    if deg is None:
+    if data.degree_hint is None:
         return quad
-    if isinstance(data, MagneticField):
-        deg += 1
-    order = deg // 2 + 1
+    order = _exact_order(data)
     return quad if order >= quad.order else Quadrature(order)
+
+
+def _exact_order(data) -> int:
+    """Fewest Gauss nodes exact for the integrals of ``data`` of declared degree (uncapped)."""
+    return (data.degree_hint + isinstance(data, MagneticField)) // 2 + 1
+
+
+def _check_declared_degree(data, integral, *vertices) -> None:
+    """InputError unless the rule of a declared degree agrees with one more node.
+
+    ``integral`` (``circulation`` or ``flux_triangle``) runs over the probe
+    ``vertices`` with the degree withheld, so each rule is used as given.  A
+    degree below the evaluator's true one makes the fewest-node rule inexact,
+    which the extra node exposes.
+    """
+    if data.degree_hint is None:
+        return
+    plain = type(data)(data.dim, data.eval, _validate=False)
+    order = _exact_order(data)
+    ref = integral(plain, *vertices, Quadrature(order + 1))
+    gap = np.abs(integral(plain, *vertices, Quadrature(order)) - ref)
+    if np.any(gap > 1e-9 * np.maximum(1.0, np.abs(ref))):
+        raise InputError(
+            "declared degree %d of %s is too low: its %d-node Gauss rule misses probe "
+            "integrals by up to %.3e" % (data.degree_hint, data.name, order, gap.max())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +237,8 @@ class MagneticField:
         Polynomial degree of the field when known.  It is a contract: the
         flux and transversal-gauge integrals use the fewest Gauss nodes that
         are exact for this degree, so a hint below the true degree gives
-        wrong phases.  Must be None or an integer >= 0 (else InputError).
+        wrong phases.  Must be None or an integer >= 0, and its rule must
+        agree with one more node on probe triangles (else InputError).
 
     Antisymmetry is validated on a probe set at construction; the closedness
     (Jacobi/cocycle) condition is checked by finite differences for N >= 3
@@ -243,6 +268,7 @@ class MagneticField:
             raise InputError(
                 "field is not antisymmetric on probe set (max deviation %.3e)" % skew
             )
+        _check_declared_degree(self, flux_triangle, pts[0::3], pts[1::3], pts[2::3])
         if self.dim >= 3:
             self._check_closedness(pts[:8])
 
@@ -274,7 +300,8 @@ class VectorPotential:
     (``poly.degree`` when only `poly` is given).  It is a contract: every
     circulation of the potential uses the fewest Gauss nodes that are exact
     for this degree, so a hint below the true degree gives wrong phases.  It
-    must be None or an integer >= 0 and agree with `poly`, else InputError.
+    must be None or an integer >= 0, agree with `poly`, and give a rule that
+    agrees with one more node on probe segments, else InputError.
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
@@ -297,6 +324,7 @@ class VectorPotential:
             )
         if not np.all(np.isfinite(vals)):
             raise NumericError("potential evaluator produced non-finite values on probe set")
+        _check_declared_degree(self, circulation, pts[0::2], pts[1::2])
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))

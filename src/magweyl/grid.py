@@ -345,16 +345,20 @@ def kernel_compose(phi: OperatorKernel, psi: OperatorKernel) -> OperatorKernel:
     return OperatorKernel(phi.grid, phi.grid.config_weight * (phi.kernel @ psi.kernel))
 
 
+def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature) -> np.ndarray:
+    """Circulations ``Gamma^A([x, y])`` of all lattice pairs: the field of every zero-fill route."""
+    if A.dim != grid.dim:
+        raise DimensionMismatchError("potential dimension does not match grid")
+    a = grid.config_points()[:, None, :]
+    return _circulation_sum(A, a, a.swapaxes(0, 1) - a, quad)
+
+
 def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
                          quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
     """Circulation phases ``exp(-i Gamma^A([x, y]))`` for all lattice pairs."""
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
-    if A.dim != grid.dim:
-        raise DimensionMismatchError("potential dimension does not match grid")
-    pts = grid.config_points()
-    a = pts[:, None, :]
-    return np.exp(-1j * _circulation_sum(A, a, pts[None, :, :] - a, quad))
+    return np.exp(-1j * _segment_circulation(A, grid, quad))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,9 @@ def moyal_direct_probe(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     if f.dim != N or g.dim != N:
         raise InputError("symbol dimensions do not match field dimension")
     m = int(points_per_axis)
+    if m < 1 or not (config_halfwidth > 0 and momentum_halfwidth > 0):  # refuses NaN too
+        raise InputError("probe lattice needs points_per_axis >= 1 and positive half-widths, "
+                         "got %d, %g, %g" % (m, config_halfwidth, momentum_halfwidth))
     if m**(2 * N) > max_points:
         raise ResourceLimitError(
             "probe lattice of %d^%d points exceeds the cap %d" % (m, 2 * N, max_points)

@@ -19,6 +19,11 @@ Quantization routes:
   evaluated at reflected arguments (the discrete counterpart of pairing the
   symbol with the Weyl system).
 
+The field enters every zero-fill route one way: its field-free kernel is
+multiplied entrywise by the segment table of ``grid`` (by
+``exp(-i Gamma / hbar)`` at scaled Planck constant).  Only ``_weyl_phase``
+integrates its own circulations.
+
 Sign conventions: with ``P = -i d`` and ``Pi = P - A(Q)`` the magnetic
 canonical commutation relations read ``i [Pi_k, Q_j] = delta_jk`` and
 ``[Pi_1, Pi_2] = i B_12(Q)`` for ``B = dA`` (derivable from the
@@ -38,7 +43,6 @@ from .fields import (
     Quadrature,
     ScalarPotential,
     VectorPotential,
-    _circulation_sum,
     circulation,
 )
 from .grid import (
@@ -50,8 +54,10 @@ from .grid import (
     difference_mask,
     fourier_symplectic,
     kernel_from_symbol,
+    segment_phase_matrix,
     symplectic_parity,
     _lattice_phase,
+    _segment_circulation,
     _shift_index_table,
 )
 
@@ -107,6 +113,8 @@ def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadr
     shifts = _shift_components(grid, x)
     pts = grid.config_points()
     phase = np.exp(-1j * (pts + 0.5 * x) @ p)
+    # own circulations, not the segment table: one operator needs n^N segments,
+    # and the cyclic variant the unwrapped [y, y + x], which leaves the box
     if A is not None:
         phase = phase * np.exp(-1j * circulation(A, pts, pts + x, quad))
     cols, valid = _shift_index_table(grid, shifts, boundary)
@@ -149,11 +157,13 @@ def momentum_modulation(p, grid: PhaseSpaceGrid) -> OperatorKernel:
 
 def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
                             quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Circulation phases e^{-i Gamma^A([y, y + x])} for all (y, x) lattice pairs."""
-    if A is None:
-        return np.ones((grid.size, grid.size), dtype=complex)
-    pts = grid.config_points()
-    return np.exp(-1j * _circulation_sum(A, pts[:, None, :], pts[None, :, :], quad))
+    """Phases ``e^{-i Gamma^A([y, y + x])}`` of all (y, x) lattice pairs, 0 where y + x leaves the box.
+
+    The zero-fill shift gather of ``segment_phase_matrix``: a public view in
+    translation layout, unread by the package (the benchmark resolves it).
+    """
+    cols, valid = _shift_index_table(grid, np.rint(grid.config_points() / grid.h).astype(int))
+    return np.where(valid, np.take_along_axis(segment_phase_matrix(A, grid, quad), cols, 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +201,7 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
         fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
         kern[xs, ys] = fvals @ wphase[np.ravel_multi_index((n // 2 - np.array(d)) % n, g.shape)]
     if A is not None:
-        seg = _circulation_sum(A, pts[:, None, :], pts[None, :, :] - pts[:, None, :], quad)
-        kern = kern * np.exp(-1j * seg / hbar)
+        kern = kern * np.exp(-1j * _segment_circulation(A, g, quad) / hbar)
     if mask:
         kern = difference_mask(g) * kern
     return OperatorKernel(g, kern)
@@ -226,21 +235,22 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
 
     The integrand pairs the reflected symplectic transform of the table
     with the Weyl operators over the full phase-space lattice; translated
-    samples are zero-filled.
+    samples are zero-filled.  The field-free sum is scattered first and
+    then dressed with the segment table, as in ``kernel_from_symbol``.
     """
     g = F.grid
     c = _weyl_sum_coefficients(F)
-    pts = g.config_points()
     # d[x, a] = sum_p w c(x, p) e^{-i (y_a + x/2) p}
     ephase = _lattice_phase(g, -1.0).T  # (p, y)
     half = _lattice_phase(g, -0.5)      # (x, p)
     d = (c * half) @ (g.momentum_weight * ephase)
-    lam = translation_phase_table(A, g, quad)  # (y, x)
     # for a fixed row y the map x -> y + x is one-to-one, so each entry is
     # hit at most once and one scatter assignment places every term
-    cols, valid = _shift_index_table(g, np.rint(pts / g.h).astype(int))  # (y, x)
+    cols, valid = _shift_index_table(g, np.rint(g.config_points() / g.h).astype(int))  # (y, x)
     m = np.zeros((g.size, g.size), dtype=complex)
-    m[np.nonzero(valid)[0], cols[valid]] = (g.config_weight * lam * d.T)[valid]
+    m[np.nonzero(valid)[0], cols[valid]] = (g.config_weight * d.T)[valid]
+    if A is not None:
+        m *= segment_phase_matrix(A, g, quad)
     return OperatorKernel.from_operator_matrix(g, m)
 
 

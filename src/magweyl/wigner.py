@@ -6,7 +6,8 @@ momentum part over the dual lattice).  The map is an isometry from pairs
 of states to phase-space functions up to boundary truncation, and its
 symplectic Fourier transform is the symbol of the rank-one operator
 ``|u><v|`` -- the discrete form of the correspondence between phase-space
-coefficients and Hilbert-Schmidt operators.
+coefficients and Hilbert-Schmidt operators.  The field enters only through
+the segment table of ``grid``, which dresses the rank-one kernel.
 
 ``weyl_span_probe`` measures the dimension spanned by Weyl operators over
 a sample of lattice points.  It uses the cyclic (wrapped) translation
@@ -29,8 +30,9 @@ from .grid import (
     _lattice_phase,
     _shift_index_table,
     fourier_symplectic,
+    segment_phase_matrix,
 )
-from .quantize import translation_phase_table, weyl_matrix
+from .quantize import weyl_matrix
 
 __all__ = [
     "fourier_wigner",
@@ -43,22 +45,21 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
                    quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
     """Phase-space coefficient table ``<v, W(x, p) u>`` on the standard lattice.
 
-    Computed in factorized form: one gather builds the windowed products
-    ``conj(v) . phase . shifted u`` for all lattice translations at once,
-    and one matrix product transforms them to the dual lattice.  Zero-fill
-    truncation matches the Weyl-operator convention, so the table agrees
-    with directly assembled inner products to roundoff.
+    Computed in factorized form: one zero-fill shift gather windows the
+    rank-one kernel, dressed with ``segment_phase_matrix``, into the products
+    for all lattice translations at once, and one matrix product transforms
+    them to the dual lattice.  Zero-fill truncation matches the Weyl-operator
+    convention, so the table agrees with directly assembled inner products
+    to roundoff.
     """
-    if u.grid != v.grid:
-        raise DimensionMismatchError("states live on different grids")
     g = u.grid
-    lam = translation_phase_table(A, g, quad)  # (y, x) circulation phases
-    pts = g.config_points()
-    cols, valid = _shift_index_table(g, np.rint(pts / g.h).astype(int))  # (y, x)
+    kern = np.conj(rank_one_kernel(v, u).kernel)  # (y, z): conj(v(y)) u(z)
+    if A is not None:
+        kern *= segment_phase_matrix(A, g, quad)
+    cols, valid = _shift_index_table(g, np.rint(g.config_points() / g.h).astype(int))  # (y, x)
     ephase = g.config_weight * _lattice_phase(g, -1.0)  # (y, p): h^N e^{-i y.p}
     half = _lattice_phase(g, -0.5)                      # (x, p): e^{-i (x/2).p}
-    vconj = np.conj(v.values.ravel())
-    w = np.where(valid, vconj[:, None] * lam * u.values.ravel()[cols], 0)  # (y, x)
+    w = np.where(valid, np.take_along_axis(kern, cols, 1), 0)  # (y, x)
     vals = half * (w.T @ ephase)
     return SymbolGrid(g, "standard", vals.reshape(g.shape + g.shape))
 

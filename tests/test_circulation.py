@@ -1,13 +1,19 @@
 """Every circulation-phase table route agrees with ``fields.circulation``.
 
-The segment phase matrix, the translation phase table, the general-tau
-kernel map and the transform route of the covariant coupling all take their
-phases from the one circulation engine; these tests pin each route entrywise
-against the public ``circulation`` for a polynomial and a non-polynomial
-gauge.
+The magnetic field enters every zero-fill route through one table,
+``grid.segment_phase_matrix``: the kernel maps, the star product, the
+Weyl-system sum and the Fourier-Wigner table multiply their field-free
+result by it, the general-tau kernel map by ``exp(-i Gamma / hbar)`` of the
+same circulations, and ``translation_phase_table`` is its zero-fill gather.
+The single Weyl operator and the transform route of the covariant coupling
+integrate their own segments.  These tests pin each route entrywise against
+the public ``circulation`` for a polynomial and a non-polynomial gauge, and
+check that no other module calls the circulation engine.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +56,26 @@ def test_segment_phase_matrix_matches_circulation(gauge):
 
 
 def test_translation_phase_table_matches_circulation(gauge):
+    # the zero-fill view: in-box translations y + x carry the phase, the rest 0
     g = rig()
     y, x = lattice_pairs(g)
     expect = np.exp(-1j * F.circulation(gauge, y, y + x, QUAD))
-    assert np.abs(Q.translation_phase_table(gauge, g, QUAD) - expect).max() < TOL
+    inbox = np.all(np.abs(y + x + 0.5 * g.h) < g.L, axis=-1)
+    table = Q.translation_phase_table(gauge, g, QUAD)
+    assert 0 < inbox.sum() < inbox.size
+    assert np.abs(table - expect)[inbox].max() < TOL
+    assert not table[~inbox].any()
+
+
+def test_standard_table_quantization_factors_through_segment_table(gauge):
+    # the Weyl-system sum is the field-free sum times the one segment table
+    g = rig()
+    F_tab = G.gaussian_symbol(2, x_center=[0.3, -0.2], x_width=1.0, p_width=0.9,
+                              amplitude=1.0 - 0.4j).sample(g, "standard")
+    magnetic = Q.op_quantize(F_tab, gauge, g, quad=QUAD).kernel
+    plain = Q.op_quantize(F_tab, None, g, quad=QUAD).kernel
+    lam = G.segment_phase_matrix(gauge, g, QUAD)
+    assert np.abs(magnetic - lam * plain).max() <= 1e-15 * np.abs(plain).max()
 
 
 def test_general_tau_kernel_phase_matches_circulation(gauge):
@@ -93,3 +115,17 @@ def test_table_routes_reject_nonfinite_potential():
         G.segment_phase_matrix(bad, g, QUAD)
     with pytest.raises(NumericError):
         Q.translation_phase_table(bad, g, QUAD)
+
+
+def test_only_the_table_builders_call_the_circulation_engine():
+    # fields defines the engine, grid builds the one segment table from it and
+    # coupling's transform route integrates midpoint-centred segments; every
+    # other route takes its phases from the grid's table
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_circulation_sum"):
+                callers.add(path.name)
+    assert callers == {"fields.py", "grid.py", "coupling.py"}

@@ -204,6 +204,22 @@ def test_moyal_probe_count_out_of_range_exits_2(tmp_path, capsys, count):
     assert not (tmp_path / "out" / "product.csv").exists()
 
 
+@pytest.mark.parametrize("setting,value", [
+    ("points_per_axis", 0), ("points_per_axis", -4), ("halfwidth", 0), ("halfwidth", -2),
+    ("halfwidth", float("nan"))])
+def test_moyal_bad_probe_lattice_exits_2(tmp_path, capsys, setting, value):
+    # an empty probe lattice or a non-positive or NaN half-width is refused
+    # before the product is computed, like a bad probe count
+    cfg = json.loads((CONFIGS / "moyal_gaussians.json").read_text())
+    cfg["probes"].update({"count": 1, setting: value})
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "probes.%s" % setting in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
+
+
 @pytest.mark.parametrize("terms,gauges,expected", [
     # degree-2 symbol, quadratic potential: couplings agree
     ([{"coeff": 1.0, "powers": [2, 0]}],

@@ -5,10 +5,13 @@ fewest Gauss-Legendre nodes that are still exact, capped by the caller's
 rule; data without a degree keep the full rule.  Each exact route is pinned
 against the full order-16 route on the same inputs (the same evaluator
 with its degree withheld), the point counts pin the orders actually used,
-and the general-tau kernel route is pinned against its defining sum.
+and the general-tau kernel route is pinned against its defining sum.  A
+declared degree too low for its evaluator is refused at construction.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +168,39 @@ def test_degree_hint_contradicting_poly_rejected():
     for P in (A, cubic_potential(), F.zero_potential(2), F.landau_gauge(0.0)):
         assert F.VectorPotential(2, P.eval, degree_hint=P.degree_hint,
                                  poly=P.poly).degree_hint == P.poly.degree
+
+
+def test_quadrature_compares_and_hashes_by_order():
+    assert F.Quadrature(16) == F.Quadrature(16)
+    assert hash(F.Quadrature(16)) == hash(F.Quadrature(16))
+    assert F.Quadrature(3) != F.Quadrature(4)
+
+
+def test_declared_degree_too_low_rejected():
+    # the fewest-node rule of the declared degree misses the evaluator's integrals
+    gauss = F.gaussian_field_2d(1.0, 1.6).eval
+    with pytest.raises(InputError, match="too low"):
+        F.MagneticField(2, gauss, degree_hint=0)
+    with pytest.raises(InputError, match="too low"):
+        F.VectorPotential(2, cubic_potential().eval, degree_hint=1)
+    # validation off skips the check, as for counting wrappers and derived gauges
+    assert F.MagneticField(2, gauss, degree_hint=0, _validate=False).degree_hint == 0
+
+
+def test_presets_pass_the_declared_degree_check():
+    for B in (F.constant_field_2d(1.0), F.linear_field_2d(1.0, [0.2, 0.1]), F.zero_field(3),
+              F.polynomial_field_2d([(0.7, (0, 0)), (0.4, (1, 0)), (-0.3, (0, 2))]),
+              F.constant_field(3, [[0, 1, 0], [-1, 0, 2], [0, -2, 0]])):
+        assert F.MagneticField(B.dim, B.eval, degree_hint=B.degree_hint).degree_hint is not None
+    for A in (F.zero_potential(2), F.constant_potential([0.5, -1.0]), F.symmetric_gauge(1.0),
+              F.landau_gauge(2.0), F.linear_potential(np.arange(9.0).reshape(3, 3)),
+              cubic_potential()):
+        assert F.VectorPotential(A.dim, A.eval, degree_hint=A.degree_hint).degree_hint is not None
+    for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"):
+        cfg = json.loads(path.read_text())
+        B = F.field_from_config(cfg["field"])
+        for gcfg in cfg["gauges"]:
+            F.potential_from_config(gcfg, B, QUAD)
 
 
 def test_add_gradient_degree():
