@@ -345,12 +345,36 @@ def kernel_compose(phi: OperatorKernel, psi: OperatorKernel) -> OperatorKernel:
     return OperatorKernel(phi.grid, phi.grid.config_weight * (phi.kernel @ psi.kernel))
 
 
+# row blocks of the segment table; more blocks waste fewer pairs below the diagonal
+_SEGMENT_BLOCKS = 16
+
+
 def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature) -> np.ndarray:
-    """Circulations ``Gamma^A([x, y])`` of all lattice pairs: the field of every zero-fill route."""
+    """Circulations ``Gamma^A([x, y])`` of all lattice pairs: the field of every zero-fill route.
+
+    Reversing a segment negates its circulation, so only the pairs on and
+    above the diagonal are integrated, in ``_SEGMENT_BLOCKS`` blocks of
+    consecutive rows (fewer when the grid has fewer points, never an empty
+    block), each one ``_circulation_sum`` call over its rows and the columns
+    from its first row on.  Each block's part above the diagonal is mirrored
+    below it with the opposite sign: the table is exactly antisymmetric, with
+    an exactly zero diagonal.
+    """
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
-    a = grid.config_points()[:, None, :]
-    return _circulation_sum(A, a, a.swapaxes(0, 1) - a, quad)
+    pts = grid.config_points()
+    size = grid.size
+    blocks = min(_SEGMENT_BLOCKS, size)
+    edges = [size * k // blocks for k in range(blocks + 1)]
+    gamma = np.empty((size, size))
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        start = pts[r0:r1, None]
+        rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
+        upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
+        gamma[r0:r1, r0:r1] = upper - upper.T
+        gamma[r0:r1, r1:] = right
+        gamma[r1:, r0:r1] = -right.T
+    return gamma
 
 
 def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,

@@ -8,7 +8,10 @@ same circulations, and ``translation_phase_table`` is its zero-fill gather.
 The single Weyl operator and the transform route of the covariant coupling
 integrate their own segments.  These tests pin each route entrywise against
 the public ``circulation`` for a polynomial and a non-polynomial gauge, and
-check that no other module calls the circulation engine.
+check that no other module calls the circulation engine.  The table itself
+integrates each unordered pair once and mirrors it: it is checked for exact
+antisymmetry on grids down to one point per row block, and its two
+triangles against the flux through lattice triangles (Stokes).
 """
 
 import ast
@@ -48,11 +51,68 @@ def lattice_pairs(g):
     return pts[:, None, :], pts[None, :, :]
 
 
-def test_segment_phase_matrix_matches_circulation(gauge):
-    g = rig()
+def cubic_potential(dim):
+    return F.polynomial_potential(dim, {
+        1: [[(0.2, (3,)), (0.4, (2,)), (-0.3, (1,))]],
+        2: [[(0.3, (3, 0)), (-0.2, (1, 2)), (0.5, (0, 1))],
+            [(0.4, (2, 1)), (0.1, (0, 3)), (-0.7, (1, 0))]],
+        3: [[(0.3, (1, 2, 0)), (-0.5, (0, 0, 1))], [(0.2, (0, 1, 2)), (0.4, (1, 0, 0))],
+            [(-0.1, (3, 0, 0)), (0.6, (0, 1, 0))]],
+    }[dim])
+
+
+# (gauge, dim, n): the rig of the other tests, then grids with one point per
+# row block of the segment table (dim 1, n = 2; dim 3, n = 2) and more
+SEGMENT_CASES = {
+    "symmetric": (GAUGES["symmetric"], 2, 8),
+    "transversal_gaussian": (GAUGES["transversal_gaussian"], 2, 8),
+    "cubic": (lambda: cubic_potential(2), 2, 8),
+    "cubic-dim1-n2": (lambda: cubic_potential(1), 1, 2),
+    "cubic-dim1-n8": (lambda: cubic_potential(1), 1, 8),
+    "cubic-dim3-n2": (lambda: cubic_potential(3), 3, 2),
+    "cubic-dim3-n4": (lambda: cubic_potential(3), 3, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+def test_segment_phase_matrix_matches_circulation(case):
+    make, dim, n = SEGMENT_CASES[case]
+    gauge, g = make(), G.PhaseSpaceGrid(dim, n, 4.0)
     x, y = lattice_pairs(g)
     expect = np.exp(-1j * F.circulation(gauge, x, y, QUAD))
-    assert np.abs(G.segment_phase_matrix(gauge, g, QUAD) - expect).max() < TOL
+    table = G.segment_phase_matrix(gauge, g, QUAD)
+    assert np.abs(table - expect).max() < TOL
+    # reversed segments: exactly opposite circulations, exactly conjugate phases
+    gamma = G._segment_circulation(gauge, g, QUAD)
+    assert np.array_equal(gamma, -gamma.T)
+    assert not np.diagonal(gamma).any()
+    assert np.array_equal(table, table.conj().T)
+
+
+def test_segment_table_triangles_obey_stokes():
+    # Gamma[x, z] + Gamma[z, y] + Gamma[y, x] is the flux through <x, z, y>;
+    # seeded triples read both triangles of the table, so a slip in the
+    # mirrored half shows as a flux mismatch
+    B = F.polynomial_field_2d([(1.0, (0, 0)), (0.3, (1, 0)), (-0.2, (1, 1)), (0.1, (0, 2))])
+    g = rig()
+    gamma = G._segment_circulation(F.transversal_gauge(B, QUAD), g, QUAD)
+    i, k, j = np.random.default_rng(11).integers(0, g.size, size=(3, 200))
+    assert np.any(i < j) and np.any(i > j)
+    pts = g.config_points()
+    flux = F.flux_triangle(B, pts[i], pts[k], pts[j], QUAD)
+    loop = gamma[i, k] + gamma[k, j] + gamma[j, i]
+    assert np.abs(loop - flux).max() <= 1e-12 * np.abs(flux).max()
+
+
+def test_transversal_segment_table_is_the_flux_from_the_origin():
+    # the transversal gauge circulates zero along rays, so Gamma[a, b] is the
+    # flux through <0, a, b>, an independent quadrature of the same field
+    B = F.gaussian_field_2d(1.0, 1.6)
+    g = rig()
+    gamma = G._segment_circulation(F.transversal_gauge(B, QUAD), g, QUAD)
+    a, b = lattice_pairs(g)
+    flux = F.flux_triangle(B, np.zeros(2), a, b, QUAD)
+    assert np.abs(gamma - flux).max() <= 1e-12 * np.abs(flux).max()
 
 
 def test_translation_phase_table_matches_circulation(gauge):

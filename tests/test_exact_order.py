@@ -7,6 +7,7 @@ against the full order-16 route on the same inputs (the same evaluator
 with its degree withheld), the point counts pin the orders actually used,
 and the general-tau kernel route is pinned against its defining sum.  A
 declared degree too low for its evaluator is refused at construction.
+With exact rules, gauge covariance of spectra holds to roundoff.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magweyl import coupling as C
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import moyal as M
@@ -129,7 +131,9 @@ def test_symmetric_phase_table_evaluates_each_pair_once():
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     calls = []
     G.segment_phase_matrix(counted(F.symmetric_gauge(1.0), calls), g, QUAD)
-    assert sum(calls) == g.size**2
+    # one node per segment, in 16 blocks of 4 rows: 4 (64 + 60 + ... + 4) = 2176,
+    # the 2080 pairs on and above the diagonal and 96 below it in the diagonal blocks
+    assert sum(calls) == 2176 <= 0.55 * g.size**2
 
 
 def test_constant_field_flux_evaluates_once_per_triangle():
@@ -258,6 +262,28 @@ def test_derived_order_matches_order_24(data):
     lhs = flux(B, q, x + y, z) + flux(B, q, x, y)
     rhs = flux(B, q + x, y, z) + flux(B, q, x, y + z)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, np.abs(lhs).max())
+
+
+@st.composite
+def gauge_and_rho(draw):
+    if draw(st.booleans()):
+        A = F.symmetric_gauge(draw(st.floats(-2.0, 2.0)))
+    else:
+        A = F.transversal_gauge(F.polynomial_field_2d(_terms(draw, draw(st.integers(0, 2)))))
+    rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [_terms(draw, draw(st.integers(0, 3)))]))
+    return A, rho
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(half_n=st.integers(1, 4), data=gauge_and_rho())
+def test_gauge_covariance_of_spectra(half_n, data):
+    # with exact rules, A and A + grad rho quantize to unitarily equivalent operators
+    A, rho = data
+    g = G.PhaseSpaceGrid(2, 2 * half_n, 4.0)
+    kinetic = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(3.0)
+    e1, e2 = (Q.op_quantize(kinetic, gauge, g, quad=QUAD, mask=False).eigenvalues()
+              for gauge in (A, F.add_gradient(A, rho)))
+    assert np.abs(e1 - e2).max() <= 1e-12 * np.abs(e1).max()
 
 
 # ---------------------------------------------------------------------------
