@@ -20,9 +20,13 @@ where ``phase`` is the unit-modulus circulation factor of a vector
 potential (1 for the non-magnetic case).  The midpoint ``(x + y)/2`` lies
 on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
-sample tables.
+sample tables.  Per axis, the pairs ``(i, j)`` of one midpoint class
+``s = i + j`` have wrapped differences of one parity, so the class reads
+only n/2 of the n differences.  The map is a windowed contraction per
+momentum axis, batched over that axis's midpoint index, onto those n/2
+differences (in place on the sample layout), then one gather of every pair.
 
-``symbol_from_kernel`` inverts the map with one gather of the pairs of each
+``symbol_from_kernel`` is its mirror: one gather of the pairs of each
 midpoint class into a window of one alias period of differences per axis,
 then one contraction per axis with the window's Fourier phases.  With an
 even point count the pairs ``(x, y)`` sharing a midpoint supply only half
@@ -582,17 +586,6 @@ def symplectic_parity(F: SymbolGrid) -> SymbolGrid:
 # ---------------------------------------------------------------------------
 # kernel maps
 
-def _pair_index_tables(grid: PhaseSpaceGrid):
-    """Midpoint-sum and wrapped-difference flat indices for all lattice pairs."""
-    n, N = grid.n, grid.dim
-    idx = np.indices((n,) * N).reshape(N, -1)
-    s = idx[:, :, None] + idx[:, None, :]          # per-axis i + j in [0, 2n-2]
-    d = (idx[:, :, None] - idx[:, None, :] + n // 2) % n  # wrapped difference index
-    srow = np.ravel_multi_index(list(s), (2 * n - 1,) * N)
-    dcol = np.ravel_multi_index(list(d), (n,) * N)
-    return srow, dcol
-
-
 def difference_mask(grid: PhaseSpaceGrid) -> np.ndarray:
     """Trapezoid weights over the pair differences, one box period per axis.
 
@@ -604,20 +597,10 @@ def difference_mask(grid: PhaseSpaceGrid) -> np.ndarray:
     operator actions on interior states untouched but double-counts traces
     of composed kernels.
     """
-    n, N = grid.n, grid.dim
-    idx = np.indices((n,) * N).reshape(N, -1)
-    absdiff = np.abs(idx[:, :, None] - idx[:, None, :])
-    tau = np.where(absdiff < n // 2, 1.0, np.where(absdiff == n // 2, 0.5, 0.0))
-    return tau.prod(axis=0)
-
-
-def _midpoint_momentum_table(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Transform f(u, k) -> sum_k w_k e^{i v.k} f(u, k) on the wrapped difference lattice."""
-    N = grid.dim
-    vals = values
-    for ax in range(N, 2 * N):
-        vals = _apply_axis(vals, grid._inv_matrix, ax)
-    return vals
+    n = grid.n
+    absdiff = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    axis = np.where(absdiff < n // 2, 1.0, np.where(absdiff == n // 2, 0.5, 0.0))
+    return reduce(np.kron, [axis] * grid.dim)
 
 
 def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -629,7 +612,7 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     ----------
     f : SymbolEvaluator or midpoint-lattice SymbolGrid
         Evaluators are sampled exactly at the half-step midpoints; sample
-        tables are used verbatim.
+        tables are used verbatim and must live on ``grid``.
     A : VectorPotential or None
         Potential whose circulation phases dress the kernel; None means
         the non-magnetic map.
@@ -641,27 +624,51 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         for symbols with little momentum decay (momentum polynomials with
         wide cutoffs), whose kernels have long-range difference tails.
 
-    The non-magnetic kernel equals the magnetic one divided entrywise by
-    the circulation phases, and constant symbols map to the identity
-    kernel exactly.
+    The momentum axes are transformed one at a time, each batched over its
+    midpoint index, onto the half of the wrapped differences that midpoint
+    class reads (see module notes); one gather then reads every pair.  The
+    non-magnetic kernel equals the magnetic one divided entrywise by the
+    circulation phases, and constant symbols map to the identity kernel
+    exactly.
     """
-    scale = 1.0
+    weight = 1.0 / (2.0 * grid.L)  # per momentum axis
     if isinstance(f, SymbolEvaluator):
         if f.dim != grid.dim:
             raise DimensionMismatchError("symbol dimension does not match grid")
-        table = f.sample(grid, kind="midpoint").values
+        vals = f.sample(grid, kind="midpoint").values
     elif isinstance(f, SymbolGrid):
+        if f.grid != grid:
+            raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
         if f.kind != "midpoint":
             raise InputError("kernel map needs symbol samples on the midpoint lattice")
-        table = f.values
+        vals = f.values
         if f.alias_doubled:
             # reconstructed tables hold both alias images; pair with half weight
-            scale = 0.5**grid.dim
+            weight *= 0.5
     else:
         raise InputError("unsupported symbol type %r" % type(f))
-    G = _midpoint_momentum_table(table, grid)
-    srow, dcol = _pair_index_tables(grid)
-    kern = scale * G.reshape((2 * grid.n - 1) ** grid.dim, grid.size)[srow, dcol]
+    n, N = grid.n, grid.dim
+    S, T = 2 * n - 1, n // 2
+    # Per axis, the pairs (i, j) of the midpoint class s = i + j have wrapped
+    # difference slots (i - j + n/2) mod n of one parity, (s + n/2) mod 2, so
+    # the class reads only the slots 2 t + parity, at the differences v below.
+    s = np.arange(S)[:, None]
+    v = (2 * np.arange(T) + (s + n // 2) % 2 - n // 2) * grid.h
+    phase = weight * np.exp(1j * (v[:, :, None] * grid.momentum_axis))  # (s, t, k)
+    # (s_1..s_N, k_1..k_N) -> (s_1..s_N, t_1..t_N), momentum axis a batched over s_a
+    for a in range(N):
+        pre, mid = S**a, S ** (N - 1 - a) * T**a
+        if a < N - 1:
+            out = phase[:, None] @ vals.reshape(pre, S, mid, n, n ** (N - 1 - a))
+        else:
+            out = vals.reshape(pre, S, mid, n) @ phase.transpose(0, 2, 1)
+        vals = out.reshape((S,) * N + (T,) * (a + 1) + (n,) * (N - 1 - a))
+    i = np.arange(n)
+    axis_shape = [(1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a) for a in range(N)]
+    pairs = tuple(ij.reshape(sh) for ij in (i[:, None] + i, ((i[:, None] - i + n // 2) % n) // 2)
+                  for sh in axis_shape)
+    kern = vals[pairs].reshape(grid.size, grid.size)
+    del vals  # free the transformed table before the phase table
     if A is not None:
         kern = segment_phase_matrix(A, grid, quad) * kern
     if mask:

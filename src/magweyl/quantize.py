@@ -264,7 +264,7 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     f : SymbolEvaluator or SymbolGrid
         Closed-form symbols support any ``params``; midpoint tables go
         through the kernel map and standard tables through the Weyl-system
-        sum (both at the default parameters).
+        sum (both at the default parameters, and only on their own grid).
     A : VectorPotential or None
         Gauge potential; None quantizes without magnetic phases.
     params : WeylParams
@@ -281,6 +281,8 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     """
     default = params.tau == 0.5 and params.hbar == 1.0
     if isinstance(f, SymbolGrid):
+        if f.grid != grid:
+            raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
         if not default:
             raise InputError("symbol tables support only the default quantization parameters")
         if f.kind == "midpoint":

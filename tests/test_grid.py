@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,7 +275,13 @@ def test_requantization_closes_for_magnetic_kernels_2d():
 
 
 def magnetic_potential(dim, b):
-    """Symmetric gauge of the constant field ``b``; in 1-D the pure gauge ``A(x) = b x / 2``."""
+    """Symmetric gauge of the constant field ``b``; in 1-D the pure gauge ``A(x) = b x / 2``.
+
+    In 3-D a linear potential whose constant field has all three components.
+    """
+    if dim == 3:
+        return F.linear_potential([[0.0, -b / 2.0, 0.3 * b], [b / 2.0, 0.0, -0.2 * b],
+                                   [0.1 * b, 0.4 * b, 0.0]])
     return F.symmetric_gauge(b) if dim == 2 else F.linear_potential([[b / 2.0]])
 
 
@@ -314,6 +321,73 @@ def test_symbol_from_kernel_matches_loop_reference(dim, n, magnetic):
     rec = G.symbol_from_kernel(G.OperatorKernel(g, k), A, QUAD)
     assert rec.alias_doubled
     assert np.abs(rec.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def reference_kernel_from_symbol(f, lam, g, masked, rows):
+    """Rows of the kernel by the defining sum ``sum_k w e^{i (x - y).k} f((x + y)/2, k)``.
+
+    Each row ``x`` is one vectorized sum over every partner ``y`` and
+    momentum ``k``.  Evaluators are called at the pair midpoints; midpoint
+    tables are read at the class ``i + j``, alias-doubled ones with the half
+    weight per axis.  The mask is taken from its definition: per axis 1, 1/2
+    or 0 as ``|x_a - y_a|`` is below, at or beyond L.
+    """
+    n, N = g.n, g.dim
+    pts, ks = g.config_points(), g.momentum_points()
+    idx = np.indices(g.shape).reshape(N, -1).T
+    w = g.momentum_weight
+    if isinstance(f, G.SymbolGrid):
+        table = f.values.reshape((2 * n - 1,) * N + (g.size,))
+        w *= 0.5**N if f.alias_doubled else 1.0
+    out = np.empty((len(rows), g.size), dtype=complex)
+    for r, x in enumerate(rows):
+        if isinstance(f, G.SymbolGrid):
+            vals = table[tuple((idx[x] + idx).T)]
+        else:
+            vals = f(0.5 * (pts[x] + pts)[:, None, :], ks[None, :, :])
+        out[r] = w * (np.exp(1j * ((pts[x] - pts) @ ks.T)) * vals).sum(axis=1)
+        if masked:
+            d = np.abs(idx[x] - idx)
+            out[r] *= np.where(d < n // 2, 1.0, np.where(d == n // 2, 0.5, 0.0)).prod(axis=1)
+    return lam[rows] * out
+
+
+@pytest.mark.parametrize("source", ["evaluator", "alias_table"])
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("magnetic", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 6), (1, 8), (2, 2), (2, 6), (2, 8),
+                                   (3, 2), (3, 6), (3, 8)])
+def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, source):
+    # n = 6 has an odd n/2; from dim 2 on the alias table is a non-contiguous view
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    A = magnetic_potential(dim, 1.3) if magnetic else None
+    rng = np.random.default_rng(10 * dim + n)
+    if source == "evaluator":
+        f = G.gaussian_symbol(dim, x_center=[0.4] * dim, p_center=[-0.3] * dim,
+                              x_width=0.9, p_width=1.1, amplitude=1.0 - 0.5j)
+    else:
+        k = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
+        f = G.symbol_from_kernel(G.OperatorKernel(g, k), None, QUAD)
+        assert f.alias_doubled and (dim == 1 or not f.values.flags.c_contiguous)
+    # every row up to 64 lattice points, else 16 of them
+    rows = np.arange(g.size) if g.size <= 64 else np.sort(rng.choice(g.size, 16, replace=False))
+    ref = reference_kernel_from_symbol(f, G.segment_phase_matrix(A, g, QUAD), g, masked, rows)
+    kern = G.kernel_from_symbol(f, A, g, QUAD, mask=masked).kernel[rows]
+    assert np.abs(kern - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_kernel_from_symbol_memory_peak():
+    # the 62 MB sample table, its float temporaries and the half-width first
+    # transform fit under the bound; one more copy of the table does not
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    f = G.gaussian_symbol(2, x_width=0.9, p_width=1.1)
+    tracemalloc.start()
+    try:
+        G.kernel_from_symbol(f, None, g, QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * 2**20
 
 
 @settings(max_examples=30, deadline=None, database=None)

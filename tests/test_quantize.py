@@ -312,6 +312,21 @@ def test_weyl_sum_route_is_the_weighted_weyl_operator_sum():
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def test_symbol_table_on_another_grid_is_refused():
+    # a table is a sample on its own grid: a different half-width, or a
+    # different n for either lattice kind, must not be quantized on this one
+    g = G.PhaseSpaceGrid(1, 8, 4.0)
+    f = G.gaussian_symbol(1, x_width=0.8, p_width=0.9)
+    wider = G.PhaseSpaceGrid(1, 8, 6.0)
+    with pytest.raises(DimensionMismatchError):
+        G.kernel_from_symbol(f.sample(g, "midpoint"), None, wider, QUAD)
+    finer = G.PhaseSpaceGrid(1, 10, 4.0)
+    with pytest.raises(DimensionMismatchError):
+        Q.op_quantize(f.sample(g, "standard"), None, finer)
+    with pytest.raises(DimensionMismatchError):
+        Q.op_quantize(f.sample(g, "midpoint"), None, finer)
+
+
 def test_quantize_momentum_symbol_matches_magnetic_momentum():
     # first-order symbol with a wide cutoff reproduces the momentum operator
     g = G.PhaseSpaceGrid(2, 32, 8.0)
