@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InputError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
-from .grid import PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _lattice_mesh, _lattice_phase
+from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
+                   _lattice_mesh)
 
 __all__ = [
     "PolynomialSymbol",
@@ -70,16 +71,16 @@ class PolynomialSymbol:
         """Closed-form evaluator with a Gaussian momentum cutoff of `scale`."""
 
         def fn(x, p):
+            # each momentum factor at p's own shape; only `out` is full-size
             out = np.zeros(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), dtype=complex)
             for coeff, powers, x_coeff in self.terms:
-                term = np.full(out.shape, coeff)
+                term = coeff
                 for j, a in enumerate(powers):
                     if a:
                         term = term * p[..., j] ** a
-                if x_coeff is not None:
-                    term = term * x_coeff(x)
-                out += term
-            return out * np.exp(-(p**2).sum(axis=-1) / (2.0 * scale**2))
+                out += term if x_coeff is None else term * x_coeff(x)
+            out *= np.exp(-(p**2).sum(axis=-1) / (2.0 * scale**2))
+            return out
 
         return SymbolEvaluator(self.dim, fn, decay="poly-gaussian", name="poly-cutoff")
 
@@ -87,7 +88,7 @@ class PolynomialSymbol:
 def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,
                  correction: bool) -> np.ndarray:
     """Evaluate sum c(x) prod_j (p_j - A_j(x))^a_j (+ degree-3 correction)."""
-    caxis = grid.config_axis if kind == "standard" else grid.midpoint_axis
+    caxis = _config_axis(grid, kind)
     x = _lattice_mesh([caxis] * grid.dim)
     kpts = grid.momentum_points()
     Avals = np.zeros((len(x), grid.dim)) if A is None else np.asarray(A.eval(x), dtype=float)
@@ -126,21 +127,21 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.
     """
     g = grid
-    caxis = g.config_axis if kind == "standard" else g.midpoint_axis
+    caxis = _config_axis(g, kind)
     x = _lattice_mesh([caxis] * g.dim)
     ypts = g.config_points()
     if A is not None:
         # midpoint-centred segments, no lattice pairs, so not the segment table; built
         # first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
         lam = np.exp(1j * _circulation_sum(A, x[:, None, :] - 0.5 * ypts, ypts[None], quad))
-    fvals = f(x[:, None, :], g.momentum_points()[None, :, :])       # (C, K)
-    E1 = g.momentum_weight * _lattice_phase(g, 1.0)                 # (Y, K)
-    fch = fvals @ E1.T                                              # (C, Y)
+    fvals = f(x[:, None, :], g.momentum_points()[None, :, :]).reshape((len(x),) + g.shape)
+    axes = range(1, g.dim + 1)
+    fch = _apply_axes(fvals, g._inv_matrix, axes)  # (C, y...): k -> difference y
+    del fvals
     if A is not None:
-        fch = fch * lam
-    E2 = g.config_weight * _lattice_phase(g, -1.0)                  # (Y, K)
-    out = fch @ E2
-    return out.reshape((len(caxis),) * g.dim + g.shape)
+        fch *= lam.reshape(fch.shape)
+        del lam
+    return _apply_axes(fch, g._fwd_matrix, axes).reshape((len(caxis),) * g.dim + g.shape)
 
 
 def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -201,7 +202,7 @@ def coupling_discrepancy(f: PolynomialSymbol, A: VectorPotential, grid: PhaseSpa
     tci = covariant_coupling(f, A, grid, quad, kind)
     mci = minimal_coupling(f, A, grid, kind)
     diff = tci - mci
-    x = _lattice_mesh([grid.config_axis if kind == "standard" else grid.midpoint_axis] * grid.dim)
+    x = _lattice_mesh([_config_axis(grid, kind)] * grid.dim)
     per_term = []
     for coeff, powers, x_coeff in f.terms:
         if sum(powers) == 3:

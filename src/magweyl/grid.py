@@ -7,7 +7,9 @@ points per axis, spacing ``h = 2L/n``; the dual momentum lattice has the
 same count with spacing ``pi/L``.  The quadrature weights are ``h`` per
 configuration axis and ``1/(2L)`` per momentum axis -- the unique choice
 making the discrete transforms below mutually inverse, so no loose
-normalization constant survives at grid level.
+normalization constant survives at grid level.  Every lattice Fourier
+transform in the package contracts one axis at a time with the grid's two
+``n x n`` matrices (``_apply_axes``); no ``n^N x n^N`` phase table is built.
 
 Kernel maps
 -----------
@@ -22,9 +24,9 @@ on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
 sample tables.  Per axis, the pairs ``(i, j)`` of one midpoint class
 ``s = i + j`` have wrapped differences of one parity, so the class reads
-only n/2 of the n differences.  The map is a windowed contraction per
-momentum axis, batched over that axis's midpoint index, onto those n/2
-differences (in place on the sample layout), then one gather of every pair.
+only n/2 of the n differences.  The map contracts each momentum axis,
+batched over that axis's midpoint index, with those n/2 rows of the inverse
+transform (in place on the sample layout), then gathers every pair once.
 
 ``symbol_from_kernel`` is its mirror: one gather of the pairs of each
 midpoint class into a window of one alias period of differences per axis,
@@ -54,7 +56,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, OffLatticeError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
 
 __all__ = [
@@ -158,8 +160,6 @@ class PhaseSpaceGrid:
         idx = x / self.h + self.n // 2
         ridx = np.rint(idx)
         if np.abs(idx - ridx).max() > 1e-9:
-            from .errors import OffLatticeError
-
             raise OffLatticeError("point %r is not on the configuration lattice" % (x,))
         return ridx.astype(int)
 
@@ -170,14 +170,14 @@ def _lattice_mesh(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _lattice_phase(grid: PhaseSpaceGrid, scale: float) -> np.ndarray:
-    """Fourier phases ``e^{i scale x.p}``, lattice points as rows and momenta as columns.
+def _lattice_steps(grid: PhaseSpaceGrid) -> np.ndarray:
+    """Every lattice translation in units of h, shape (n^N, N), in ``config_points`` order."""
+    return _lattice_mesh([np.arange(grid.n) - grid.n // 2] * grid.dim)
 
-    One ``n x n`` table per axis, joined by Kronecker products in the
-    row-major order of ``config_points`` and ``momentum_points``.
-    """
-    axis = np.exp(1j * (scale * np.outer(grid.config_axis, grid.momentum_axis)))
-    return reduce(np.kron, [axis] * grid.dim)
+
+def _config_axis(grid: PhaseSpaceGrid, kind: str) -> np.ndarray:
+    """Configuration axis of a symbol lattice: the grid's own, or the midpoints."""
+    return grid.config_axis if kind == "standard" else grid.midpoint_axis
 
 
 def _shift_index_table(grid: PhaseSpaceGrid, steps, boundary: str = "zero"):
@@ -200,8 +200,26 @@ def _shift_index_table(grid: PhaseSpaceGrid, steps, boundary: str = "zero"):
     return np.ravel_multi_index(tuple(tgt), grid.shape), valid
 
 
-def _apply_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(matrix, np.moveaxis(values, axis, 0), axes=(1, 0)), 0, axis)
+def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
+    """Contract each of ``axes`` in turn with an ``(n, n)`` lattice Fourier ``matrix``."""
+    # one matmul per axis on a (head, n, tail) view, the last axis by matrix.T: no axis moves
+    for ax in axes:
+        shape = values.shape
+        if ax == len(shape) - 1:
+            values = values @ matrix.T
+        else:
+            values = matrix @ values.reshape(math.prod(shape[:ax]), shape[ax], -1)
+            values = values.reshape(shape)
+    return values
+
+
+def _half_phase(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Multiply an ``(x..., p...)`` table in place by ``e^{-i (x/2).p}``, per axis pair."""
+    N, n = grid.dim, grid.n
+    axis = np.exp(-0.5j * np.outer(grid.config_axis, grid.momentum_axis))
+    for a in range(N):
+        values *= axis.reshape((1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +277,10 @@ def fourier_config(u: WaveFunction, direction: str = "forward") -> np.ndarray:
     g = u.grid if isinstance(u, WaveFunction) else None
     if g is None:
         raise InputError("fourier_config expects a WaveFunction")
-    vals = u.values
     m = g._fwd_matrix if direction == "forward" else g._inv_matrix
     if direction not in ("forward", "inverse"):
         raise InputError("direction must be 'forward' or 'inverse'")
-    for ax in range(g.dim):
-        vals = _apply_axis(vals, m, ax)
-    return vals
+    return _apply_axes(u.values, m, range(g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +432,7 @@ class SymbolEvaluator:
 
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
-        caxis = grid.config_axis if kind == "standard" else grid.midpoint_axis
+        caxis = _config_axis(grid, kind)
         x = _lattice_mesh([caxis] * grid.dim)
         vals = self(x[:, None, :], grid.momentum_points()[None, :, :])
         return SymbolGrid(grid, kind, vals.reshape((len(caxis),) * grid.dim + grid.shape))
@@ -438,8 +453,7 @@ class SymbolGrid:
                  alias_doubled: bool = False):
         if kind not in ("standard", "midpoint"):
             raise InputError("symbol grid kind must be 'standard' or 'midpoint'")
-        m = grid.n if kind == "standard" else 2 * grid.n - 1
-        expect = (m,) * grid.dim + grid.shape
+        expect = (len(_config_axis(grid, kind)),) * grid.dim + grid.shape
         values = np.asarray(values, dtype=complex)
         if values.shape != expect:
             raise DimensionMismatchError(
@@ -452,7 +466,7 @@ class SymbolGrid:
 
     @property
     def config_axis(self) -> np.ndarray:
-        return self.grid.config_axis if self.kind == "standard" else self.grid.midpoint_axis
+        return _config_axis(self.grid, self.kind)
 
     @property
     def config_spacing(self) -> float:
@@ -531,13 +545,14 @@ def momentum_polynomial_symbol(dim: int, powers, cutoff: float, coeff=1.0,
         raise InputError("powers must have one entry per axis")
 
     def fn(x, p):
-        out = np.full(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), complex(coeff))
+        # the momentum factor at p's own shape; only the result is full-size
+        term = complex(coeff)
         for j, a in enumerate(powers):
             if a:
-                out = out * p[..., j] ** a
-        out = out * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
-        if x_coeff is not None:
-            out = out * x_coeff(x)
+                term = term * p[..., j] ** a
+        term = term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), dtype=complex)
+        out[...] = term if x_coeff is None else term * x_coeff(x)
         return out
 
     return SymbolEvaluator(dim, fn, decay="poly-gaussian", name="p^%s" % (powers,))
@@ -566,11 +581,8 @@ def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
         raise InputError("direction must be 'forward' or 'inverse'")
     g = F.grid
     N = g.dim
-    vals = F.values
-    for ax in range(N):
-        vals = _apply_axis(vals, g._fwd_matrix, ax)
-    for ax in range(N, 2 * N):
-        vals = _apply_axis(vals, g._inv_matrix, ax)
+    vals = _apply_axes(F.values, g._fwd_matrix, range(N))
+    vals = _apply_axes(vals, g._inv_matrix, range(N, 2 * N))
     vals = np.moveaxis(vals, list(range(2 * N)), list(range(N, 2 * N)) + list(range(N)))
     return SymbolGrid(g, "standard", vals)
 
@@ -631,7 +643,7 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     circulation phases, and constant symbols map to the identity kernel
     exactly.
     """
-    weight = 1.0 / (2.0 * grid.L)  # per momentum axis
+    alias = 1.0  # per momentum axis
     if isinstance(f, SymbolEvaluator):
         if f.dim != grid.dim:
             raise DimensionMismatchError("symbol dimension does not match grid")
@@ -644,17 +656,16 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         vals = f.values
         if f.alias_doubled:
             # reconstructed tables hold both alias images; pair with half weight
-            weight *= 0.5
+            alias = 0.5
     else:
         raise InputError("unsupported symbol type %r" % type(f))
     n, N = grid.n, grid.dim
     S, T = 2 * n - 1, n // 2
     # Per axis, the pairs (i, j) of the midpoint class s = i + j have wrapped
     # difference slots (i - j + n/2) mod n of one parity, (s + n/2) mod 2, so
-    # the class reads only the slots 2 t + parity, at the differences v below.
+    # the class reads only the slots 2 t + parity: those rows of the inverse transform.
     s = np.arange(S)[:, None]
-    v = (2 * np.arange(T) + (s + n // 2) % 2 - n // 2) * grid.h
-    phase = weight * np.exp(1j * (v[:, :, None] * grid.momentum_axis))  # (s, t, k)
+    phase = alias * grid._inv_matrix[2 * np.arange(T) + (s + n // 2) % 2]  # (s, t, k)
     # (s_1..s_N, k_1..k_N) -> (s_1..s_N, t_1..t_N), momentum axis a batched over s_a
     for a in range(N):
         pre, mid = S**a, S ** (N - 1 - a) * T**a

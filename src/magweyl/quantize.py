@@ -22,7 +22,8 @@ Quantization routes:
 The field enters every zero-fill route one way: its field-free kernel is
 multiplied entrywise by the segment table of ``grid`` (by
 ``exp(-i Gamma / hbar)`` at scaled Planck constant).  Only ``_weyl_phase``
-integrates its own circulations.
+integrates its own circulations.  Every momentum sum here runs per axis on
+the grid's two transform matrices, never on an ``n^N x n^N`` phase table.
 
 Sign conventions: with ``P = -i d`` and ``Pi = P - A(Q)`` the magnetic
 canonical commutation relations read ``i [Pi_k, Q_j] = delta_jk`` and
@@ -34,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, OffLatticeError
+from .errors import DimensionMismatchError, InputError
 from .fields import (
     DEFAULT_QUADRATURE,
     Quadrature,
@@ -56,7 +58,9 @@ from .grid import (
     kernel_from_symbol,
     segment_phase_matrix,
     symplectic_parity,
-    _lattice_phase,
+    _apply_axes,
+    _half_phase,
+    _lattice_steps,
     _segment_circulation,
     _shift_index_table,
 )
@@ -93,11 +97,7 @@ def _shift_components(grid: PhaseSpaceGrid, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.dim,):
         raise DimensionMismatchError("translation must be a %d-vector" % grid.dim)
-    s = x / grid.h
-    rs = np.rint(s)
-    if np.abs(s - rs).max() > 1e-9:
-        raise OffLatticeError("translation %r is not on the configuration lattice" % (x,))
-    return rs.astype(int)
+    return grid.lattice_index(x) - grid.n // 2
 
 
 def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadrature,
@@ -162,7 +162,7 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
     The zero-fill shift gather of ``segment_phase_matrix``: a public view in
     translation layout, unread by the package (the benchmark resolves it).
     """
-    cols, valid = _shift_index_table(grid, np.rint(grid.config_points() / grid.h).astype(int))
+    cols, valid = _shift_index_table(grid, _lattice_steps(grid))
     return np.where(valid, np.take_along_axis(segment_phase_matrix(A, grid, quad), cols, 1), 0)
 
 
@@ -186,20 +186,18 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     g = grid
     n = g.n
     pts = g.config_points()
-    size = g.size
-    # phases e^{i (x - y) . k} depend only on the wrapped index difference,
-    # whose values are the configuration lattice points again
-    wphase = g.momentum_weight * _lattice_phase(g, 1.0)  # (diff index, k index)
     scaled_k = hbar * g.momentum_points()[None, :, :]
     reach = n // 2 if mask else n - 1
-    kern = np.zeros((size, size), dtype=complex)
+    kern = np.zeros((g.size, g.size), dtype=complex)
     for d in itertools.product(range(-reach, reach + 1), repeat=g.dim):
         rows = np.ix_(*[np.arange(max(0, -da), min(n, n - da)) for da in d])
         xs = np.ravel_multi_index(rows, g.shape).ravel()
         ys = np.ravel_multi_index(tuple(r + da for r, da in zip(rows, d)), g.shape).ravel()
         epts = (1.0 - tau) * pts[xs] + tau * pts[ys]
         fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
-        kern[xs, ys] = fvals @ wphase[np.ravel_multi_index((n // 2 - np.array(d)) % n, g.shape)]
+        # phases w e^{i (x - y) . k}: per axis the inverse-transform row of the
+        # wrapped index difference, whose value is a configuration lattice point
+        kern[xs, ys] = fvals @ reduce(np.kron, [g._inv_matrix[(n // 2 - da) % n] for da in d])
     if A is not None:
         kern = kern * np.exp(-1j * _segment_circulation(A, g, quad) / hbar)
     if mask:
@@ -219,15 +217,11 @@ def _weyl_sum_coefficients(F: SymbolGrid) -> np.ndarray:
     for integrands that decay before the box edge.
     """
     g = F.grid
-    c = symplectic_parity(fourier_symplectic(F, "forward")).values.reshape(g.size, g.size)
-    xsteps = np.rint(g.config_points() / g.h).astype(int)  # (size, N)
-    pidx = np.indices(g.shape).reshape(g.dim, -1)  # momentum multi-indices
-    sign = np.ones((g.size, g.size))
+    c = symplectic_parity(fourier_symplectic(F, "forward")).values
+    odd = (np.arange(g.n) - g.n // 2) % 2 == 1  # x_a / h odd
     for a in range(g.dim):
-        odd_x = (xsteps[:, a] % 2 != 0)
-        edge_p = (pidx[a] == 0)
-        sign[np.ix_(odd_x, edge_p)] *= -1.0
-    return c * sign
+        c[(slice(None),) * a + (odd,) + (slice(None),) * (g.dim - 1) + (0,)] *= -1.0
+    return c.reshape(g.size, g.size)
 
 
 def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
@@ -239,16 +233,15 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     then dressed with the segment table, as in ``kernel_from_symbol``.
     """
     g = F.grid
-    c = _weyl_sum_coefficients(F)
-    # d[x, a] = sum_p w c(x, p) e^{-i (y_a + x/2) p}
-    ephase = _lattice_phase(g, -1.0).T  # (p, y)
-    half = _lattice_phase(g, -0.5)      # (x, p)
-    d = (c * half) @ (g.momentum_weight * ephase)
+    c = _half_phase(_weyl_sum_coefficients(F).reshape(g.shape + g.shape), g)
+    # d[x, y] = sum_p w c(x, p) e^{-i (y + x/2) . p}: the p axes contracted with conj(F^{-1})
+    d = _apply_axes(c, np.conj(g._inv_matrix), range(g.dim, 2 * g.dim)).reshape(g.size, g.size)
+    del c
     # for a fixed row y the map x -> y + x is one-to-one, so each entry is
     # hit at most once and one scatter assignment places every term
-    cols, valid = _shift_index_table(g, np.rint(g.config_points() / g.h).astype(int))  # (y, x)
+    cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
     m = np.zeros((g.size, g.size), dtype=complex)
-    m[np.nonzero(valid)[0], cols[valid]] = (g.config_weight * d.T)[valid]
+    m[np.nonzero(valid)[0], cols[valid]] = g.config_weight * d.T[valid]
     if A is not None:
         m *= segment_phase_matrix(A, g, quad)
     return OperatorKernel.from_operator_matrix(g, m)
@@ -302,19 +295,19 @@ def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -
     """Magnetic momentum along axis j: the spectral derivative minus A_j(Q).
 
     The derivative part is diagonal in the discrete Fourier basis (exact on
-    band-limited grid functions); the potential part is the multiplication
-    operator by A_j on the lattice.
+    band-limited grid functions): the one-axis matrix ``F^{-1} diag(p) F``
+    on axis j, the identity on the others.  The potential part is the
+    multiplication operator by A_j on the lattice.
     """
     if not 0 <= j < grid.dim:
         raise InputError("axis index %d out of range for dimension %d" % (j, grid.dim))
-    F = grid.config_weight * _lattice_phase(grid, -1.0).T    # (p, y): h^N e^{-i y.p}
-    Finv = grid.momentum_weight * _lattice_phase(grid, 1.0)  # (y, p): w e^{+i y.p}
-    pj = grid.momentum_points()[:, j]
-    mat = Finv @ (pj[:, None] * F)
+    deriv = grid._inv_matrix @ (grid.momentum_axis[:, None] * grid._fwd_matrix)
+    mat = reduce(np.kron, [deriv if a == j else np.eye(grid.n) for a in range(grid.dim)])
     if A is not None:
         if A.dim != grid.dim:
             raise DimensionMismatchError("potential dimension does not match grid")
-        mat = mat - np.diag(np.asarray(A.eval(grid.config_points()), dtype=float)[:, j])
+        a_j = np.asarray(A.eval(grid.config_points()), dtype=float)[:, j]
+        mat[np.diag_indices(grid.size)] -= a_j
     return OperatorKernel.from_operator_matrix(grid, mat)
 
 

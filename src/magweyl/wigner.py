@@ -27,7 +27,9 @@ from .grid import (
     PhaseSpaceGrid,
     SymbolGrid,
     WaveFunction,
-    _lattice_phase,
+    _apply_axes,
+    _half_phase,
+    _lattice_steps,
     _shift_index_table,
     fourier_symplectic,
     segment_phase_matrix,
@@ -47,7 +49,7 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
 
     Computed in factorized form: one zero-fill shift gather windows the
     rank-one kernel, dressed with ``segment_phase_matrix``, into the products
-    for all lattice translations at once, and one matrix product transforms
+    for all lattice translations at once; a forward transform per axis takes
     them to the dual lattice.  Zero-fill truncation matches the Weyl-operator
     convention, so the table agrees with directly assembled inner products
     to roundoff.
@@ -56,12 +58,13 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     kern = np.conj(rank_one_kernel(v, u).kernel)  # (y, z): conj(v(y)) u(z)
     if A is not None:
         kern *= segment_phase_matrix(A, g, quad)
-    cols, valid = _shift_index_table(g, np.rint(g.config_points() / g.h).astype(int))  # (y, x)
-    ephase = g.config_weight * _lattice_phase(g, -1.0)  # (y, p): h^N e^{-i y.p}
-    half = _lattice_phase(g, -0.5)                      # (x, p): e^{-i (x/2).p}
-    w = np.where(valid, np.take_along_axis(kern, cols, 1), 0)  # (y, x)
-    vals = half * (w.T @ ephase)
-    return SymbolGrid(g, "standard", vals.reshape(g.shape + g.shape))
+    cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
+    w = kern[np.arange(g.size), cols.T]  # (x, y): kern[y, y + x]
+    w[~valid.T] = 0
+    del kern
+    # forward transform of the y axes, then the half phase e^{-i (x/2).p}
+    vals = _apply_axes(w.reshape(g.shape + g.shape), g._fwd_matrix, range(g.dim, 2 * g.dim))
+    return SymbolGrid(g, "standard", _half_phase(vals, g))
 
 
 def rank_one_symbol(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,

@@ -137,6 +137,23 @@ def test_transform_route_matches_substitution_for_linear_potential():
     assert np.abs(tvals.values - mvals.values).max() / scale < 1e-10
 
 
+def test_kinetic_sample_memory_peak(traced_peak):
+    # dim 2, n=32: the 62 MiB midpoint table and momentum-sized factors, no full-size temporaries
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    kinetic = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(30.0)
+    assert traced_peak(lambda: kinetic.sample(g, "midpoint")) <= 70 * 2**20
+
+
+def test_transform_route_memory_peak(traced_peak):
+    # dim 2, n=32, midpoint lattice: the circulation-phase table sets the peak;
+    # the per-axis transforms keep at most three symbol-sized tables besides it
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    f = G.gaussian_symbol(2, x_width=0.9, p_width=1.1)
+    A = F.symmetric_gauge(1.0)
+    peak = traced_peak(lambda: C.covariant_coupling(f, A, g, QUAD, "midpoint"))
+    assert peak <= 285 * 2**20
+
+
 def test_quantization_equivalence_1d():
     # op^A(f) = op(T^A f): covariant quantization via the coupled symbol
     g = G.PhaseSpaceGrid(1, 64, 10.0)

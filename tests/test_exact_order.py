@@ -7,7 +7,8 @@ against the full order-16 route on the same inputs (the same evaluator
 with its degree withheld), the point counts pin the orders actually used,
 and the general-tau kernel route is pinned against its defining sum.  A
 declared degree too low for its evaluator is refused at construction.
-With exact rules, gauge covariance of spectra holds to roundoff.
+With exact rules, gauge covariance of spectra holds to roundoff, and the
+constant symbol quantizes to the identity on both evaluator routes.
 """
 
 import itertools
@@ -286,6 +287,21 @@ def test_gauge_covariance_of_spectra(half_n, data):
     assert np.abs(e1 - e2).max() <= 1e-12 * np.abs(e1).max()
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(half_n=st.integers(1, 4), L=st.floats(1.0, 6.0), degree=st.integers(0, 3),
+       default=st.booleans(), tau=st.floats(0.0, 1.0), hbar=st.floats(0.3, 2.0),
+       mask=st.booleans(), data=st.data())
+def test_constant_symbol_quantizes_to_identity(half_n, L, degree, default, tau, hbar, mask, data):
+    # both evaluator routes (the kernel map at the defaults, else the general-tau
+    # route): the constant 1 maps to I / h^N for every polynomial gauge
+    g = G.PhaseSpaceGrid(2, 2 * half_n, L)
+    A = F.polynomial_potential(2, [_terms(data.draw, degree), _terms(data.draw, degree)])
+    params = Q.WeylParams() if default else Q.WeylParams(tau, hbar)
+    kern = Q.op_quantize(G.constant_symbol(2), A, g, params, QUAD, mask=mask).kernel
+    ident = np.eye(g.size) / g.config_weight
+    assert np.abs(kern - ident).max() <= 1e-12 / g.config_weight
+
+
 # ---------------------------------------------------------------------------
 # the general-tau kernel route against its defining sum
 
@@ -307,3 +323,17 @@ def test_general_tau_route_matches_defining_sum(mask):
     if mask:
         ref *= G.difference_mask(g)
     assert np.abs(kern - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
+def test_general_tau_route_phase_rows_for_a_symbol_odd_in_p(dim, n):
+    # a symbol that is not even in p pins the sign of each axis's phase row
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    tau, hbar = 0.3, 0.7
+    f = G.gaussian_symbol(dim, x_center=[0.2] * dim, p_center=[0.7, -0.4, 0.3][:dim],
+                          x_width=1.0, p_width=0.9, amplitude=1.0 + 0.5j)
+    kern = Q.op_quantize(f, None, g, Q.WeylParams(tau, hbar), QUAD, mask=False).kernel
+    x, k = g.config_points(), g.momentum_points()
+    vals = f(((1.0 - tau) * x[:, None] + tau * x[None])[:, :, None], hbar * k)
+    ref = g.momentum_weight * (np.exp(1j * (x[:, None] - x[None]) @ k.T) * vals).sum(axis=-1)
+    assert np.abs(kern - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -90,12 +90,26 @@ def test_fourier_config_gaussian_analytic_pair():
     assert np.abs(fwd - expect).max() < 1e-10
 
 
-@pytest.mark.parametrize("scale", [1.0, -1.0, -0.5])
+@pytest.mark.parametrize("axes", ["config", "momentum", "all"])
+@pytest.mark.parametrize("matrix", ["_fwd_matrix", "_inv_matrix"])
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
-def test_lattice_phase_matches_outer_exponential(dim, n, scale):
+def test_apply_axes_matches_dense_exponential(dim, n, matrix, axes):
+    # pins the phase convention of the per-axis contractions against the dense
+    # n^N x n^N products: forward h^N e^{-i p.x}, inverse (1/2L)^N e^{+i x.p}
     g = G.PhaseSpaceGrid(dim, n, 3.0)
-    ref = np.exp(1j * scale * (g.config_points() @ g.momentum_points().T))
-    assert np.abs(G._lattice_phase(g, scale) - ref).max() <= 1e-13
+    xp = g.config_points() @ g.momentum_points().T
+    if matrix == "_fwd_matrix":
+        dense = g.config_weight * np.exp(-1j * xp.T)
+    else:
+        dense = g.momentum_weight * np.exp(1j * xp)
+    rng = np.random.default_rng(10 * dim + n)
+    table = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
+    ref = {"config": dense @ table, "momentum": table @ dense.T,
+           "all": dense @ table @ dense.T}[axes]
+    contracted = {"config": range(dim), "momentum": range(dim, 2 * dim),
+                  "all": range(2 * dim)}[axes]
+    got = G._apply_axes(table.reshape(g.shape + g.shape), getattr(g, matrix), contracted)
+    assert np.abs(got.reshape(g.size, g.size) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_wavefunction_norm_and_inner():

@@ -355,6 +355,38 @@ def test_momentum_operator_plane_wave_eigenvector():
     assert np.abs(out.values - pm * u.values).max() < 1e-10
 
 
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
+def test_momentum_operator_matches_dense_transform(dim, n, linear):
+    # F^{-1} diag(p_j) F with the dense n^N x n^N transforms, minus A_j on the diagonal
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    A = F.linear_potential(np.random.default_rng(dim).normal(size=(dim, dim))) if linear else None
+    xp = g.config_points() @ g.momentum_points().T
+    fwd = g.config_weight * np.exp(-1j * xp.T)
+    inv = g.momentum_weight * np.exp(1j * xp)
+    for j in range(dim):
+        ref = inv @ (g.momentum_points()[:, j, None] * fwd)
+        if A is not None:
+            ref -= np.diag(A.eval(g.config_points())[:, j])
+        got = Q.momentum_operator(A, j, g).operator_matrix
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_weyl_sum_route_memory_peak(traced_peak):
+    # dim 2, n=32: one kernel is 16 MiB; the per-axis transforms keep the
+    # coefficient table, its transform, the scatter target and the phase table
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    table = G.gaussian_symbol(2, x_width=0.9, p_width=1.1).sample(g, "standard")
+    A = F.symmetric_gauge(1.0)
+    assert traced_peak(lambda: Q.op_quantize(table, A, g, quad=QUAD)) <= 100 * 2**20
+
+
+def test_momentum_operator_memory_peak(traced_peak):
+    # the kernel, its weighted copy and one more kernel fit; a dense transform does not
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    assert traced_peak(lambda: Q.momentum_operator(F.symmetric_gauge(1.0), 0, g)) <= 48 * 2**20
+
+
 def test_momentum_operator_hermitian():
     g = default_grid()
     A = F.symmetric_gauge(1.0)
