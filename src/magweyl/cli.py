@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,21 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _config_value(key: str):
+    """Report a malformed value under ``key`` as an InputError that names it.
+
+    Wraps only the reading of configuration records, so an exception from
+    the numerics keeps its own exit code.
+    """
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError("malformed %r entry (%s: %s)" % (key, type(exc).__name__, exc)) from exc
+
+
 def resolve_config(cfg: dict, seed=None, tolerance_scale=None) -> dict:
     out = {"schema": SCHEMA}
     for key, val in DEFAULTS.items():
@@ -74,11 +90,18 @@ def resolve_config(cfg: dict, seed=None, tolerance_scale=None) -> dict:
     if tolerance_scale is not None:
         out["tolerance_scale"] = float(tolerance_scale)
     gspec = out["grid"]
-    n = int(gspec.get("n", 16))
+    with _config_value("grid"):
+        dim, n = int(gspec.get("dim", 2)), int(gspec.get("n", 16))
+        half = float(gspec.get("L", 6.0))
     if n % 2 or n < 2:
         raise InputError("grid points per axis must be even and >= 2")
-    if float(gspec.get("L", 6.0)) <= 0:
+    if half <= 0:
         raise InputError("grid half-width must be positive")
+    for key, kind in (("quadrature_order", int), ("seed", int), ("tolerance_scale", float)):
+        with _config_value(key):  # the commands convert these values as they use them
+            kind(out[key])
+    if not isinstance(out["gauges"], list) or not out["gauges"]:
+        raise InputError("'gauges' must be a non-empty list of potentials")
     return out
 
 
@@ -87,8 +110,10 @@ def build_rig(cfg: dict):
     grid = gr.PhaseSpaceGrid(int(gspec.get("dim", 2)), int(gspec.get("n", 16)),
                              float(gspec.get("L", 6.0)))
     quad = fl.Quadrature(int(cfg.get("quadrature_order", 16)))
-    B = fl.field_from_config(cfg["field"])
-    gauges = [fl.potential_from_config(spec, B, quad) for spec in cfg["gauges"]]
+    with _config_value("field"):
+        B = fl.field_from_config(cfg["field"])
+    with _config_value("gauges"):
+        gauges = [fl.potential_from_config(spec, B, quad) for spec in cfg["gauges"]]
     for spec, A in zip(cfg["gauges"], gauges):
         try:
             my.validate_gauge(A, B)
@@ -153,9 +178,10 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     grid, B, gauges, quad, rng = build_rig(cfg)
     if "symbol" not in cfg:
         raise InputError("spectrum needs a 'symbol' entry in the configuration")
-    sym, mask = symbol_from_spec(cfg["symbol"], grid.dim)
-    if isinstance(sym, cp.PolynomialSymbol):
-        sym = sym.with_momentum_cutoff(float(cfg["symbol"].get("cutoff", 30.0)))
+    with _config_value("symbol"):
+        sym, mask = symbol_from_spec(cfg["symbol"], grid.dim)
+        if isinstance(sym, cp.PolynomialSymbol):
+            sym = sym.with_momentum_cutoff(float(cfg["symbol"].get("cutoff", 30.0)))
     mask = bool(cfg.get("mask", mask))
     op = qu.op_quantize(sym, gauges[0], grid, quad=quad, mask=mask)
     defect = op.hermiticity_defect()
@@ -178,15 +204,17 @@ def cmd_moyal(cfg: dict, outdir: Path) -> int:
     for key in ("symbol_f", "symbol_g"):
         if key not in cfg:
             raise InputError("moyal needs 'symbol_f' and 'symbol_g' entries")
-    f, _ = symbol_from_spec(cfg["symbol_f"], grid.dim)
-    g, _ = symbol_from_spec(cfg["symbol_g"], grid.dim)
+    with _config_value("symbol_f"):
+        f, _ = symbol_from_spec(cfg["symbol_f"], grid.dim)
+    with _config_value("symbol_g"):
+        g, _ = symbol_from_spec(cfg["symbol_g"], grid.dim)
     pcfg = cfg.get("probes", {})
-    count = int(pcfg.get("count", 3))
+    with _config_value("probes"):
+        count, ppa, half = (int(pcfg.get("count", 3)), int(pcfg.get("points_per_axis", 12)),
+                            float(pcfg.get("halfwidth", 4.0)))
     if not 1 <= count <= grid.dim + 1:
         raise InputError("probes.count must be between 1 and dim + 1 = %d, got %d"
                          % (grid.dim + 1, count))
-    ppa = int(pcfg.get("points_per_axis", 12))
-    half = float(pcfg.get("halfwidth", 4.0))
     if ppa < 1 or not half > 0:  # refuses NaN too
         raise InputError("probes.points_per_axis must be >= 1 and probes.halfwidth > 0, "
                          "got %d and %g" % (ppa, half))
@@ -231,8 +259,9 @@ def cmd_compare_coupling(cfg: dict, outdir: Path) -> int:
     spec = cfg["symbol"]
     if spec.get("kind") != "momentum_polynomial":
         raise InputError("compare-coupling expects a momentum_polynomial symbol")
-    terms = [(t.get("coeff", 1.0), tuple(t["powers"])) for t in spec["terms"]]
-    sym = cp.PolynomialSymbol(grid.dim, terms)
+    with _config_value("symbol"):
+        terms = [(t.get("coeff", 1.0), tuple(t["powers"])) for t in spec["terms"]]
+        sym = cp.PolynomialSymbol(grid.dim, terms)
     if sym.degree > 3:
         raise InputError("degree %d > 3 is unsupported for the closed-form comparison"
                          % sym.degree)

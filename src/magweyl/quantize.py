@@ -183,6 +183,8 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     entries are one matrix-vector product.  With the mask on, differences
     beyond half a period per axis (weight 0) are skipped.
     """
+    if f.dim != grid.dim:
+        raise DimensionMismatchError("symbol dimension does not match grid")
     g = grid
     n = g.n
     pts = g.config_points()
@@ -266,7 +268,8 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     mask : bool
         One-period difference convention (see the kernel map); disable for
         broad-in-momentum symbols whose natural operator is the periodized
-        spectral one.
+        spectral one.  The Weyl-system sum of a standard table makes no
+        periodized difference tail, so it refuses ``mask=False``.
 
     Real symbols at ``tau = 1/2`` yield Hermitian kernels to roundoff, and
     the adjoint identity ``op(f, tau)^* = op(conj f, 1 - tau)`` holds at
@@ -280,6 +283,8 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
             raise InputError("symbol tables support only the default quantization parameters")
         if f.kind == "midpoint":
             return kernel_from_symbol(f, A, grid, quad, mask=mask)
+        if not mask:
+            raise InputError("the Weyl-system sum of a standard table has no unmasked form")
         return _weyl_sum_quantize(f, A, quad)
     if not isinstance(f, SymbolEvaluator):
         raise InputError("unsupported symbol type %r" % type(f))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magweyl import cli
+from magweyl import cli, verify
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,9 +31,9 @@ def test_verify_default_config_passes(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["all_passed"]
-    assert {i["name"] for i in report["items"]} >= {
-        "stokes_factorization", "cocycle_identity", "weyl_composition_law",
-        "homomorphism_structural", "trace_identity", "rank_one_reconstruction"}
+    # a dim-2 rig with two gauges runs every registry item, in registry order
+    assert [i["name"] for i in report["items"]] == list(verify.TOLERANCES)
+    assert len(verify.TOLERANCES) == 14
     # constant field, two linear gauges: one Gauss node for every integral
     assert report["gauss_orders"] == {"requested": 16, "circulation": [1, 1], "flux": 1}
 
@@ -59,13 +59,35 @@ def test_verify_gauge_mismatch_exits_2(tmp_path, capsys):
     assert "gauge" in capsys.readouterr().err
 
 
-def test_config_parse_error_exits_2(tmp_path):
+def test_config_parse_error_exits_2(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert cli.main(["verify", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     odd = tmp_path / "odd.json"
     write_config(odd, grid={"dim": 2, "n": 7, "L": 5.0})
     assert cli.main(["verify", "--config", str(odd), "--out", str(tmp_path / "o")]) == 2
+    # malformed values exit 2 with the offending key named, not with a traceback
+    for command, key, overrides in [
+            ("verify", "grid", {"grid": {"n": "abc"}}),
+            ("verify", "grid", {"grid": {"dim": "two"}}),
+            ("verify", "grid", {"grid": [1, 2]}),
+            ("verify", "quadrature_order", {"quadrature_order": "x"}),
+            ("verify", "tolerance_scale", {"tolerance_scale": "x"}),
+            ("verify", "seed", {"seed": "abc"}),
+            ("verify", "field", {"field": {"kind": "polynomial", "dim": 2}}),
+            ("verify", "gauges", {"gauges": []}),
+            ("verify", "gauges", {"gauges": None}),
+            ("compare-coupling", "symbol", {"symbol": {"kind": "momentum_polynomial"}}),
+            ("spectrum", "symbol", {"symbol": {"kind": "gaussian", "x_width": "a"}})]:
+        write_config(odd, **overrides)
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(odd), "--out", str(tmp_path / "o")]) == 2
+        assert "'%s'" % key in capsys.readouterr().err, overrides
+    # an error raised by the numerics is not relabelled as a configuration error
+    write_config(odd)
+    monkeypatch.setattr(cli, "run_battery", lambda *args, **kwargs: {}["numerics"])
+    with pytest.raises(KeyError):
+        cli.main(["verify", "--config", str(odd), "--out", str(tmp_path / "o")])
 
 
 def test_spectrum_free_particle_nonnegative(tmp_path):
@@ -94,7 +116,7 @@ def test_spectrum_gauge_swap_invariance(tmp_path):
     assert cli.main(["spectrum", "--config", str(cfg2), "--out", str(tmp_path / "o2")]) == 0
     e1 = np.array(json.loads((tmp_path / "o1" / "spectrum.json").read_text())["eigenvalues"])
     e2 = np.array(json.loads((tmp_path / "o2" / "spectrum.json").read_text())["eigenvalues"])
-    assert np.abs(e1 - e2).max() / np.abs(e1).max() < 1e-8
+    assert verify.spectrum_error(e1, e2) < verify.TOLERANCES["gauge_spectrum_agreement"]
 
 
 def test_moyal_unit_and_report(tmp_path):

@@ -68,24 +68,6 @@ def test_kinetic_symbol_equals_minimal_coupling():
     assert np.abs(tci.values - mci.values).max() < 1e-12
 
 
-def test_degree_two_agreement_for_all_potentials():
-    g = G.PhaseSpaceGrid(2, 8, 4.0)
-    pots = [F.zero_potential(2), F.symmetric_gauge(1.0), F.landau_gauge(1.0),
-            F.polynomial_potential(2, [[(0.5, (2, 0)), (0.2, (1, 1))], [(0.3, (0, 3))]])]
-    f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (0.5, (1, 1)), (-0.3, (0, 1)), (2.0, (0, 0))])
-    for A in pots:
-        diff, report = C.coupling_discrepancy(f, A, g)
-        assert report["max_abs_difference"] < 1e-10, A.name
-
-
-def test_linear_potentials_agree_at_degree_three():
-    g = G.PhaseSpaceGrid(2, 8, 4.0)
-    f = C.PolynomialSymbol(2, [(1.0, (2, 1))])
-    for A in (F.symmetric_gauge(1.0), F.landau_gauge(2.0), F.constant_potential([0.5, -0.2])):
-        diff, report = C.coupling_discrepancy(f, A, g)
-        assert report["max_abs_difference"] < 1e-10, A.name
-
-
 def test_degree_three_quadratic_potential_discrepancy():
     # f = p1^2 p2, A = (0, x1^2): the correction is the constant 1/6
     g = G.PhaseSpaceGrid(2, 8, 4.0)

@@ -24,6 +24,7 @@ from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import moyal as M
 from magweyl import quantize as Q
+from magweyl import verify as V
 from magweyl.errors import InputError
 
 QUAD = F.Quadrature(16)
@@ -284,7 +285,7 @@ def test_gauge_covariance_of_spectra(half_n, data):
     kinetic = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(3.0)
     e1, e2 = (Q.op_quantize(kinetic, gauge, g, quad=QUAD, mask=False).eigenvalues()
               for gauge in (A, F.add_gradient(A, rho)))
-    assert np.abs(e1 - e2).max() <= 1e-12 * np.abs(e1).max()
+    assert V.spectrum_error(e1, e2) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None, database=None)

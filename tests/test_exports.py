@@ -6,6 +6,7 @@ import numpy as np
 
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl import verify as V
 
 QUAD = F.Quadrature(16)
 
@@ -35,14 +36,9 @@ def test_symbol_csv_export_roundtrip(tmp_path):
 # the calculus is dimension-generic up to the supported N = 3
 
 def test_three_dimensional_smoke():
-    g = G.PhaseSpaceGrid(3, 4, 3.0)
-    ident = G.kernel_from_symbol(G.constant_symbol(3), None, g, QUAD)
-    expect = np.eye(g.size) / g.config_weight
-    assert np.abs(ident.kernel - expect).max() * g.config_weight < 1e-10
-
-    u = G.WaveFunction(g, np.random.default_rng(0).normal(size=g.shape))
-    back = G.fourier_config(G.WaveFunction(g, G.fourier_config(u, "forward")), "inverse")
-    assert np.abs(back - u.values).max() / np.abs(u.values).max() < 1e-12
+    rig = (G.PhaseSpaceGrid(3, 4, 3.0), None, [None], QUAD, np.random.default_rng(0))
+    assert V.constant_symbol_identity(*rig) < V.TOLERANCES["constant_symbol_identity"]
+    assert V.transform_structure(*rig)["transform_roundtrip"] < V.TOLERANCES["transform_roundtrip"]
 
 
 def test_three_dimensional_symbol_roundtrip():

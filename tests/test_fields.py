@@ -228,41 +228,6 @@ def test_gradient_difference_has_no_circulation_on_loops():
 
 
 # ---------------------------------------------------------------------------
-# structural identities
-
-def test_stokes_factorization():
-    # flux phase = product of three segment phases, for any potential of the field
-    rng = np.random.default_rng(5)
-    A = random_polynomial_potential(rng, degree=3)
-    # build B = dA exactly from the polynomial table
-    dA = [[A.poly.component(k).derivative(j) for k in range(2)] for j in range(2)]
-
-    def beval(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        b12 = dA[0][1](x)[..., 0] - dA[1][0](x)[..., 0]
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = -b12
-        return out
-
-    B = F.MagneticField(2, beval, degree_hint=2)
-    q, x, y = rng.uniform(-3, 3, size=(3, 200, 2))
-    lhs = F.flux_phase(B, q, x, y, QUAD)
-    rhs = (F.translation_phase(A, q, x, QUAD) * F.translation_phase(A, q + x, y, QUAD)
-           / F.translation_phase(A, q, x + y, QUAD))
-    assert np.abs(lhs - rhs).max() < 1e-8
-
-
-def test_cocycle_identity():
-    B = F.polynomial_field_2d([(0.7, (0, 0)), (0.4, (1, 0)), (-0.3, (0, 2))])
-    rng = np.random.default_rng(6)
-    q, x, y, z = rng.uniform(-3, 3, size=(4, 200, 2))
-    lhs = F.flux_phase(B, q, x + y, z, QUAD) * F.flux_phase(B, q, x, y, QUAD)
-    rhs = F.flux_phase(B, q + x, y, z, QUAD) * F.flux_phase(B, q, x, y + z, QUAD)
-    assert np.abs(lhs - rhs).max() < 1e-8
-
-
-# ---------------------------------------------------------------------------
 # validation and config records
 
 def test_field_antisymmetry_validation():

@@ -8,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError
 
 QUAD = F.Quadrature(16)
-
-
-def random_wavefunction(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    return G.WaveFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -55,21 +50,13 @@ def test_lattice_index_rejects_off_lattice():
 
 @pytest.mark.parametrize("dim,n,L", [(1, 16, 6.0), (2, 8, 4.0)])
 def test_fourier_config_roundtrip(dim, n, L):
-    g = G.PhaseSpaceGrid(dim, n, L)
-    u = random_wavefunction(g, seed=dim)
-    fwd = G.fourier_config(u, "forward")
-    back = G.fourier_config(G.WaveFunction(g, fwd), "inverse")
-    err = np.abs(back - u.values).max() / np.abs(u.values).max()
-    assert err < 1e-12
+    rig = (G.PhaseSpaceGrid(dim, n, L), None, [None], QUAD, np.random.default_rng(dim))
+    assert V.transform_structure(*rig)["transform_roundtrip"] < V.TOLERANCES["transform_roundtrip"]
 
 
 def test_fourier_config_parseval():
-    g = G.PhaseSpaceGrid(2, 12, 5.0)
-    u = random_wavefunction(g, seed=3)
-    fwd = G.fourier_config(u, "forward")
-    n_cfg = g.config_weight * (np.abs(u.values) ** 2).sum()
-    n_mom = g.momentum_weight * (np.abs(fwd) ** 2).sum()
-    assert abs(n_cfg - n_mom) / n_cfg < 1e-12
+    rig = (G.PhaseSpaceGrid(2, 12, 5.0), None, [None], QUAD, np.random.default_rng(3))
+    assert V.transform_structure(*rig)["parseval"] < V.TOLERANCES["parseval"]
 
 
 def test_fourier_config_constant_gives_delta():
@@ -173,10 +160,8 @@ def test_symplectic_rejects_midpoint_grids():
 # kernel map
 
 def test_kernel_of_constant_symbol_is_identity():
-    g = G.PhaseSpaceGrid(2, 8, 4.0)
-    k = G.kernel_from_symbol(G.constant_symbol(2), None, g, QUAD)
-    expect = np.eye(g.size) / g.config_weight
-    assert np.abs(k.kernel - expect).max() < 1e-10 / g.config_weight
+    rig = (G.PhaseSpaceGrid(2, 8, 4.0), None, [None], QUAD, None)
+    assert V.constant_symbol_identity(*rig) < V.TOLERANCES["constant_symbol_identity"]
 
 
 def test_kernel_of_x_only_symbol_is_diagonal():

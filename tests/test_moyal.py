@@ -55,23 +55,6 @@ def test_gauge_independence_of_product():
 # ---------------------------------------------------------------------------
 # homomorphism / associativity (kernel-level structure)
 
-def test_product_kernel_equals_operator_product():
-    # the kernel route makes the homomorphism structural: the product symbol
-    # is defined through composed kernels, so quantizing it reproduces the
-    # operator product by construction
-    g = rig_2d()
-    b = 1.0
-    B = F.constant_field_2d(b)
-    A = F.symmetric_gauge(b)
-    f = G.gaussian_symbol(2, x_width=1.0, p_width=1.0)
-    h = G.gaussian_symbol(2, x_center=[0.2, -0.3], x_width=0.9, p_width=0.9)
-    lhs = M.product_kernel(f, h, A, g, QUAD)
-    rhs = G.OperatorKernel.from_operator_matrix(
-        g, Q.op_quantize(f, A, g).operator_matrix @ Q.op_quantize(h, A, g).operator_matrix)
-    err = np.linalg.norm(lhs.kernel - rhs.kernel) / np.linalg.norm(rhs.kernel)
-    assert err < 1e-12
-
-
 def test_product_table_requantizes_to_operator_product():
     # quantizing the reconstructed product table reproduces the composed
     # kernel up to the out-of-class leak: roundoff at a well-resolved 1D
@@ -202,23 +185,6 @@ def test_integral_of_reconstruction_is_kernel_trace():
     k = G.OperatorKernel(g, rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
     rec = G.symbol_from_kernel(k, None, QUAD)
     assert abs(rec.integral() - k.trace()) < 1e-12 * abs(k.trace())
-
-
-def test_trace_identity_constant_field():
-    g = rig_2d()
-    b = 1.0
-    B = F.constant_field_2d(b)
-    A = F.symmetric_gauge(b)
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        xc, hc = rng.uniform(-0.5, 0.5, size=(2, 2))
-        f = G.gaussian_symbol(2, x_center=xc, x_width=1.0, p_width=0.9)
-        h = G.gaussian_symbol(2, x_center=hc, p_center=[0.2, 0.0], x_width=0.9, p_width=1.0)
-        prod = M.moyal_product(f, h, B, A, g, QUAD, check_gauge=False)
-        lhs = prod.integral()
-        fg = f.sample(g, "midpoint").values * h.sample(g, "midpoint").values
-        rhs = G.SymbolGrid(g, "midpoint", fg).integral()
-        assert abs(lhs - rhs) / abs(rhs) < 1e-6
 
 
 # ---------------------------------------------------------------------------

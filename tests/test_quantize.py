@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
+from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError, OffLatticeError
 
 QUAD = F.Quadrature(16)
@@ -14,16 +15,12 @@ def default_grid():
     return G.PhaseSpaceGrid(2, 16, 6.0)
 
 
-def interior_gaussian(g, width=0.7, seed=None, momentum=None):
-    return G.gaussian_wavefunction(g, width=width, momentum=momentum)
-
-
 # ---------------------------------------------------------------------------
 # Weyl system action
 
 def test_weyl_identity_at_origin():
     g = default_grid()
-    u = interior_gaussian(g)
+    u = G.gaussian_wavefunction(g, width=0.7)
     A = F.symmetric_gauge(1.0)
     out = Q.weyl_apply(A, (np.zeros(2), np.zeros(2)), u, QUAD)
     assert np.abs(out.values - u.values).max() < 1e-14
@@ -31,7 +28,7 @@ def test_weyl_identity_at_origin():
 
 def test_weyl_pure_modulation():
     g = default_grid()
-    u = interior_gaussian(g)
+    u = G.gaussian_wavefunction(g, width=0.7)
     A = F.symmetric_gauge(1.0)
     p = np.array([0.7, -0.4])
     out = Q.weyl_apply(A, (np.zeros(2), p), u, QUAD)
@@ -42,7 +39,7 @@ def test_weyl_pure_modulation():
 def test_weyl_nonmagnetic_formula_oracle():
     # [W(q,p)u](y) = e^{-i(q/2+y).p} u(y+q), zero-filled off the box
     g = G.PhaseSpaceGrid(1, 16, 6.0)
-    u = interior_gaussian(g, width=0.8)
+    u = G.gaussian_wavefunction(g, width=0.8)
     q = np.array([2 * g.h])
     p = np.array([1.3])
     out = Q.weyl_apply(None, (q, p), u, QUAD)
@@ -55,21 +52,21 @@ def test_weyl_nonmagnetic_formula_oracle():
 
 def test_weyl_rejects_off_lattice_translation():
     g = default_grid()
-    u = interior_gaussian(g)
+    u = G.gaussian_wavefunction(g, width=0.7)
     with pytest.raises(OffLatticeError):
         Q.weyl_apply(None, (np.array([0.3, 0.0]), np.zeros(2)), u, QUAD)
 
 
 def test_weyl_norm_preservation_on_interior_vectors():
     g = default_grid()
-    u = interior_gaussian(g, width=0.6)
+    u = G.gaussian_wavefunction(g, width=0.6)
     A = F.symmetric_gauge(1.0)
     out = Q.weyl_apply(A, (np.array([g.h, -g.h]), np.array([0.9, 0.2])), u, QUAD)
     assert abs(out.norm() - u.norm()) < 1e-8
 
 
 @pytest.mark.parametrize("build", [
-    lambda g, p: Q.weyl_apply(None, (np.zeros(g.dim), p), interior_gaussian(g)),
+    lambda g, p: Q.weyl_apply(None, (np.zeros(g.dim), p), G.gaussian_wavefunction(g, width=0.7)),
     lambda g, p: Q.weyl_matrix(None, (np.zeros(g.dim), p), g),
     lambda g, p: Q.momentum_modulation(p, g),
 ], ids=["weyl_apply", "weyl_matrix", "momentum_modulation"])
@@ -81,7 +78,7 @@ def test_weyl_rejects_wrong_momentum_shape(build):
 
 def test_weyl_matrix_matches_apply():
     g = G.PhaseSpaceGrid(2, 8, 4.0)
-    u = interior_gaussian(g, width=0.6)
+    u = G.gaussian_wavefunction(g, width=0.6)
     A = F.symmetric_gauge(0.8)
     xi = (np.array([g.h, 2 * g.h]), np.array([0.5, -0.3]))
     direct = Q.weyl_apply(A, xi, u, QUAD)
@@ -92,7 +89,7 @@ def test_weyl_matrix_matches_apply():
 def test_weyl_scaling_parameter_identity():
     # the one-parameter family satisfies W_t(xi) = W(t xi) for lattice-commensurate t
     g = G.PhaseSpaceGrid(1, 16, 6.0)
-    u = interior_gaussian(g, width=0.8)
+    u = G.gaussian_wavefunction(g, width=0.8)
     A = F.polynomial_potential(1, [[(0.3, (2,))]])
     x, p = np.array([g.h]), np.array([0.9])
     t = 2.0
@@ -111,7 +108,7 @@ def test_magnetic_translation_and_modulation_special_cases():
     A = F.symmetric_gauge(1.0)
     x = np.array([g.h, 0.0])
     U = Q.magnetic_translation(A, x, g, QUAD)
-    u = interior_gaussian(g, width=0.6)
+    u = G.gaussian_wavefunction(g, width=0.6)
     out = U.apply(u)
     # [U(x)u](y) = Lambda(y; -x) u(y - x)
     pts = g.config_points()
@@ -142,7 +139,7 @@ def test_translation_composition_cocycle():
     g = default_grid()
     B = F.constant_field_2d(1.0)
     A = F.symmetric_gauge(1.0)
-    u = interior_gaussian(g, width=0.7)
+    u = G.gaussian_wavefunction(g, width=0.7)
     x = np.array([g.h, 0.0])
     y = np.array([0.0, 2 * g.h])
     lhs = Q.magnetic_translation(A, x, g, QUAD).apply(
@@ -150,29 +147,6 @@ def test_translation_composition_cocycle():
     omega = F.flux_phase(B, g.config_points(), -x, -y, QUAD).reshape(g.shape)
     rhs = omega * Q.magnetic_translation(A, x + y, g, QUAD).apply(u).values
     assert np.abs(lhs.values - rhs).max() / np.abs(u.values).max() < 1e-10
-
-
-def test_weyl_composition_law():
-    # W(xi) W(eta) = e^{i sigma(xi,eta)/2} Omega(Q; x, y) W(xi + eta)
-    g = default_grid()
-    B = F.linear_field_2d(1.0, [0.2, 0.0])
-    A = F.transversal_gauge(B, QUAD)
-    u = interior_gaussian(g, width=0.7)
-    rng = np.random.default_rng(21)
-    worst = 0.0
-    for _ in range(20):
-        sx = rng.integers(-2, 3, size=2)
-        sy = rng.integers(-2, 3, size=2)
-        x, y = sx * g.h, sy * g.h
-        pxi = rng.uniform(-2, 2, size=2)
-        peta = rng.uniform(-2, 2, size=2)
-        lhs = Q.weyl_apply(A, (x, pxi), Q.weyl_apply(A, (y, peta), u, QUAD), QUAD)
-        sigma = x @ peta * -1.0 + y @ pxi  # sigma((x,pxi),(y,peta)) = y.pxi - x.peta
-        omega = F.flux_phase(B, g.config_points(), x, y, QUAD).reshape(g.shape)
-        tail = Q.weyl_apply(A, (x + y, pxi + peta), u, QUAD)
-        rhs = np.exp(0.5j * sigma) * omega * tail.values
-        worst = max(worst, np.abs(lhs.values - rhs).max() / u.norm())
-    assert worst < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +264,12 @@ def test_weyl_sum_route_close_to_kernel_route():
     table = f.sample(g, "standard")
     k_sum = Q.op_quantize(table, A, g)
     k_ref = Q.op_quantize(f, A, g)
-    u = interior_gaussian(g, width=0.8)
+    u = G.gaussian_wavefunction(g, width=0.8)
     d = k_sum.apply(u).values - k_ref.apply(u).values
     assert np.linalg.norm(d) / np.linalg.norm(k_ref.apply(u).values) < 1e-4
+    # the sum makes no box-periodized difference tail, so it has no unmasked form
+    with pytest.raises(InputError):
+        Q.op_quantize(table, A, g, mask=False)
 
 
 def test_weyl_sum_route_is_the_weighted_weyl_operator_sum():
@@ -325,6 +302,9 @@ def test_symbol_table_on_another_grid_is_refused():
         Q.op_quantize(f.sample(g, "standard"), None, finer)
     with pytest.raises(DimensionMismatchError):
         Q.op_quantize(f.sample(g, "midpoint"), None, finer)
+    # a closed-form symbol of another dimension, on the general-tau route too
+    with pytest.raises(DimensionMismatchError):
+        Q.op_quantize(f, None, G.PhaseSpaceGrid(2, 6, 3.0), Q.WeylParams(tau=0.3))
 
 
 def test_quantize_momentum_symbol_matches_magnetic_momentum():
@@ -410,29 +390,6 @@ def test_position_momentum_commutator():
             assert err < 1e-6, (j, k, err)
 
 
-@pytest.mark.parametrize("field_cfg", [
-    {"kind": "constant", "dim": 2, "b": 1.0},
-    {"kind": "linear", "dim": 2, "b0": 1.0, "gradient": [0.25, 0.0]},
-])
-def test_momentum_commutator_gives_field(field_cfg):
-    # [Pi_1, Pi_2] = i B_12(Q) with P = -i d, Pi = P - A(Q), B = dA
-    g = G.PhaseSpaceGrid(2, 24, 6.0)
-    B = F.field_from_config(field_cfg)
-    A = F.transversal_gauge(B, QUAD)
-    u = G.gaussian_wavefunction(g, width=1.0)
-    P1 = Q.momentum_operator(A, 0, g).operator_matrix
-    P2 = Q.momentum_operator(A, 1, g).operator_matrix
-    comm = 1j * (P2 @ P1 - P1 @ P2)
-    out = comm @ u.values.ravel()
-    b12 = np.asarray(B.eval(g.config_points()))[:, 0, 1]
-    expect = b12 * u.values.ravel()
-    err = np.linalg.norm(out - expect) / np.linalg.norm(expect)
-    assert err < 1e-4
-    # the opposite operator order misses by a clean sign, not by magnitude
-    wrong = 1j * (P1 @ P2 - P2 @ P1) @ u.values.ravel()
-    assert np.linalg.norm(wrong - expect) / np.linalg.norm(expect) > 1.9
-
-
 # ---------------------------------------------------------------------------
 # gauge conjugation
 
@@ -444,22 +401,6 @@ def test_gauge_conjugate_trivial():
     assert np.abs(out.kernel - k.kernel).max() == 0.0
 
 
-def test_gauge_covariance_symmetric_vs_landau():
-    g = default_grid()
-    b = 1.0
-    A = F.symmetric_gauge(b)
-    A2 = F.landau_gauge(b)
-    rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(b / 2.0, (1, 1))]]))
-    f = G.gaussian_symbol(2, x_center=[0.3, -0.4], p_center=[0.2, 0.1],
-                          x_width=0.9, p_width=1.0)
-    kA = Q.op_quantize(f, A, g)
-    kA2 = Q.op_quantize(f, A2, g)
-    conj = Q.gauge_conjugate(kA, rho, "forward")
-    num = np.linalg.norm(kA2.kernel - conj.kernel)
-    den = np.linalg.norm(kA.kernel)
-    assert num / den < 1e-6
-
-
 def test_gauge_conjugation_preserves_spectrum():
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     A = F.symmetric_gauge(1.0)
@@ -467,10 +408,8 @@ def test_gauge_conjugation_preserves_spectrum():
     k = Q.op_quantize(f, A, g)
     rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.5, (1, 1)), (0.3, (2, 0))]]))
     k2 = Q.gauge_conjugate(k, rho)
-    ev1 = k.eigenvalues()
-    ev2 = k2.eigenvalues()
-    scale = np.abs(ev1).max()
-    assert np.abs(ev1 - ev2).max() / scale < 1e-8
+    assert (V.spectrum_error(k.eigenvalues(), k2.eigenvalues())
+            < V.TOLERANCES["gauge_spectrum_agreement"])
 
 
 def test_trotter_product_converges_to_weyl_operator():

@@ -66,18 +66,6 @@ def test_matches_factorized_assembly():
         assert np.abs(table.values[xi_index] - out).max() < 1e-11
 
 
-def test_isometry():
-    g = rig()
-    rng = np.random.default_rng(44)
-    A = F.symmetric_gauge(1.0)
-    for _ in range(20):
-        u, v = random_pair(g, rng)
-        table = W.fourier_wigner(u, v, A, QUAD)
-        lhs = table.l2_norm()
-        rhs = u.norm() * v.norm()
-        assert abs(lhs - rhs) / rhs < 1e-6
-
-
 def test_polarized_unitarity_pattern():
     g = rig()
     rng = np.random.default_rng(45)
@@ -110,17 +98,6 @@ def test_pairing_against_quantization():
 
 # ---------------------------------------------------------------------------
 # rank-one reconstruction
-
-def test_rank_one_reconstruction():
-    g = rig()
-    u = G.gaussian_wavefunction(g, center=[0.3, -0.2], width=0.7)
-    A = F.symmetric_gauge(1.0)
-    symbol = W.rank_one_symbol(u, u, A, QUAD)
-    op = Q.op_quantize(symbol, A, g)
-    target = W.rank_one_kernel(u, u)
-    err = np.linalg.norm(op.kernel - target.kernel) / np.linalg.norm(target.kernel)
-    assert err < 1e-6
-
 
 def test_rank_one_orthogonal_pair_traceless():
     g = rig()
@@ -157,17 +134,6 @@ def test_hs_norm_basics():
     u = G.gaussian_wavefunction(g, width=0.8)
     proj = W.rank_one_kernel(u, u)
     assert abs(proj.hs_norm() - 1.0) < 1e-12
-
-
-def test_hs_isometry_with_symbol_norm():
-    g = rig()
-    A = F.symmetric_gauge(1.0)
-    f = G.gaussian_symbol(2, x_center=[0.2, 0.1], p_center=[0.3, 0.0],
-                          x_width=1.0, p_width=1.0)
-    op = Q.op_quantize(f, A, g)
-    lhs = op.hs_norm()
-    rhs = f.sample(g, "standard").l2_norm()
-    assert abs(lhs - rhs) / rhs < 1e-6
 
 
 # ---------------------------------------------------------------------------
