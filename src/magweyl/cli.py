@@ -78,6 +78,13 @@ def _config_value(key: str):
         raise InputError("malformed %r entry (%s: %s)" % (key, type(exc).__name__, exc)) from exc
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a fractional number instead of truncating it (ValueError)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("%r is not an integer" % value)
+    return int(value)
+
+
 def resolve_config(cfg: dict, seed=None, tolerance_scale=None) -> dict:
     out = {"schema": SCHEMA}
     for key, val in DEFAULTS.items():
@@ -91,13 +98,14 @@ def resolve_config(cfg: dict, seed=None, tolerance_scale=None) -> dict:
         out["tolerance_scale"] = float(tolerance_scale)
     gspec = out["grid"]
     with _config_value("grid"):
-        dim, n = int(gspec.get("dim", 2)), int(gspec.get("n", 16))
+        dim, n = _integer(gspec.get("dim", 2)), _integer(gspec.get("n", 16))
         half = float(gspec.get("L", 6.0))
     if n % 2 or n < 2:
         raise InputError("grid points per axis must be even and >= 2")
     if half <= 0:
         raise InputError("grid half-width must be positive")
-    for key, kind in (("quadrature_order", int), ("seed", int), ("tolerance_scale", float)):
+    for key, kind in (("quadrature_order", _integer), ("seed", _integer),
+                      ("tolerance_scale", float)):
         with _config_value(key):  # the commands convert these values as they use them
             kind(out[key])
     if not isinstance(out["gauges"], list) or not out["gauges"]:
@@ -140,6 +148,10 @@ def symbol_from_spec(spec: dict, dim: int):
     if kind == "constant":
         return gr.constant_symbol(dim, spec.get("value", 1.0)), True
     if kind == "gaussian":
+        for key in ("x_center", "p_center"):
+            if spec.get(key) is not None and np.shape(spec[key]) != (dim,):
+                raise InputError("gaussian symbol %r must be a list of %d numbers, got %r"
+                                 % (key, dim, spec[key]))
         return gr.gaussian_symbol(
             dim, x_center=spec.get("x_center"), p_center=spec.get("p_center"),
             x_width=float(spec.get("x_width", 1.0)), p_width=float(spec.get("p_width", 1.0)),
@@ -182,7 +194,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         sym, mask = symbol_from_spec(cfg["symbol"], grid.dim)
         if isinstance(sym, cp.PolynomialSymbol):
             sym = sym.with_momentum_cutoff(float(cfg["symbol"].get("cutoff", 30.0)))
-    mask = bool(cfg.get("mask", mask))
+    mask = cfg.get("mask", mask)
+    if not isinstance(mask, bool):
+        raise InputError("'mask' must be true or false, got %r" % (mask,))
     op = qu.op_quantize(sym, gauges[0], grid, quad=quad, mask=mask)
     defect = op.hermiticity_defect()
     if defect > 1e-8 * float(cfg["tolerance_scale"]):
@@ -210,7 +224,8 @@ def cmd_moyal(cfg: dict, outdir: Path) -> int:
         g, _ = symbol_from_spec(cfg["symbol_g"], grid.dim)
     pcfg = cfg.get("probes", {})
     with _config_value("probes"):
-        count, ppa, half = (int(pcfg.get("count", 3)), int(pcfg.get("points_per_axis", 12)),
+        count, ppa, half = (_integer(pcfg.get("count", 3)),
+                            _integer(pcfg.get("points_per_axis", 12)),
                             float(pcfg.get("halfwidth", 4.0)))
     if not 1 <= count <= grid.dim + 1:
         raise InputError("probes.count must be between 1 and dim + 1 = %d, got %d"

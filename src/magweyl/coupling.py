@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InputError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
-                   _lattice_mesh)
+                   _lattice_mesh, _momentum_monomial, _ones, _row_blocks)
 
 __all__ = [
     "PolynomialSymbol",
@@ -82,7 +82,11 @@ class PolynomialSymbol:
             out *= np.exp(-(p**2).sum(axis=-1) / (2.0 * scale**2))
             return out
 
-        return SymbolEvaluator(self.dim, fn, decay="poly-gaussian", name="poly-cutoff")
+        # one (x-factor, p-factor) pair per monomial, the cutoff in the p-factor
+        factors = [(_ones if x_coeff is None else x_coeff, _momentum_monomial(coeff, powers, scale))
+                   for coeff, powers, x_coeff in self.terms]
+        return SymbolEvaluator(self.dim, fn, decay="poly-gaussian", name="poly-cutoff",
+                               factors=factors)
 
 
 def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,
@@ -124,24 +128,26 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
 
     Per configuration point: transform the momentum dependence to the
     difference variable, multiply the segment-averaged potential phase
-    ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.
+    ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.  The points go
+    through in ``_row_blocks``, each block start to finish into the one
+    output table, so no other table of the output's size is made.
     """
     g = grid
     caxis = _config_axis(g, kind)
     x = _lattice_mesh([caxis] * g.dim)
     ypts = g.config_points()
-    if A is not None:
-        # midpoint-centred segments, no lattice pairs, so not the segment table; built
-        # first: its (C, Y, N) segment starts are freed before the (C, K) tables exist
-        lam = np.exp(1j * _circulation_sum(A, x[:, None, :] - 0.5 * ypts, ypts[None], quad))
-    fvals = f(x[:, None, :], g.momentum_points()[None, :, :]).reshape((len(x),) + g.shape)
+    kpts = g.momentum_points()[None, :, :]
     axes = range(1, g.dim + 1)
-    fch = _apply_axes(fvals, g._inv_matrix, axes)  # (C, y...): k -> difference y
-    del fvals
-    if A is not None:
-        fch *= lam.reshape(fch.shape)
-        del lam
-    return _apply_axes(fch, g._fwd_matrix, axes).reshape((len(caxis),) * g.dim + g.shape)
+    out = np.empty((len(x),) + g.shape, dtype=complex)
+    for c0, c1 in _row_blocks(len(x)):
+        xb = x[c0:c1, None, :]
+        fch = _apply_axes(f(xb, kpts).reshape(out[c0:c1].shape), g._inv_matrix, axes)  # k -> y
+        if A is not None:
+            # midpoint-centred segments, no lattice pairs, so not the segment table
+            fch *= np.exp(1j * _circulation_sum(A, xb - 0.5 * ypts, ypts[None], quad)
+                          ).reshape(fch.shape)
+        out[c0:c1] = _apply_axes(fch, g._fwd_matrix, axes)
+    return out.reshape((len(caxis),) * g.dim + g.shape)
 
 
 def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,

@@ -368,25 +368,32 @@ def kernel_compose(phi: OperatorKernel, psi: OperatorKernel) -> OperatorKernel:
 _SEGMENT_BLOCKS = 16
 
 
+def _row_blocks(rows: int) -> list[tuple[int, int]]:
+    """``_SEGMENT_BLOCKS`` ranges ``(r0, r1)`` of consecutive rows covering ``range(rows)``.
+
+    Fewer blocks when there are fewer rows, never an empty one.
+    """
+    blocks = min(_SEGMENT_BLOCKS, rows)
+    edges = [rows * k // blocks for k in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature) -> np.ndarray:
     """Circulations ``Gamma^A([x, y])`` of all lattice pairs: the field of every zero-fill route.
 
     Reversing a segment negates its circulation, so only the pairs on and
-    above the diagonal are integrated, in ``_SEGMENT_BLOCKS`` blocks of
-    consecutive rows (fewer when the grid has fewer points, never an empty
-    block), each one ``_circulation_sum`` call over its rows and the columns
-    from its first row on.  Each block's part above the diagonal is mirrored
-    below it with the opposite sign: the table is exactly antisymmetric, with
-    an exactly zero diagonal.
+    above the diagonal are integrated, in the ``_row_blocks`` of the
+    lattice, each one ``_circulation_sum`` call over its rows and the
+    columns from its first row on.  Each block's part above the diagonal is
+    mirrored below it with the opposite sign: the table is exactly
+    antisymmetric, with an exactly zero diagonal.
     """
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
     pts = grid.config_points()
     size = grid.size
-    blocks = min(_SEGMENT_BLOCKS, size)
-    edges = [size * k // blocks for k in range(blocks + 1)]
     gamma = np.empty((size, size))
-    for r0, r1 in zip(edges[:-1], edges[1:]):
+    for r0, r1 in _row_blocks(size):
         start = pts[r0:r1, None]
         rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
         upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
@@ -408,27 +415,49 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
 # symbols
 
 class SymbolEvaluator:
-    """Closed-form phase-space function ``(x, p) -> complex``, vectorized."""
+    """Closed-form phase-space function ``(x, p) -> complex``, vectorized.
 
-    def __init__(self, dim: int, fn, decay: str = "gaussian", name: str = "symbol"):
+    ``factors``, when given, describes the symbol as a finite sum of
+    products, ``fn(x, p) == sum_r g_r(x) h_r(p)``: a tuple of ``(g, h)``
+    callables, each taking points of shape ``(..., N)`` to values that
+    broadcast against the leading shape.  It is data about the symbol (as
+    ``poly`` is for a potential), which the general-tau route reads; the
+    presets set it, and ``+``, ``c *`` and ``conj`` carry it along.
+    """
+
+    def __init__(self, dim: int, fn, decay: str = "gaussian", name: str = "symbol",
+                 factors=None):
         self.dim = int(dim)
         self.fn = fn
         self.decay = decay
         self.name = name
+        self.factors = None if factors is None else tuple(factors)
 
     def __call__(self, x, p):
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float)),
                           dtype=complex)
 
     def conj(self) -> "SymbolEvaluator":
+        factors = None if self.factors is None else tuple(
+            ((lambda x, g=g: np.conj(g(x))), (lambda p, h=h: np.conj(h(p))))
+            for g, h in self.factors)
         return SymbolEvaluator(self.dim, lambda x, p: np.conj(self.fn(x, p)),
-                               self.decay, self.name + "*")
+                               self.decay, self.name + "*", factors)
 
     def __add__(self, other: "SymbolEvaluator") -> "SymbolEvaluator":
-        return SymbolEvaluator(self.dim, lambda x, p: self.fn(x, p) + other.fn(x, p), self.decay)
+        if other.dim != self.dim:
+            raise DimensionMismatchError("cannot add symbols of dimensions %d and %d"
+                                         % (self.dim, other.dim))
+        factors = (None if self.factors is None or other.factors is None
+                   else self.factors + other.factors)
+        return SymbolEvaluator(self.dim, lambda x, p: self.fn(x, p) + other.fn(x, p), self.decay,
+                               factors=factors)
 
     def __rmul__(self, c) -> "SymbolEvaluator":
-        return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay)
+        factors = None if self.factors is None else tuple(
+            ((lambda x, g=g: c * g(x)), h) for g, h in self.factors)
+        return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay,
+                               factors=factors)
 
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
@@ -518,9 +547,28 @@ class SymbolGrid:
         np.savetxt(path, flat, delimiter=",", header=header)
 
 
+def _ones(pts) -> np.ndarray:
+    """The factor 1 at points of shape ``(..., N)``."""
+    return np.ones(np.shape(pts)[:-1])
+
+
+def _momentum_monomial(coeff, powers, cutoff: float):
+    """``h(p) = coeff p^powers exp(-|p|^2 / (2 cutoff^2))``, the p-factor of a cut-off monomial."""
+    def h(p):
+        term = complex(coeff)
+        for j, a in enumerate(powers):
+            if a:
+                term = term * p[..., j] ** a
+        return term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
+
+    return h
+
+
 def constant_symbol(dim: int, value=1.0) -> SymbolEvaluator:
+    value = complex(value)
     return SymbolEvaluator(dim, lambda x, p: np.full(np.broadcast_shapes(
-        x.shape[:-1], p.shape[:-1]), complex(value)), decay="none", name="constant")
+        x.shape[:-1], p.shape[:-1]), value), decay="none", name="constant",
+        factors=[(lambda x: np.full(x.shape[:-1], value), _ones)])
 
 
 def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width=1.0,
@@ -529,12 +577,18 @@ def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width
     xc = np.zeros(dim) if x_center is None else np.asarray(x_center, dtype=float)
     pc = np.zeros(dim) if p_center is None else np.asarray(p_center, dtype=float)
 
-    def fn(x, p):
-        ex = ((x - xc) ** 2).sum(axis=-1) / (2.0 * x_width**2)
-        ep = ((p - pc) ** 2).sum(axis=-1) / (2.0 * p_width**2)
-        return amplitude * np.exp(-(ex + ep))
+    def ex(x):
+        return ((x - xc) ** 2).sum(axis=-1) / (2.0 * x_width**2)
 
-    return SymbolEvaluator(dim, fn, decay="gaussian", name="gaussian")
+    def ep(p):
+        return ((p - pc) ** 2).sum(axis=-1) / (2.0 * p_width**2)
+
+    def fn(x, p):
+        return amplitude * np.exp(-(ex(x) + ep(p)))
+
+    return SymbolEvaluator(dim, fn, decay="gaussian", name="gaussian",
+                           factors=[(lambda x: amplitude * np.exp(-ex(x)),
+                                     lambda p: np.exp(-ep(p)))])
 
 
 def momentum_polynomial_symbol(dim: int, powers, cutoff: float, coeff=1.0,
@@ -543,24 +597,22 @@ def momentum_polynomial_symbol(dim: int, powers, cutoff: float, coeff=1.0,
     powers = tuple(int(a) for a in powers)
     if len(powers) != dim:
         raise InputError("powers must have one entry per axis")
+    h = _momentum_monomial(coeff, powers, cutoff)
 
     def fn(x, p):
         # the momentum factor at p's own shape; only the result is full-size
-        term = complex(coeff)
-        for j, a in enumerate(powers):
-            if a:
-                term = term * p[..., j] ** a
-        term = term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
+        term = h(p)
         out = np.empty(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), dtype=complex)
         out[...] = term if x_coeff is None else term * x_coeff(x)
         return out
 
-    return SymbolEvaluator(dim, fn, decay="poly-gaussian", name="p^%s" % (powers,))
+    return SymbolEvaluator(dim, fn, decay="poly-gaussian", name="p^%s" % (powers,),
+                           factors=[(_ones if x_coeff is None else x_coeff, h)])
 
 
 def x_only_symbol(dim: int, fn) -> SymbolEvaluator:
     return SymbolEvaluator(dim, lambda x, p: fn(x) * np.ones(np.broadcast_shapes(
-        x.shape[:-1], p.shape[:-1])), decay="none", name="x-only")
+        x.shape[:-1], p.shape[:-1])), decay="none", name="x-only", factors=[(fn, _ones)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ the irreducibility probe wraps them around the box instead.
 
 Quantization routes:
 
-* closed-form symbols go through the midpoint kernel map (exact sampling,
-  optional ordering parameter tau and scaled Planck constant),
+* closed-form symbols go through the midpoint kernel map (exact sampling)
+  at ``tau = 1/2, hbar = 1``, and through the general-tau route otherwise:
+  symbols with ``factors`` ``sum_r g_r(x) h_r(p)`` in ``O(n^{2N})`` (one
+  transform of each ``h_r`` to the difference variable, then a row-block
+  fill), other evaluators one pass per lattice difference,
 * midpoint-lattice symbol tables go through the same kernel map,
 * standard-lattice symbol tables are quantized as the weighted Weyl-system
   sum over the phase-space lattice, with the symplectic-transform integrand
@@ -61,6 +64,7 @@ from .grid import (
     _apply_axes,
     _half_phase,
     _lattice_steps,
+    _row_blocks,
     _segment_circulation,
     _shift_index_table,
 )
@@ -176,15 +180,64 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     Evaluation points are ``(1 - tau) x + tau y`` (off the midpoint lattice
     in general, which closed-form symbols support directly); the momentum
     sum runs over the hbar-scaled dual lattice so constants still quantize
-    to the identity.
+    to the identity.  The field-free kernel comes from one of two fills,
+    then both are dressed in place by ``exp(-i Gamma / hbar)`` and the mask:
 
-    One pass per lattice difference ``d = y - x``: the rows ``x`` with
-    ``x + d`` in the box share the phases ``e^{i (x - y) . k}``, so their
-    entries are one matrix-vector product.  With the mask on, differences
-    beyond half a period per axis (weight 0) are skipped.
+    * an evaluator with ``factors`` ``sum_r g_r(x) h_r(p)`` takes the
+      separable fill: ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)`` is one
+      per-axis inverse transform per term, read at the wrapped difference
+      ``x - y``, and each row block adds ``g_r((1 - tau) x + tau y) H_r(x - y)``;
+      ``n^{2N}`` evaluations of ``g`` and ``n^N`` of ``h`` per term;
+    * any other evaluator takes the per-difference fill (``_per_difference_kernel``).
     """
     if f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
+    if f.factors is None:
+        kern = _per_difference_kernel(f, grid, tau, hbar, mask)
+    else:
+        kern = _separable_kernel(f, grid, tau, hbar)
+    if A is not None:
+        phase = -1j * _segment_circulation(A, grid, quad)
+        phase /= hbar
+        kern *= np.exp(phase, out=phase)
+        del phase
+    if mask:
+        kern *= difference_mask(grid)
+    return OperatorKernel(grid, kern)
+
+
+def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau, hbar) -> np.ndarray:
+    """Field-free general-tau kernel of a symbol with factors, filled in row blocks."""
+    g = grid
+    n, N = g.n, g.dim
+    pts = g.config_points()
+    scaled_k = hbar * g.momentum_points()
+    hats = [_apply_axes(np.broadcast_to(h(scaled_k), (g.size,)).reshape(g.shape), g._inv_matrix,
+                        range(N)) for _, h in f.factors]
+    # per axis, the inverse-transform index of the wrapped difference x - y:
+    # block rows (leading axis) against every column (one axis each)
+    i = np.arange(n)
+    cols = [i.reshape((1,) * (a + 1) + (n,) + (1,) * (N - 1 - a)) for a in range(N)]
+    kern = np.zeros((g.size, g.size), dtype=complex)
+    for r0, r1 in _row_blocks(g.size):
+        rows = np.unravel_index(np.arange(r0, r1), g.shape)
+        diff = tuple((r.reshape((-1,) + (1,) * N) - c + n // 2) % n for r, c in zip(rows, cols))
+        epts = (1.0 - tau) * pts[r0:r1, None] + tau * pts[None]
+        block = kern[r0:r1]
+        for (gfn, _), hat in zip(f.factors, hats):
+            block += gfn(epts) * hat[diff].reshape(r1 - r0, g.size)
+    return kern
+
+
+def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau, hbar,
+                           mask: bool) -> np.ndarray:
+    """Field-free general-tau kernel of any evaluator, one pass per lattice difference.
+
+    For ``d = y - x`` the rows ``x`` with ``x + d`` in the box share the
+    phases ``e^{i (x - y) . k}``, so their entries are one matrix-vector
+    product; about ``n^{3N}`` symbol evaluations.  With the mask on,
+    differences beyond half a period per axis (weight 0) are skipped.
+    """
     g = grid
     n = g.n
     pts = g.config_points()
@@ -200,11 +253,7 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
         # phases w e^{i (x - y) . k}: per axis the inverse-transform row of the
         # wrapped index difference, whose value is a configuration lattice point
         kern[xs, ys] = fvals @ reduce(np.kron, [g._inv_matrix[(n // 2 - da) % n] for da in d])
-    if A is not None:
-        kern = kern * np.exp(-1j * _segment_circulation(A, g, quad) / hbar)
-    if mask:
-        kern = difference_mask(g) * kern
-    return OperatorKernel(g, kern)
+    return kern
 
 
 def _weyl_sum_coefficients(F: SymbolGrid) -> np.ndarray:

@@ -78,7 +78,20 @@ def test_config_parse_error_exits_2(tmp_path, capsys, monkeypatch):
             ("verify", "gauges", {"gauges": []}),
             ("verify", "gauges", {"gauges": None}),
             ("compare-coupling", "symbol", {"symbol": {"kind": "momentum_polynomial"}}),
-            ("spectrum", "symbol", {"symbol": {"kind": "gaussian", "x_width": "a"}})]:
+            ("spectrum", "symbol", {"symbol": {"kind": "gaussian", "x_width": "a"}}),
+            ("spectrum", "x_center", {"symbol": {"kind": "gaussian",
+                                                 "x_center": [0.1, 0.2, 0.3]}}),
+            ("spectrum", "p_center", {"symbol": {"kind": "gaussian", "p_center": [0.1]}}),
+            ("spectrum", "mask", {"symbol": {"kind": "gaussian"}, "mask": "false"}),
+            ("spectrum", "mask", {"symbol": {"kind": "gaussian"}, "mask": 0}),
+            ("verify", "grid", {"grid": {"dim": 2, "n": 8.5, "L": 5.0}}),
+            ("verify", "grid", {"grid": {"dim": 1.5, "n": 8, "L": 5.0}}),
+            ("verify", "quadrature_order", {"quadrature_order": 16.5}),
+            ("verify", "seed", {"seed": 7.25}),
+            ("moyal", "probes", {"symbol_f": {"kind": "gaussian"}, "symbol_g": {"kind": "gaussian"},
+                                 "probes": {"count": 2.5}}),
+            ("moyal", "probes", {"symbol_f": {"kind": "gaussian"}, "symbol_g": {"kind": "gaussian"},
+                                 "probes": {"points_per_axis": 12.5}})]:
         write_config(odd, **overrides)
         capsys.readouterr()
         assert cli.main([command, "--config", str(odd), "--out", str(tmp_path / "o")]) == 2

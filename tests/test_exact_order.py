@@ -5,7 +5,8 @@ fewest Gauss-Legendre nodes that are still exact, capped by the caller's
 rule; data without a degree keep the full rule.  Each exact route is pinned
 against the full order-16 route on the same inputs (the same evaluator
 with its degree withheld), the point counts pin the orders actually used,
-and the general-tau kernel route is pinned against its defining sum.  A
+and both general-tau kernel routes (separable and per-difference) are
+pinned against their defining sum.  A
 declared degree too low for its evaluator is refused at construction.
 With exact rules, gauge covariance of spectra holds to roundoff, and the
 constant symbol quantizes to the identity on both evaluator routes.
@@ -306,13 +307,25 @@ def test_constant_symbol_quantizes_to_identity(half_n, L, degree, default, tau, 
 # ---------------------------------------------------------------------------
 # the general-tau kernel route against its defining sum
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_general_tau_route_matches_defining_sum(mask):
+def route_symbol(f, factored):
+    """``f`` itself (the separable route) or the same function without factors."""
+    return f if factored else G.SymbolEvaluator(f.dim, f.fn)
+
+
+def route_cases(*cases):
+    """Each case with factors (id: the case) and without them (id: ``<case>-per_difference``)."""
+    ids = ["-".join(map(str, case)) for case in cases]
+    return ([pytest.param(*case, True, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, False, id=i + "-per_difference") for case, i in zip(cases, ids)])
+
+
+@pytest.mark.parametrize("mask,factored", route_cases((True,), (False,)))
+def test_general_tau_route_matches_defining_sum(mask, factored):
     g = G.PhaseSpaceGrid(2, 6, 3.0)
     A = F.symmetric_gauge(0.8)
     tau, hbar = 0.3, 0.7
-    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
-                          amplitude=1.0 + 0.5j)
+    f = route_symbol(G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
+                                       amplitude=1.0 + 0.5j), factored)
     kern = Q.op_quantize(f, A, g, Q.WeylParams(tau, hbar), QUAD, mask=mask).kernel
     x = g.config_points()
     k = g.momentum_points()
@@ -326,13 +339,14 @@ def test_general_tau_route_matches_defining_sum(mask):
     assert np.abs(kern - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
-def test_general_tau_route_phase_rows_for_a_symbol_odd_in_p(dim, n):
+@pytest.mark.parametrize("dim,n,factored", route_cases((1, 8), (2, 6), (3, 4)))
+def test_general_tau_route_phase_rows_for_a_symbol_odd_in_p(dim, n, factored):
     # a symbol that is not even in p pins the sign of each axis's phase row
     g = G.PhaseSpaceGrid(dim, n, 3.0)
     tau, hbar = 0.3, 0.7
-    f = G.gaussian_symbol(dim, x_center=[0.2] * dim, p_center=[0.7, -0.4, 0.3][:dim],
-                          x_width=1.0, p_width=0.9, amplitude=1.0 + 0.5j)
+    f = route_symbol(G.gaussian_symbol(dim, x_center=[0.2] * dim,
+                                       p_center=[0.7, -0.4, 0.3][:dim], x_width=1.0,
+                                       p_width=0.9, amplitude=1.0 + 0.5j), factored)
     kern = Q.op_quantize(f, None, g, Q.WeylParams(tau, hbar), QUAD, mask=False).kernel
     x, k = g.config_points(), g.momentum_points()
     vals = f(((1.0 - tau) * x[:, None] + tau * x[None])[:, :, None], hbar * k)

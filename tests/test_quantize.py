@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magweyl import coupling as C
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
@@ -237,6 +240,108 @@ def test_quantize_general_route_matches_kernel_route_at_defaults():
     k_fast = Q.op_quantize(f, A, g)
     k_gen = Q._kernel_route_general(f, A, g, QUAD, tau=0.5, hbar=1.0)
     assert np.abs(k_fast.kernel - k_gen.kernel).max() < 1e-11 * np.abs(k_fast.kernel).max()
+
+
+# ---------------------------------------------------------------------------
+# separable symbols: the factored general-tau route against the per-difference route
+
+def unfactored(f):
+    """The same symbol without its factors: quantized by the per-difference route."""
+    return G.SymbolEvaluator(f.dim, f.fn)
+
+
+def preset_symbols(dim):
+    rng = np.random.default_rng(dim)
+    kinetic = C.PolynomialSymbol(dim, [(1.0, (2,) + (0,) * (dim - 1)),
+                                       (0.5 - 0.2j, (1,) * dim, lambda x: np.cos(x[..., 0]))])
+    return {
+        "gaussian": G.gaussian_symbol(dim, x_center=rng.uniform(-1, 1, dim),
+                                      p_center=rng.uniform(-1, 1, dim), x_width=0.8,
+                                      p_width=1.2, amplitude=0.6 - 0.8j),
+        "momentum_polynomial": G.momentum_polynomial_symbol(
+            dim, (1,) + (2,) * (dim - 1), 1.3, coeff=0.4j, x_coeff=lambda x: x[..., -1]),
+        "constant": G.constant_symbol(dim, 0.3 + 0.1j),
+        "x_only": G.x_only_symbol(dim, lambda x: np.exp(-(x**2).sum(axis=-1))),
+        "cutoff_polynomial": kinetic.with_momentum_cutoff(1.5),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_symbol_factors_reproduce_fn(dim):
+    # sum_r g_r(x) h_r(p) == fn(x, p) pointwise, for every preset and after +, c * and conj
+    syms = preset_symbols(dim)
+    built = dict(syms, sum=syms["gaussian"] + syms["cutoff_polynomial"] + syms["constant"],
+                 scaled=(0.3 - 2.0j) * syms["momentum_polynomial"],
+                 conj=(syms["gaussian"] + syms["x_only"]).conj())
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, (5, 1, dim))
+    p = rng.uniform(-2.0, 2.0, (1, 6, dim))
+    for name, f in built.items():
+        assert f.factors is not None, name
+        expect = f(x, p)
+        got = sum(np.asarray(g(x)) * np.asarray(h(p)) for g, h in f.factors)
+        assert np.abs(got - expect).max() <= 1e-15 * max(np.abs(expect).max(), 1.0), name
+    assert unfactored(syms["gaussian"]).factors is None
+    assert (syms["gaussian"] + unfactored(syms["x_only"])).factors is None
+    A = F.symmetric_gauge(1.0) if dim == 2 else F.zero_potential(dim)
+    assert C.minimal_coupling_evaluator(syms["gaussian"], A).factors is None
+
+
+def test_adding_symbols_of_different_dimensions_is_refused():
+    with pytest.raises(DimensionMismatchError):
+        G.gaussian_symbol(2) + G.gaussian_symbol(1)
+    with pytest.raises(DimensionMismatchError):
+        unfactored(G.constant_symbol(1)) + G.x_only_symbol(3, lambda x: x[..., 0])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
+def test_separable_route_matches_per_difference_route(dim, n):
+    # every ordering, both Planck constants, both masks, with and without a potential
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    syms = preset_symbols(dim)
+    f = syms["gaussian"] + 0.7j * syms["cutoff_polynomial"] + syms["x_only"]
+    # A_a = (0.3 + 0.1 a) x_{a+1} + 0.2 x_1^2 (indices mod dim): a nonconstant field in dim > 1
+    A = F.polynomial_potential(dim, [
+        [(0.3 + 0.1 * a, tuple(int(j == (a + 1) % dim) for j in range(dim))),
+         (0.2, (2,) + (0,) * (dim - 1))] for a in range(dim)])
+    for tau, hbar, mask, A in itertools.product([0.0, 0.3, 0.5, 0.75, 1.0], [1.0, 0.7],
+                                                [True, False], [None, A]):
+        fast = Q._kernel_route_general(f, A, g, QUAD, tau, hbar, mask).kernel
+        ref = Q._kernel_route_general(unfactored(f), A, g, QUAD, tau, hbar, mask).kernel
+        assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max(), (tau, hbar, mask, A)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2]), half_n=st.integers(1, 4), tau=st.floats(0.0, 1.0),
+       hbar=st.floats(0.3, 2.0), mask=st.booleans(), b=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_separable_route_property(dim, half_n, tau, hbar, mask, b, seed):
+    # a random sum of presets with factors quantizes as the same function without them
+    g = G.PhaseSpaceGrid(dim, 2 * half_n, 4.0)
+    A = None if b is None else (F.symmetric_gauge(b) if dim == 2
+                                else F.polynomial_potential(1, [[(b, (2,))]]))
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    f = (c[0] * G.gaussian_symbol(dim, x_center=rng.uniform(-1, 1, dim),
+                                  p_center=rng.uniform(-1, 1, dim),
+                                  x_width=rng.uniform(0.5, 1.5), p_width=rng.uniform(0.5, 1.5))
+         + c[1] * G.momentum_polynomial_symbol(dim, rng.integers(0, 3, dim), rng.uniform(0.5, 2.0))
+         + (c[2] * G.x_only_symbol(dim, lambda x: np.cos(x.sum(axis=-1)))).conj())
+    params = Q.WeylParams(tau, hbar)
+    fast = Q.op_quantize(f, A, g, params, QUAD, mask=mask).kernel
+    ref = Q.op_quantize(unfactored(f), A, g, params, QUAD, mask=mask).kernel
+    assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_separable_route_memory_peak(traced_peak):
+    # dim 2, n=32: a kernel is 16 MiB; the route keeps the kernel, the segment
+    # circulations and their phase, and row-block temporaries: at most 4 kernels
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    f = (G.gaussian_symbol(2, x_center=[0.3, -0.2], amplitude=0.6 + 0.8j)
+         + G.gaussian_symbol(2, p_center=[0.2, 0.1], x_width=1.2, amplitude=-0.3j))
+    A = F.symmetric_gauge(1.0)
+    peak = traced_peak(lambda: Q.op_quantize(f, A, g, Q.WeylParams(tau=0.3), QUAD))
+    assert peak <= 64 * 2**20
 
 
 def test_quantize_scaled_planck_constant_basics():
