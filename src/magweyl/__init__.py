@@ -31,7 +31,6 @@ from .fields import (
     landau_gauge,
     linear_field_2d,
     potential_from_config,
-    scalar_from_config,
     segment_phase,
     symmetric_gauge,
     translation_phase,
@@ -52,7 +51,6 @@ from .grid import (
     gaussian_wavefunction,
     kernel_compose,
     kernel_from_symbol,
-    momentum_polynomial_symbol,
     symbol_from_kernel,
     x_only_symbol,
 )

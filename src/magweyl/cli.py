@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -97,17 +98,16 @@ def resolve_config(cfg: dict, seed=None, tolerance_scale=None) -> dict:
     if tolerance_scale is not None:
         out["tolerance_scale"] = float(tolerance_scale)
     gspec = out["grid"]
-    with _config_value("grid"):
-        dim, n = _integer(gspec.get("dim", 2)), _integer(gspec.get("n", 16))
-        half = float(gspec.get("L", 6.0))
-    if n % 2 or n < 2:
-        raise InputError("grid points per axis must be even and >= 2")
-    if half <= 0:
-        raise InputError("grid half-width must be positive")
-    for key, kind in (("quadrature_order", _integer), ("seed", _integer),
-                      ("tolerance_scale", float)):
+    with _config_value("grid"):  # the grid refuses bad values itself
+        gr.PhaseSpaceGrid(_integer(gspec.get("dim", 2)), _integer(gspec.get("n", 16)),
+                          float(gspec.get("L", 6.0)))
+    for key, kind in (("quadrature_order", _integer), ("seed", _integer)):
         with _config_value(key):  # the commands convert these values as they use them
             kind(out[key])
+    with _config_value("tolerance_scale"):
+        scale = float(out["tolerance_scale"])
+    if not (math.isfinite(scale) and scale > 0):  # refuses NaN too
+        raise InputError("'tolerance_scale' must be positive and finite, got %r" % (scale,))
     if not isinstance(out["gauges"], list) or not out["gauges"]:
         raise InputError("'gauges' must be a non-empty list of potentials")
     return out
@@ -148,10 +148,6 @@ def symbol_from_spec(spec: dict, dim: int):
     if kind == "constant":
         return gr.constant_symbol(dim, spec.get("value", 1.0)), True
     if kind == "gaussian":
-        for key in ("x_center", "p_center"):
-            if spec.get(key) is not None and np.shape(spec[key]) != (dim,):
-                raise InputError("gaussian symbol %r must be a list of %d numbers, got %r"
-                                 % (key, dim, spec[key]))
         return gr.gaussian_symbol(
             dim, x_center=spec.get("x_center"), p_center=spec.get("p_center"),
             x_width=float(spec.get("x_width", 1.0)), p_width=float(spec.get("p_width", 1.0)),

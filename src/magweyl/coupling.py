@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InputError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
-                   _lattice_mesh, _momentum_monomial, _ones, _row_blocks)
+                   _lattice_mesh, _ones, _row_blocks)
 
 __all__ = [
     "PolynomialSymbol",
@@ -68,25 +68,24 @@ class PolynomialSymbol:
         return max((sum(p) for _, p, _ in self.terms), default=0)
 
     def with_momentum_cutoff(self, scale: float) -> SymbolEvaluator:
-        """Closed-form evaluator with a Gaussian momentum cutoff of `scale`."""
-
-        def fn(x, p):
-            # each momentum factor at p's own shape; only `out` is full-size
-            out = np.zeros(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), dtype=complex)
-            for coeff, powers, x_coeff in self.terms:
-                term = coeff
-                for j, a in enumerate(powers):
-                    if a:
-                        term = term * p[..., j] ** a
-                out += term if x_coeff is None else term * x_coeff(x)
-            out *= np.exp(-(p**2).sum(axis=-1) / (2.0 * scale**2))
-            return out
-
+        """Separable evaluator with a Gaussian momentum cutoff of `scale`."""
         # one (x-factor, p-factor) pair per monomial, the cutoff in the p-factor
         factors = [(_ones if x_coeff is None else x_coeff, _momentum_monomial(coeff, powers, scale))
                    for coeff, powers, x_coeff in self.terms]
-        return SymbolEvaluator(self.dim, fn, decay="poly-gaussian", name="poly-cutoff",
+        return SymbolEvaluator(self.dim, decay="poly-gaussian", name="poly-cutoff",
                                factors=factors)
+
+
+def _momentum_monomial(coeff, powers, cutoff: float):
+    """``h(p) = coeff p^powers exp(-|p|^2 / (2 cutoff^2))``, the p-factor of a cut-off monomial."""
+    def h(p):
+        term = complex(coeff)
+        for j, a in enumerate(powers):
+            if a:
+                term = term * p[..., j] ** a
+        return term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
+
+    return h
 
 
 def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,

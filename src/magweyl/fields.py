@@ -58,7 +58,6 @@ __all__ = [
     "landau_gauge",
     "field_from_config",
     "potential_from_config",
-    "scalar_from_config",
 ]
 
 
@@ -545,51 +544,39 @@ def constant_field_2d(b: float) -> MagneticField:
     return constant_field(2, [[0.0, b], [-b, 0.0]])
 
 
+def _planar_field(b12, degree_hint, name: str) -> MagneticField:
+    """Planar field from its one independent entry ``B_12(x)``: the antisymmetric 2 x 2 table."""
+    def eval(x):
+        x = np.asarray(x, dtype=float)
+        b = b12(x)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 1] = b
+        out[..., 1, 0] = -b
+        return out
+
+    return MagneticField(2, eval, degree_hint=degree_hint, name=name)
+
+
 def linear_field_2d(b0: float, gradient) -> MagneticField:
     """Planar field with ``B_12(x) = b0 + g . x``."""
     g = np.asarray(gradient, dtype=float)
     if g.shape != (2,):
         raise InputError("linear planar field needs a 2-vector gradient")
-
-    def eval(x):
-        x = np.asarray(x, dtype=float)
-        b12 = b0 + x @ g
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = -b12
-        return out
-
-    return MagneticField(2, eval, degree_hint=1, name="linear")
+    return _planar_field(lambda x: b0 + x @ g, 1, "linear")
 
 
 def polynomial_field_2d(terms) -> MagneticField:
     """Planar field with polynomial ``B_12``; `terms` are (coeff, powers) pairs."""
     poly = PolynomialMap(2, [list(terms)])
-
-    def eval(x):
-        x = np.asarray(x, dtype=float)
-        b12 = poly(x)[..., 0]
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = -b12
-        return out
-
-    return MagneticField(2, eval, degree_hint=poly.degree, name="polynomial")
+    return _planar_field(lambda x: poly(x)[..., 0], poly.degree, "polynomial")
 
 
 def gaussian_field_2d(amplitude: float, width: float, center=(0.0, 0.0)) -> MagneticField:
+    """Planar field with ``B_12(x) = amplitude exp(-|x - center|^2 / (2 width^2))``."""
     c = np.asarray(center, dtype=float)
-
-    def eval(x):
-        x = np.asarray(x, dtype=float)
-        r2 = ((x - c) ** 2).sum(axis=-1)
-        b12 = amplitude * np.exp(-0.5 * r2 / width**2)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = -b12
-        return out
-
-    return MagneticField(2, eval, degree_hint=None, name="gaussian")
+    return _planar_field(
+        lambda x: amplitude * np.exp(-0.5 * ((x - c) ** 2).sum(axis=-1) / width**2), None,
+        "gaussian")
 
 
 def zero_field(dim: int) -> MagneticField:
@@ -702,10 +689,3 @@ def potential_from_config(cfg: dict, field: MagneticField | None = None,
             field = field_from_config(cfg["of_field"])
         return transversal_gauge(field, quad)
     raise InputError("unknown potential kind %r" % (kind,))
-
-
-def scalar_from_config(cfg: dict) -> ScalarPotential:
-    """Gauge function from a config record; polynomial terms only."""
-    dim = int(cfg.get("dim", 2))
-    poly = PolynomialMap(dim, [_terms_from_config(cfg["terms"])])
-    return ScalarPotential.from_poly(poly)

@@ -22,7 +22,9 @@ where ``phase`` is the unit-modulus circulation factor of a vector
 potential (1 for the non-magnetic case).  The midpoint ``(x + y)/2`` lies
 on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
-sample tables.  Per axis, the pairs ``(i, j)`` of one midpoint class
+sample tables.  The symbol presets are separable and are given by their
+factors alone (``SymbolEvaluator``), so every quantization route reads the
+same definition.  Per axis, the pairs ``(i, j)`` of one midpoint class
 ``s = i + j`` have wrapped differences of one parity, so the class reads
 only n/2 of the n differences.  The map contracts each momentum axis,
 batched over that axis's midpoint index, with those n/2 rows of the inverse
@@ -74,7 +76,6 @@ __all__ = [
     "difference_mask",
     "gaussian_wavefunction",
     "gaussian_symbol",
-    "momentum_polynomial_symbol",
     "x_only_symbol",
     "constant_symbol",
 ]
@@ -96,8 +97,8 @@ class PhaseSpaceGrid:
             raise InputError("grid dimension must be positive")
         if self.n < 2 or self.n % 2:
             raise InputError("points per axis must be even and >= 2")
-        if self.L <= 0:
-            raise InputError("half-width must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):  # refuses NaN and infinity too
+            raise InputError("half-width must be positive and finite, got %r" % (self.L,))
 
     @property
     def h(self) -> float:
@@ -415,49 +416,63 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
 # symbols
 
 class SymbolEvaluator:
-    """Closed-form phase-space function ``(x, p) -> complex``, vectorized.
+    """Phase-space function ``(x, p) -> complex``, vectorized.
 
-    ``factors``, when given, describes the symbol as a finite sum of
-    products, ``fn(x, p) == sum_r g_r(x) h_r(p)``: a tuple of ``(g, h)``
-    callables, each taking points of shape ``(..., N)`` to values that
-    broadcast against the leading shape.  It is data about the symbol (as
-    ``poly`` is for a potential), which the general-tau route reads; the
-    presets set it, and ``+``, ``c *`` and ``conj`` carry it along.
+    A symbol is given by exactly one of ``fn`` and ``factors``.  ``fn`` is
+    any closed form ``(x, p) -> values``.  ``factors`` describes a separable
+    symbol as a finite sum of products, ``sum_r g_r(x) h_r(p)``: a tuple of
+    ``(g, h)`` callables, each taking points of shape ``(..., N)`` to values
+    that broadcast against the leading shape.  The factors are then the
+    symbol's only definition: its ``fn`` contracts them over ``r`` into one
+    output array, the general-tau route reads them directly, and ``+``,
+    ``c *`` and ``conj`` of factored symbols are factored again.  Every
+    preset is given by its factors.
     """
 
-    def __init__(self, dim: int, fn, decay: str = "gaussian", name: str = "symbol",
+    def __init__(self, dim: int, fn=None, decay: str = "gaussian", name: str = "symbol",
                  factors=None):
+        if (fn is None) == (factors is None):
+            raise InputError("a symbol takes exactly one of 'fn' and 'factors'")
         self.dim = int(dim)
-        self.fn = fn
+        self.factors = None if factors is None else tuple(factors)
+        self.fn = self._factored if fn is None else fn
         self.decay = decay
         self.name = name
-        self.factors = None if factors is None else tuple(factors)
+
+    def _factored(self, x, p):
+        """``sum_r g_r(x) h_r(p)``, contracted over ``r`` straight into the one output array."""
+        gx = np.empty((len(self.factors),) + x.shape[:-1], dtype=complex)
+        hp = np.empty((len(self.factors),) + p.shape[:-1], dtype=complex)
+        for r, (g, h) in enumerate(self.factors):
+            gx[r], hp[r] = g(x), h(p)
+        return np.einsum("r...,r...->...", gx, hp)
 
     def __call__(self, x, p):
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float)),
                           dtype=complex)
 
     def conj(self) -> "SymbolEvaluator":
-        factors = None if self.factors is None else tuple(
+        if self.factors is None:
+            return SymbolEvaluator(self.dim, lambda x, p: np.conj(self.fn(x, p)), self.decay,
+                                   self.name + "*")
+        return SymbolEvaluator(self.dim, decay=self.decay, name=self.name + "*", factors=(
             ((lambda x, g=g: np.conj(g(x))), (lambda p, h=h: np.conj(h(p))))
-            for g, h in self.factors)
-        return SymbolEvaluator(self.dim, lambda x, p: np.conj(self.fn(x, p)),
-                               self.decay, self.name + "*", factors)
+            for g, h in self.factors))
 
     def __add__(self, other: "SymbolEvaluator") -> "SymbolEvaluator":
         if other.dim != self.dim:
             raise DimensionMismatchError("cannot add symbols of dimensions %d and %d"
                                          % (self.dim, other.dim))
-        factors = (None if self.factors is None or other.factors is None
-                   else self.factors + other.factors)
-        return SymbolEvaluator(self.dim, lambda x, p: self.fn(x, p) + other.fn(x, p), self.decay,
-                               factors=factors)
+        if self.factors is None or other.factors is None:
+            return SymbolEvaluator(self.dim, lambda x, p: self.fn(x, p) + other.fn(x, p),
+                                   self.decay)
+        return SymbolEvaluator(self.dim, decay=self.decay, factors=self.factors + other.factors)
 
     def __rmul__(self, c) -> "SymbolEvaluator":
-        factors = None if self.factors is None else tuple(
-            ((lambda x, g=g: c * g(x)), h) for g, h in self.factors)
-        return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay,
-                               factors=factors)
+        if self.factors is None:
+            return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay)
+        return SymbolEvaluator(self.dim, decay=self.decay, factors=(
+            ((lambda x, g=g: c * g(x)), h) for g, h in self.factors))
 
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
@@ -552,23 +567,10 @@ def _ones(pts) -> np.ndarray:
     return np.ones(np.shape(pts)[:-1])
 
 
-def _momentum_monomial(coeff, powers, cutoff: float):
-    """``h(p) = coeff p^powers exp(-|p|^2 / (2 cutoff^2))``, the p-factor of a cut-off monomial."""
-    def h(p):
-        term = complex(coeff)
-        for j, a in enumerate(powers):
-            if a:
-                term = term * p[..., j] ** a
-        return term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
-
-    return h
-
-
 def constant_symbol(dim: int, value=1.0) -> SymbolEvaluator:
     value = complex(value)
-    return SymbolEvaluator(dim, lambda x, p: np.full(np.broadcast_shapes(
-        x.shape[:-1], p.shape[:-1]), value), decay="none", name="constant",
-        factors=[(lambda x: np.full(x.shape[:-1], value), _ones)])
+    return SymbolEvaluator(dim, decay="none", name="constant",
+                           factors=[(lambda x: np.full(x.shape[:-1], value), _ones)])
 
 
 def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width=1.0,
@@ -576,43 +578,17 @@ def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width
     """Phase-space Gaussian, separable in x and p."""
     xc = np.zeros(dim) if x_center is None else np.asarray(x_center, dtype=float)
     pc = np.zeros(dim) if p_center is None else np.asarray(p_center, dtype=float)
-
-    def ex(x):
-        return ((x - xc) ** 2).sum(axis=-1) / (2.0 * x_width**2)
-
-    def ep(p):
-        return ((p - pc) ** 2).sum(axis=-1) / (2.0 * p_width**2)
-
-    def fn(x, p):
-        return amplitude * np.exp(-(ex(x) + ep(p)))
-
-    return SymbolEvaluator(dim, fn, decay="gaussian", name="gaussian",
-                           factors=[(lambda x: amplitude * np.exp(-ex(x)),
-                                     lambda p: np.exp(-ep(p)))])
-
-
-def momentum_polynomial_symbol(dim: int, powers, cutoff: float, coeff=1.0,
-                               x_coeff=None) -> SymbolEvaluator:
-    """Monomial ``c(x) p^alpha`` with a Gaussian momentum cutoff of scale `cutoff`."""
-    powers = tuple(int(a) for a in powers)
-    if len(powers) != dim:
-        raise InputError("powers must have one entry per axis")
-    h = _momentum_monomial(coeff, powers, cutoff)
-
-    def fn(x, p):
-        # the momentum factor at p's own shape; only the result is full-size
-        term = h(p)
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]), dtype=complex)
-        out[...] = term if x_coeff is None else term * x_coeff(x)
-        return out
-
-    return SymbolEvaluator(dim, fn, decay="poly-gaussian", name="p^%s" % (powers,),
-                           factors=[(_ones if x_coeff is None else x_coeff, h)])
+    for key, value in (("x_center", xc), ("p_center", pc)):
+        if value.shape != (dim,):
+            raise DimensionMismatchError("gaussian symbol %r must be a list of %d numbers, got %r"
+                                         % (key, dim, value.tolist()))
+    return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[
+        (lambda x: amplitude * np.exp(-((x - xc) ** 2).sum(axis=-1) / (2.0 * x_width**2)),
+         lambda p: np.exp(-((p - pc) ** 2).sum(axis=-1) / (2.0 * p_width**2)))])
 
 
 def x_only_symbol(dim: int, fn) -> SymbolEvaluator:
-    return SymbolEvaluator(dim, lambda x, p: fn(x) * np.ones(np.broadcast_shapes(
-        x.shape[:-1], p.shape[:-1])), decay="none", name="x-only", factors=[(fn, _ones)])
+    return SymbolEvaluator(dim, decay="none", name="x-only", factors=[(fn, _ones)])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ translation cocycle; the test suite pins both the sign and the magnitude).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -93,8 +94,8 @@ class WeylParams:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise InputError("tau must lie in [0, 1]")
-        if self.hbar <= 0.0:
-            raise InputError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0.0):  # refuses NaN and infinity too
+            raise InputError("hbar must be positive and finite, got %r" % (self.hbar,))
 
 
 def _shift_components(grid: PhaseSpaceGrid, x) -> np.ndarray:

@@ -103,6 +103,29 @@ def test_config_parse_error_exits_2(tmp_path, capsys, monkeypatch):
         cli.main(["verify", "--config", str(odd), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_numbers_exit_2(tmp_path, capsys, bad):
+    # NaN passes a bare `<= 0` check; JSON's NaN and Infinity reach the config as floats
+    cfgfile = tmp_path / "cfg.json"
+    kinetic = {"kind": "kinetic", "cutoff": 5.0}
+    for command, overrides, message in [
+            ("verify", {"grid": {"dim": 2, "n": 8, "L": bad}}, "half-width"),
+            ("spectrum", {"grid": {"dim": 2, "n": 8, "L": bad}, "symbol": kinetic}, "half-width"),
+            ("verify", {"tolerance_scale": bad}, "'tolerance_scale'"),
+            ("spectrum", {"tolerance_scale": bad, "symbol": kinetic}, "'tolerance_scale'")]:
+        write_config(cfgfile, **overrides)
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err, (command, overrides)
+    # a tolerance scale that is not positive fails every item: refused as well
+    for scale in (0.0, -1.0):
+        write_config(cfgfile, tolerance_scale=scale)
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    write_config(cfgfile)
+    assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                     "--tolerance-scale", str(bad)]) == 2
+
+
 def test_spectrum_free_particle_nonnegative(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     write_config(cfgfile,

@@ -291,6 +291,6 @@ def test_potential_from_config():
 
 
 def test_scalar_from_config_gradient():
-    rho = F.scalar_from_config({"dim": 2, "terms": [{"coeff": 0.5, "powers": [1, 1]}]})
+    rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.5, (1, 1))]]))
     g = rho.gradient(np.array([2.0, 3.0]))
     assert np.allclose(g, [1.5, 1.0])

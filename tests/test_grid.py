@@ -1,6 +1,5 @@
 import cmath
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,9 @@ def test_grid_validation():
         G.PhaseSpaceGrid(0, 16, 6.0)
     with pytest.raises(InputError):
         G.PhaseSpaceGrid(2, 16, -1.0)
+    for bad in (float("nan"), float("inf")):  # non-finite values pass a bare `<= 0` check
+        with pytest.raises(InputError, match="half-width"):
+            G.PhaseSpaceGrid(2, 16, bad)
 
 
 def test_lattice_index_rejects_off_lattice():
@@ -375,18 +377,20 @@ def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, sou
     assert np.abs(kern - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_kernel_from_symbol_memory_peak():
-    # the 62 MB sample table, its float temporaries and the half-width first
-    # transform fit under the bound; one more copy of the table does not
+def test_kernel_from_symbol_memory_peak(traced_peak):
+    # the 62 MB sample table and the half-width first transform fit under the
+    # bound; one more copy of the table does not
     g = G.PhaseSpaceGrid(2, 32, 6.0)
     f = G.gaussian_symbol(2, x_width=0.9, p_width=1.1)
-    tracemalloc.start()
-    try:
-        G.kernel_from_symbol(f, None, g, QUAD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 150 * 2**20
+    assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD)) <= 150 * 2**20
+
+
+def test_gaussian_sample_memory_peak(traced_peak):
+    # dim 2, n=32: the 62 MiB midpoint table and the x- and p-sized factor
+    # values; no float temporary of the table's size
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    f = G.gaussian_symbol(2, x_width=0.9, p_width=1.1)
+    assert traced_peak(lambda: f.sample(g, "midpoint")) <= 64 * 2**20
 
 
 @settings(max_examples=30, deadline=None, database=None)

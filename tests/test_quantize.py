@@ -250,41 +250,92 @@ def unfactored(f):
     return G.SymbolEvaluator(f.dim, f.fn)
 
 
+def momentum_monomial(dim, powers, cutoff, coeff=1.0, x_coeff=None):
+    """``coeff x_coeff(x) p^powers`` with a Gaussian momentum cutoff: a one-term polynomial."""
+    return C.PolynomialSymbol(dim, [(coeff, tuple(powers), x_coeff)]).with_momentum_cutoff(cutoff)
+
+
+def preset_centers(dim):
+    return np.random.default_rng(dim).uniform(-1, 1, (2, dim))
+
+
 def preset_symbols(dim):
-    rng = np.random.default_rng(dim)
+    xc, pc = preset_centers(dim)
     kinetic = C.PolynomialSymbol(dim, [(1.0, (2,) + (0,) * (dim - 1)),
                                        (0.5 - 0.2j, (1,) * dim, lambda x: np.cos(x[..., 0]))])
     return {
-        "gaussian": G.gaussian_symbol(dim, x_center=rng.uniform(-1, 1, dim),
-                                      p_center=rng.uniform(-1, 1, dim), x_width=0.8,
-                                      p_width=1.2, amplitude=0.6 - 0.8j),
-        "momentum_polynomial": G.momentum_polynomial_symbol(
-            dim, (1,) + (2,) * (dim - 1), 1.3, coeff=0.4j, x_coeff=lambda x: x[..., -1]),
+        "gaussian": G.gaussian_symbol(dim, x_center=xc, p_center=pc, x_width=0.8, p_width=1.2,
+                                      amplitude=0.6 - 0.8j),
+        "momentum_polynomial": momentum_monomial(dim, (1,) + (2,) * (dim - 1), 1.3, coeff=0.4j,
+                                                 x_coeff=lambda x: x[..., -1]),
         "constant": G.constant_symbol(dim, 0.3 + 0.1j),
         "x_only": G.x_only_symbol(dim, lambda x: np.exp(-(x**2).sum(axis=-1))),
         "cutoff_polynomial": kinetic.with_momentum_cutoff(1.5),
     }
 
 
+def preset_closed_forms(dim):
+    """The presets of ``preset_symbols`` as closed forms in (x, p), independent of their factors."""
+    xc, pc = preset_centers(dim)
+
+    def cutoff(p, scale):
+        return np.exp(-(p**2).sum(axis=-1) / (2.0 * scale**2))
+
+    return {
+        "gaussian": lambda x, p: (0.6 - 0.8j) * np.exp(-((x - xc) ** 2).sum(axis=-1) / 1.28
+                                                      - ((p - pc) ** 2).sum(axis=-1) / 2.88),
+        "momentum_polynomial": lambda x, p: (0.4j * x[..., -1] * p[..., 0]
+                                             * (p[..., 1:] ** 2).prod(axis=-1) * cutoff(p, 1.3)),
+        "constant": lambda x, p: 0.3 + 0.1j,
+        "x_only": lambda x, p: np.exp(-(x**2).sum(axis=-1)),
+        "cutoff_polynomial": lambda x, p: (p[..., 0] ** 2 + (0.5 - 0.2j) * np.cos(x[..., 0])
+                                           * p.prod(axis=-1)) * cutoff(p, 1.5),
+    }
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_symbol_factors_reproduce_fn(dim):
-    # sum_r g_r(x) h_r(p) == fn(x, p) pointwise, for every preset and after +, c * and conj
-    syms = preset_symbols(dim)
+    # every preset and the +, c * and conj of presets match closed forms written out here
+    syms, forms = preset_symbols(dim), preset_closed_forms(dim)
     built = dict(syms, sum=syms["gaussian"] + syms["cutoff_polynomial"] + syms["constant"],
                  scaled=(0.3 - 2.0j) * syms["momentum_polynomial"],
                  conj=(syms["gaussian"] + syms["x_only"]).conj())
+    closed = dict(forms, sum=lambda x, p: (forms["gaussian"](x, p)
+                                           + forms["cutoff_polynomial"](x, p)
+                                           + forms["constant"](x, p)),
+                  scaled=lambda x, p: (0.3 - 2.0j) * forms["momentum_polynomial"](x, p),
+                  conj=lambda x, p: np.conj(forms["gaussian"](x, p) + forms["x_only"](x, p)))
     rng = np.random.default_rng(7)
     x = rng.uniform(-2.0, 2.0, (5, 1, dim))
     p = rng.uniform(-2.0, 2.0, (1, 6, dim))
     for name, f in built.items():
         assert f.factors is not None, name
-        expect = f(x, p)
-        got = sum(np.asarray(g(x)) * np.asarray(h(p)) for g, h in f.factors)
-        assert np.abs(got - expect).max() <= 1e-15 * max(np.abs(expect).max(), 1.0), name
+        got, expect = f(x, p), closed[name](x, p)
+        assert got.shape == (5, 6), name
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(), name
     assert unfactored(syms["gaussian"]).factors is None
     assert (syms["gaussian"] + unfactored(syms["x_only"])).factors is None
     A = F.symmetric_gauge(1.0) if dim == 2 else F.zero_potential(dim)
     assert C.minimal_coupling_evaluator(syms["gaussian"], A).factors is None
+
+
+def test_symbol_takes_exactly_one_definition():
+    def fn(x, p):
+        return np.exp(-(x**2).sum(axis=-1) - (p**2).sum(axis=-1))
+
+    with pytest.raises(InputError, match="exactly one"):
+        G.SymbolEvaluator(1, fn, factors=G.gaussian_symbol(1).factors)
+    with pytest.raises(InputError, match="exactly one"):
+        G.SymbolEvaluator(1)
+
+
+def test_gaussian_symbol_checks_its_centers():
+    with pytest.raises(DimensionMismatchError, match="'x_center'"):
+        G.gaussian_symbol(2, x_center=[0.1, 0.2, 0.3])
+    with pytest.raises(DimensionMismatchError, match="'p_center'"):
+        G.gaussian_symbol(2, p_center=[0.1])
+    with pytest.raises(DimensionMismatchError, match="'x_center'"):
+        G.gaussian_symbol(1, x_center=0.5)
 
 
 def test_adding_symbols_of_different_dimensions_is_refused():
@@ -325,7 +376,7 @@ def test_separable_route_property(dim, half_n, tau, hbar, mask, b, seed):
     f = (c[0] * G.gaussian_symbol(dim, x_center=rng.uniform(-1, 1, dim),
                                   p_center=rng.uniform(-1, 1, dim),
                                   x_width=rng.uniform(0.5, 1.5), p_width=rng.uniform(0.5, 1.5))
-         + c[1] * G.momentum_polynomial_symbol(dim, rng.integers(0, 3, dim), rng.uniform(0.5, 2.0))
+         + c[1] * momentum_monomial(dim, rng.integers(0, 3, dim), rng.uniform(0.5, 2.0))
          + (c[2] * G.x_only_symbol(dim, lambda x: np.cos(x.sum(axis=-1)))).conj())
     params = Q.WeylParams(tau, hbar)
     fast = Q.op_quantize(f, A, g, params, QUAD, mask=mask).kernel
@@ -417,7 +468,7 @@ def test_quantize_momentum_symbol_matches_magnetic_momentum():
     g = G.PhaseSpaceGrid(2, 32, 8.0)
     b = 0.5
     A = F.symmetric_gauge(b)
-    f = G.momentum_polynomial_symbol(2, (1, 0), cutoff=150.0)
+    f = momentum_monomial(2, (1, 0), 150.0)
     # broad-in-p symbol: the periodized (unmasked) kernel is the spectral one
     op = Q.op_quantize(f, A, g, mask=False)
     pi1 = Q.momentum_operator(A, 0, g)
@@ -534,3 +585,8 @@ def test_weyl_params_validation():
         Q.WeylParams(tau=1.5)
     with pytest.raises(InputError):
         Q.WeylParams(hbar=0.0)
+    for bad in (float("nan"), float("inf")):  # non-finite values pass a bare `<= 0` check
+        with pytest.raises(InputError, match="hbar"):
+            Q.WeylParams(hbar=bad)
+        with pytest.raises(InputError):
+            Q.WeylParams(tau=bad)
