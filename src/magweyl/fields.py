@@ -301,6 +301,10 @@ class VectorPotential:
     for this degree, so a hint below the true degree gives wrong phases.  It
     must be None or an integer >= 0, agree with `poly`, and give a rule that
     agrees with one more node on probe segments, else InputError.
+
+    A potential is a value: its lattice segment table is memoized on it
+    (``grid._segment_circulation``), so what `eval` reads must not change
+    after a table is built.
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
@@ -310,6 +314,10 @@ class VectorPotential:
         self.degree_hint = _checked_degree(degree_hint, poly)
         self.poly = poly
         self.name = name
+        # (A, rho) of add_gradient: circulations are those of A plus rho(b) - rho(a)
+        self._gauge = None
+        # the segment table memo: ((grid, rule), read-only table) or None
+        self._table = None
         if _validate:
             self._validate()
 
@@ -379,6 +387,14 @@ def _check_dims(dim, *points):
             )
 
 
+def _gauge_values(rho: ScalarPotential, x) -> np.ndarray:
+    """``rho(x)`` as floats; NumericError where it is not finite."""
+    vals = np.asarray(rho(x), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("gauge function non-finite at segment endpoints")
+    return vals
+
+
 def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) -> np.ndarray:
     """Quadrature of ``d . A(a + s d)`` over ``s`` in [0, 1] (``a`` = start, ``d`` = displacement).
 
@@ -387,8 +403,15 @@ def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) 
     leading shape of the two arguments; passing them unbroadcast (e.g.
     ``(X, 1, N)`` against ``(1, Y, N)``) keeps only that result and the
     per-node evaluation points in memory.  The rule is ``_exact_rule(quad, A)``.
+    A gauge transform ``A + grad rho`` (``add_gradient``) integrates its base
+    potential and adds the exact ``rho(a + d) - rho(a)``.
     """
     _check_dims(A.dim, start, displacement)
+    if A._gauge is not None:
+        base, rho = A._gauge
+        acc = _circulation_sum(base, start, displacement, quad)
+        acc += _gauge_values(rho, start + displacement) - _gauge_values(rho, start)
+        return acc
     quad = _exact_rule(quad, A)
     acc = np.zeros(np.broadcast_shapes(np.shape(start)[:-1], np.shape(displacement)[:-1]))
     for s, w in zip(quad.nodes, quad.weights):
@@ -495,7 +518,10 @@ def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
     """Gauge-transformed potential ``A + grad(rho)``; generates the same field.
 
     Declares degree ``max(deg A, deg rho - 1)`` when ``A`` declares a degree
-    and ``rho`` carries its polynomial, and no degree otherwise.
+    and ``rho`` carries its polynomial, and no degree otherwise.  The result
+    keeps ``(A, rho)``: its circulations are those of ``A`` plus the exact
+    ``rho(b) - rho(a)``, and its lattice segment table is ``A``'s plus the
+    lattice differences of ``rho``.
     """
     if rho.dim != A.dim:
         raise DimensionMismatchError("gauge function dimension does not match potential")
@@ -506,8 +532,10 @@ def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
     hint = None
     if A.degree_hint is not None and rho.poly is not None:
         hint = max(A.degree_hint, rho.poly.degree - 1)
-    return VectorPotential(A.dim, eval, degree_hint=hint, name="%s+grad(%s)" % (A.name, rho.name),
-                           _validate=False)
+    A2 = VectorPotential(A.dim, eval, degree_hint=hint, name="%s+grad(%s)" % (A.name, rho.name),
+                         _validate=False)
+    A2._gauge = (A, rho)
+    return A2
 
 
 def check_potential_matches_field(A: VectorPotential, B: MagneticField,

@@ -59,7 +59,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, OffLatticeError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
+from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
+                     _exact_rule, _gauge_values)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -387,29 +388,52 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     lattice, each one ``_circulation_sum`` call over its rows and the
     columns from its first row on.  Each block's part above the diagonal is
     mirrored below it with the opposite sign: the table is exactly
-    antisymmetric, with an exactly zero diagonal.
+    antisymmetric, with an exactly zero diagonal.  A gauge transform
+    ``A + grad rho`` (``add_gradient``) takes its base potential's table plus
+    ``rho(y) - rho(x)`` from the values of ``rho`` on the lattice, and stays
+    exactly antisymmetric.
+
+    The table is memoized on the potential: one read-only entry for the last
+    ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
+    replaces.  Callers take it by value and never write into it.
     """
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
+    key = (grid, _exact_rule(quad, A))
+    if A._table is not None and A._table[0] == key:
+        return A._table[1]
     pts = grid.config_points()
-    size = grid.size
-    gamma = np.empty((size, size))
-    for r0, r1 in _row_blocks(size):
-        start = pts[r0:r1, None]
-        rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
-        upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
-        gamma[r0:r1, r0:r1] = upper - upper.T
-        gamma[r0:r1, r1:] = right
-        gamma[r1:, r0:r1] = -right.T
+    if A._gauge is not None:
+        base, rho = A._gauge
+        r = _gauge_values(rho, pts)
+        gamma = np.subtract(r[None, :], r[:, None])
+        gamma += _segment_circulation(base, grid, quad)
+    else:
+        size = grid.size
+        gamma = np.empty((size, size))
+        for r0, r1 in _row_blocks(size):
+            start = pts[r0:r1, None]
+            rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
+            upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
+            gamma[r0:r1, r0:r1] = upper - upper.T
+            gamma[r0:r1, r1:] = right
+            gamma[r1:, r0:r1] = -right.T
+    gamma.flags.writeable = False
+    A._table = (key, gamma)
     return gamma
 
 
 def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
                          quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Circulation phases ``exp(-i Gamma^A([x, y]))`` for all lattice pairs."""
+    """Circulation phases ``exp(-i Gamma^A([x, y]))`` for all lattice pairs.
+
+    The one complex allocation is the result, exponentiated in place (the
+    circulation table is read-only, see ``_segment_circulation``).
+    """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
-    return np.exp(-1j * _segment_circulation(A, grid, quad))
+    out = np.multiply(_segment_circulation(A, grid, quad), -1j)
+    return np.exp(out, out=out)
 
 
 # ---------------------------------------------------------------------------

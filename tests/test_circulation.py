@@ -7,8 +7,9 @@ result by it, the general-tau kernel map by ``exp(-i Gamma / hbar)`` of the
 same circulations, and ``translation_phase_table`` is its zero-fill gather.
 The single Weyl operator and the transform route of the covariant coupling
 integrate their own segments.  These tests pin each route entrywise against
-the public ``circulation`` for a polynomial and a non-polynomial gauge, and
-check that no other module calls the circulation engine.  The table itself
+the public ``circulation`` for a polynomial and a non-polynomial gauge and a
+gauge transform of the latter, and check that no other module calls the
+circulation engine.  The table itself
 integrates each unordered pair once and mirrors it: it is checked for exact
 antisymmetry on grids down to one point per row block, and its two
 triangles against the flux through lattice triangles (Stokes).
@@ -34,6 +35,13 @@ GAUGES = {
     "symmetric": lambda: F.symmetric_gauge(1.0),
     "transversal_gaussian": lambda: F.transversal_gauge(
         F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), QUAD),
+    # a gauge transform by a non-polynomial rho: the table adds the lattice
+    # differences of rho, the point engine rho(b) - rho(a)
+    "gauge_transformed": lambda: F.add_gradient(
+        GAUGES["transversal_gaussian"](),
+        F.ScalarPotential(2, lambda x: 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1]),
+                          lambda x: 0.3 * np.stack([np.cos(x[..., 0]) * np.cos(x[..., 1]),
+                                                    -np.sin(x[..., 0]) * np.sin(x[..., 1])], -1))),
 }
 
 
