@@ -204,7 +204,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
                 {"config": cfg, "gauss_orders": gauss_orders(B, gauges, quad),
                  "hermiticity_defect": defect,
                  "eigenvalues": [float(e) for e in evs]})
-    np.savetxt(outdir / "spectrum.csv", evs, delimiter=",", header="sorted eigenvalues")
+    gr._write_csv(outdir / "spectrum.csv", [evs], "sorted eigenvalues")
     print("wrote %d eigenvalues in [%.6f, %.6f]" % (len(evs), evs[0], evs[-1]))
     return 0
 

@@ -15,6 +15,15 @@ polynomial inputs are integrated exactly.  A potential or field that declares
 its polynomial degree is integrated with the fewest nodes that stay exact
 (see ``_exact_rule``); undeclared data use the caller's full rule.
 
+The field presets keep a closed-form potential, through which the
+circulations of their transversal gauge are integrated
+(``transversal_gauge``).  A polynomial field keeps its transversal gauge as a
+PolynomialMap.  The Gaussian field keeps its centred gauge ``A_c``, so its
+transversal gauge is the gauge data ``A_c + grad rho`` with
+``rho(x) = -Gamma^{A_c}([0, x])`` at the rule of each call, each segment of
+``A_c`` integrated by that rule on its two halves.  A field given only by its
+evaluator integrates the ray integral of its transversal gauge at every node.
+
 Triangle convention: the flux of ``B`` through ``<a, b, c>`` is
 
     int_{s,t>=0, s+t<=1} (b-a)^T B(a + s(b-a) + t(c-a)) (c-a) ds dt,
@@ -25,6 +34,7 @@ around the closed path ``a -> b -> c -> a`` (checked by the test suite).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import warnings
@@ -71,7 +81,8 @@ class Quadrature:
     Exact for polynomial integrands of degree <= 2*order - 1.  The integrals
     of this module take `order` as a cap: for data with a declared polynomial
     degree they use the lowest order that is still exact (``_exact_rule``),
-    and the full `order` only for data without one.
+    and the full `order` only for data without one.  The nodes and weights
+    are read-only, since the rules the integrals derive are shared.
     """
 
     order: int
@@ -83,11 +94,25 @@ class Quadrature:
         if self.order < 1:
             raise InputError("quadrature order must be a positive integer")
         x, w = np.polynomial.legendre.leggauss(self.order)
-        object.__setattr__(self, "nodes", 0.5 * (x + 1.0))
-        object.__setattr__(self, "weights", 0.5 * w)
+        for name, values in (("nodes", 0.5 * (x + 1.0)), ("weights", 0.5 * w)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 DEFAULT_QUADRATURE = Quadrature(16)
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(order: int) -> Quadrature:
+    """The one shared Gauss rule of each order the integrals derive."""
+    return Quadrature(order)
+
+
+def _half_panels(quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``quad`` applied to each half of [0, 1]: ``2 * quad.order`` nodes."""
+    nodes = np.concatenate([0.5 * quad.nodes, 0.5 + 0.5 * quad.nodes])
+    weights = np.concatenate([0.5 * quad.weights] * 2)
+    return nodes, weights
 
 
 def _exact_rule(quad: Quadrature, data) -> Quadrature:
@@ -104,7 +129,7 @@ def _exact_rule(quad: Quadrature, data) -> Quadrature:
     if data.degree_hint is None:
         return quad
     order = _exact_order(data)
-    return quad if order >= quad.order else Quadrature(order)
+    return quad if order >= quad.order else _rule(order)
 
 
 def _exact_order(data) -> int:
@@ -124,8 +149,8 @@ def _check_declared_degree(data, integral, *vertices) -> None:
         return
     plain = type(data)(data.dim, data.eval, _validate=False)
     order = _exact_order(data)
-    ref = integral(plain, *vertices, Quadrature(order + 1))
-    gap = np.abs(integral(plain, *vertices, Quadrature(order)) - ref)
+    ref = integral(plain, *vertices, _rule(order + 1))
+    gap = np.abs(integral(plain, *vertices, _rule(order)) - ref)
     if np.any(gap > 1e-9 * np.maximum(1.0, np.abs(ref))):
         raise InputError(
             "declared degree %d of %s is too low: its %d-node Gauss rule misses probe "
@@ -242,6 +267,9 @@ class MagneticField:
     Antisymmetry is validated on a probe set at construction; the closedness
     (Jacobi/cocycle) condition is checked by finite differences for N >= 3
     and only warns on violation.
+
+    The presets also keep a closed-form potential of the field (see
+    ``transversal_gauge``); a field given by its evaluator alone has none.
     """
 
     def __init__(self, dim, eval, degree_hint=None, name="field", _validate=True):
@@ -249,6 +277,9 @@ class MagneticField:
         self.eval = eval
         self.degree_hint = _checked_degree(degree_hint)
         self.name = name
+        # a closed-form VectorPotential with dA = B: for a polynomial field its
+        # transversal gauge as a PolynomialMap, else one about a centre
+        self._potential = None
         if _validate:
             self._validate()
 
@@ -314,8 +345,11 @@ class VectorPotential:
         self.degree_hint = _checked_degree(degree_hint, poly)
         self.poly = poly
         self.name = name
-        # (A, rho) of add_gradient: circulations are those of A plus rho(b) - rho(a)
+        # (A, rho) of add_gradient: circulations are those of A plus rho(b) - rho(a);
+        # rho None is the transversal gauge over A (see _gauge_values)
         self._gauge = None
+        # closed-form segment integral (start, displacement, quad) -> circulations
+        self._segment = None
         # the segment table memo: ((grid, rule), read-only table) or None
         self._table = None
         if _validate:
@@ -387,8 +421,18 @@ def _check_dims(dim, *points):
             )
 
 
-def _gauge_values(rho: ScalarPotential, x) -> np.ndarray:
-    """``rho(x)`` as floats; NumericError where it is not finite."""
+def _gauge_values(A: VectorPotential, x, quad: Quadrature) -> np.ndarray:
+    """The gauge function of ``A``'s gauge data ``(base, rho)`` at the points ``x``.
+
+    ``rho`` is the ScalarPotential of ``add_gradient``, as floats, with a
+    NumericError where it is not finite.  ``rho`` None is the transversal
+    gauge over ``base`` (``transversal_gauge``): ``rho(x) = -Gamma^base([0, x])``,
+    integrated at ``quad``, the rule of the circulation it enters, and never
+    frozen at another.
+    """
+    base, rho = A._gauge
+    if rho is None:
+        return -_circulation_sum(base, np.zeros(base.dim), x, quad)
     vals = np.asarray(rho(x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericError("gauge function non-finite at segment endpoints")
@@ -403,20 +447,24 @@ def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) 
     leading shape of the two arguments; passing them unbroadcast (e.g.
     ``(X, 1, N)`` against ``(1, Y, N)``) keeps only that result and the
     per-node evaluation points in memory.  The rule is ``_exact_rule(quad, A)``.
-    A gauge transform ``A + grad rho`` (``add_gradient``) integrates its base
-    potential and adds the exact ``rho(a + d) - rho(a)``.
+    A gauge transform ``A + grad rho`` (``add_gradient``, and the transversal
+    gauge over a closed form) integrates its base potential and adds
+    ``rho(a + d) - rho(a)`` (``_gauge_values``).  A closed-form potential of a
+    field preset integrates its segments itself, with the rule it documents.
     """
     _check_dims(A.dim, start, displacement)
     if A._gauge is not None:
-        base, rho = A._gauge
-        acc = _circulation_sum(base, start, displacement, quad)
-        acc += _gauge_values(rho, start + displacement) - _gauge_values(rho, start)
+        acc = _circulation_sum(A._gauge[0], start, displacement, quad)
+        acc += _gauge_values(A, start + displacement, quad) - _gauge_values(A, start, quad)
         return acc
-    quad = _exact_rule(quad, A)
-    acc = np.zeros(np.broadcast_shapes(np.shape(start)[:-1], np.shape(displacement)[:-1]))
-    for s, w in zip(quad.nodes, quad.weights):
-        vals = np.asarray(A.eval(start + s * displacement), dtype=float)
-        acc += w * np.einsum("...i,...i->...", displacement, vals)
+    if A._segment is not None:
+        acc = A._segment(start, displacement, quad)
+    else:
+        quad = _exact_rule(quad, A)
+        acc = np.zeros(np.broadcast_shapes(np.shape(start)[:-1], np.shape(displacement)[:-1]))
+        for s, w in zip(quad.nodes, quad.weights):
+            vals = np.asarray(A.eval(start + s * displacement), dtype=float)
+            acc += w * np.einsum("...i,...i->...", displacement, vals)
     if not np.all(np.isfinite(acc)):
         raise NumericError("potential non-finite along integration segment")
     return acc
@@ -495,10 +543,36 @@ def flux_phase(B: MagneticField, q, x, y, quad: Quadrature = DEFAULT_QUADRATURE)
 def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -> VectorPotential:
     """Canonical potential ``A_i(x) = -sum_j int_0^1 B_ij(s x) s x_j ds`` with dA = B.
 
-    The ray integral uses ``min(quad.order, (d + 1) // 2 + 1)`` nodes for a
-    field of declared degree d (exact; the integrand has degree d + 1) and
-    all of ``quad`` otherwise.  The potential declares degree d + 1.
+    Its point values (``eval``) are this ray integral, with
+    ``min(quad.order, (d + 1) // 2 + 1)`` nodes for a field of declared
+    degree d (exact; the integrand has degree d + 1) and all of ``quad``
+    otherwise.  The potential declares degree d + 1.
+
+    Its circulations read the closed-form potential ``A_c`` the field
+    presets keep:
+
+    * A polynomial field's ``A_c`` is its transversal gauge as a
+      PolynomialMap (a monomial ``c x^alpha`` in ``B_ij`` gives
+      ``-c / (|alpha| + 2) x^alpha x_j`` in ``A_i``; a constant field gives
+      the symmetric gauge).  The result carries it as ``poly``, which makes
+      ``second_derivative`` analytic; circulations integrate ``eval`` with
+      the exact rule.
+    * Any other ``A_c`` makes the result the gauge data ``(A_c, rho)`` with
+      ``rho(x) = -Gamma^{A_c}([0, x])``.  The transversal gauge circulates
+      zero along rays from the origin, so ``A = A_c + grad rho`` exactly and
+      ``Gamma^A([a, b]) = Gamma^{A_c}([a, b]) + Gamma^{A_c}([0, a]) -
+      Gamma^{A_c}([0, b])``, the flux of B through ``<0, a, b>``.  All three
+      are integrated at the rule of the call (``_gauge_values``), so an
+      order-48 circulation stays a reference independent of the order-16
+      ones.  The lattice table is ``A_c``'s table plus the lattice
+      differences of ``rho``, n^N circulations more; each node of ``A_c`` is
+      one closed form instead of ``quad.order`` ray nodes of B.  See
+      ``gaussian_field_2d`` for the rule and accuracy of its ``A_c``.
+
+    A field given by its evaluator alone has no ``A_c``: its circulations
+    integrate ``eval`` with ``quad``.
     """
+    closed = B._potential
     quad = _exact_rule(quad, B)
 
     def eval(x):
@@ -510,8 +584,12 @@ def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -
         return acc
 
     hint = None if B.degree_hint is None else B.degree_hint + 1
-    return VectorPotential(B.dim, eval, degree_hint=hint,
-                           name="transversal(%s)" % B.name, _validate=False)
+    poly = None if closed is None else closed.poly
+    A = VectorPotential(B.dim, eval, degree_hint=hint, poly=poly,
+                        name="transversal(%s)" % B.name, _validate=False)
+    if closed is not None and poly is None:
+        A._gauge = (closed, None)
+    return A
 
 
 def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
@@ -556,7 +634,26 @@ def check_potential_matches_field(A: VectorPotential, B: MagneticField,
 # ---------------------------------------------------------------------------
 # preset catalogue
 
+def _transversal_polynomial(dim: int, entries) -> VectorPotential:
+    """The transversal gauge of a polynomial field, exactly.
+
+    ``entries`` maps ``(i, j)`` to the ``(coeff, powers)`` terms of ``B_ij``;
+    ``c x^alpha`` in ``B_ij`` adds ``-c / (|alpha| + 2) x^alpha x_j`` to
+    ``A_i`` (the ray integral of ``transversal_gauge`` of that monomial).
+    Zero coefficients are kept, so the degree is the field's plus one.
+    """
+    comps = [[] for _ in range(dim)]
+    for (i, j), terms in entries.items():
+        for c, pw in terms:
+            raised = list(pw)
+            raised[j] += 1
+            comps[i].append((-c / (sum(pw) + 2), tuple(raised)))
+    poly = PolynomialMap(dim, comps)
+    return VectorPotential(dim, poly, poly=poly, name="transversal", _validate=False)
+
+
 def constant_field(dim: int, matrix) -> MagneticField:
+    """Constant field; it keeps its transversal gauge ``-B x / 2``, the symmetric gauge."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (dim, dim):
         raise InputError("constant field needs a %d x %d matrix" % (dim, dim))
@@ -565,15 +662,22 @@ def constant_field(dim: int, matrix) -> MagneticField:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(m, x.shape[:-1] + m.shape).copy()
 
-    return MagneticField(dim, eval, degree_hint=0, name="constant")
+    B = MagneticField(dim, eval, degree_hint=0, name="constant")
+    B._potential = _transversal_polynomial(
+        dim, {(i, j): [(m[i, j], (0,) * dim)] for i in range(dim) for j in range(dim)})
+    return B
 
 
 def constant_field_2d(b: float) -> MagneticField:
     return constant_field(2, [[0.0, b], [-b, 0.0]])
 
 
-def _planar_field(b12, degree_hint, name: str) -> MagneticField:
-    """Planar field from its one independent entry ``B_12(x)``: the antisymmetric 2 x 2 table."""
+def _planar_field(b12, degree_hint, name: str, terms=None) -> MagneticField:
+    """Planar field from its one independent entry ``B_12(x)``: the antisymmetric 2 x 2 table.
+
+    ``terms``, the ``(coeff, powers)`` monomials of a polynomial ``B_12``, give
+    the field its transversal gauge (``_transversal_polynomial``).
+    """
     def eval(x):
         x = np.asarray(x, dtype=float)
         b = b12(x)
@@ -582,7 +686,11 @@ def _planar_field(b12, degree_hint, name: str) -> MagneticField:
         out[..., 1, 0] = -b
         return out
 
-    return MagneticField(2, eval, degree_hint=degree_hint, name=name)
+    B = MagneticField(2, eval, degree_hint=degree_hint, name=name)
+    if terms is not None:
+        B._potential = _transversal_polynomial(
+            2, {(0, 1): terms, (1, 0): [(-c, pw) for c, pw in terms]})
+    return B
 
 
 def linear_field_2d(b0: float, gradient) -> MagneticField:
@@ -590,21 +698,72 @@ def linear_field_2d(b0: float, gradient) -> MagneticField:
     g = np.asarray(gradient, dtype=float)
     if g.shape != (2,):
         raise InputError("linear planar field needs a 2-vector gradient")
-    return _planar_field(lambda x: b0 + x @ g, 1, "linear")
+    terms = [(b0, (0, 0)), (g[0], (1, 0)), (g[1], (0, 1))]
+    return _planar_field(lambda x: b0 + x @ g, 1, "linear", terms)
 
 
 def polynomial_field_2d(terms) -> MagneticField:
     """Planar field with polynomial ``B_12``; `terms` are (coeff, powers) pairs."""
     poly = PolynomialMap(2, [list(terms)])
-    return _planar_field(lambda x: poly(x)[..., 0], poly.degree, "polynomial")
+    return _planar_field(lambda x: poly(x)[..., 0], poly.degree, "polynomial",
+                         poly.components[0])
+
+
+def _gaussian_gauge(amplitude: float, width: float, c: np.ndarray) -> VectorPotential:
+    """Centred gauge ``A_c(x) = G(x - c) (-(x - c)_2, (x - c)_1)`` of the Gaussian field.
+
+    ``G(y) = amplitude (1 - e^{-u}) / (2u)`` with ``u = |y|^2 / (2 width^2)``,
+    through ``expm1``, and ``G = amplitude / 2`` at ``u = 0``; then
+    ``d_1 A_2 - d_2 A_1 = 2 d(uG)/du = amplitude e^{-u}``.  Along a segment
+    ``a + s d`` the tangential part is ``d . A_c = ((a - c) ^ d) G``, with
+    ``y ^ d = y_1 d_2 - y_2 d_1``, so each node is one ``expm1``.  A
+    circulation applies ``quad`` on each half of the segment
+    (``_half_panels``, ``2 * quad.order`` nodes); see ``gaussian_field_2d``.
+    """
+    scale = 1.0 / (np.sqrt(2.0) * width)  # u = |scale * y|^2
+
+    def profile(u):
+        out = np.full(np.shape(u), 0.5 * amplitude)
+        return np.divide(-amplitude * np.expm1(-u), 2.0 * u, out=out, where=u != 0.0)
+
+    def eval(x):
+        y = np.asarray(x, dtype=float) - c
+        g = profile(((scale * y) ** 2).sum(axis=-1))
+        return g[..., None] * np.stack([-y[..., 1], y[..., 0]], axis=-1)
+
+    def segment(start, displacement, quad):
+        y, d = start - c, displacement
+        cross = y[..., 0] * d[..., 1] - y[..., 1] * d[..., 0]
+        (y1, y2), (d1, d2) = scale * np.moveaxis(y, -1, 0), scale * np.moveaxis(d, -1, 0)
+        acc = np.zeros(cross.shape)
+        for s, w in zip(*_half_panels(quad)):
+            z1, z2 = y1 + s * d1, y2 + s * d2
+            acc += w * profile(z1 * z1 + z2 * z2)
+        return cross * acc
+
+    A = VectorPotential(2, eval, name="centred(gaussian)", _validate=False)
+    A._segment = segment
+    return A
 
 
 def gaussian_field_2d(amplitude: float, width: float, center=(0.0, 0.0)) -> MagneticField:
-    """Planar field with ``B_12(x) = amplitude exp(-|x - center|^2 / (2 width^2))``."""
+    """Planar field with ``B_12(x) = amplitude exp(-|x - center|^2 / (2 width^2))``.
+
+    The field keeps its centred gauge ``A_c(x) = G(x - c) (-(x - c)_2,
+    (x - c)_1)`` (``_gaussian_gauge``), so the tables of its transversal
+    gauge integrate a closed form (``transversal_gauge``).  Its circulations
+    use two panels: the rule of the call on each half of the segment.  At
+    order 16, on the lattice pairs of an n = 20, L = 8 box, one 16-node panel
+    misses an order-48 ``flux_triangle`` by up to 4.0e-6 (width 1.6), more
+    than the 3.7e-6 of the ray route it replaces; two panels miss by at most
+    1.7e-13 over widths 1.6 to 2.4 and centres in [-1, 1]^2.
+    """
     c = np.asarray(center, dtype=float)
-    return _planar_field(
+    B = _planar_field(
         lambda x: amplitude * np.exp(-0.5 * ((x - c) ** 2).sum(axis=-1) / width**2), None,
         "gaussian")
+    B._potential = _gaussian_gauge(amplitude, width, c)
+    return B
 
 
 def zero_field(dim: int) -> MagneticField:

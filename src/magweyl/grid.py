@@ -288,6 +288,27 @@ def fourier_config(u: WaveFunction, direction: str = "forward") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator kernels
 
+# rows per formatted block of _write_csv
+_CSV_ROWS = 8192
+
+
+def _write_csv(path, columns, header: str) -> None:
+    """Write float ``columns`` (each raveled) side by side as a CSV table.
+
+    The bytes are those of ``np.savetxt(path, table, delimiter=",", header=header)``:
+    ``%.18e`` per value and a ``# `` comment header.  Each block of
+    ``_CSV_ROWS`` rows is one ``%``-format over its flat values, not one
+    per row.
+    """
+    table = np.column_stack([np.ravel(c) for c in columns])
+    line = ",".join(["%.18e"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for r0 in range(0, len(table), _CSV_ROWS):
+            block = table[r0:r0 + _CSV_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 class OperatorKernel:
     """Integral kernel on the configuration lattice.
 
@@ -341,11 +362,10 @@ class OperatorKernel:
 
     def to_csv(self, path) -> None:
         """Write the kernel matrix as CSV (re/im pairs, row-major lattice order)."""
-        flat = np.column_stack([self.kernel.real.ravel(), self.kernel.imag.ravel()])
         header = ("kernel entries K(x, y), rows scan x then y, each index "
                   "row-major over %d axes of %d points; columns re, im"
                   % (self.grid.dim, self.grid.n))
-        np.savetxt(path, flat, delimiter=",", header=header)
+        _write_csv(path, [self.kernel.real, self.kernel.imag], header)
 
     def eigenvalues(self, hermitian_tol: float = 1e-8) -> np.ndarray:
         """Sorted real spectrum of the (Hermitian) operator matrix."""
@@ -389,9 +409,10 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     columns from its first row on.  Each block's part above the diagonal is
     mirrored below it with the opposite sign: the table is exactly
     antisymmetric, with an exactly zero diagonal.  A gauge transform
-    ``A + grad rho`` (``add_gradient``) takes its base potential's table plus
-    ``rho(y) - rho(x)`` from the values of ``rho`` on the lattice, and stays
-    exactly antisymmetric.
+    ``A + grad rho`` (``add_gradient``, and the transversal gauge over a
+    closed form, whose ``rho`` is integrated at ``quad``) takes its base
+    potential's table plus ``rho(y) - rho(x)`` from the values of ``rho`` on
+    the lattice, and stays exactly antisymmetric.
 
     The table is memoized on the potential: one read-only entry for the last
     ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
@@ -404,10 +425,9 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
         return A._table[1]
     pts = grid.config_points()
     if A._gauge is not None:
-        base, rho = A._gauge
-        r = _gauge_values(rho, pts)
+        r = _gauge_values(A, pts, quad)
         gamma = np.subtract(r[None, :], r[:, None])
-        gamma += _segment_circulation(base, grid, quad)
+        gamma += _segment_circulation(A._gauge[0], grid, quad)
     else:
         size = grid.size
         gamma = np.empty((size, size))
@@ -578,12 +598,11 @@ class SymbolGrid:
 
     def to_csv(self, path) -> None:
         """Write the table as CSV (re/im pairs, config axes before momentum axes)."""
-        flat = np.column_stack([self.values.real.ravel(), self.values.imag.ravel()])
         header = ("symbol values F(x, p) on the %s lattice, row-major over "
                   "%d configuration axes (%d points each) then %d momentum axes "
                   "(%d points each); columns re, im"
                   % (self.kind, self.grid.dim, self.values.shape[0], self.grid.dim, self.grid.n))
-        np.savetxt(path, flat, delimiter=",", header=header)
+        _write_csv(path, [self.values.real, self.values.imag], header)
 
 
 def _ones(pts) -> np.ndarray:

@@ -81,6 +81,22 @@ def test_exact_rule_order(make, order):
     assert F._exact_rule(F.Quadrature(1), data).order == 1
 
 
+def test_one_gauss_rule_per_order(monkeypatch):
+    A = cubic_potential()
+    rule = F._exact_rule(QUAD, A)
+    assert F._exact_rule(F.Quadrature(12), A) is rule and not rule.nodes.flags.writeable
+    make_field = lambda: F.polynomial_field_2d([(1.0, (1, 2))])
+    make_field()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda order: calls.append(order) or leggauss(order))
+    # the degree checks build no rule again: orders 2 and 3, then 3 and 4
+    cubic_potential()
+    make_field()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # each exact route against the order-16 route
 

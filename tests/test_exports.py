@@ -33,6 +33,19 @@ def test_symbol_csv_export_roundtrip(tmp_path):
     assert "midpoint" in path.read_text().splitlines()[0]
 
 
+def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path):
+    # more rows than one formatted block, with signed zeros, non-finite and subnormal values
+    values = np.random.default_rng(3).standard_normal((G._CSV_ROWS + 3, 2))
+    values[::7] = 0.0
+    values[::11, 1] = -0.0
+    values[[5, 6, 8], [0, 1, 0]] = [np.nan, -np.inf, 1e-310]
+    for columns in ([values[:, 0]], [values[:, 0], values[:, 1]]):
+        G._write_csv(tmp_path / "ours.csv", columns, "a header\nof two lines")
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+                   header="a header\nof two lines")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 # the calculus is dimension-generic up to the supported N = 3
 
 def test_three_dimensional_smoke():

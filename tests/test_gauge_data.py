@@ -8,7 +8,9 @@ The table of every potential is memoized on it as one read-only entry per
 another grid or rule, bit-identical to a fresh table), the gauge-transformed
 table against the full quadrature of the same evaluator, the quantization
 against ``gauge_conjugate``, the finiteness check on ``rho`` in both engines,
-and the exact ``rho`` part for a non-polynomial gauge function.
+and the exact ``rho`` part for a non-polynomial gauge function.  The
+transversal gauge of the Gaussian field is itself gauge data over a closed
+form, so its case is checked against the order-48 flux from the origin.
 """
 
 import tracemalloc
@@ -42,8 +44,29 @@ def sin_cos_rho():
         name="sincos")
 
 
+def gaussian_field():
+    return F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2))
+
+
 def transversal_gaussian():
-    return F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), QUAD)
+    return F.transversal_gauge(gaussian_field(), QUAD)
+
+
+def full_quadrature(A, rhos, g):
+    return G._segment_circulation(plain(A), g, QUAD)
+
+
+def flux_plus_gauge(A, rhos, g):
+    """Flux of the field through ``<0, x, y>`` at order 48, plus the lattice differences of rho.
+
+    The transversal gauge's own table is gauge data over a closed form, so
+    its order-16 ray quadrature is another definition, not the oracle.
+    """
+    pts = g.config_points()
+    r = sum(rho(pts) for rho in rhos)
+    flux = F.flux_triangle(gaussian_field(), np.zeros(2), pts[:, None], pts[None],
+                           F.Quadrature(48))
+    return flux + (r[None] - r[:, None])
 
 
 def rel_gap(a, b):
@@ -111,28 +134,31 @@ def test_phase_matrix_exponentiates_in_place():
 
 GAUGE_CASES = {
     "dim1-poly": lambda: (F.polynomial_potential(1, [[(0.2, (3,)), (-0.3, (1,))]]),
-                          [poly_rho(1, [(0.1, (3,)), (0.4, (1,))])], 1, 12),
+                          [poly_rho(1, [(0.1, (3,)), (0.4, (1,))])], 1, 12, full_quadrature),
     "dim2-symmetric": lambda: (F.symmetric_gauge(1.0),
-                               [poly_rho(2, [(0.5, (1, 1)), (0.2, (3, 0))])], 2, 12),
+                               [poly_rho(2, [(0.5, (1, 1)), (0.2, (3, 0))])], 2, 12,
+                               full_quadrature),
     "dim2-transversal-gaussian": lambda: (
         transversal_gaussian(),
-        [poly_rho(2, [(0.03, (2, 1)), (-0.02, (1, 2)), (0.01, (3, 0))])], 2, 12),
+        [poly_rho(2, [(0.03, (2, 1)), (-0.02, (1, 2)), (0.01, (3, 0))])], 2, 12,
+        flux_plus_gauge),
     "dim2-nested": lambda: (transversal_gaussian(),
-                            [poly_rho(2, [(0.5, (1, 1))]), sin_cos_rho()], 2, 10),
+                            [poly_rho(2, [(0.5, (1, 1))]), sin_cos_rho()], 2, 10,
+                            full_quadrature),
     "dim3-poly": lambda: (F.linear_potential([[0.0, -0.5, 0.2], [0.5, 0.0, 0.0], [0.1, 0.3, 0.0]]),
                           [poly_rho(3, [(0.2, (1, 1, 1)), (-0.1, (0, 2, 0))]),
-                           poly_rho(3, [(0.3, (0, 0, 2))])], 3, 4),
+                           poly_rho(3, [(0.3, (0, 0, 2))])], 3, 4, full_quadrature),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GAUGE_CASES))
 def test_gauge_transformed_table_matches_full_quadrature(case):
-    A, rhos, dim, n = GAUGE_CASES[case]()
+    A, rhos, dim, n, oracle = GAUGE_CASES[case]()
     g = G.PhaseSpaceGrid(dim, n, 4.0)
     for rho in rhos:
         A = F.add_gradient(A, rho)
     gamma = G._segment_circulation(A, g, QUAD)
-    assert rel_gap(gamma, G._segment_circulation(plain(A), g, QUAD)) <= 1e-13
+    assert rel_gap(gamma, oracle(A, rhos, g)) <= 1e-13
     assert np.array_equal(gamma, -gamma.T)
     # the point engine agrees with the table
     pts = g.config_points()
