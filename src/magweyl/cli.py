@@ -135,10 +135,12 @@ def gauss_orders(B, gauges, quad) -> dict:
     """Gauss orders the rig's integrals use: requested, circulation per gauge, field flux.
 
     Taken from the rule selection of the integrals themselves, so a report
-    states the orders its numbers were computed with.
+    states the orders its numbers were computed with.  ``circulation_panels``
+    says per gauge on how many panels of each segment that order is applied.
     """
     return {"requested": quad.order,
             "circulation": [fl._exact_rule(quad, A).order for A in gauges],
+            "circulation_panels": [fl._circulation_panels(A) for A in gauges],
             "flux": fl._exact_rule(quad, B).order}
 
 

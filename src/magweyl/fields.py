@@ -132,6 +132,19 @@ def _exact_rule(quad: Quadrature, data) -> Quadrature:
     return quad if order >= quad.order else _rule(order)
 
 
+def _circulation_panels(A) -> int:
+    """Panels of the Gauss rule along each segment in the circulations of ``A``: 1 or 2.
+
+    A closed-form segment integral of a field preset (``_segment``) applies
+    the rule on each half of the segment (``_half_panels``); every other
+    circulation applies it once.  A gauge transform (``add_gradient``, and
+    the transversal gauge over a closed form) integrates its base potential.
+    """
+    while A._gauge is not None:
+        A = A._gauge[0]
+    return 1 if A._segment is None else 2
+
+
 def _exact_order(data) -> int:
     """Fewest Gauss nodes exact for the integrals of ``data`` of declared degree (uncapped)."""
     return (data.degree_hint + isinstance(data, MagneticField)) // 2 + 1
@@ -348,7 +361,8 @@ class VectorPotential:
         # (A, rho) of add_gradient: circulations are those of A plus rho(b) - rho(a);
         # rho None is the transversal gauge over A (see _gauge_values)
         self._gauge = None
-        # closed-form segment integral (start, displacement, quad) -> circulations
+        # closed-form segment integral (start, displacement, quad) -> circulations,
+        # applying quad on each half of the segment (_circulation_panels)
         self._segment = None
         # the segment table memo: ((grid, rule), read-only table) or None
         self._table = None

@@ -24,15 +24,27 @@ on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
 sample tables.  The symbol presets are separable and are given by their
 factors alone (``SymbolEvaluator``), so every quantization route reads the
-same definition.  Per axis, the pairs ``(i, j)`` of one midpoint class
-``s = i + j`` have wrapped differences of one parity, so the class reads
-only n/2 of the n differences.  The map contracts each momentum axis,
-batched over that axis's midpoint index, with those n/2 rows of the inverse
-transform (in place on the sample layout), then gathers every pair once.
+same definition.  Two fills compute the field-free kernel:
+
+* the separable fill (``_separable_kernel``) takes every evaluator with
+  ``factors`` ``sum_r g_r(x) h_r(p)``: the momentum sum touches only
+  ``h_r``, one per-axis inverse transform ``H_r`` per term, so the kernel
+  is ``sum_r g_r((x + y)/2) H_r(x - y)``.  Each ``g_r`` is evaluated once
+  on the midpoint lattice, and row blocks read per axis the midpoint index
+  ``i + j`` and the difference index ``i - j``; no midpoint sample table
+  is made.  The general-tau route uses the same fill at any ordering.
+* the windowed map takes evaluators given only by ``fn`` and midpoint
+  tables, and is the separable fill's test oracle.  Per axis, the pairs
+  ``(i, j)`` of one midpoint class ``s = i + j`` have wrapped differences
+  of one parity, so the class reads only n/2 of the n differences.  The
+  map contracts each momentum axis, batched over that axis's midpoint
+  index, with those n/2 rows of the inverse transform (in place on the
+  sample layout), then gathers every pair once.
 
 ``symbol_from_kernel`` is its mirror: one gather of the pairs of each
 midpoint class into a window of one alias period of differences per axis,
-then one contraction per axis with the window's Fourier phases.  With an
+then one contraction per axis with the window's Fourier phases, batched
+over that axis's midpoint index as in the windowed map.  With an
 even point count the pairs ``(x, y)`` sharing a midpoint supply only half
 the momentum modes (differences step by ``2h``), so the reconstructed table
 holds the alias sum ``f(u, k) + f(u, k -+ n/2 * dp)``: values are faithful
@@ -680,10 +692,66 @@ def difference_mask(grid: PhaseSpaceGrid) -> np.ndarray:
     operator actions on interior states untouched but double-counts traces
     of composed kernels.
     """
-    n = grid.n
-    absdiff = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    axis = np.where(absdiff < n // 2, 1.0, np.where(absdiff == n // 2, 0.5, 0.0))
-    return reduce(np.kron, [axis] * grid.dim)
+    i = np.arange(grid.n)
+    return reduce(np.kron, [_trapezoid(np.subtract.outer(i, i), grid.n)] * grid.dim)
+
+
+def _trapezoid(steps: np.ndarray, n: int) -> np.ndarray:
+    """Per-axis ``difference_mask`` weights of ``steps`` lattice steps (1, 1/2 at n/2, 0 beyond)."""
+    steps = np.abs(steps)
+    return np.where(steps < n // 2, 1.0, np.where(steps == n // 2, 0.5, 0.0))
+
+
+def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar: float,
+                      mask: bool) -> np.ndarray:
+    """Field-free kernel of a symbol with ``factors``, filled in row blocks.
+
+    For ``f = sum_r g_r(x) h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x +
+    tau y) H_r(x - y)`` with ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)``, one
+    per-axis inverse transform per term.  Per axis the pair ``(i, j)`` reads
+    ``H_r`` at the difference index ``i - j + n - 1`` of a ``(2n - 1)^N``
+    table, the transform at the wrapped difference with the trapezoid mask
+    weight of ``i - j`` folded in (all ones for ``mask=False``).  At
+    ``tau = 1/2`` each ``g_r`` is evaluated once on the ``(2n - 1)^N``
+    midpoint lattice and read at the midpoint index ``i + j``; at any other
+    ``tau`` it is evaluated per row block.  The working memory beyond the
+    kernel is one ``_row_blocks`` block.
+    """
+    n, N, size = grid.n, grid.dim, grid.size
+    S = 2 * n - 1
+    steps = np.arange(S) - (n - 1)  # i - j per axis
+    weight = reduce(np.multiply.outer, [_trapezoid(steps, n) if mask else np.ones(S)] * N)
+    wrapped = np.ix_(*[(steps + n // 2) % n] * N)
+    k = hbar * grid.momentum_points()
+    hats = []
+    for _, h in f.factors:
+        hat = _apply_axes(np.broadcast_to(h(k), (size,)).reshape(grid.shape), grid._inv_matrix,
+                          range(N))
+        hats.append((hat[wrapped] * weight).ravel())
+    half = tau == 0.5
+    if half:
+        mids = _lattice_mesh([grid.midpoint_axis] * N)
+        gmid = [np.broadcast_to(g(mids), (S**N,)) for g, _ in f.factors]
+    else:
+        pts = grid.config_points()
+    # flat indices of the (2n - 1)^N tables: F(i) over the lattice points i, so that a
+    # pair reads the midpoint table at F(i) + F(j) and the difference table at
+    # F(i) - F(j) + F(n - 1, ..., n - 1)
+    flat = np.ravel_multi_index(np.indices(grid.shape).reshape(N, size), (S,) * N)
+    kern = np.zeros((size, size), dtype=complex)
+    for r0, r1 in _row_blocks(size):
+        rows = flat[r0:r1, None]
+        diff = rows - flat + flat[-1]
+        if half:
+            mid = rows + flat
+            gvals = [gm[mid] for gm in gmid]
+        else:
+            epts = (1.0 - tau) * pts[r0:r1, None] + tau * pts[None]
+            gvals = [g(epts) for g, _ in f.factors]
+        block = kern[r0:r1]
+        for gv, hat in zip(gvals, hats):
+            block += gv * hat[diff]
+    return kern
 
 
 def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -694,8 +762,10 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     Parameters
     ----------
     f : SymbolEvaluator or midpoint-lattice SymbolGrid
-        Evaluators are sampled exactly at the half-step midpoints; sample
-        tables are used verbatim and must live on ``grid``.
+        Evaluators with ``factors`` take the separable fill, with each
+        ``g_r`` evaluated exactly at the half-step midpoints; evaluators
+        given by ``fn`` are sampled there.  Sample tables are used verbatim
+        and must live on ``grid``.
     A : VectorPotential or None
         Potential whose circulation phases dress the kernel; None means
         the non-magnetic map.
@@ -707,17 +777,33 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         for symbols with little momentum decay (momentum polynomials with
         wide cutoffs), whose kernels have long-range difference tails.
 
-    The momentum axes are transformed one at a time, each batched over its
-    midpoint index, onto the half of the wrapped differences that midpoint
-    class reads (see module notes); one gather then reads every pair.  The
-    non-magnetic kernel equals the magnetic one divided entrywise by the
-    circulation phases, and constant symbols map to the identity kernel
-    exactly.
+    A factored symbol's kernel is filled in row blocks from its factors
+    (``_separable_kernel`` at ``tau = 1/2, hbar = 1``), with one row block
+    of working memory beyond the kernel.  Any other symbol takes the
+    windowed map: the momentum axes are transformed one at a time, each
+    batched over its midpoint index, onto the half of the wrapped
+    differences that midpoint class reads (see module notes), and one
+    gather then reads every pair.  The non-magnetic kernel equals the
+    magnetic one divided entrywise by the circulation phases, and constant
+    symbols map to the identity kernel exactly.
     """
+    if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
+        raise DimensionMismatchError("symbol dimension does not match grid")
+    if isinstance(f, SymbolEvaluator) and f.factors is not None:
+        kern = _separable_kernel(f, grid, 0.5, 1.0, mask)
+    else:
+        kern = _windowed_kernel(f, grid)
+        if mask:
+            kern *= difference_mask(grid)
+    if A is not None:  # phase table first, as in moyal._factor_kernels: the same last bits
+        np.multiply(segment_phase_matrix(A, grid, quad), kern, out=kern)
+    return OperatorKernel(grid, kern)
+
+
+def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The windowed map: field-free, unmasked kernel of an evaluator by ``fn`` or of a table."""
     alias = 1.0  # per momentum axis
     if isinstance(f, SymbolEvaluator):
-        if f.dim != grid.dim:
-            raise DimensionMismatchError("symbol dimension does not match grid")
         vals = f.sample(grid, kind="midpoint").values
     elif isinstance(f, SymbolGrid):
         if f.grid != grid:
@@ -749,13 +835,7 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     axis_shape = [(1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a) for a in range(N)]
     pairs = tuple(ij.reshape(sh) for ij in (i[:, None] + i, ((i[:, None] - i + n // 2) % n) // 2)
                   for sh in axis_shape)
-    kern = vals[pairs].reshape(grid.size, grid.size)
-    del vals  # free the transformed table before the phase table
-    if A is not None:
-        kern = segment_phase_matrix(A, grid, quad) * kern
-    if mask:
-        kern *= difference_mask(grid)
-    return OperatorKernel(grid, kern)
+    return vals[pairs].reshape(grid.size, grid.size)
 
 
 def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
@@ -793,16 +873,25 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     v = (2.0 * first - s) * g.h
     phase = np.where(valid[:, None, :],
                      (2.0 * g.h) * np.exp(-1j * v[:, None, :] * g.momentum_axis[:, None]), 0)
-    # block[s_1, t_1, ..., s_N, t_N] = psi[i_1, ..., i_N, s_1 - i_1, ..., s_N - i_N]
+    # out[s_1, t_1, ..., s_N, t_N] = psi[i_1, ..., i_N, s_1 - i_1, ..., s_N - i_N], read
+    # at flat offsets into psi: a sum of one (s_a, t_a) term per axis
     axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
-    pairs = tuple(ij.reshape(sh) for ij in (first, s - first) for sh in axis_shape)
+    flat = sum((first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(sh)
+               for a, sh in enumerate(axis_shape))
     psi = phi.kernel if A is None else phi.kernel * np.conj(segment_phase_matrix(A, g, quad))
-    out = psi.reshape((n,) * (2 * N))[pairs]
-    del psi  # free the phase-stripped copy before the contractions
-    # one batched contraction per axis: slot t_a -> momentum k_a, batched over s_a
-    for a in range(N):
+    out = psi.ravel()[flat]
+    del psi, flat  # free the phase-stripped copy before the contractions
+    # one batched contraction per axis, slot t_a -> momentum k_a, batched over s_a;
+    # every product is a matrix product.  The axes before the last left-multiply
+    # every later index; the last right-multiplies every earlier index, one strided
+    # row each, by the transposed phases
+    for a in range(N - 1):
         head, tail = out.shape[:2 * a], out.shape[2 * a + 2:]
         out = (phase @ out.reshape(math.prod(head), S, W, -1)).reshape(head + (S, n) + tail)
-    # (s_1, k_1, ..., s_N, k_N) -> configuration axes before momentum axes
-    out = out.transpose(list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2)))
+    rows = (S * n) ** (N - 1)
+    out = out.reshape(rows, S, W).transpose(1, 0, 2) @ phase.transpose(0, 2, 1)
+    # (s_N, s_1, k_1, ..., s_{N-1}, k_{N-1}, k_N) -> configuration axes before momentum axes
+    out = out.reshape((S,) + (S, n) * (N - 1) + (n,))
+    out = out.transpose(list(range(1, 2 * N - 1, 2)) + [0] + list(range(2, 2 * N, 2))
+                        + [2 * N - 1])
     return SymbolGrid(g, "midpoint", out, alias_doubled=True)

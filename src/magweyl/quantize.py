@@ -11,12 +11,15 @@ the irreducibility probe wraps them around the box instead.
 
 Quantization routes:
 
-* closed-form symbols go through the midpoint kernel map (exact sampling)
-  at ``tau = 1/2, hbar = 1``, and through the general-tau route otherwise:
-  symbols with ``factors`` ``sum_r g_r(x) h_r(p)`` in ``O(n^{2N})`` (one
-  transform of each ``h_r`` to the difference variable, then a row-block
-  fill), other evaluators one pass per lattice difference,
-* midpoint-lattice symbol tables go through the same kernel map,
+* symbols with ``factors`` ``sum_r g_r(x) h_r(p)`` (every preset) are
+  quantized in ``O(n^{2N})`` at every ``tau`` and ``hbar`` by one separable
+  fill (``grid._separable_kernel``): one transform of each ``h_r`` to the
+  difference variable, then a row-block fill; at ``tau = 1/2`` each
+  ``g_r`` is read from one evaluation on the midpoint lattice,
+* other closed-form symbols go through the windowed kernel map (exact
+  midpoint sampling) at ``tau = 1/2, hbar = 1``, and one pass per lattice
+  difference otherwise,
+* midpoint-lattice symbol tables go through the windowed kernel map,
 * standard-lattice symbol tables are quantized as the weighted Weyl-system
   sum over the phase-space lattice, with the symplectic-transform integrand
   evaluated at reflected arguments (the discrete counterpart of pairing the
@@ -65,8 +68,8 @@ from .grid import (
     _apply_axes,
     _half_phase,
     _lattice_steps,
-    _row_blocks,
     _segment_circulation,
+    _separable_kernel,
     _shift_index_table,
 )
 
@@ -181,53 +184,33 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     Evaluation points are ``(1 - tau) x + tau y`` (off the midpoint lattice
     in general, which closed-form symbols support directly); the momentum
     sum runs over the hbar-scaled dual lattice so constants still quantize
-    to the identity.  The field-free kernel comes from one of two fills,
-    then both are dressed in place by ``exp(-i Gamma / hbar)`` and the mask:
+    to the identity.  The masked field-free kernel comes from one of two
+    fills, then both are dressed in place by ``exp(-i Gamma / hbar)``:
 
     * an evaluator with ``factors`` ``sum_r g_r(x) h_r(p)`` takes the
-      separable fill: ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)`` is one
-      per-axis inverse transform per term, read at the wrapped difference
-      ``x - y``, and each row block adds ``g_r((1 - tau) x + tau y) H_r(x - y)``;
-      ``n^{2N}`` evaluations of ``g`` and ``n^N`` of ``h`` per term;
+      separable fill of the kernel map (``grid._separable_kernel``), at every
+      ``tau`` and ``hbar``: ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)`` is
+      one per-axis inverse transform per term, read at the wrapped
+      difference ``x - y``, and each row block adds
+      ``g_r((1 - tau) x + tau y) H_r(x - y)``.  At ``tau = 1/2`` each
+      ``g_r`` is evaluated once on the midpoint lattice, at any other
+      ``tau`` ``n^{2N}`` times; ``h_r`` is evaluated ``n^N`` times;
     * any other evaluator takes the per-difference fill (``_per_difference_kernel``).
     """
     if f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
     if f.factors is None:
         kern = _per_difference_kernel(f, grid, tau, hbar, mask)
+        if mask:
+            kern *= difference_mask(grid)
     else:
-        kern = _separable_kernel(f, grid, tau, hbar)
+        kern = _separable_kernel(f, grid, tau, hbar, mask)
     if A is not None:
         phase = -1j * _segment_circulation(A, grid, quad)
         phase /= hbar
         kern *= np.exp(phase, out=phase)
         del phase
-    if mask:
-        kern *= difference_mask(grid)
     return OperatorKernel(grid, kern)
-
-
-def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau, hbar) -> np.ndarray:
-    """Field-free general-tau kernel of a symbol with factors, filled in row blocks."""
-    g = grid
-    n, N = g.n, g.dim
-    pts = g.config_points()
-    scaled_k = hbar * g.momentum_points()
-    hats = [_apply_axes(np.broadcast_to(h(scaled_k), (g.size,)).reshape(g.shape), g._inv_matrix,
-                        range(N)) for _, h in f.factors]
-    # per axis, the inverse-transform index of the wrapped difference x - y:
-    # block rows (leading axis) against every column (one axis each)
-    i = np.arange(n)
-    cols = [i.reshape((1,) * (a + 1) + (n,) + (1,) * (N - 1 - a)) for a in range(N)]
-    kern = np.zeros((g.size, g.size), dtype=complex)
-    for r0, r1 in _row_blocks(g.size):
-        rows = np.unravel_index(np.arange(r0, r1), g.shape)
-        diff = tuple((r.reshape((-1,) + (1,) * N) - c + n // 2) % n for r, c in zip(rows, cols))
-        epts = (1.0 - tau) * pts[r0:r1, None] + tau * pts[None]
-        block = kern[r0:r1]
-        for (gfn, _), hat in zip(f.factors, hats):
-            block += gfn(epts) * hat[diff].reshape(r1 - r0, g.size)
-    return kern
 
 
 def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau, hbar,

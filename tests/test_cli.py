@@ -35,7 +35,8 @@ def test_verify_default_config_passes(tmp_path):
     assert [i["name"] for i in report["items"]] == list(verify.TOLERANCES)
     assert len(verify.TOLERANCES) == 14
     # constant field, two linear gauges: one Gauss node for every integral
-    assert report["gauss_orders"] == {"requested": 16, "circulation": [1, 1], "flux": 1}
+    assert report["gauss_orders"] == {"requested": 16, "circulation": [1, 1],
+                                       "circulation_panels": [1, 1], "flux": 1}
 
 
 def test_verify_is_deterministic(tmp_path):
@@ -324,13 +325,14 @@ def test_compare_coupling_high_degree_exits_2(tmp_path):
       "gauges": [{"kind": "polynomial", "dim": 2,
                   "components": [[], [{"coeff": 1.0, "powers": [2, 0]}]]}],
       "symbol": {"kind": "momentum_polynomial", "terms": [{"coeff": 1.0, "powers": [2, 0]}]}},
-     {"requested": 12, "circulation": [2], "flux": 2}),
-    # a Gaussian field has no degree: it and its transversal gauge keep the requested order
+     {"requested": 12, "circulation": [2], "circulation_panels": [1], "flux": 2}),
+    # a Gaussian field has no degree: it and its transversal gauge keep the requested
+    # order; the gauge's closed form applies it on both halves of each segment
     ("spectrum", "spectrum.json",
      {"grid": {"dim": 2, "n": 4, "L": 3.0},
       "field": {"kind": "gaussian", "dim": 2, "amplitude": 1.0, "width": 1.6},
       "gauges": [{"kind": "transversal"}], "symbol": {"kind": "kinetic"}},
-     {"requested": 16, "circulation": [16], "flux": 16}),
+     {"requested": 16, "circulation": [16], "circulation_panels": [2], "flux": 16}),
 ])
 def test_reports_record_gauss_orders(tmp_path, command, report, overrides, orders):
     cfgfile = tmp_path / "cfg.json"

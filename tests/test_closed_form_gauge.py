@@ -103,6 +103,20 @@ def test_point_values_stay_the_ray_integral():
                           F.transversal_gauge(eval_only(B), QUAD)(x))
 
 
+def test_circulation_panels_follow_the_closed_form():
+    # the centred gauge applies the rule on both halves of a segment; so do the
+    # transversal gauge over it and a gauge transform of that
+    B = F.gaussian_field_2d(1.1, 1.9, (0.5, 0.2))
+    At = F.transversal_gauge(B, QUAD)
+    rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.5, (1, 1))]]))
+    for A in (B._potential, At, F.add_gradient(At, rho)):
+        assert F._circulation_panels(A) == 2
+    for A in (F.transversal_gauge(eval_only(B), QUAD), F.symmetric_gauge(1.0),
+              F.transversal_gauge(F.linear_field_2d(0.8, [0.3, -0.5]), QUAD),
+              F.add_gradient(F.symmetric_gauge(1.0), rho)):
+        assert F._circulation_panels(A) == 1
+
+
 # ---------------------------------------------------------------------------
 # polynomial presets carry their transversal PolynomialMap
 

@@ -353,23 +353,27 @@ def reference_kernel_from_symbol(f, lam, g, masked, rows):
     return lam[rows] * out
 
 
-@pytest.mark.parametrize("source", ["evaluator", "alias_table"])
+@pytest.mark.parametrize("source", ["evaluator", "unfactored", "alias_table"])
 @pytest.mark.parametrize("masked", [True, False])
 @pytest.mark.parametrize("magnetic", [False, True])
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 6), (1, 8), (2, 2), (2, 6), (2, 8),
                                    (3, 2), (3, 6), (3, 8)])
 def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, source):
-    # n = 6 has an odd n/2; from dim 2 on the alias table is a non-contiguous view
+    # n = 6 has an odd n/2; from dim 2 on the alias table is a non-contiguous view.
+    # The factored evaluator takes the separable fill; the same function given by
+    # `fn` and the alias table take the windowed map
     g = G.PhaseSpaceGrid(dim, n, 3.0)
     A = magnetic_potential(dim, 1.3) if magnetic else None
     rng = np.random.default_rng(10 * dim + n)
-    if source == "evaluator":
-        f = G.gaussian_symbol(dim, x_center=[0.4] * dim, p_center=[-0.3] * dim,
-                              x_width=0.9, p_width=1.1, amplitude=1.0 - 0.5j)
-    else:
+    if source == "alias_table":
         k = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
         f = G.symbol_from_kernel(G.OperatorKernel(g, k), None, QUAD)
         assert f.alias_doubled and (dim == 1 or not f.values.flags.c_contiguous)
+    else:
+        f = G.gaussian_symbol(dim, x_center=[0.4] * dim, p_center=[-0.3] * dim,
+                              x_width=0.9, p_width=1.1, amplitude=1.0 - 0.5j)
+        if source == "unfactored":
+            f = G.SymbolEvaluator(dim, f.fn)
     # every row up to 64 lattice points, else 16 of them
     rows = np.arange(g.size) if g.size <= 64 else np.sort(rng.choice(g.size, 16, replace=False))
     ref = reference_kernel_from_symbol(f, G.segment_phase_matrix(A, g, QUAD), g, masked, rows)
@@ -378,10 +382,10 @@ def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, sou
 
 
 def test_kernel_from_symbol_memory_peak(traced_peak):
-    # the 62 MB sample table and the half-width first transform fit under the
-    # bound; one more copy of the table does not
+    # the windowed map of a symbol given by `fn`: the 62 MB sample table and the
+    # half-width first transform fit under the bound; one more copy of the table does not
     g = G.PhaseSpaceGrid(2, 32, 6.0)
-    f = G.gaussian_symbol(2, x_width=0.9, p_width=1.1)
+    f = G.SymbolEvaluator(2, G.gaussian_symbol(2, x_width=0.9, p_width=1.1).fn)
     assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD)) <= 150 * 2**20
 
 

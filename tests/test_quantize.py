@@ -234,10 +234,12 @@ def test_adjoint_identity_property(dim, half_n, tau, hbar, b, seed):
 
 
 def test_quantize_general_route_matches_kernel_route_at_defaults():
+    # a factored symbol takes the separable fill on both routes: compare with the
+    # windowed map of the same function given by `fn`
     g = G.PhaseSpaceGrid(1, 16, 6.0)
     A = F.polynomial_potential(1, [[(0.4, (2,))]])
     f = G.gaussian_symbol(1, x_width=0.8, p_width=0.9)
-    k_fast = Q.op_quantize(f, A, g)
+    k_fast = G.kernel_from_symbol(unfactored(f), A, g, QUAD)
     k_gen = Q._kernel_route_general(f, A, g, QUAD, tau=0.5, hbar=1.0)
     assert np.abs(k_fast.kernel - k_gen.kernel).max() < 1e-11 * np.abs(k_fast.kernel).max()
 
@@ -246,7 +248,8 @@ def test_quantize_general_route_matches_kernel_route_at_defaults():
 # separable symbols: the factored general-tau route against the per-difference route
 
 def unfactored(f):
-    """The same symbol without its factors: quantized by the per-difference route."""
+    """The same symbol without its factors: the windowed map at tau = 1/2, hbar = 1, the
+    per-difference route elsewhere."""
     return G.SymbolEvaluator(f.dim, f.fn)
 
 
@@ -345,16 +348,30 @@ def test_adding_symbols_of_different_dimensions_is_refused():
         unfactored(G.constant_symbol(1)) + G.x_only_symbol(3, lambda x: x[..., 0])
 
 
+def potentials(dim):
+    """None, a polynomial potential of a nonconstant field in dim > 1 (A_a = (0.3 + 0.1 a)
+    x_{a+1} + 0.2 x_1^2, indices mod dim), and in 2-D the transversal gauge of a
+    Gaussian field and a gauge transform of it."""
+    out = {"none": None, "polynomial": F.polynomial_potential(dim, [
+        [(0.3 + 0.1 * a, tuple(int(j == (a + 1) % dim) for j in range(dim))),
+         (0.2, (2,) + (0,) * (dim - 1))] for a in range(dim)])}
+    if dim == 2:
+        At = F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), QUAD)
+        rho = F.ScalarPotential(
+            2, lambda x: 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1]),
+            lambda x: 0.3 * np.stack([np.cos(x[..., 0]) * np.cos(x[..., 1]),
+                                      -np.sin(x[..., 0]) * np.sin(x[..., 1])], axis=-1))
+        out.update(transversal=At, gradient=F.add_gradient(At, rho))
+    return out
+
+
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
 def test_separable_route_matches_per_difference_route(dim, n):
     # every ordering, both Planck constants, both masks, with and without a potential
     g = G.PhaseSpaceGrid(dim, n, 3.0)
     syms = preset_symbols(dim)
     f = syms["gaussian"] + 0.7j * syms["cutoff_polynomial"] + syms["x_only"]
-    # A_a = (0.3 + 0.1 a) x_{a+1} + 0.2 x_1^2 (indices mod dim): a nonconstant field in dim > 1
-    A = F.polynomial_potential(dim, [
-        [(0.3 + 0.1 * a, tuple(int(j == (a + 1) % dim) for j in range(dim))),
-         (0.2, (2,) + (0,) * (dim - 1))] for a in range(dim)])
+    A = potentials(dim)["polynomial"]
     for tau, hbar, mask, A in itertools.product([0.0, 0.3, 0.5, 0.75, 1.0], [1.0, 0.7],
                                                 [True, False], [None, A]):
         fast = Q._kernel_route_general(f, A, g, QUAD, tau, hbar, mask).kernel
@@ -382,6 +399,34 @@ def test_separable_route_property(dim, half_n, tau, hbar, mask, b, seed):
     fast = Q.op_quantize(f, A, g, params, QUAD, mask=mask).kernel
     ref = Q.op_quantize(unfactored(f), A, g, params, QUAD, mask=mask).kernel
     assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mask", [True, False])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 6), (1, 8), (2, 2), (2, 6), (2, 8),
+                                   (3, 2), (3, 6), (3, 8)])
+def test_kernel_map_separable_fill_matches_windowed_map(dim, n, mask):
+    # at tau = 1/2 a factored symbol takes the separable fill, the same function
+    # given by `fn` the windowed map; n = 6 has an odd n/2
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    syms = preset_symbols(dim)
+    syms["sum"] = syms["gaussian"] + 0.7j * syms["cutoff_polynomial"] + syms["x_only"]
+    for (name, f), (gauge, A) in itertools.product(syms.items(),
+                                                   potentials(dim).items()):
+        fast = G.kernel_from_symbol(f, A, g, QUAD, mask=mask).kernel
+        ref = G.kernel_from_symbol(unfactored(f), A, g, QUAD, mask=mask).kernel
+        assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max(), (name, gauge)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "kinetic"])
+def test_kernel_map_separable_fill_memory_peak(traced_peak, kind):
+    # dim 2, n=32: the 16 MiB kernel and one row block; no midpoint sample table
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    if kind == "gaussian":
+        f, mask = G.gaussian_symbol(2, x_width=0.9, p_width=1.1), True
+    else:  # the kinetic preset of the CLI, unmasked as there
+        f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(30.0)
+        mask = False
+    assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD, mask=mask)) <= 24 * 2**20
 
 
 def test_separable_route_memory_peak(traced_peak):
