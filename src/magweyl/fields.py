@@ -347,8 +347,10 @@ class VectorPotential:
     agrees with one more node on probe segments, else InputError.
 
     A potential is a value: its lattice segment table is memoized on it
-    (``grid._segment_circulation``), so what `eval` reads must not change
-    after a table is built.
+    (``grid._segment_circulation``), and beside it the table's phases
+    ``exp(-i Gamma)`` (``grid.segment_phase_matrix``), keyed by the identity
+    of that table, so what `eval` reads must not change after a table is
+    built.
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
@@ -366,6 +368,8 @@ class VectorPotential:
         self._segment = None
         # the segment table memo: ((grid, rule), read-only table) or None
         self._table = None
+        # its phases: (the table they exponentiate, read-only exp(-i table)) or None
+        self._phase = None
         if _validate:
             self._validate()
 

@@ -368,9 +368,17 @@ class OperatorKernel:
         return complex(self.grid.config_weight * np.trace(self.kernel))
 
     def hermiticity_defect(self) -> float:
-        d = np.abs(self.kernel - self.kernel.conj().T).max()
-        scale = max(np.abs(self.kernel).max(), 1.0)
-        return float(d / scale)
+        """Largest entry of ``|K - K^H|`` over the largest of ``|K|`` (at least 1).
+
+        Computed in ``_row_blocks``: one block of rows against the matching
+        block of columns at a time, with no kernel-sized temporary.
+        """
+        d = scale = 0.0
+        for r0, r1 in _row_blocks(len(self.kernel)):
+            rows = self.kernel[r0:r1]
+            d = np.maximum(d, np.abs(rows - self.kernel[:, r0:r1].conj().T).max())
+            scale = np.maximum(scale, np.abs(rows).max())  # both keep a NaN, as one max does
+        return float(d / max(scale, 1.0))
 
     def to_csv(self, path) -> None:
         """Write the kernel matrix as CSV (re/im pairs, row-major lattice order)."""
@@ -380,12 +388,17 @@ class OperatorKernel:
         _write_csv(path, [self.kernel.real, self.kernel.imag], header)
 
     def eigenvalues(self, hermitian_tol: float = 1e-8) -> np.ndarray:
-        """Sorted real spectrum of the (Hermitian) operator matrix."""
+        """Sorted real spectrum of the (Hermitian) operator matrix.
+
+        The stored kernel is diagonalized and its spectrum scaled by the
+        positive weight ``h^N``, so no weighted copy (``operator_matrix``) is
+        made.  Exact when ``h^N`` is a power of two, else to roundoff.
+        """
         from .errors import NumericError
 
         if self.hermiticity_defect() > hermitian_tol:
             raise NumericError("operator is not Hermitian within tolerance")
-        return np.linalg.eigvalsh(self.operator_matrix)
+        return self.grid.config_weight * np.linalg.eigvalsh(self.kernel)
 
     def __sub__(self, other: "OperatorKernel") -> "OperatorKernel":
         return OperatorKernel(self.grid, self.kernel - other.kernel)
@@ -428,7 +441,8 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
 
     The table is memoized on the potential: one read-only entry for the last
     ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
-    replaces.  Callers take it by value and never write into it.
+    replaces, together with the phases ``segment_phase_matrix`` keeps beside
+    it.  Callers take it by value and never write into it.
     """
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
@@ -451,7 +465,7 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
             gamma[r0:r1, r1:] = right
             gamma[r1:, r0:r1] = -right.T
     gamma.flags.writeable = False
-    A._table = (key, gamma)
+    A._table, A._phase = (key, gamma), None  # a new table drops the phases of the old one
     return gamma
 
 
@@ -459,13 +473,23 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
                          quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
     """Circulation phases ``exp(-i Gamma^A([x, y]))`` for all lattice pairs.
 
-    The one complex allocation is the result, exponentiated in place (the
-    circulation table is read-only, see ``_segment_circulation``).
+    Returns the read-only table memoized on the potential beside its
+    circulation table (``_segment_circulation``), keyed by the identity of
+    that table: it is exponentiated once per circulation table, in place in
+    its one complex allocation, and replaced whenever that table is.  Callers
+    take it by value and never write into it.  ``A`` None gives a new,
+    writable table of ones.
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
-    out = np.multiply(_segment_circulation(A, grid, quad), -1j)
-    return np.exp(out, out=out)
+    gamma = _segment_circulation(A, grid, quad)
+    memo = A._phase  # read once: a concurrent new table may drop the slot
+    if memo is None or memo[0] is not gamma:
+        lam = np.multiply(gamma, -1j)
+        np.exp(lam, out=lam)
+        lam.flags.writeable = False
+        memo = A._phase = (gamma, lam)
+    return memo[1]
 
 
 # ---------------------------------------------------------------------------

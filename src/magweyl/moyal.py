@@ -12,6 +12,20 @@ than a quadrature statement.  The product depends on the potential only
 through its field: any two potentials with the same differential give the
 same symbol samples to quadrature accuracy.
 
+The product composes only the band of the kernel that the inverse map
+reads.  Two facts make this exact:
+
+* the factor kernels are masked (``kernel_from_symbol`` with ``mask=True``),
+  so each is exactly 0 at every pair more than n/2 lattice steps apart on
+  some axis, and a sum over the middle point runs over the band of the row;
+* ``symbol_from_kernel`` reads only the pairs at most n/2 steps apart on
+  every axis.
+
+So each row block of the first lattice axis is multiplied only against the
+columns within n/2 first-axis steps of it (``_band_compose``); the entries
+outside stay 0 and are never read.  ``product_kernel`` returns a kernel and
+composes the full matrices.
+
 A direct evaluation of the defining double phase-space integral -- the
 oscillatory integral with the triangle-flux phase -- is kept as an
 independent oracle for probing single phase-space points; it never feeds
@@ -41,6 +55,7 @@ from .grid import (
     kernel_compose,
     segment_phase_matrix,
     _lattice_mesh,
+    _row_blocks,
 )
 
 __all__ = [
@@ -78,10 +93,32 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     if check_gauge:
         validate_gauge(A, B)
     kf, kg, lam = _factor_kernels(f, g, A, grid, quad)
-    composed = kernel_compose(kf, kg).kernel
-    if lam is not None:  # the same table strips the phase for the inverse map
-        composed = composed * np.conj(lam)
+    composed = _band_compose(kf.kernel, kg.kernel, lam, grid)
+    del kf, kg  # free the factors before the inverse map
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
+
+
+def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,
+                  grid: PhaseSpaceGrid) -> np.ndarray:
+    """``w kf @ kg * conj(lam)`` on the pairs ``symbol_from_kernel`` reads; 0 off the band.
+
+    ``kf`` and ``kg`` are masked kernels (see module notes).  The rows of the
+    ``_row_blocks`` block ``[a0, a1)`` of the first lattice axis reach, in
+    both the middle point and the column, only first-axis indices in
+    ``[a0 - n/2, a1 + n/2)``, so the block is ``w kf[rows, band] @ kg[band,
+    band]``, its phase stripped by the same table (None: no phase).
+    """
+    n, w = grid.n, grid.config_weight
+    stride = grid.size // n  # rows per index of the first lattice axis
+    out = np.zeros_like(kf)
+    for a0, a1 in _row_blocks(n):
+        rows = slice(a0 * stride, a1 * stride)
+        band = slice(max(a0 - n // 2, 0) * stride, min(a1 + n // 2, n) * stride)
+        block = w * (kf[rows, band] @ kg[band, band])
+        if lam is not None:
+            block *= np.conj(lam[rows, band])
+        out[rows, band] = block
+    return out
 
 
 def product_kernel(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid,

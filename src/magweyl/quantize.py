@@ -185,7 +185,8 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
     in general, which closed-form symbols support directly); the momentum
     sum runs over the hbar-scaled dual lattice so constants still quantize
     to the identity.  The masked field-free kernel comes from one of two
-    fills, then both are dressed in place by ``exp(-i Gamma / hbar)``:
+    fills, then both are dressed in place by ``exp(-i Gamma / hbar)``, at
+    ``hbar = 1`` the potential's memoized ``segment_phase_matrix``:
 
     * an evaluator with ``factors`` ``sum_r g_r(x) h_r(p)`` takes the
       separable fill of the kernel map (``grid._separable_kernel``), at every
@@ -205,7 +206,9 @@ def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
             kern *= difference_mask(grid)
     else:
         kern = _separable_kernel(f, grid, tau, hbar, mask)
-    if A is not None:
+    if A is not None and hbar == 1.0:  # the memoized phases, bit for bit those below
+        kern *= segment_phase_matrix(A, grid, quad)
+    elif A is not None:
         phase = -1j * _segment_circulation(A, grid, quad)
         phase /= hbar
         kern *= np.exp(phase, out=phase)

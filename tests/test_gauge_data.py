@@ -4,8 +4,11 @@
 ``Gamma^A([a, b]) + rho(b) - rho(a)`` in the point engine, and its lattice
 segment table is the base table plus the lattice differences of ``rho``.
 The table of every potential is memoized on it as one read-only entry per
-``(grid, rule)``.  These tests pin the memo (identity, read-only, replaced by
-another grid or rule, bit-identical to a fresh table), the gauge-transformed
+``(grid, rule)``, and beside it the read-only phases ``exp(-i Gamma)`` of that
+table.  These tests pin the memo (identity, read-only, replaced by another
+grid or rule, bit-identical to a fresh table), the phase slot (the same
+array again, replaced with its table, bit for bit ``exp(-i Gamma)``, read by
+the general-tau route at hbar = 1 only), the gauge-transformed
 table against the full quadrature of the same evaluator, the quantization
 against ``gauge_conjugate``, the finiteness check on ``rho`` in both engines,
 and the exact ``rho`` part for a non-polynomial gauge function.  The
@@ -127,6 +130,68 @@ def test_phase_matrix_exponentiates_in_place():
     assert np.array_equal(lam, np.exp(-1j * gamma))
     # the 16 MiB result is the one allocation; out of place needs about 32
     assert peak <= 17 * 2**20
+
+
+def test_second_phase_call_returns_the_same_read_only_table():
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    A = F.symmetric_gauge(1.0)
+    lam = G.segment_phase_matrix(A, g, QUAD)
+    assert G.segment_phase_matrix(A, g, QUAD) is lam
+    assert A._phase[0] is A._table[1] and A._phase[1] is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0, 1] = 1.0
+    # no potential: a new table of ones each call, which callers may write
+    ones = G.segment_phase_matrix(None, g, QUAD)
+    assert ones.flags.writeable and ones is not G.segment_phase_matrix(None, g, QUAD)
+
+
+def test_another_grid_or_rule_replaces_the_phases_with_the_table():
+    g, g2 = G.PhaseSpaceGrid(2, 8, 4.0), G.PhaseSpaceGrid(2, 6, 4.0)
+    A = transversal_gaussian()
+    first = G.segment_phase_matrix(A, g, QUAD)
+    # a new circulation table drops the phases of the old one at once
+    G._segment_circulation(A, g2, QUAD)
+    assert A._phase is None
+    other = G.segment_phase_matrix(A, g2, QUAD)
+    assert A._phase[0] is A._table[1] and other.shape == (36, 36)
+    again = G.segment_phase_matrix(A, g, QUAD)
+    assert again is not first and np.array_equal(again, first)
+    coarse = G.segment_phase_matrix(A, g, F.Quadrature(12))
+    assert A._table[0] == (g, F.Quadrature(12)) and A._phase[0] is A._table[1]
+    assert A._phase[1] is coarse and not np.array_equal(coarse, first)
+
+
+@pytest.mark.parametrize("make", [
+    transversal_gaussian,
+    lambda: F.add_gradient(transversal_gaussian(), sin_cos_rho()),
+    lambda: F.add_gradient(F.symmetric_gauge(1.0), poly_rho(2, [(0.5, (1, 1))])),
+], ids=["transversal_gaussian", "gauge_transformed", "symmetric_plus_gradient"])
+def test_memoized_phases_are_the_exponentiated_table(make):
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    A = make()
+    lam = G.segment_phase_matrix(A, g, QUAD)
+    assert np.array_equal(lam, np.exp(-1j * G._segment_circulation(A, g, QUAD)))
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.3])
+def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
+                          amplitude=1.0 + 0.5j)
+    A = transversal_gaussian()
+    kern = Q._kernel_route_general(f, A, g, QUAD, tau, 1.0).kernel
+    assert A._phase is not None
+    # the expression the route evaluated before the memo, bit for bit
+    old = G._separable_kernel(f, g, tau, 1.0, True)
+    phase = -1j * G._segment_circulation(A, g, QUAD)
+    phase /= 1.0
+    old *= np.exp(phase, out=phase)
+    assert np.array_equal(kern, old)
+    # at hbar != 1 the route exponentiates Gamma / hbar itself
+    A = transversal_gaussian()
+    Q._kernel_route_general(f, A, g, QUAD, tau, 0.7)
+    assert A._table is not None and A._phase is None
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,21 @@ def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, sou
     assert np.abs(kern - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_hermiticity_defect_and_spectrum_match_the_full_matrix_forms():
+    # the row-block defect is the same float as the one-shot expression, and
+    # the scaled spectrum is that of the weighted operator matrix to roundoff
+    g = G.PhaseSpaceGrid(2, 6, 4.0)
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    for kern in (3.0 * m, 0.1 * m):  # scale above and below the floor 1
+        K = G.OperatorKernel(g, kern)
+        full = np.abs(kern - kern.conj().T).max() / max(np.abs(kern).max(), 1.0)
+        assert K.hermiticity_defect() == float(full)
+    H = G.OperatorKernel(g, m + m.conj().T)
+    ref = np.linalg.eigvalsh(H.operator_matrix)
+    assert np.abs(H.eigenvalues() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_kernel_from_symbol_memory_peak(traced_peak):
     # the windowed map of a symbol given by `fn`: the 62 MB sample table and the
     # half-width first transform fit under the bound; one more copy of the table does not

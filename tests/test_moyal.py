@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,75 @@ def test_product_uses_one_phase_table(monkeypatch, gauge):
     kernel = M.product_kernel(f, h, A, g, QUAD)
     assert tables == [A]
     assert np.array_equal(kernel.kernel, ref_kernel.kernel)
+
+
+# ---------------------------------------------------------------------------
+# the band product: only the pairs the inverse map reads are composed
+
+def band_rig(dim):
+    """A field and a potential of it with nonzero circulations, in ``dim`` dimensions."""
+    if dim == 1:
+        return F.zero_field(1), F.polynomial_potential(1, [[(0.4, (2,)), (-0.2, (1,))]])
+    if dim == 2:
+        return F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
+    m = np.array([[0.0, -0.5, 0.2], [0.5, 0.0, 0.0], [0.1, 0.3, 0.0]])
+    return F.constant_field(3, m.T - m), F.linear_potential(m)
+
+
+def band_symbols(dim):
+    """A factored symbol (separable fill) and one given by `fn` alone (windowed map)."""
+    f = G.gaussian_symbol(dim, x_center=[0.2] * dim, x_width=0.9, p_width=0.8,
+                          amplitude=1.0 + 0.5j)
+    h = G.gaussian_symbol(dim, x_center=[-0.1] * dim, p_center=[0.1] * dim, x_width=1.1,
+                          p_width=0.9)
+    return f, G.SymbolEvaluator(dim, h.fn)
+
+
+def read_pairs(g):
+    """The pairs ``symbol_from_kernel`` reads: at most n/2 lattice steps apart on every axis."""
+    i = np.arange(g.n)
+    near = (np.abs(np.subtract.outer(i, i)) <= g.n // 2).astype(float)
+    return reduce(np.kron, [near] * g.dim) > 0
+
+
+@pytest.mark.parametrize("n", [2, 6, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_band_product_matches_full_composition_on_read_pairs(dim, n):
+    g = G.PhaseSpaceGrid(dim, n, 4.0)
+    _, A = band_rig(dim)
+    f, h = band_symbols(dim)
+    read = read_pairs(g)
+    for potential in (A, None):
+        kf, kg, lam = M._factor_kernels(f, h, potential, g, QUAD)
+        full = G.kernel_compose(kf, kg).kernel
+        if lam is not None:
+            full = full * np.conj(lam)
+        band = M._band_compose(kf.kernel, kg.kernel, lam, g)
+        assert np.abs(band - full)[read].max() <= 1e-14 * np.abs(full[read]).max()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (3, 6)])
+def test_band_product_matches_symbol_of_composed_kernel(dim, n):
+    # dim 2 is pinned by test_product_uses_one_phase_table
+    g = G.PhaseSpaceGrid(dim, n, 4.0)
+    B, A = band_rig(dim)
+    f, h = band_symbols(dim)
+    ref = G.symbol_from_kernel(M.product_kernel(f, h, A, g, QUAD), A, QUAD).values
+    out = M.moyal_product(f, h, B, A, g, QUAD).values
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_product_memory_peak(traced_peak):
+    # dim 2, n=32 (a kernel is 16 MiB), on a warm rig whose phases are memoized:
+    # the band product, then the 62 MiB output and the inverse map's temporaries.
+    # The factor kernels are freed before the inverse map; kept, they read 159.5 MiB
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    B, A = F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9)
+    h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.1,
+                          p_width=0.9)
+    G.segment_phase_matrix(A, g, QUAD)
+    assert traced_peak(lambda: M.moyal_product(f, h, B, A, g, QUAD)) <= 120 * 2**20
 
 
 def test_product_associative_on_lattice():

@@ -429,6 +429,17 @@ def test_kernel_map_separable_fill_memory_peak(traced_peak, kind):
     assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD, mask=mask)) <= 24 * 2**20
 
 
+@pytest.mark.parametrize("method", ["hermiticity_defect", "eigenvalues"])
+def test_spectrum_checks_memory_peak(traced_peak, method):
+    # dim 2, n=32: the kinetic kernel of the CLI is 16 MiB; the Hermiticity
+    # check works in row blocks and the eigen-solve scales the spectrum, not a
+    # weighted copy of the kernel (each made 32 MiB of temporaries)
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(30.0)
+    K = Q.op_quantize(f, F.symmetric_gauge(1.0), g, quad=QUAD, mask=False)
+    assert traced_peak(getattr(K, method)) <= 4 * 2**20
+
+
 def test_separable_route_memory_peak(traced_peak):
     # dim 2, n=32: a kernel is 16 MiB; the route keeps the kernel, the segment
     # circulations and their phase, and row-block temporaries: at most 4 kernels
