@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
                    _lattice_mesh, _ones, _row_blocks)
@@ -161,14 +161,16 @@ def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     ``p_j - A_j(x)``, and degree <= 2 polynomials agree with the naive
     substitution for every potential.
     """
+    if not isinstance(f, (PolynomialSymbol, SymbolEvaluator)):
+        raise InputError("unsupported symbol type %r" % type(f))
+    if f.dim != grid.dim:
+        raise DimensionMismatchError("symbol dimension does not match grid")
     if isinstance(f, PolynomialSymbol):
         if f.degree <= 3:
             return SymbolGrid(grid, kind, _poly_values(f, A, grid, kind, correction=True))
         warnings.warn("degree > 3 has no closed form; falling back to the transform route",
                       stacklevel=2)
         f = f.with_momentum_cutoff(scale=1e6)
-    if not isinstance(f, SymbolEvaluator):
-        raise InputError("unsupported symbol type %r" % type(f))
     return SymbolGrid(grid, kind, _transform_route(f, A, grid, quad, kind))
 
 
@@ -176,6 +178,8 @@ def minimal_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
                      kind: str = "standard") -> SymbolGrid:
     """Naive substitution ``(x, p) -> f(x, p - A(x))`` on the lattice."""
     if isinstance(f, PolynomialSymbol):
+        if f.dim != grid.dim:  # an evaluator's dimension is checked by its sample
+            raise DimensionMismatchError("symbol dimension does not match grid")
         return SymbolGrid(grid, kind, _poly_values(f, A, grid, kind, correction=False))
     if not isinstance(f, SymbolEvaluator):
         raise InputError("unsupported symbol type %r" % type(f))

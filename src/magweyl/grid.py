@@ -24,22 +24,36 @@ on the half-step lattice, so symbols enter either as closed-form
 evaluators (sampled exactly, no interpolation) or as half-step-lattice
 sample tables.  The symbol presets are separable and are given by their
 factors alone (``SymbolEvaluator``), so every quantization route reads the
-same definition.  Two fills compute the field-free kernel:
+same definition.
 
-* the separable fill (``_separable_kernel``) takes every evaluator with
-  ``factors`` ``sum_r g_r(x) h_r(p)``: the momentum sum touches only
-  ``h_r``, one per-axis inverse transform ``H_r`` per term, so the kernel
-  is ``sum_r g_r((x + y)/2) H_r(x - y)``.  Each ``g_r`` is evaluated once
-  on the midpoint lattice, and row blocks read per axis the midpoint index
-  ``i + j`` and the difference index ``i - j``; no midpoint sample table
-  is made.  The general-tau route uses the same fill at any ordering.
-* the windowed map takes evaluators given only by ``fn`` and midpoint
-  tables, and is the separable fill's test oracle.  Per axis, the pairs
-  ``(i, j)`` of one midpoint class ``s = i + j`` have wrapped differences
-  of one parity, so the class reads only n/2 of the n differences.  The
-  map contracts each momentum axis, batched over that axis's midpoint
-  index, with those n/2 rows of the inverse transform (in place on the
-  sample layout), then gathers every pair once.
+At ordering ``tau`` and Planck constant ``hbar`` (``quantize.op_quantize``)
+the symbol is read at ``((1 - tau) x + tau y, hbar k)`` and the phase is
+``exp(-i Gamma / hbar)``; ``kernel_from_symbol`` is ``tau = 1/2, hbar = 1``.
+Both call ``_quantized_kernel``, the one place that picks the fill of the
+field-free kernel, multiplies the ``difference_mask`` into the fills that do
+not fold it in, and dresses the kernel with the phases, table first:
+
+===========================  ===================  =================
+symbol                       tau = 1/2, hbar = 1  other tau or hbar
+===========================  ===================  =================
+evaluator with ``factors``   separable            separable
+evaluator given by ``fn``    windowed             per-difference
+midpoint ``SymbolGrid``      windowed             refused
+===========================  ===================  =================
+
+* the separable fill (``_separable_kernel``): for ``f = sum_r g_r(x)
+  h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x + tau y) H_r(x - y)``,
+  one per-axis inverse transform ``H_r`` of each ``h_r`` (mask folded in),
+  filled in row blocks.  At ``tau = 1/2`` each ``g_r`` is evaluated once on
+  the midpoint lattice and read per axis at the midpoint index ``i + j``.
+* the windowed map (``_windowed_kernel``), the separable fill's test
+  oracle.  Per axis, the pairs ``(i, j)`` of one midpoint class ``s = i + j``
+  have wrapped differences of one parity, so the class reads only n/2 of
+  the n differences.  The map contracts each momentum axis, batched over
+  that axis's midpoint index, with those n/2 rows of the inverse transform
+  (in place on the sample layout), then gathers every pair once.
+* the per-difference fill (``_per_difference_kernel``): one matrix-vector
+  product per lattice difference, about ``n^{3N}`` symbol evaluations.
 
 ``symbol_from_kernel`` is its mirror: one gather of the pairs of each
 midpoint class into a window of one alias period of differences per axis,
@@ -64,6 +78,7 @@ the one-period convention the pairings rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -258,9 +273,13 @@ class WaveFunction:
 
     def inner(self, other: "WaveFunction") -> complex:
         """L2 pairing <self, other>, antilinear in self."""
+        if other.grid != self.grid:
+            raise DimensionMismatchError("wave functions live on different grids")
         return complex(self.grid.config_weight * np.vdot(self.values, other.values))
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
+        if other.grid != self.grid:
+            raise DimensionMismatchError("wave functions live on different grids")
         return WaveFunction(self.grid, self.values + other.values)
 
     def __rmul__(self, c) -> "WaveFunction":
@@ -401,6 +420,8 @@ class OperatorKernel:
         return self.grid.config_weight * np.linalg.eigvalsh(self.kernel)
 
     def __sub__(self, other: "OperatorKernel") -> "OperatorKernel":
+        if other.grid != self.grid:
+            raise DimensionMismatchError("kernels live on different grids")
         return OperatorKernel(self.grid, self.kernel - other.kernel)
 
 
@@ -504,7 +525,7 @@ class SymbolEvaluator:
     ``(g, h)`` callables, each taking points of shape ``(..., N)`` to values
     that broadcast against the leading shape.  The factors are then the
     symbol's only definition: its ``fn`` contracts them over ``r`` into one
-    output array, the general-tau route reads them directly, and ``+``,
+    output array, the separable fill reads them directly, and ``+``,
     ``c *`` and ``conj`` of factored symbols are factored again.  Every
     preset is given by its factors.
     """
@@ -556,6 +577,8 @@ class SymbolEvaluator:
 
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
+        if self.dim != grid.dim:
+            raise DimensionMismatchError("symbol dimension does not match grid")
         caxis = _config_axis(grid, kind)
         x = _lattice_mesh([caxis] * grid.dim)
         vals = self(x[:, None, :], grid.momentum_points()[None, :, :])
@@ -778,6 +801,34 @@ def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar
     return kern
 
 
+def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar: float,
+                           mask: bool) -> np.ndarray:
+    """Field-free kernel of an evaluator given by ``fn``, one pass per lattice difference.
+
+    For ``d = y - x`` the rows ``x`` with ``x + d`` in the box share the
+    phases ``e^{i (x - y) . k}``, so their entries are one matrix-vector
+    product of the symbol at ``(1 - tau) x + tau y`` and the hbar-scaled
+    momenta; about ``n^{3N}`` symbol evaluations.  With the mask on,
+    differences beyond half a period per axis (weight 0) are skipped; the
+    mask itself is not applied.
+    """
+    n = grid.n
+    pts = grid.config_points()
+    scaled_k = hbar * grid.momentum_points()[None, :, :]
+    reach = n // 2 if mask else n - 1
+    kern = np.zeros((grid.size, grid.size), dtype=complex)
+    for d in itertools.product(range(-reach, reach + 1), repeat=grid.dim):
+        rows = np.ix_(*[np.arange(max(0, -da), min(n, n - da)) for da in d])
+        xs = np.ravel_multi_index(rows, grid.shape).ravel()
+        ys = np.ravel_multi_index(tuple(r + da for r, da in zip(rows, d)), grid.shape).ravel()
+        epts = (1.0 - tau) * pts[xs] + tau * pts[ys]
+        fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
+        # phases w e^{i (x - y) . k}: per axis the inverse-transform row of the
+        # wrapped index difference, whose value is a configuration lattice point
+        kern[xs, ys] = fvals @ reduce(np.kron, [grid._inv_matrix[(n // 2 - da) % n] for da in d])
+    return kern
+
+
 def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
                        quad: Quadrature = DEFAULT_QUADRATURE,
                        mask: bool = True) -> OperatorKernel:
@@ -786,10 +837,8 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     Parameters
     ----------
     f : SymbolEvaluator or midpoint-lattice SymbolGrid
-        Evaluators with ``factors`` take the separable fill, with each
-        ``g_r`` evaluated exactly at the half-step midpoints; evaluators
-        given by ``fn`` are sampled there.  Sample tables are used verbatim
-        and must live on ``grid``.
+        Evaluators are read exactly at the half-step midpoints; sample
+        tables are used verbatim and must live on ``grid``.
     A : VectorPotential or None
         Potential whose circulation phases dress the kernel; None means
         the non-magnetic map.
@@ -801,45 +850,61 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         for symbols with little momentum decay (momentum polynomials with
         wide cutoffs), whose kernels have long-range difference tails.
 
-    A factored symbol's kernel is filled in row blocks from its factors
-    (``_separable_kernel`` at ``tau = 1/2, hbar = 1``), with one row block
-    of working memory beyond the kernel.  Any other symbol takes the
-    windowed map: the momentum axes are transformed one at a time, each
-    batched over its midpoint index, onto the half of the wrapped
-    differences that midpoint class reads (see module notes), and one
-    gather then reads every pair.  The non-magnetic kernel equals the
-    magnetic one divided entrywise by the circulation phases, and constant
-    symbols map to the identity kernel exactly.
+    The quantization map at ``tau = 1/2, hbar = 1``; which fill computes
+    the field-free kernel is listed in the module notes.  The non-magnetic
+    kernel equals the magnetic one divided entrywise by the circulation
+    phases, and constant symbols map to the identity kernel exactly.
     """
-    if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
-        raise DimensionMismatchError("symbol dimension does not match grid")
-    if isinstance(f, SymbolEvaluator) and f.factors is not None:
-        kern = _separable_kernel(f, grid, 0.5, 1.0, mask)
-    else:
-        kern = _windowed_kernel(f, grid)
-        if mask:
-            kern *= difference_mask(grid)
-    if A is not None:  # phase table first, as in moyal._factor_kernels: the same last bits
-        np.multiply(segment_phase_matrix(A, grid, quad), kern, out=kern)
-    return OperatorKernel(grid, kern)
-
-
-def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
-    """The windowed map: field-free, unmasked kernel of an evaluator by ``fn`` or of a table."""
-    alias = 1.0  # per momentum axis
-    if isinstance(f, SymbolEvaluator):
-        vals = f.sample(grid, kind="midpoint").values
-    elif isinstance(f, SymbolGrid):
+    if isinstance(f, SymbolGrid):
         if f.grid != grid:
             raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
         if f.kind != "midpoint":
             raise InputError("kernel map needs symbol samples on the midpoint lattice")
+    elif not isinstance(f, SymbolEvaluator):
+        raise InputError("unsupported symbol type %r" % type(f))
+    return _quantized_kernel(f, A, grid, quad, 0.5, 1.0, mask)
+
+
+def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: Quadrature,
+                      tau: float, hbar: float, mask: bool) -> OperatorKernel:
+    """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
+
+    The phases are the memoized ``segment_phase_matrix`` at ``hbar = 1`` and
+    ``exp(-i Gamma / hbar)`` otherwise.  ``f`` is an evaluator, or a checked
+    midpoint table at ``tau = 1/2, hbar = 1``.
+    """
+    if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
+        raise DimensionMismatchError("symbol dimension does not match grid")
+    if isinstance(f, SymbolEvaluator) and f.factors is not None:
+        kern = _separable_kernel(f, grid, tau, hbar, mask)
+    else:
+        if tau == 0.5 and hbar == 1.0:
+            kern = _windowed_kernel(f, grid)
+        else:
+            kern = _per_difference_kernel(f, grid, tau, hbar, mask)
+        if mask:
+            kern *= difference_mask(grid)
+    if A is not None:
+        if hbar == 1.0:
+            phase = segment_phase_matrix(A, grid, quad)
+        else:
+            phase = -1j * _segment_circulation(A, grid, quad)
+            phase /= hbar
+            np.exp(phase, out=phase)
+        np.multiply(phase, kern, out=kern)  # table first, as in moyal._factor_kernels
+    return OperatorKernel(grid, kern)
+
+
+def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The windowed map: field-free, unmasked kernel of an evaluator or of a midpoint table."""
+    alias = 1.0  # per momentum axis
+    if isinstance(f, SymbolEvaluator):
+        vals = f.sample(grid, kind="midpoint").values
+    else:
         vals = f.values
         if f.alias_doubled:
             # reconstructed tables hold both alias images; pair with half weight
             alias = 0.5
-    else:
-        raise InputError("unsupported symbol type %r" % type(f))
     n, N = grid.n, grid.dim
     S, T = 2 * n - 1, n // 2
     # Per axis, the pairs (i, j) of the midpoint class s = i + j have wrapped

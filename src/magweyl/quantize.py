@@ -9,27 +9,20 @@ lattice (off-lattice translations are rejected rather than interpolated).
 Out-of-box samples are zero-filled by default; the cyclic variant used by
 the irreducibility probe wraps them around the box instead.
 
-Quantization routes:
-
-* symbols with ``factors`` ``sum_r g_r(x) h_r(p)`` (every preset) are
-  quantized in ``O(n^{2N})`` at every ``tau`` and ``hbar`` by one separable
-  fill (``grid._separable_kernel``): one transform of each ``h_r`` to the
-  difference variable, then a row-block fill; at ``tau = 1/2`` each
-  ``g_r`` is read from one evaluation on the midpoint lattice,
-* other closed-form symbols go through the windowed kernel map (exact
-  midpoint sampling) at ``tau = 1/2, hbar = 1``, and one pass per lattice
-  difference otherwise,
-* midpoint-lattice symbol tables go through the windowed kernel map,
-* standard-lattice symbol tables are quantized as the weighted Weyl-system
-  sum over the phase-space lattice, with the symplectic-transform integrand
-  evaluated at reflected arguments (the discrete counterpart of pairing the
-  symbol with the Weyl system).
+Quantization routes: closed-form symbols, and midpoint-lattice tables at
+the default parameters, go through the one quantization map of ``grid``,
+whose module notes list the fill each input takes at each ``tau`` and
+``hbar``.  Standard-lattice tables are quantized as the weighted
+Weyl-system sum over the phase-space lattice, with the symplectic-transform
+integrand evaluated at reflected arguments (the discrete counterpart of
+pairing the symbol with the Weyl system).
 
 The field enters every zero-fill route one way: its field-free kernel is
 multiplied entrywise by the segment table of ``grid`` (by
-``exp(-i Gamma / hbar)`` at scaled Planck constant).  Only ``_weyl_phase``
-integrates its own circulations.  Every momentum sum here runs per axis on
-the grid's two transform matrices, never on an ``n^N x n^N`` phase table.
+``exp(-i Gamma / hbar)`` at scaled Planck constant), table first.  Only
+``_weyl_phase`` integrates its own circulations.  Every momentum sum here
+runs per axis on the grid's two transform matrices, never on an
+``n^N x n^N`` phase table.
 
 Sign conventions: with ``P = -i d`` and ``Pi = P - A(Q)`` the magnetic
 canonical commutation relations read ``i [Pi_k, Q_j] = delta_jk`` and
@@ -39,7 +32,6 @@ translation cocycle; the test suite pins both the sign and the magnitude).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -60,7 +52,6 @@ from .grid import (
     SymbolEvaluator,
     SymbolGrid,
     WaveFunction,
-    difference_mask,
     fourier_symplectic,
     kernel_from_symbol,
     segment_phase_matrix,
@@ -68,8 +59,7 @@ from .grid import (
     _apply_axes,
     _half_phase,
     _lattice_steps,
-    _segment_circulation,
-    _separable_kernel,
+    _quantized_kernel,
     _shift_index_table,
 )
 
@@ -177,72 +167,6 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
 # ---------------------------------------------------------------------------
 # quantization
 
-def _kernel_route_general(f: SymbolEvaluator, A, grid, quad, tau, hbar,
-                          mask: bool = True) -> OperatorKernel:
-    """Kernel map with arbitrary ordering parameter and Planck constant.
-
-    Evaluation points are ``(1 - tau) x + tau y`` (off the midpoint lattice
-    in general, which closed-form symbols support directly); the momentum
-    sum runs over the hbar-scaled dual lattice so constants still quantize
-    to the identity.  The masked field-free kernel comes from one of two
-    fills, then both are dressed in place by ``exp(-i Gamma / hbar)``, at
-    ``hbar = 1`` the potential's memoized ``segment_phase_matrix``:
-
-    * an evaluator with ``factors`` ``sum_r g_r(x) h_r(p)`` takes the
-      separable fill of the kernel map (``grid._separable_kernel``), at every
-      ``tau`` and ``hbar``: ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)`` is
-      one per-axis inverse transform per term, read at the wrapped
-      difference ``x - y``, and each row block adds
-      ``g_r((1 - tau) x + tau y) H_r(x - y)``.  At ``tau = 1/2`` each
-      ``g_r`` is evaluated once on the midpoint lattice, at any other
-      ``tau`` ``n^{2N}`` times; ``h_r`` is evaluated ``n^N`` times;
-    * any other evaluator takes the per-difference fill (``_per_difference_kernel``).
-    """
-    if f.dim != grid.dim:
-        raise DimensionMismatchError("symbol dimension does not match grid")
-    if f.factors is None:
-        kern = _per_difference_kernel(f, grid, tau, hbar, mask)
-        if mask:
-            kern *= difference_mask(grid)
-    else:
-        kern = _separable_kernel(f, grid, tau, hbar, mask)
-    if A is not None and hbar == 1.0:  # the memoized phases, bit for bit those below
-        kern *= segment_phase_matrix(A, grid, quad)
-    elif A is not None:
-        phase = -1j * _segment_circulation(A, grid, quad)
-        phase /= hbar
-        kern *= np.exp(phase, out=phase)
-        del phase
-    return OperatorKernel(grid, kern)
-
-
-def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau, hbar,
-                           mask: bool) -> np.ndarray:
-    """Field-free general-tau kernel of any evaluator, one pass per lattice difference.
-
-    For ``d = y - x`` the rows ``x`` with ``x + d`` in the box share the
-    phases ``e^{i (x - y) . k}``, so their entries are one matrix-vector
-    product; about ``n^{3N}`` symbol evaluations.  With the mask on,
-    differences beyond half a period per axis (weight 0) are skipped.
-    """
-    g = grid
-    n = g.n
-    pts = g.config_points()
-    scaled_k = hbar * g.momentum_points()[None, :, :]
-    reach = n // 2 if mask else n - 1
-    kern = np.zeros((g.size, g.size), dtype=complex)
-    for d in itertools.product(range(-reach, reach + 1), repeat=g.dim):
-        rows = np.ix_(*[np.arange(max(0, -da), min(n, n - da)) for da in d])
-        xs = np.ravel_multi_index(rows, g.shape).ravel()
-        ys = np.ravel_multi_index(tuple(r + da for r, da in zip(rows, d)), g.shape).ravel()
-        epts = (1.0 - tau) * pts[xs] + tau * pts[ys]
-        fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
-        # phases w e^{i (x - y) . k}: per axis the inverse-transform row of the
-        # wrapped index difference, whose value is a configuration lattice point
-        kern[xs, ys] = fvals @ reduce(np.kron, [g._inv_matrix[(n // 2 - da) % n] for da in d])
-    return kern
-
-
 def _weyl_sum_coefficients(F: SymbolGrid) -> np.ndarray:
     """Integrand of the Weyl-system sum: reflected symplectic transform.
 
@@ -296,6 +220,7 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         Closed-form symbols support any ``params``; midpoint tables go
         through the kernel map and standard tables through the Weyl-system
         sum (both at the default parameters, and only on their own grid).
+        Which fill each input takes is listed in the ``grid`` module notes.
     A : VectorPotential or None
         Gauge potential; None quantizes without magnetic phases.
     params : WeylParams
@@ -326,7 +251,7 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
         raise InputError("unsupported symbol type %r" % type(f))
     if default:
         return kernel_from_symbol(f, A, grid, quad, mask=mask)
-    return _kernel_route_general(f, A, grid, quad, params.tau, params.hbar, mask=mask)
+    return _quantized_kernel(f, A, grid, quad, params.tau, params.hbar, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from magweyl import coupling as C
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
-from magweyl.errors import InputError
+from magweyl.errors import DimensionMismatchError, InputError
 
 QUAD = F.Quadrature(16)
 
@@ -25,6 +25,20 @@ def sympy_coupling_oracle():
     expr = sp.I**3 * sp.diff(sp.exp(-sp.I * tau), y1, y1, y2)
     out = sp.simplify(expr.subs({y1: 0, y2: 0}))
     return sp.expand(out), (x1, x2, p1, p2)
+
+
+def test_symbol_of_another_dimension_is_refused():
+    # a 1-D symbol on a 2-D grid: sampling, both couplings (minimal through its sample),
+    # and both couplings of a 1-D polynomial
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    f = G.gaussian_symbol(1, x_width=0.8, p_width=0.9)
+    poly = C.PolynomialSymbol(1, [(1.0, (2,))])
+    A = F.symmetric_gauge(1.0)
+    for call in (lambda: f.sample(g, "midpoint"), lambda: C.covariant_coupling(f, A, g, QUAD),
+                 lambda: C.minimal_coupling(f, A, g), lambda: C.covariant_coupling(poly, A, g),
+                 lambda: C.minimal_coupling(poly, A, g)):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 def test_symbolic_third_derivative_oracle():

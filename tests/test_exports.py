@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +76,19 @@ def test_benchmark_layer_names_resolve():
     for module, name in layers:
         assert callable(getattr(importlib.import_module("magweyl." + module), name, None)), \
             (module, name)
+
+
+def test_benchmark_constructor_keywords_bind():
+    # perfbench/workloads.py rebuilds potentials, fields and symbols with these
+    # constructors' keywords; read its calls from the AST and bind each one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    ctors = {"SymbolEvaluator": G.SymbolEvaluator, "VectorPotential": F.VectorPotential,
+             "MagneticField": F.MagneticField}
+    seen = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ctors):
+            seen.add(node.func.attr)
+            inspect.signature(ctors[node.func.attr]).bind(
+                *[None] * len(node.args), **{k.arg: None for k in node.keywords})
+    assert seen == set(ctors)

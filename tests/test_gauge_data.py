@@ -8,7 +8,7 @@ The table of every potential is memoized on it as one read-only entry per
 table.  These tests pin the memo (identity, read-only, replaced by another
 grid or rule, bit-identical to a fresh table), the phase slot (the same
 array again, replaced with its table, bit for bit ``exp(-i Gamma)``, read by
-the general-tau route at hbar = 1 only), the gauge-transformed
+op_quantize at hbar = 1 only), the gauge-transformed
 table against the full quadrature of the same evaluator, the quantization
 against ``gauge_conjugate``, the finiteness check on ``rho`` in both engines,
 and the exact ``rho`` part for a non-polynomial gauge function.  The
@@ -180,17 +180,17 @@ def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
                           amplitude=1.0 + 0.5j)
     A = transversal_gaussian()
-    kern = Q._kernel_route_general(f, A, g, QUAD, tau, 1.0).kernel
+    kern = Q.op_quantize(f, A, g, Q.WeylParams(tau, 1.0), QUAD, mask=True).kernel
     assert A._phase is not None
     # the expression the route evaluated before the memo, bit for bit
     old = G._separable_kernel(f, g, tau, 1.0, True)
     phase = -1j * G._segment_circulation(A, g, QUAD)
     phase /= 1.0
-    old *= np.exp(phase, out=phase)
+    np.multiply(np.exp(phase, out=phase), old, out=old)
     assert np.array_equal(kern, old)
     # at hbar != 1 the route exponentiates Gamma / hbar itself
     A = transversal_gaussian()
-    Q._kernel_route_general(f, A, g, QUAD, tau, 0.7)
+    Q.op_quantize(f, A, g, Q.WeylParams(tau, 0.7), QUAD, mask=True)
     assert A._table is not None and A._phase is None
 
 

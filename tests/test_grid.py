@@ -466,6 +466,16 @@ def test_compose_grid_mismatch():
         G.kernel_compose(k1, k2)
 
 
+def test_operands_on_another_grid_are_refused():
+    # same n, another half-width: equal array shapes must not hide the mismatch
+    a, b = G.PhaseSpaceGrid(1, 8, 4.0), G.PhaseSpaceGrid(1, 8, 6.0)
+    u, v = G.gaussian_wavefunction(a), G.gaussian_wavefunction(b)
+    for call in (lambda: u + v, lambda: u.inner(v),
+                 lambda: G.OperatorKernel.identity(a) - G.OperatorKernel.identity(b)):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # symbol grid bookkeeping
 

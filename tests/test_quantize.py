@@ -240,8 +240,37 @@ def test_quantize_general_route_matches_kernel_route_at_defaults():
     A = F.polynomial_potential(1, [[(0.4, (2,))]])
     f = G.gaussian_symbol(1, x_width=0.8, p_width=0.9)
     k_fast = G.kernel_from_symbol(unfactored(f), A, g, QUAD)
-    k_gen = Q._kernel_route_general(f, A, g, QUAD, tau=0.5, hbar=1.0)
+    k_gen = Q.op_quantize(f, A, g, Q.WeylParams(0.5, 1.0), QUAD, mask=True)
     assert np.abs(k_fast.kernel - k_gen.kernel).max() < 1e-11 * np.abs(k_fast.kernel).max()
+
+
+@pytest.mark.parametrize("tau,hbar", [(0.5, 1.0), (0.3, 1.0), (0.5, 0.7)])
+def test_each_input_reaches_its_documented_fill(monkeypatch, tau, hbar):
+    # the fill table of the grid module notes: factors -> separable at every tau and
+    # hbar; `fn` -> windowed at tau = 1/2, hbar = 1, per-difference elsewhere; a
+    # midpoint table -> windowed at the defaults and refused elsewhere
+    calls = []
+    for name in ("_separable_kernel", "_windowed_kernel", "_per_difference_kernel"):
+        monkeypatch.setattr(G, name, lambda *a, _fill=getattr(G, name), _name=name:
+                            calls.append(_name) or _fill(*a))
+    g = G.PhaseSpaceGrid(1, 6, 3.0)
+    f = G.gaussian_symbol(1, x_width=0.8, p_width=0.9)
+    default = tau == 0.5 and hbar == 1.0
+    params = Q.WeylParams(tau, hbar)
+    for sym, fill in ((f, "_separable_kernel"), (unfactored(f), "_windowed_kernel" if default
+                                                 else "_per_difference_kernel"),
+                      (f.sample(g, "midpoint"), "_windowed_kernel")):
+        calls.clear()
+        if isinstance(sym, G.SymbolGrid) and not default:
+            with pytest.raises(InputError):
+                Q.op_quantize(sym, None, g, params, QUAD)
+            assert calls == []
+            continue
+        Q.op_quantize(sym, None, g, params, QUAD)
+        assert calls == [fill]
+        if default:
+            G.kernel_from_symbol(sym, None, g, QUAD)
+            assert calls == [fill, fill]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +403,9 @@ def test_separable_route_matches_per_difference_route(dim, n):
     A = potentials(dim)["polynomial"]
     for tau, hbar, mask, A in itertools.product([0.0, 0.3, 0.5, 0.75, 1.0], [1.0, 0.7],
                                                 [True, False], [None, A]):
-        fast = Q._kernel_route_general(f, A, g, QUAD, tau, hbar, mask).kernel
-        ref = Q._kernel_route_general(unfactored(f), A, g, QUAD, tau, hbar, mask).kernel
+        params = Q.WeylParams(tau, hbar)
+        fast = Q.op_quantize(f, A, g, params, QUAD, mask=mask).kernel
+        ref = Q.op_quantize(unfactored(f), A, g, params, QUAD, mask=mask).kernel
         assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max(), (tau, hbar, mask, A)
 
 
