@@ -17,7 +17,18 @@ degree 3 they differ by a momentum-independent field
 
 per monomial ``p_j p_k p_l``.  The degree <= 3 closed forms are evaluated
 exactly from the derivative calculus; general symbols go through the
-discrete transform route.
+discrete transform route (``_transform_route``).
+
+The route multiplies the difference-variable transform of the symbol by
+``exp(i Gamma^A([x - y/2, x + y/2]))``.  The segment of ``-y`` is that of
+``y`` reversed, so its circulation is the negative and its phase the
+conjugate: of the ``n^N`` differences per configuration point, only
+``((n - 1)^N + 1) / 2 + n^N - (n - 1)^N`` are integrated, one of each pair
+inside the box and every difference with a lattice index 0, whose mirror
+lies outside it (``_midpoint_phases``).  A factored symbol
+``sum_r g_r(x) h_r(p)`` is transformed once per factor, ``H_r = F^{-1} h_r``,
+and a row block's difference table is the product of its ``g_r(x)`` with the
+``H_r``; a symbol given by ``fn`` is evaluated and transformed per block.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum
+from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
+                     _square_norm)
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
                    _lattice_mesh, _ones, _row_blocks)
 
@@ -83,7 +95,7 @@ def _momentum_monomial(coeff, powers, cutoff: float):
         for j, a in enumerate(powers):
             if a:
                 term = term * p[..., j] ** a
-        return term * np.exp(-(p**2).sum(axis=-1) / (2.0 * cutoff**2))
+        return term * np.exp(-_square_norm(p) / (2.0 * cutoff**2))
 
     return h
 
@@ -121,30 +133,80 @@ def _third_order_correction(A: VectorPotential, idx, x) -> np.ndarray:
     return total / 12.0
 
 
+def _midpoint_phases(A: VectorPotential, x: np.ndarray, y: np.ndarray, quad: Quadrature,
+                     out: np.ndarray) -> np.ndarray:
+    """Fill ``out[r, m]`` with ``exp(i Gamma^A([x_r - y_m/2, x_r + y_m/2]))``.
+
+    ``x`` has shape ``(rows, 1, ..., 1, N)`` and ``y`` is the difference
+    lattice of shape ``(n,) * N + (N,)``.  The segment of ``-y`` is the one
+    of ``y`` reversed, so its phase is the conjugate.  The mirror of lattice
+    index ``m >= 1`` is ``n - m``; an index 0 has none.  Axis by axis, with
+    the earlier axes at the centre ``c = n/2``: the slabs below ``c`` are
+    integrated (and ``c`` itself on the last axis), so are the entries of the
+    slabs above ``c`` with a later axis at index 0, and the rest of those
+    slabs are the conjugates of their mirrors below ``c``.  That integrates
+    ``((n - 1)^N + 1) / 2 + n^N - (n - 1)^N`` of the ``n^N`` segments.
+    """
+    n, N = y.shape[0], y.shape[-1]
+    c, every, inner = n // 2, slice(None), slice(1, None)
+
+    def integrate(piece):
+        yp, view = y[piece], out[(every,) + piece]
+        np.multiply(_circulation_sum(A, x - 0.5 * yp, yp, quad), 1j, out=view)
+        np.exp(view, out=view)
+
+    for d in range(N):
+        head, tail = (slice(c, c + 1),) * d, N - 1 - d
+        integrate(head + (slice(0, c + (tail == 0)),) + (every,) * tail)
+        for k in range(tail):  # above the centre with a later axis at index 0
+            integrate(head + (slice(c + 1, None),) + (inner,) * k + (slice(0, 1),)
+                      + (every,) * (tail - 1 - k))
+        above = head + (slice(c + 1, None),) + (inner,) * tail
+        mirror = head + (slice(c - 1, 0, -1),) + (slice(None, 0, -1),) * tail
+        np.conjugate(out[(every,) + mirror], out=out[(every,) + above])
+    return out
+
+
 def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseSpaceGrid,
                      quad: Quadrature, kind: str) -> np.ndarray:
     """Discrete transform route for the covariant coupling.
 
     Per configuration point: transform the momentum dependence to the
     difference variable, multiply the segment-averaged potential phase
-    ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.  The points go
-    through in ``_row_blocks``, each block start to finish into the one
-    output table, so no other table of the output's size is made.
+    ``exp(i Gamma^A([x - y/2, x + y/2]))``, transform back.  A symbol with
+    ``factors`` ``sum_r g_r(x) h_r(p)`` transforms each ``h_r`` once, so a
+    block's difference table is one product of its ``g_r(x)`` with those
+    ``R`` tables; one given by ``fn`` is evaluated and transformed per block.
+    The phases integrate one segment of each pair ``(y, -y)`` and conjugate
+    it for the other (``_midpoint_phases``).  The points go through in
+    ``_row_blocks``, each block start to finish into the one output table,
+    so no other table of the output's size is made.
     """
     g = grid
     caxis = _config_axis(g, kind)
     x = _lattice_mesh([caxis] * g.dim)
-    ypts = g.config_points()
-    kpts = g.momentum_points()[None, :, :]
+    kpts = g.momentum_points()
     axes = range(1, g.dim + 1)
     out = np.empty((len(x),) + g.shape, dtype=complex)
-    for c0, c1 in _row_blocks(len(x)):
-        xb = x[c0:c1, None, :]
-        fch = _apply_axes(f(xb, kpts).reshape(out[c0:c1].shape), g._inv_matrix, axes)  # k -> y
+    if f.factors is not None:
+        gx = np.empty((len(x), len(f.factors)), dtype=complex)
+        hy = np.empty((len(f.factors), g.size), dtype=complex)
+        for r, (gr, hr) in enumerate(f.factors):
+            gx[:, r], hy[r] = gr(x), hr(kpts)
+        hy = _apply_axes(hy.reshape((-1,) + g.shape), g._inv_matrix, axes).reshape(hy.shape)
+    blocks = _row_blocks(len(x))
+    if A is not None:
+        y = g.config_points().reshape(g.shape + (g.dim,))
+        lam = np.empty((max(c1 - c0 for c0, c1 in blocks),) + g.shape, dtype=complex)
+    for c0, c1 in blocks:
+        if f.factors is not None:
+            fch = (gx[c0:c1] @ hy).reshape(out[c0:c1].shape)
+        else:
+            fch = _apply_axes(f(x[c0:c1, None], kpts[None]).reshape(out[c0:c1].shape),
+                              g._inv_matrix, axes)  # k -> y
         if A is not None:
-            # midpoint-centred segments, no lattice pairs, so not the segment table
-            fch *= np.exp(1j * _circulation_sum(A, xb - 0.5 * ypts, ypts[None], quad)
-                          ).reshape(fch.shape)
+            xb = x[c0:c1].reshape((c1 - c0,) + (1,) * g.dim + (g.dim,))
+            fch *= _midpoint_phases(A, xb, y, quad, lam[:c1 - c0])
         out[c0:c1] = _apply_axes(fch, g._fwd_matrix, axes)
     return out.reshape((len(caxis),) * g.dim + g.shape)
 

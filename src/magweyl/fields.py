@@ -431,6 +431,14 @@ class ScalarPotential:
 # ---------------------------------------------------------------------------
 # integrals
 
+def _square_norm(v) -> np.ndarray:
+    """``|v|^2`` over the last axis, one product per component.
+
+    numpy reduces a short trailing axis slowly, so no ``.sum(axis=-1)``.
+    """
+    return sum(v[..., a] * v[..., a] for a in range(np.shape(v)[-1]))
+
+
 def _check_dims(dim, *points):
     for p in points:
         if np.shape(p)[-1] != dim:
@@ -746,7 +754,7 @@ def _gaussian_gauge(amplitude: float, width: float, c: np.ndarray) -> VectorPote
 
     def eval(x):
         y = np.asarray(x, dtype=float) - c
-        g = profile(((scale * y) ** 2).sum(axis=-1))
+        g = profile(_square_norm(scale * y))
         return g[..., None] * np.stack([-y[..., 1], y[..., 0]], axis=-1)
 
     def segment(start, displacement, quad):
@@ -778,7 +786,7 @@ def gaussian_field_2d(amplitude: float, width: float, center=(0.0, 0.0)) -> Magn
     """
     c = np.asarray(center, dtype=float)
     B = _planar_field(
-        lambda x: amplitude * np.exp(-0.5 * ((x - c) ** 2).sum(axis=-1) / width**2), None,
+        lambda x: amplitude * np.exp(-0.5 * _square_norm(x - c) / width**2), None,
         "gaussian")
     B._potential = _gaussian_gauge(amplitude, width, c)
     return B

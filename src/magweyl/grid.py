@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError, OffLatticeError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _exact_rule, _gauge_values)
+                     _exact_rule, _gauge_values, _square_norm)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -292,7 +292,7 @@ def gaussian_wavefunction(grid: PhaseSpaceGrid, center=None, width=1.0, momentum
     center = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
     momentum = np.zeros(grid.dim) if momentum is None else np.asarray(momentum, dtype=float)
     pts = grid.config_points()
-    vals = np.exp(-((pts - center) ** 2).sum(axis=-1) / (2.0 * width**2)
+    vals = np.exp(-_square_norm(pts - center) / (2.0 * width**2)
                   + 1j * pts @ momentum).reshape(grid.shape)
     u = WaveFunction(grid, vals)
     if normalize:
@@ -685,8 +685,8 @@ def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width
             raise DimensionMismatchError("gaussian symbol %r must be a list of %d numbers, got %r"
                                          % (key, dim, value.tolist()))
     return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[
-        (lambda x: amplitude * np.exp(-((x - xc) ** 2).sum(axis=-1) / (2.0 * x_width**2)),
-         lambda p: np.exp(-((p - pc) ** 2).sum(axis=-1) / (2.0 * p_width**2)))])
+        (lambda x: amplitude * np.exp(-_square_norm(x - xc) / (2.0 * x_width**2)),
+         lambda p: np.exp(-_square_norm(p - pc) / (2.0 * p_width**2)))])
 
 
 def x_only_symbol(dim: int, fn) -> SymbolEvaluator:

@@ -191,22 +191,24 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
 
     The integrand pairs the reflected symplectic transform of the table
     with the Weyl operators over the full phase-space lattice; translated
-    samples are zero-filled.  The field-free sum is scattered first and
-    then dressed with the segment table, as in ``kernel_from_symbol``.
+    samples are zero-filled.  The field-free sum is scattered straight into
+    kernel units (the operator matrix is ``config_weight`` times the kernel)
+    and then dressed with the segment table, table first, as in
+    ``kernel_from_symbol``.
     """
     g = F.grid
     c = _half_phase(_weyl_sum_coefficients(F).reshape(g.shape + g.shape), g)
     # d[x, y] = sum_p w c(x, p) e^{-i (y + x/2) . p}: the p axes contracted with conj(F^{-1})
     d = _apply_axes(c, np.conj(g._inv_matrix), range(g.dim, 2 * g.dim)).reshape(g.size, g.size)
     del c
+    kern = np.zeros((g.size, g.size), dtype=complex)
     # for a fixed row y the map x -> y + x is one-to-one, so each entry is
     # hit at most once and one scatter assignment places every term
     cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
-    m = np.zeros((g.size, g.size), dtype=complex)
-    m[np.nonzero(valid)[0], cols[valid]] = g.config_weight * d.T[valid]
+    kern[np.nonzero(valid)[0], cols[valid]] = d.T[valid]
     if A is not None:
-        m *= segment_phase_matrix(A, g, quad)
-    return OperatorKernel.from_operator_matrix(g, m)
+        np.multiply(segment_phase_matrix(A, g, quad), kern, out=kern)
+    return OperatorKernel(g, kern)
 
 
 def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,

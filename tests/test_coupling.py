@@ -133,6 +133,68 @@ def test_transform_route_matches_substitution_for_linear_potential():
     assert np.abs(tvals.values - mvals.values).max() / scale < 1e-10
 
 
+def _route_gauge(dim, name):
+    """A constant field's linear gauge, a gauge transform of it, or the Gaussian field's."""
+    if name == "transversal_gaussian":
+        return F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), QUAD)
+    if dim == 2:
+        linear = F.symmetric_gauge(1.0)
+    else:  # dim 1: a pure gauge; dim 3: the field B_12 = B_23 = 0.8
+        linear = F.linear_potential([[0.4]] if dim == 1 else
+                                    [[0.0, -0.4, 0.0], [0.4, 0.0, -0.4], [0.0, 0.4, 0.0]])
+    if name == "linear":
+        return linear
+    return F.add_gradient(linear, F.ScalarPotential(
+        dim, lambda x: 0.3 * np.sin(x[..., 0]) * np.cos(x[..., -1]),
+        lambda x: 0.3 * (np.cos(x[..., 0]) * np.cos(x[..., -1]))[..., None] * np.eye(dim)[0]
+        - 0.3 * (np.sin(x[..., 0]) * np.sin(x[..., -1]))[..., None] * np.eye(dim)[-1]))
+
+
+ROUTE_CASES = [(1, "linear"), (1, "gradient"), (2, "linear"), (2, "transversal_gaussian"),
+               (2, "gradient"), (3, "linear"), (3, "gradient")]
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "standard"])
+@pytest.mark.parametrize("dim, gauge", ROUTE_CASES)
+def test_transform_route_matches_the_written_out_route(dim, gauge, kind):
+    # a factored symbol, the same symbol given only by fn, and the route
+    # written out: k -> y, exp(i Gamma^A([x - y/2, x + y/2])) from circulation
+    # for every y, y -> k
+    g = G.PhaseSpaceGrid(dim, {1: 16, 2: 8, 3: 4}[dim], 4.0)
+    A = _route_gauge(dim, gauge)
+    powers = [(2,) + (0,) * (dim - 1), (0,) * (dim - 1) + (3,)]
+    poly = C.PolynomialSymbol(dim, [(1.0, powers[0]),
+                                    (0.7 - 0.2j, powers[1], lambda x: np.cos(x[..., 0]))])
+    fac = poly.with_momentum_cutoff(0.9)
+    fn = G.SymbolEvaluator(dim, fac.fn)
+    x = G._lattice_mesh([G._config_axis(g, kind)] * dim)[:, None, :]
+    y, k = g.config_points(), g.momentum_points()
+    lam = np.exp(1j * F.circulation(A, x - 0.5 * y, x + 0.5 * y, QUAD))
+    to_diff = g.momentum_weight * np.exp(1j * y @ k.T)
+    back = g.config_weight * np.exp(-1j * y @ k.T)
+    expect = ((fac(x, k[None]) @ to_diff.T) * lam) @ back
+    for f in (fac, fn):
+        out = C.covariant_coupling(f, A, g, QUAD, kind).values.reshape(expect.shape)
+        assert np.abs(out - expect).max() < 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 6), (3, 4)])
+def test_transform_route_integrates_one_segment_of_each_mirror_pair(dim, n):
+    # y and -y share a segment reversed: per configuration point, the
+    # ((n - 1)^N + 1) / 2 representatives of the pairs inside the box and the
+    # n^N - (n - 1)^N differences with an index 0 (no mirror), each at every node
+    points = []
+    A = F.VectorPotential(dim, lambda x: (points.append(np.prod(x.shape[:-1]))
+                                          or np.cos(x[..., ::-1])), _validate=False)
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    f = G.gaussian_symbol(dim, x_width=0.8, p_width=0.9)
+    out = C.covariant_coupling(f, A, g, QUAD, "midpoint").values
+    configs = (2 * n - 1) ** dim
+    segments = ((n - 1) ** dim + 1) // 2 + n**dim - (n - 1) ** dim
+    assert sum(points) == configs * segments * QUAD.order
+    assert np.isfinite(out).all()
+
+
 def test_kinetic_sample_memory_peak(traced_peak):
     # dim 2, n=32: the 62 MiB midpoint table and momentum-sized factors, no full-size temporaries
     g = G.PhaseSpaceGrid(2, 32, 8.0)

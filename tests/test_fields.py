@@ -1,9 +1,13 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from magweyl import coupling as C
 from magweyl import fields as F
+from magweyl import grid as G
 from magweyl.errors import DimensionMismatchError, InputError, NumericError
 
 QUAD = F.Quadrature(16)
@@ -294,3 +298,52 @@ def test_scalar_from_config_gradient():
     rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.5, (1, 1))]]))
     g = rho.gradient(np.array([2.0, 3.0]))
     assert np.allclose(g, [1.5, 1.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_square_norm_sites_are_bit_identical_to_the_reduction(dim):
+    # every |v|^2 of the package goes through _square_norm: each site against
+    # its former (v ** 2).sum(axis=-1) expression, entry for entry
+    def old(v):
+        return (v ** 2).sum(axis=-1)
+
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(scale=3.0, size=(36, 64, dim))
+    assert np.array_equal(F._square_norm(pts), old(pts))
+    xc, pc = rng.normal(size=dim), rng.normal(size=dim)
+    (gx, hp), = G.gaussian_symbol(dim, xc, pc, 1.1, 0.8, amplitude=0.6 - 0.3j).factors
+    assert np.array_equal(gx(pts), (0.6 - 0.3j) * np.exp(-old(pts - xc) / (2.0 * 1.1**2)))
+    assert np.array_equal(hp(pts), np.exp(-old(pts - pc) / (2.0 * 0.8**2)))
+    term = complex(0.7)
+    for j in range(dim):
+        term = term * pts[..., j]
+    assert np.array_equal(C._momentum_monomial(0.7, (1,) * dim, 0.9)(pts),
+                          term * np.exp(-old(pts) / (2.0 * 0.9**2)))
+    g = G.PhaseSpaceGrid(dim, 6, 3.0)
+    u = G.gaussian_wavefunction(g, xc, 1.3, pc, normalize=False)
+    y = g.config_points()
+    assert np.array_equal(u.values.ravel(), np.exp(-old(y - xc) / (2.0 * 1.3**2) + 1j * y @ pc))
+    if dim == 2:
+        c = np.array([0.3, -0.2])
+        B = F.gaussian_field_2d(1.2, 1.4, c)
+        assert np.array_equal(B(pts)[..., 0, 1], 1.2 * np.exp(-0.5 * old(pts - c) / 1.4**2))
+        y = pts - c
+        u = old(1.0 / (np.sqrt(2.0) * 1.4) * y)  # the centred gauge's profile, u != 0 here
+        profile = np.divide(-1.2 * np.expm1(-u), 2.0 * u)
+        assert np.array_equal(B._potential.eval(pts),
+                              profile[..., None] * np.stack([-y[..., 1], y[..., 0]], -1))
+
+
+def test_squared_norms_have_one_implementation():
+    # no sum over the last axis anywhere in the package: |v|^2 goes through
+    # fields._square_norm, so a new site cannot bring back the slow reduction
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum"):
+                axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args
+                if any(ast.unparse(a) == "-1" for a in axes):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
