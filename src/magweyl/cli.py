@@ -201,7 +201,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         print("non-Hermitian quantization (defect %.3e); symbol must be real" % defect,
               file=sys.stderr)
         return 1
-    evs = op.eigenvalues()
+    evs = op.eigenvalues(hermitian_tol=None)  # checked above, at the scaled tolerance
     _write_json(outdir / "spectrum.json",
                 {"config": cfg, "gauss_orders": gauss_orders(B, gauges, quad),
                  "hermiticity_defect": defect,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _square_norm)
+                     _gauge_phases, _square_norm)
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
                    _lattice_mesh, _ones, _row_blocks)
 
@@ -167,6 +167,27 @@ def _midpoint_phases(A: VectorPotential, x: np.ndarray, y: np.ndarray, quad: Qua
     return out
 
 
+def _half_step_gauge(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature):
+    """``(base, gauge)``: ``A``'s base potential and ``e^{i rho}`` at the route's segment ends.
+
+    The ends ``x -+ y/2`` lie on the lattice of spacing h/2 whose index ``k``
+    per axis, 0 to 3n - 2, is the coordinate ``(k - 3n/2) h/2``: ``x + y/2``
+    in the box of indices up to 3n - 3, ``x - y/2`` in the box from 1 on.
+    The gauge function is sampled once at each point of their union, and the
+    flat table over all ``(3n - 1)^N`` indices holds 1 at the rest.  ``gauge``
+    is None without gauge data.
+    """
+    m = 3 * grid.n - 1
+    idx = _lattice_mesh([np.arange(m)] * grid.dim)
+    ends = np.all(idx <= m - 2, axis=-1) | np.all(idx >= 1, axis=-1)
+    base, phases = _gauge_phases(A, (idx[ends] - 3 * grid.n // 2) * (grid.h / 2), quad)
+    if phases is None:
+        return base, None
+    gauge = np.ones(len(idx), dtype=complex)
+    gauge[ends] = phases
+    return base, gauge
+
+
 def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseSpaceGrid,
                      quad: Quadrature, kind: str) -> np.ndarray:
     """Discrete transform route for the covariant coupling.
@@ -178,9 +199,12 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     block's difference table is one product of its ``g_r(x)`` with those
     ``R`` tables; one given by ``fn`` is evaluated and transformed per block.
     The phases integrate one segment of each pair ``(y, -y)`` and conjugate
-    it for the other (``_midpoint_phases``).  The points go through in
-    ``_row_blocks``, each block start to finish into the one output table,
-    so no other table of the output's size is made.
+    it for the other (``_midpoint_phases``).  Gauge data integrate their
+    base potential, and a block's phases are dressed with ``e^{i rho(x + y/2)}
+    e^{-i rho(x - y/2)}``, gathered from one sample of ``rho`` per segment end
+    (``_half_step_gauge``).  The points go through in ``_row_blocks``, each
+    block start to finish into the one output table, so no other table of
+    the output's size is made.
     """
     g = grid
     caxis = _config_axis(g, kind)
@@ -195,9 +219,18 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
             gx[:, r], hy[r] = gr(x), hr(kpts)
         hy = _apply_axes(hy.reshape((-1,) + g.shape), g._inv_matrix, axes).reshape(hy.shape)
     blocks = _row_blocks(len(x))
+    gauge = None
     if A is not None:
         y = g.config_points().reshape(g.shape + (g.dim,))
         lam = np.empty((max(c1 - c0 for c0, c1 in blocks),) + g.shape, dtype=complex)
+        A, gauge = _half_step_gauge(A, g, quad)
+    if gauge is not None:
+        # flat half-step indices: x + y/2 at ends + diffs, x - y/2 at ends - diffs + centre
+        table = (3 * g.n - 1,) * g.dim
+        steps = np.rint(caxis / (g.h / 2)).astype(int) + g.n  # x per axis, in half steps
+        ends = np.ravel_multi_index(tuple(_lattice_mesh([steps] * g.dim).T), table)[:, None]
+        diffs = np.ravel_multi_index(tuple(_lattice_mesh([np.arange(g.n)] * g.dim).T), table)
+        centre = np.ravel_multi_index((g.n,) * g.dim, table)
     for c0, c1 in blocks:
         if f.factors is not None:
             fch = (gx[c0:c1] @ hy).reshape(out[c0:c1].shape)
@@ -206,7 +239,11 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
                               g._inv_matrix, axes)  # k -> y
         if A is not None:
             xb = x[c0:c1].reshape((c1 - c0,) + (1,) * g.dim + (g.dim,))
-            fch *= _midpoint_phases(A, xb, y, quad, lam[:c1 - c0])
+            phase = _midpoint_phases(A, xb, y, quad, lam[:c1 - c0])
+            if gauge is not None:
+                phase *= gauge[ends[c0:c1] + diffs].reshape(phase.shape)
+                phase *= np.conj(gauge[ends[c0:c1] - diffs + centre]).reshape(phase.shape)
+            fch *= phase
         out[c0:c1] = _apply_axes(fch, g._fwd_matrix, axes)
     return out.reshape((len(caxis),) * g.dim + g.shape)
 

@@ -140,9 +140,7 @@ def _circulation_panels(A) -> int:
     circulation applies it once.  A gauge transform (``add_gradient``, and
     the transversal gauge over a closed form) integrates its base potential.
     """
-    while A._gauge is not None:
-        A = A._gauge[0]
-    return 1 if A._segment is None else 2
+    return 1 if _gauge_base(A)._segment is None else 2
 
 
 def _exact_order(data) -> int:
@@ -350,7 +348,8 @@ class VectorPotential:
     (``grid._segment_circulation``), and beside it the table's phases
     ``exp(-i Gamma)`` (``grid.segment_phase_matrix``), keyed by the identity
     of that table, so what `eval` reads must not change after a table is
-    built.
+    built.  A gauge transform keeps no tables: the routes read those of its
+    base potential (``_gauge_phases``).
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
@@ -360,8 +359,10 @@ class VectorPotential:
         self.degree_hint = _checked_degree(degree_hint, poly)
         self.poly = poly
         self.name = name
-        # (A, rho) of add_gradient: circulations are those of A plus rho(b) - rho(a);
-        # rho None is the transversal gauge over A (see _gauge_values)
+        # gauge data (base, terms): circulations are those of the base, which has no
+        # gauge data, plus rho(b) - rho(a) for the sum rho of the terms, each a
+        # ScalarPotential of add_gradient or None, the transversal gauge over the
+        # base (see _gauge_values)
         self._gauge = None
         # closed-form segment integral (start, displacement, quad) -> circulations,
         # applying quad on each half of the segment (_circulation_panels)
@@ -447,22 +448,48 @@ def _check_dims(dim, *points):
             )
 
 
-def _gauge_values(A: VectorPotential, x, quad: Quadrature) -> np.ndarray:
-    """The gauge function of ``A``'s gauge data ``(base, rho)`` at the points ``x``.
+def _gauge_base(A: VectorPotential) -> VectorPotential:
+    """The potential whose tables ``A`` reads: the base of its gauge data, else ``A`` itself."""
+    return A if A._gauge is None else A._gauge[0]
 
-    ``rho`` is the ScalarPotential of ``add_gradient``, as floats, with a
-    NumericError where it is not finite.  ``rho`` None is the transversal
-    gauge over ``base`` (``transversal_gauge``): ``rho(x) = -Gamma^base([0, x])``,
-    integrated at ``quad``, the rule of the circulation it enters, and never
-    frozen at another.
+
+def _gauge_values(A: VectorPotential, x, quad: Quadrature) -> np.ndarray:
+    """The summed gauge function ``rho`` of ``A``'s gauge data ``(base, terms)`` at ``x``.
+
+    A ScalarPotential term of ``add_gradient`` enters as floats, with a
+    NumericError where it is not finite.  A term None is the transversal gauge
+    over ``base`` (``transversal_gauge``): ``-Gamma^base([0, x])``, integrated
+    at ``quad``, the rule of the circulation it enters, and never frozen at
+    another.  The point engine reads it here, every lattice route through
+    ``_gauge_phases``.
     """
-    base, rho = A._gauge
-    if rho is None:
-        return -_circulation_sum(base, np.zeros(base.dim), x, quad)
-    vals = np.asarray(rho(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("gauge function non-finite at segment endpoints")
-    return vals
+    base, terms = A._gauge
+    acc = np.zeros(np.shape(x)[:-1])
+    for rho in terms:
+        if rho is None:
+            acc -= _circulation_sum(base, np.zeros(base.dim), x, quad)
+            continue
+        vals = np.asarray(rho(x), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("gauge function non-finite at segment endpoints")
+        acc += vals
+    return acc
+
+
+def _gauge_phases(A: VectorPotential, x, quad: Quadrature, hbar: float = 1.0):
+    """``(base, e^{i rho(x) / hbar})``: the one sampler of gauge data for the lattice routes.
+
+    A gauge transform is a diagonal unitary: ``Gamma^A([x, y]) = Gamma^base([x, y])
+    + rho(y) - rho(x)``, so ``exp(-i Gamma^A / hbar)`` is the base potential's
+    phase times ``e^{i rho(x) / hbar}`` in the row and its conjugate at ``y``
+    in the column.  A route takes the base's tables and dresses its output with
+    the phases sampled here on the points it reads (``grid._gauge_dress``).
+    A potential without gauge data is its own base, with phases None.
+    """
+    if A._gauge is None:
+        return A, None
+    phases = np.multiply(_gauge_values(A, x, quad), 1j / hbar)
+    return _gauge_base(A), np.exp(phases, out=phases)
 
 
 def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) -> np.ndarray:
@@ -474,13 +501,15 @@ def _circulation_sum(A: VectorPotential, start, displacement, quad: Quadrature) 
     ``(X, 1, N)`` against ``(1, Y, N)``) keeps only that result and the
     per-node evaluation points in memory.  The rule is ``_exact_rule(quad, A)``.
     A gauge transform ``A + grad rho`` (``add_gradient``, and the transversal
-    gauge over a closed form) integrates its base potential and adds
-    ``rho(a + d) - rho(a)`` (``_gauge_values``).  A closed-form potential of a
-    field preset integrates its segments itself, with the rule it documents.
+    gauge over a closed form) is the point engine's case alone: it integrates
+    the base potential and adds ``rho(a + d) - rho(a)`` (``_gauge_values``),
+    while lattice tables are only ever built for the base.  A closed-form
+    potential of a field preset integrates its segments itself, with the rule
+    it documents.
     """
     _check_dims(A.dim, start, displacement)
     if A._gauge is not None:
-        acc = _circulation_sum(A._gauge[0], start, displacement, quad)
+        acc = _circulation_sum(_gauge_base(A), start, displacement, quad)
         acc += _gauge_values(A, start + displacement, quad) - _gauge_values(A, start, quad)
         return acc
     if A._segment is not None:
@@ -590,9 +619,10 @@ def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -
       Gamma^{A_c}([0, b])``, the flux of B through ``<0, a, b>``.  All three
       are integrated at the rule of the call (``_gauge_values``), so an
       order-48 circulation stays a reference independent of the order-16
-      ones.  The lattice table is ``A_c``'s table plus the lattice
-      differences of ``rho``, n^N circulations more; each node of ``A_c`` is
-      one closed form instead of ``quad.order`` ray nodes of B.  See
+      ones.  The result keeps no lattice table: the routes read ``A_c``'s
+      and dress it with ``e^{i rho}`` on the points they read
+      (``_gauge_phases``), one circulation per point; each node of ``A_c``
+      is one closed form instead of ``quad.order`` ray nodes of B.  See
       ``gaussian_field_2d`` for the rule and accuracy of its ``A_c``.
 
     A field given by its evaluator alone has no ``A_c``: its circulations
@@ -614,7 +644,7 @@ def transversal_gauge(B: MagneticField, quad: Quadrature = DEFAULT_QUADRATURE) -
     A = VectorPotential(B.dim, eval, degree_hint=hint, poly=poly,
                         name="transversal(%s)" % B.name, _validate=False)
     if closed is not None and poly is None:
-        A._gauge = (closed, None)
+        A._gauge = (closed, (None,))
     return A
 
 
@@ -623,9 +653,12 @@ def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
 
     Declares degree ``max(deg A, deg rho - 1)`` when ``A`` declares a degree
     and ``rho`` carries its polynomial, and no degree otherwise.  The result
-    keeps ``(A, rho)``: its circulations are those of ``A`` plus the exact
-    ``rho(b) - rho(a)``, and its lattice segment table is ``A``'s plus the
-    lattice differences of ``rho``.
+    is gauge data over one base potential with one summed gauge function:
+    ``(A, rho)``, or for an ``A`` that is gauge data ``(base, rho_A)`` itself,
+    ``(base, rho_A + rho)``; so ``add_gradient(transversal_gauge(B), rho)``
+    is ``(A_c, rho_t + rho)``.  Its circulations are those of the base plus
+    the exact differences of the summed ``rho``.  It keeps no lattice table:
+    the routes read the base's, dressed with ``e^{i rho}`` (``_gauge_phases``).
     """
     if rho.dim != A.dim:
         raise DimensionMismatchError("gauge function dimension does not match potential")
@@ -638,7 +671,7 @@ def add_gradient(A: VectorPotential, rho: ScalarPotential) -> VectorPotential:
         hint = max(A.degree_hint, rho.poly.degree - 1)
     A2 = VectorPotential(A.dim, eval, degree_hint=hint, name="%s+grad(%s)" % (A.name, rho.name),
                          _validate=False)
-    A2._gauge = (A, rho)
+    A2._gauge = (A, (rho,)) if A._gauge is None else (A._gauge[0], A._gauge[1] + (rho,))
     return A2
 
 
@@ -742,11 +775,13 @@ def _gaussian_gauge(amplitude: float, width: float, c: np.ndarray) -> VectorPote
     through ``expm1``, and ``G = amplitude / 2`` at ``u = 0``; then
     ``d_1 A_2 - d_2 A_1 = 2 d(uG)/du = amplitude e^{-u}``.  Along a segment
     ``a + s d`` the tangential part is ``d . A_c = ((a - c) ^ d) G``, with
-    ``y ^ d = y_1 d_2 - y_2 d_1``, so each node is one ``expm1``.  A
-    circulation applies ``quad`` on each half of the segment
+    ``y ^ d = y_1 d_2 - y_2 d_1``, so each node is one ``expm1`` of ``u(s)``,
+    a quadratic in ``s`` evaluated by Horner's rule from three coefficients
+    per segment.  A circulation applies ``quad`` on each half of the segment
     (``_half_panels``, ``2 * quad.order`` nodes); see ``gaussian_field_2d``.
     """
     scale = 1.0 / (np.sqrt(2.0) * width)  # u = |scale * y|^2
+    tiny = np.finfo(float).tiny  # expm1(-tiny) / tiny is -1, the limit at u = 0
 
     def profile(u):
         out = np.full(np.shape(u), 0.5 * amplitude)
@@ -761,10 +796,23 @@ def _gaussian_gauge(amplitude: float, width: float, c: np.ndarray) -> VectorPote
         y, d = start - c, displacement
         cross = y[..., 0] * d[..., 1] - y[..., 1] * d[..., 0]
         (y1, y2), (d1, d2) = scale * np.moveaxis(y, -1, 0), scale * np.moveaxis(d, -1, 0)
+        # u(s) = a + s (b + s g) at each node, by Horner's rule into two reused buffers;
+        # the node sums expm1(-u) / u, whose limit at u = 0 the floor `tiny` gives exactly
+        a, b, g = y1 * y1 + y2 * y2, 2.0 * (y1 * d1 + y2 * d2), d1 * d1 + d2 * d2
+        u, term = np.empty(cross.shape), np.empty(cross.shape)
         acc = np.zeros(cross.shape)
         for s, w in zip(*_half_panels(quad)):
-            z1, z2 = y1 + s * d1, y2 + s * d2
-            acc += w * profile(z1 * z1 + z2 * z2)
+            np.multiply(g, s, out=u)
+            u += b
+            u *= s
+            u += a
+            np.maximum(u, tiny, out=u)
+            np.negative(u, out=term)
+            np.expm1(term, out=term)
+            term /= u
+            term *= w
+            acc += term
+        acc *= -0.5 * amplitude
         return cross * acc
 
     A = VectorPotential(2, eval, name="centred(gaussian)", _validate=False)

@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError, OffLatticeError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _exact_rule, _gauge_values, _square_norm)
+                     _exact_rule, _gauge_phases, _square_norm)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -406,16 +406,18 @@ class OperatorKernel:
                   % (self.grid.dim, self.grid.n))
         _write_csv(path, [self.kernel.real, self.kernel.imag], header)
 
-    def eigenvalues(self, hermitian_tol: float = 1e-8) -> np.ndarray:
+    def eigenvalues(self, hermitian_tol: float | None = 1e-8) -> np.ndarray:
         """Sorted real spectrum of the (Hermitian) operator matrix.
 
         The stored kernel is diagonalized and its spectrum scaled by the
         positive weight ``h^N``, so no weighted copy (``operator_matrix``) is
-        made.  Exact when ``h^N`` is a power of two, else to roundoff.
+        made.  Exact when ``h^N`` is a power of two, else to roundoff.  A
+        ``hermiticity_defect`` above ``hermitian_tol`` raises NumericError;
+        None skips the check, for a caller that has made it.
         """
         from .errors import NumericError
 
-        if self.hermiticity_defect() > hermitian_tol:
+        if hermitian_tol is not None and self.hermiticity_defect() > hermitian_tol:
             raise NumericError("operator is not Hermitian within tolerance")
         return self.grid.config_weight * np.linalg.eigvalsh(self.kernel)
 
@@ -454,11 +456,10 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     lattice, each one ``_circulation_sum`` call over its rows and the
     columns from its first row on.  Each block's part above the diagonal is
     mirrored below it with the opposite sign: the table is exactly
-    antisymmetric, with an exactly zero diagonal.  A gauge transform
-    ``A + grad rho`` (``add_gradient``, and the transversal gauge over a
-    closed form, whose ``rho`` is integrated at ``quad``) takes its base
-    potential's table plus ``rho(y) - rho(x)`` from the values of ``rho`` on
-    the lattice, and stays exactly antisymmetric.
+    antisymmetric, with an exactly zero diagonal.  The routes pass the base
+    potential of gauge data (``fields._gauge_phases``) and dress their
+    output with its gauge phases, so a gauge transform never builds a table
+    of its own.
 
     The table is memoized on the potential: one read-only entry for the last
     ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
@@ -471,23 +472,64 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     if A._table is not None and A._table[0] == key:
         return A._table[1]
     pts = grid.config_points()
-    if A._gauge is not None:
-        r = _gauge_values(A, pts, quad)
-        gamma = np.subtract(r[None, :], r[:, None])
-        gamma += _segment_circulation(A._gauge[0], grid, quad)
-    else:
-        size = grid.size
-        gamma = np.empty((size, size))
-        for r0, r1 in _row_blocks(size):
-            start = pts[r0:r1, None]
-            rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
-            upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
-            gamma[r0:r1, r0:r1] = upper - upper.T
-            gamma[r0:r1, r1:] = right
-            gamma[r1:, r0:r1] = -right.T
+    size = grid.size
+    gamma = np.empty((size, size))
+    for r0, r1 in _row_blocks(size):
+        start = pts[r0:r1, None]
+        rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
+        upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
+        gamma[r0:r1, r0:r1] = upper - upper.T
+        gamma[r0:r1, r1:] = right
+        gamma[r1:, r0:r1] = -right.T
     gamma.flags.writeable = False
     A._table, A._phase = (key, gamma), None  # a new table drops the phases of the old one
     return gamma
+
+
+def _circulation_phases(gamma: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    """``exp(-i gamma / hbar)`` of an exactly antisymmetric table, in one complex allocation.
+
+    Each ``_row_blocks`` block is exponentiated only on and to the right of
+    the diagonal, and its part right of the block is conjugated into the
+    mirrored columns below it: ``exp(i t)`` is the conjugate of ``exp(-i t)``
+    bit for bit, so the table is the full exponential to the last bit.
+    """
+    lam = np.empty(gamma.shape, dtype=complex)
+    for r0, r1 in _row_blocks(len(gamma)):
+        part = lam[r0:r1, r0:]
+        np.multiply(gamma[r0:r1, r0:], -1j, out=part)
+        if hbar != 1.0:
+            part /= hbar
+        np.exp(part, out=part)
+        np.conjugate(part[:, r1 - r0:].T, out=lam[r1:, r0:r1])
+    return lam
+
+
+def _base_phases(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature,
+                 hbar: float = 1.0):
+    """``(phase, gauge)``: the base potential's ``exp(-i Gamma / hbar)`` and the gauge phases.
+
+    ``gauge`` is ``e^{i rho / hbar}`` of ``A``'s gauge data on the lattice
+    points, None without gauge data (``fields._gauge_phases``).  At
+    ``hbar = 1`` the phase is the base's read-only memo
+    (``segment_phase_matrix``), else a new table.
+    """
+    base, gauge = _gauge_phases(A, grid.config_points(), quad, hbar)
+    if hbar == 1.0:
+        return segment_phase_matrix(base, grid, quad), gauge
+    return _circulation_phases(_segment_circulation(base, grid, quad), hbar), gauge
+
+
+def _gauge_dress(kern: np.ndarray, gauge) -> np.ndarray:
+    """Multiply a kernel in place by ``gauge`` in its rows, then by its conjugate in its columns.
+
+    The conjugation by the diagonal unitary ``e^{i rho(Q)}`` that a gauge
+    transform makes of every kernel; ``gauge`` None leaves it as it is.
+    """
+    if gauge is not None:
+        kern *= gauge[:, None]
+        kern *= np.conj(gauge)
+    return kern
 
 
 def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
@@ -496,21 +538,32 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
 
     Returns the read-only table memoized on the potential beside its
     circulation table (``_segment_circulation``), keyed by the identity of
-    that table: it is exponentiated once per circulation table, in place in
-    its one complex allocation, and replaced whenever that table is.  Callers
-    take it by value and never write into it.  ``A`` None gives a new,
-    writable table of ones.
+    that table: it is exponentiated once per circulation table, over half
+    the pairs (``_circulation_phases``), and replaced whenever that table
+    is.  Callers take it by value and never write into it.  ``A`` None gives
+    a new, writable table of ones.
+
+    Gauge data keep no table: their phases are a new writable table, the
+    base potential's memo dressed with ``e^{i rho(x)} e^{-i rho(y)}``
+    (``_gauge_dress``), of which the Hermitian part is taken, so it stays
+    exactly Hermitian as the memo is.  The routes do not call this for gauge
+    data; each dresses its own output (``_base_phases``).
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
-    gamma = _segment_circulation(A, grid, quad)
-    memo = A._phase  # read once: a concurrent new table may drop the slot
+    base, gauge = _gauge_phases(A, grid.config_points(), quad)
+    gamma = _segment_circulation(base, grid, quad)
+    memo = base._phase  # read once: a concurrent new table may drop the slot
     if memo is None or memo[0] is not gamma:
-        lam = np.multiply(gamma, -1j)
-        np.exp(lam, out=lam)
+        lam = _circulation_phases(gamma)
         lam.flags.writeable = False
-        memo = A._phase = (gamma, lam)
-    return memo[1]
+        memo = base._phase = (gamma, lam)
+    if gauge is None:
+        return memo[1]
+    lam = _gauge_dress(memo[1].copy(), gauge)
+    lam += lam.conj().T  # each pair is rounded on its own; x + conj(y) is exactly mirrored
+    lam *= 0.5
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +923,10 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
     """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
 
     The phases are the memoized ``segment_phase_matrix`` at ``hbar = 1`` and
-    ``exp(-i Gamma / hbar)`` otherwise.  ``f`` is an evaluator, or a checked
-    midpoint table at ``tau = 1/2, hbar = 1``.
+    ``exp(-i Gamma / hbar)`` otherwise, both of the base potential of gauge
+    data; a gauge transform then dresses the kernel with ``e^{i rho / hbar}``
+    in place, rows then columns (``_base_phases``).  ``f`` is an evaluator,
+    or a checked midpoint table at ``tau = 1/2, hbar = 1``.
     """
     if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
@@ -885,13 +940,9 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
         if mask:
             kern *= difference_mask(grid)
     if A is not None:
-        if hbar == 1.0:
-            phase = segment_phase_matrix(A, grid, quad)
-        else:
-            phase = -1j * _segment_circulation(A, grid, quad)
-            phase /= hbar
-            np.exp(phase, out=phase)
+        phase, gauge = _base_phases(A, grid, quad, hbar)
         np.multiply(phase, kern, out=kern)  # table first, as in moyal._factor_kernels
+        _gauge_dress(kern, gauge)
     return OperatorKernel(grid, kern)
 
 
@@ -967,7 +1018,10 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
     flat = sum((first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(sh)
                for a, sh in enumerate(axis_shape))
-    psi = phi.kernel if A is None else phi.kernel * np.conj(segment_phase_matrix(A, g, quad))
+    psi = phi.kernel
+    if A is not None:
+        lam, gauge = _base_phases(A, g, quad)
+        psi = _gauge_dress(psi * np.conj(lam), None if gauge is None else np.conj(gauge))
     out = psi.ravel()[flat]
     del psi, flat  # free the phase-stripped copy before the contractions
     # one batched contraction per axis, slot t_a -> momentum k_a, batched over s_a;

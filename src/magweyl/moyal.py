@@ -10,7 +10,10 @@ homomorphism property
 is structural (exact to roundoff up to far-off-diagonal wrap tails) rather
 than a quadrature statement.  The product depends on the potential only
 through its field: any two potentials with the same differential give the
-same symbol samples to quadrature accuracy.
+same symbol samples to quadrature accuracy.  A gauge transform ``A + grad
+rho`` conjugates both factors and their product by ``e^{i rho(Q)}``, which
+the inverse map strips again, so the product reads only the table of the
+base potential and never samples ``rho``.
 
 The product composes only the band of the kernel that the inverse map
 reads.  Two facts make this exact:
@@ -42,6 +45,8 @@ from .fields import (
     MagneticField,
     Quadrature,
     VectorPotential,
+    _gauge_base,
+    _gauge_phases,
     check_potential_matches_field,
     flux_triangle,
 )
@@ -54,6 +59,7 @@ from .grid import (
     symbol_from_kernel,
     kernel_compose,
     segment_phase_matrix,
+    _gauge_dress,
     _lattice_mesh,
     _row_blocks,
 )
@@ -123,21 +129,32 @@ def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,
 
 def product_kernel(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid,
                    quad: Quadrature = DEFAULT_QUADRATURE) -> OperatorKernel:
-    """Composed quantization kernel of two symbols (no symbol extraction)."""
+    """Composed quantization kernel of two symbols (no symbol extraction).
+
+    Each factor is ``kernel_from_symbol`` of its symbol to the last bit: the
+    base potential's phases, then the gauge phases of gauge data.
+    """
     kf, kg, _ = _factor_kernels(f, g, A, grid, quad)
+    if A is not None:
+        gauge = _gauge_phases(A, grid.config_points(), quad)[1]
+        for k in (kf, kg):
+            _gauge_dress(k.kernel, gauge)
     return kernel_compose(kf, kg)
 
 
 def _factor_kernels(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: Quadrature):
     """``(kf, kg, lam)``: both factors' kernels from one circulation table (None for no A).
 
-    ``lam * kernel_from_symbol(., None)`` is ``kernel_from_symbol(., A)`` to the last bit, as
-    the mask weights 0, 1/2 and 1 commute exactly with the phase factor.
+    ``lam`` is the table of ``A``'s base potential, without the gauge phases
+    of gauge data (module notes; ``product_kernel`` adds them).
+    ``lam * kernel_from_symbol(., None)`` is ``kernel_from_symbol(., base)`` to
+    the last bit, as the mask weights 0, 1/2 and 1 commute exactly with the
+    phase factor.
     """
     kf, kg = (kernel_from_symbol(h, None, grid, quad) for h in (f, g))
     if A is None:
         return kf, kg, None
-    lam = segment_phase_matrix(A, grid, quad)
+    lam = segment_phase_matrix(_gauge_base(A), grid, quad)
     for k in (kf, kg):
         np.multiply(lam, k.kernel, out=k.kernel)
     return kf, kg, lam

@@ -19,7 +19,10 @@ pairing the symbol with the Weyl system).
 
 The field enters every zero-fill route one way: its field-free kernel is
 multiplied entrywise by the segment table of ``grid`` (by
-``exp(-i Gamma / hbar)`` at scaled Planck constant), table first.  Only
+``exp(-i Gamma / hbar)`` at scaled Planck constant), table first.  A gauge
+transform ``A + grad rho`` is the diagonal unitary ``e^{i rho(Q)}``: the
+route takes the table of its base potential and conjugates the kernel by
+``e^{i rho / hbar}`` sampled on the lattice (``grid._gauge_dress``).  Only
 ``_weyl_phase`` integrates its own circulations.  Every momentum sum here
 runs per axis on the grid's two transform matrices, never on an
 ``n^N x n^N`` phase table.
@@ -44,6 +47,7 @@ from .fields import (
     Quadrature,
     ScalarPotential,
     VectorPotential,
+    _gauge_phases,
     circulation,
 )
 from .grid import (
@@ -57,6 +61,8 @@ from .grid import (
     segment_phase_matrix,
     symplectic_parity,
     _apply_axes,
+    _base_phases,
+    _gauge_dress,
     _half_phase,
     _lattice_steps,
     _quantized_kernel,
@@ -112,9 +118,15 @@ def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadr
     pts = grid.config_points()
     phase = np.exp(-1j * (pts + 0.5 * x) @ p)
     # own circulations, not the segment table: one operator needs n^N segments,
-    # and the cyclic variant the unwrapped [y, y + x], which leaves the box
+    # and the cyclic variant the unwrapped [y, y + x], which leaves the box.
+    # Gauge data: the base's, times e^{i rho(y)} e^{-i rho(y + x)}
     if A is not None:
-        phase = phase * np.exp(-1j * circulation(A, pts, pts + x, quad))
+        ends = np.stack([pts, pts + x])
+        A, gauge = _gauge_phases(A, ends, quad)
+        phase = phase * np.exp(-1j * circulation(A, *ends, quad))
+        if gauge is not None:
+            phase *= gauge[0]
+            phase *= np.conj(gauge[1])
     cols, valid = _shift_index_table(grid, shifts, boundary)
     return phase, cols, valid
 
@@ -207,7 +219,9 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
     kern[np.nonzero(valid)[0], cols[valid]] = d.T[valid]
     if A is not None:
-        np.multiply(segment_phase_matrix(A, g, quad), kern, out=kern)
+        phase, gauge = _base_phases(A, g, quad)
+        np.multiply(phase, kern, out=kern)
+        _gauge_dress(kern, gauge)
     return OperatorKernel(g, kern)
 
 
@@ -327,5 +341,4 @@ def gauge_conjugate(phi: OperatorKernel, rho: ScalarPotential,
         raise InputError("direction must be 'forward' or 'inverse'")
     vals = np.asarray(rho(phi.grid.config_points()), dtype=float)
     sign = 1.0 if direction == "forward" else -1.0
-    ph = np.exp(1j * sign * vals)
-    return OperatorKernel(phi.grid, ph[:, None] * phi.kernel * np.conj(ph)[None, :])
+    return OperatorKernel(phi.grid, _gauge_dress(phi.kernel.copy(), np.exp(1j * sign * vals)))

@@ -133,10 +133,10 @@ def rank_one_reconstruction(grid, B, gauges, quad, rng, state=None):
 
 def field_commutator_error(P, B, u):
     """``[Pi_1, Pi_2] = i B_12(Q)`` on u, relative; ``P[j]`` is the axis-j momentum."""
-    comm = 1j * (P[1] @ P[0] - P[0] @ P[1])
+    v = u.values.ravel()
     b12 = np.asarray(B.eval(u.grid.config_points()))[:, 0, 1]
-    out = comm @ u.values.ravel()
-    return np.linalg.norm(out - b12 * u.values.ravel()) / np.linalg.norm(u.values)
+    out = 1j * (P[1] @ (P[0] @ v) - P[0] @ (P[1] @ v))
+    return np.linalg.norm(out - b12 * v) / np.linalg.norm(u.values)
 
 
 def _commutators(grid, B, gauges, quad, rng):
@@ -145,10 +145,10 @@ def _commutators(grid, B, gauges, quad, rng):
     gc = gr.PhaseSpaceGrid(grid.dim, max(grid.n, 28), grid.L)
     u = gr.gaussian_wavefunction(gc, width=0.9)
     P = [qu.momentum_operator(gauges[0], j, gc).operator_matrix for j in range(gc.dim)]
-    q1 = np.diag(gc.config_points()[:, 0])
-    out = 1j * (P[0] @ q1 - q1 @ P[0]) @ u.values.ravel()
+    v, q1 = u.values.ravel(), gc.config_points()[:, 0]
+    out = 1j * (P[0] @ (q1 * v) - q1 * (P[0] @ v))
     errors = {"grid_n": gc.n, "position_momentum_commutator":
-              np.linalg.norm(out - u.values.ravel()) / np.linalg.norm(u.values)}
+              np.linalg.norm(out - v) / np.linalg.norm(u.values)}
     if gc.dim >= 2:
         errors["momentum_commutator_field"] = field_commutator_error(P, B, u)
     return errors

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ResourceLimitError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential
+from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _gauge_phases
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
@@ -52,9 +52,19 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     for all lattice translations at once; a forward transform per axis takes
     them to the dual lattice.  Zero-fill truncation matches the Weyl-operator
     convention, so the table agrees with directly assembled inner products
-    to roundoff.
+    to roundoff.  Gauge data dress the two states with their gauge phases and
+    the kernel with the base potential's table.
     """
     g = u.grid
+    if v.grid != g:
+        raise DimensionMismatchError("states live on different grids")
+    if A is not None:
+        # gauge data: the base's table times e^{i rho(y)} e^{-i rho(z)}, the latter
+        # dressed into the two states
+        A, gauge = _gauge_phases(A, g.config_points(), quad)
+        if gauge is not None:
+            gauge = np.conj(gauge).reshape(g.shape)
+            u, v = (WaveFunction(w.grid, w.values * gauge) for w in (u, v))
     kern = np.conj(rank_one_kernel(v, u).kernel)  # (y, z): conj(v(y)) u(z)
     if A is not None:
         kern *= segment_phase_matrix(A, g, quad)

@@ -26,6 +26,7 @@ from magweyl import coupling as C
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
+from magweyl import wigner as W
 from magweyl.errors import NumericError
 
 QUAD = F.Quadrature(16)
@@ -35,8 +36,8 @@ GAUGES = {
     "symmetric": lambda: F.symmetric_gauge(1.0),
     "transversal_gaussian": lambda: F.transversal_gauge(
         F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), QUAD),
-    # a gauge transform by a non-polynomial rho: the table adds the lattice
-    # differences of rho, the point engine rho(b) - rho(a)
+    # a gauge transform by a non-polynomial rho: the table dresses the base's
+    # with e^{i rho} on the lattice, the point engine adds rho(b) - rho(a)
     "gauge_transformed": lambda: F.add_gradient(
         GAUGES["transversal_gaussian"](),
         F.ScalarPotential(2, lambda x: 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1]),
@@ -173,6 +174,25 @@ def test_transform_route_phase_matches_circulation(gauge):
     back = g.config_weight * np.exp(-1j * y @ k.T)
     expect = ((fc(x, k[None]) @ to_diff.T) * lam) @ back
     assert np.abs(out.reshape(expect.shape) - expect).max() < TOL * np.abs(expect).max()
+
+
+def test_fourier_wigner_phase_matches_circulation(gauge):
+    # <v, W(x, p) u> written out: h^N sum_y conj(v(y)) e^{-i (y + x/2).p}
+    # e^{-i Gamma^A([y, y + x])} u(y + x), zero-filled, the phase from circulation
+    g = rig()
+    u = G.gaussian_wavefunction(g, center=[0.3, -0.2], width=0.8, momentum=[0.4, 0.1])
+    v = G.gaussian_wavefunction(g, center=[-0.2, 0.1], width=0.9)
+    y, x = lattice_pairs(g)
+    inbox = np.all(np.abs(y + x + 0.5 * g.h) < g.L, axis=-1)
+    ends = np.clip(np.rint((y + x) / g.h).astype(int) + g.n // 2, 0, g.n - 1)
+    shifted = np.where(inbox, u.values.ravel()[np.ravel_multi_index(tuple(ends.T), g.shape).T], 0)
+    term = np.conj(v.values.ravel())[:, None] * np.exp(
+        -1j * F.circulation(gauge, y, y + x, QUAD)) * shifted  # (y, x)
+    p = g.momentum_points()
+    expect = g.config_weight * np.einsum("yx,yxp->xp", term,
+                                         np.exp(-1j * (y + 0.5 * x) @ p.T))
+    table = W.fourier_wigner(u, v, gauge, QUAD).values.reshape(expect.shape)
+    assert np.abs(table - expect).max() < TOL * np.abs(expect).max()
 
 
 def test_table_routes_reject_nonfinite_potential():

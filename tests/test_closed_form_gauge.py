@@ -70,8 +70,8 @@ def test_order48_circulation_is_independent_of_order16():
     # a narrow field far from the origin, where order 16 misses the rays
     B = F.gaussian_field_2d(1.4, 0.6, (6.0, -5.0))
     A = F.transversal_gauge(B, QUAD)
-    base, rho = A._gauge
-    assert base is B._potential and rho is None
+    base, terms = A._gauge
+    assert base is B._potential and terms == (None,)
     a, b = np.random.default_rng(22).uniform(-8.0, 8.0, size=(2, 1000, 2))
     ref = flux_from_origin(B, a, b)
     assert np.abs(F.circulation(A, a, b, Q48) - ref).max() <= 1e-12

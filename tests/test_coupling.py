@@ -195,6 +195,36 @@ def test_transform_route_integrates_one_segment_of_each_mirror_pair(dim, n):
     assert np.isfinite(out).all()
 
 
+def test_transform_route_samples_the_gauge_function_once_per_segment_end(monkeypatch):
+    # gauge data integrate their base, and rho is sampled once at each distinct
+    # end x -+ y/2 of the route's segments: 5,039 points at n = 24 on the midpoint
+    # lattice, where both ends of every integrated segment made 1,378,416
+    g = G.PhaseSpaceGrid(2, 24, 8.0)
+    B = F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2))
+    A = F.transversal_gauge(B, QUAD)
+    f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (0.7, (0, 3))]).with_momentum_cutoff(0.85)
+    x, y, k = G._lattice_mesh([g.midpoint_axis] * 2), g.config_points(), g.momentum_points()
+    ends = np.rint(np.stack([x[:, None] + 0.5 * y, x[:, None] - 0.5 * y]) / (g.h / 2)).astype(int)
+    distinct = len(np.unique(ends[..., 0] * (4 * g.n) + ends[..., 1]))  # half steps, |.| < 2n
+    points = []
+    sample = F._gauge_values
+    monkeypatch.setattr(F, "_gauge_values", lambda A, x, quad: (
+        points.append(np.prod(np.shape(x)[:-1])) or sample(A, x, quad)))
+    out = C.covariant_coupling(f, A, g, QUAD, "midpoint").values.reshape(len(x), g.size)
+    assert distinct == 5039 and sum(points) <= distinct
+    # seeded rows against the route written out from the plain evaluator of the
+    # transversal gauge (its ray integral), at order 48 and with no gauge data
+    monkeypatch.undo()
+    plain = F.VectorPotential(2, F.transversal_gauge(B, F.Quadrature(48)).eval, _validate=False)
+    rows = np.random.default_rng(5).choice(len(x), 6, replace=False)
+    xr = x[rows][:, None]
+    lam = np.exp(1j * F.circulation(plain, xr - 0.5 * y, xr + 0.5 * y, F.Quadrature(48)))
+    to_diff = g.momentum_weight * np.exp(1j * y @ k.T)
+    back = g.config_weight * np.exp(-1j * y @ k.T)
+    expect = ((f(xr, k[None]) @ to_diff.T) * lam) @ back
+    assert np.abs(out[rows] - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_kinetic_sample_memory_peak(traced_peak):
     # dim 2, n=32: the 62 MiB midpoint table and momentum-sized factors, no full-size temporaries
     g = G.PhaseSpaceGrid(2, 32, 8.0)

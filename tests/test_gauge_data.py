@@ -1,22 +1,29 @@
-"""Gauge transforms stay data, and each potential integrates its segment table once.
+"""Gauge transforms stay data, and each base potential integrates its segment table once.
 
-``add_gradient(A, rho)`` keeps ``(A, rho)``: its circulation is
-``Gamma^A([a, b]) + rho(b) - rho(a)`` in the point engine, and its lattice
-segment table is the base table plus the lattice differences of ``rho``.
-The table of every potential is memoized on it as one read-only entry per
-``(grid, rule)``, and beside it the read-only phases ``exp(-i Gamma)`` of that
-table.  These tests pin the memo (identity, read-only, replaced by another
-grid or rule, bit-identical to a fresh table), the phase slot (the same
-array again, replaced with its table, bit for bit ``exp(-i Gamma)``, read by
-op_quantize at hbar = 1 only), the gauge-transformed
-table against the full quadrature of the same evaluator, the quantization
-against ``gauge_conjugate``, the finiteness check on ``rho`` in both engines,
-and the exact ``rho`` part for a non-polynomial gauge function.  The
-transversal gauge of the Gaussian field is itself gauge data over a closed
-form, so its case is checked against the order-48 flux from the origin.
+``add_gradient(A, rho)`` is gauge data: one base potential with no gauge
+data and one summed gauge function, so ``add_gradient(transversal_gauge(B),
+rho)`` is ``(A_c, rho_t + rho)``.  Its circulation is ``Gamma^base([a, b]) +
+rho(b) - rho(a)`` in the point engine.  On the lattice it is the diagonal
+unitary ``e^{i rho(Q)}``: every route reads the base's table and dresses its
+output with ``e^{i rho / hbar}``, so gauge data never hold a table.  The
+table of every base is memoized on it as one read-only entry per ``(grid,
+rule)``, and beside it the read-only phases ``exp(-i Gamma)`` of that table.
+These tests pin the memo (identity, read-only, replaced by another grid or
+rule, bit-identical to a fresh table, held by the base and never by the
+gauge data), the phase slot (the same array again, replaced with its table,
+bit for bit ``exp(-i Gamma)``, read by op_quantize at hbar = 1 only), the
+gauge-transformed table against the full quadrature of the same evaluator,
+the quantization and the Weyl operator of a gauge transform against a kernel
+written out from the transformed potential's plain evaluator and against
+``gauge_conjugate``, the finiteness check on ``rho`` in both engines, and
+the exact ``rho`` part for a non-polynomial gauge function.  The transversal
+gauge of the Gaussian field is itself gauge data over a closed form, so its
+case is checked against the order-48 flux from the origin.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from magweyl import quantize as Q
 from magweyl.errors import NumericError
 
 QUAD = F.Quadrature(16)
+Q48 = F.Quadrature(48)
 
 
 def plain(A):
@@ -92,15 +100,20 @@ def test_second_call_returns_the_same_read_only_table():
 
 
 def test_another_grid_or_rule_replaces_the_one_entry():
+    # the gauge data's routes build the one entry on the base potential
     g, g2 = G.PhaseSpaceGrid(2, 8, 4.0), G.PhaseSpaceGrid(2, 6, 4.0)
     A = transversal_gaussian()
-    first = G._segment_circulation(A, g, QUAD)
-    other = G._segment_circulation(A, g2, QUAD)
-    assert A._table[0] == (g2, QUAD) and A._table[1] is other
-    again = G._segment_circulation(A, g, QUAD)
+    base = F._gauge_base(A)
+    G.segment_phase_matrix(A, g, QUAD)
+    first = base._table[1]
+    assert base._table[0] == (g, QUAD)
+    G.segment_phase_matrix(A, g2, QUAD)
+    assert base._table[0] == (g2, QUAD) and A._table is None
+    again = G._segment_circulation(base, g, QUAD)
     assert again is not first and np.array_equal(again, first)
-    coarse = G._segment_circulation(A, g, F.Quadrature(12))
-    assert A._table[0] == (g, F.Quadrature(12)) and A._table[1] is coarse
+    G.segment_phase_matrix(A, g, F.Quadrature(12))
+    coarse = base._table[1]
+    assert base._table[0] == (g, F.Quadrature(12)) and A._table is None
     assert not np.array_equal(coarse, first)
 
 
@@ -110,11 +123,15 @@ def test_another_grid_or_rule_replaces_the_one_entry():
     lambda: F.add_gradient(transversal_gaussian(), sin_cos_rho()),
 ], ids=["symmetric", "transversal_gaussian", "gauge_transformed"])
 def test_memo_hit_is_bit_identical_to_a_fresh_table(make):
+    # the table a route leaves on the base, hit again, against a fresh base's
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     A = make()
-    G._segment_circulation(A, g, QUAD)
-    assert np.array_equal(G._segment_circulation(A, g, QUAD),
-                          G._segment_circulation(make(), g, QUAD))
+    base = F._gauge_base(A)
+    G.segment_phase_matrix(A, g, QUAD)
+    if base is not A:
+        assert A._table is None and A._phase is None
+    assert np.array_equal(G._segment_circulation(base, g, QUAD),
+                          G._segment_circulation(F._gauge_base(make()), g, QUAD))
 
 
 def test_phase_matrix_exponentiates_in_place():
@@ -149,17 +166,21 @@ def test_second_phase_call_returns_the_same_read_only_table():
 def test_another_grid_or_rule_replaces_the_phases_with_the_table():
     g, g2 = G.PhaseSpaceGrid(2, 8, 4.0), G.PhaseSpaceGrid(2, 6, 4.0)
     A = transversal_gaussian()
-    first = G.segment_phase_matrix(A, g, QUAD)
+    base = F._gauge_base(A)
+    G.segment_phase_matrix(A, g, QUAD)
+    first = base._phase[1]
     # a new circulation table drops the phases of the old one at once
-    G._segment_circulation(A, g2, QUAD)
-    assert A._phase is None
-    other = G.segment_phase_matrix(A, g2, QUAD)
-    assert A._phase[0] is A._table[1] and other.shape == (36, 36)
-    again = G.segment_phase_matrix(A, g, QUAD)
+    G._segment_circulation(base, g2, QUAD)
+    assert base._phase is None
+    G.segment_phase_matrix(A, g2, QUAD)
+    assert base._phase[0] is base._table[1] and base._phase[1].shape == (36, 36)
+    again = G.segment_phase_matrix(base, g, QUAD)
     assert again is not first and np.array_equal(again, first)
-    coarse = G.segment_phase_matrix(A, g, F.Quadrature(12))
-    assert A._table[0] == (g, F.Quadrature(12)) and A._phase[0] is A._table[1]
-    assert A._phase[1] is coarse and not np.array_equal(coarse, first)
+    G.segment_phase_matrix(A, g, F.Quadrature(12))
+    assert base._table[0] == (g, F.Quadrature(12)) and base._phase[0] is base._table[1]
+    assert not np.array_equal(base._phase[1], first)
+    # the gauge data itself never holds a table
+    assert A._table is None and A._phase is None
 
 
 @pytest.mark.parametrize("make", [
@@ -168,10 +189,18 @@ def test_another_grid_or_rule_replaces_the_phases_with_the_table():
     lambda: F.add_gradient(F.symmetric_gauge(1.0), poly_rho(2, [(0.5, (1, 1))])),
 ], ids=["transversal_gaussian", "gauge_transformed", "symmetric_plus_gradient"])
 def test_memoized_phases_are_the_exponentiated_table(make):
+    # the base's memo is bit for bit exp(-i Gamma) of its table; the gauge data's
+    # table is that memo dressed with e^{i rho(x)} e^{-i rho(y)}, its Hermitian part
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     A = make()
+    base = F._gauge_base(A)
     lam = G.segment_phase_matrix(A, g, QUAD)
-    assert np.array_equal(lam, np.exp(-1j * G._segment_circulation(A, g, QUAD)))
+    memo = base._phase[1]
+    assert np.array_equal(memo, np.exp(-1j * G._segment_circulation(base, g, QUAD)))
+    u = np.exp(1j * F._gauge_values(A, g.config_points(), QUAD))
+    dressed = memo * u[:, None] * np.conj(u)
+    assert np.array_equal(lam, 0.5 * (dressed + dressed.conj().T))
+    assert A._table is None and A._phase is None
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.3])
@@ -180,18 +209,24 @@ def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
                           amplitude=1.0 + 0.5j)
     A = transversal_gaussian()
+    base = F._gauge_base(A)
     kern = Q.op_quantize(f, A, g, Q.WeylParams(tau, 1.0), QUAD, mask=True).kernel
-    assert A._phase is not None
-    # the expression the route evaluated before the memo, bit for bit
+    assert base._phase is not None and A._table is None and A._phase is None
+    # the base's phases by the expression the route evaluated before the memo, bit
+    # for bit, then the gauge phases in the rows and their conjugates in the columns
     old = G._separable_kernel(f, g, tau, 1.0, True)
-    phase = -1j * G._segment_circulation(A, g, QUAD)
+    phase = -1j * G._segment_circulation(base, g, QUAD)
     phase /= 1.0
     np.multiply(np.exp(phase, out=phase), old, out=old)
+    u = np.exp(1j * F._gauge_values(A, g.config_points(), QUAD))
+    old *= u[:, None]
+    old *= np.conj(u)
     assert np.array_equal(kern, old)
-    # at hbar != 1 the route exponentiates Gamma / hbar itself
+    # at hbar != 1 the route exponentiates the base's Gamma / hbar itself
     A = transversal_gaussian()
+    base = F._gauge_base(A)
     Q.op_quantize(f, A, g, Q.WeylParams(tau, 0.7), QUAD, mask=True)
-    assert A._table is not None and A._phase is None
+    assert base._table is not None and base._phase is None and A._table is None
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +266,43 @@ def test_gauge_transformed_table_matches_full_quadrature(case):
 
 
 def test_gauge_transform_reuses_the_base_table():
+    # the base holds the one Gamma and phase table; the gauge data hold none
     g = G.PhaseSpaceGrid(2, 8, 4.0)
+    f = G.gaussian_symbol(2, x_width=1.0, p_width=0.9)
     A = transversal_gaussian()
     A2 = F.add_gradient(A, sin_cos_rho())
-    gamma2 = G._segment_circulation(A2, g, QUAD)
-    base = A._table[1]
-    assert A._table[0] == (g, QUAD)
-    assert G._segment_circulation(A, g, QUAD) is base and G._segment_circulation(A2, g, QUAD) is gamma2
+    base = F._gauge_base(A2)
+    assert F._gauge_base(A) is base and F._gauge_base(base) is base
+    Q.op_quantize(f, A2, g, quad=QUAD)
+    gamma, lam = base._table[1], base._phase[1]
+    assert base._table[0] == (g, QUAD)
+    Q.op_quantize(f, A, g, quad=QUAD)
+    assert base._table[1] is gamma and base._phase[1] is lam
+    for P in (A, A2):
+        assert P._table is None and P._phase is None
+
+
+def plain_circulation(A, a, b):
+    """Circulations of ``A``'s plain evaluator, with no gauge data: the independent side.
+
+    The exact rule where the transformed potential declares a degree (a
+    polynomial ``rho`` over a polynomial potential), order 48 otherwise.
+    """
+    return F.circulation(plain(A), a, b, QUAD if A.degree_hint is not None else Q48)
+
+
+def plain_weyl_kernel(A, xi, g):
+    """The Weyl operator at ``xi`` written out from ``plain_circulation``, zero-filled."""
+    x, p = xi
+    pts = g.config_points()
+    ends = np.rint((pts + x) / g.h).astype(int) + g.n // 2
+    inside = np.all((ends >= 0) & (ends < g.n), axis=-1)
+    rows = np.flatnonzero(inside)
+    phase = np.exp(-1j * (pts[rows] + 0.5 * x) @ p) * np.exp(
+        -1j * plain_circulation(A, pts[rows], pts[rows] + x))
+    m = np.zeros((g.size, g.size), dtype=complex)
+    m[rows, np.ravel_multi_index(tuple(ends[rows].T), g.shape)] = phase
+    return m / g.config_weight
 
 
 @pytest.mark.parametrize("tau, hbar", [(0.5, 1.0), (0.5, 0.7), (0.3, 1.0), (0.3, 0.7)])
@@ -248,7 +313,14 @@ def test_quantization_of_the_gauge_transform_is_the_gauge_conjugate(tau, hbar):
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9,
                           amplitude=1.0 + 0.5j)
     params = Q.WeylParams(tau=tau, hbar=hbar)
-    direct = Q.op_quantize(f, F.add_gradient(A, rho), g, params, quad=QUAD).kernel
+    A2 = F.add_gradient(A, rho)
+    direct = Q.op_quantize(f, A2, g, params, quad=QUAD).kernel
+    # the independent side: the field-free kernel times exp(-i Gamma / hbar) of the
+    # transformed potential's plain evaluator
+    pts = g.config_points()
+    plain_kernel = (Q.op_quantize(f, None, g, params, quad=QUAD).kernel
+                    * np.exp(-1j * plain_circulation(A2, pts[:, None], pts[None]) / hbar))
+    assert np.abs(direct - plain_kernel).max() <= 1e-13 * np.abs(plain_kernel).max()
     # at hbar != 1 the phase is exp(-i Gamma / hbar): conjugation by rho / hbar
     scaled = F.ScalarPotential(2, lambda x: rho(x) / hbar, rho.gradient)
     expect = Q.gauge_conjugate(Q.op_quantize(f, A, g, params, quad=QUAD), scaled).kernel
@@ -259,7 +331,10 @@ def test_weyl_operator_of_the_gauge_transform_is_the_gauge_conjugate():
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     A, rho = transversal_gaussian(), sin_cos_rho()
     xi = (np.array([2 * g.h, -g.h]), np.array([0.6, -0.3]))
-    direct = Q.weyl_matrix(F.add_gradient(A, rho), xi, g, QUAD).kernel
+    A2 = F.add_gradient(A, rho)
+    direct = Q.weyl_matrix(A2, xi, g, QUAD).kernel
+    plain_kernel = plain_weyl_kernel(A2, xi, g)
+    assert np.abs(direct - plain_kernel).max() <= 1e-13 * np.abs(plain_kernel).max()
     expect = Q.gauge_conjugate(Q.weyl_matrix(A, xi, g, QUAD), rho).kernel
     assert np.abs(direct - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -295,3 +370,30 @@ def test_non_polynomial_gauge_function_is_exact():
     r = rho(g.config_points())
     table_part = G._segment_circulation(A2, g, QUAD) - G._segment_circulation(A, g, QUAD)
     assert np.abs(table_part - (r[None] - r[:, None])).max() <= 1e-13 * np.abs(r).max()
+
+
+# ---------------------------------------------------------------------------
+# one gauge mechanism
+
+def test_gauge_functions_are_sampled_through_one_helper():
+    # fields._gauge_values is the one sampler of a gauge function: the point engine
+    # (_circulation_sum) reads it for real circulations, and every lattice route
+    # through fields._gauge_phases.  The gauge data themselves are read in fields
+    # alone, and the segment table has no gauge branch
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    samplers, readers, table_names = set(), set(), set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_gauge_values"):
+                    samplers.add((path.name, fn.name))
+                if isinstance(node, ast.Attribute) and node.attr == "_gauge":
+                    readers.add(path.name)
+                if (path.name, fn.name) == ("grid.py", "_segment_circulation"):
+                    table_names.add(getattr(node, "id", getattr(node, "attr", "")))
+    assert samplers == {("fields.py", "_gauge_phases"), ("fields.py", "_circulation_sum")}
+    assert readers == {"fields.py"}
+    assert table_names and not any("gauge" in name for name in table_names)
