@@ -453,6 +453,18 @@ def _gauge_base(A: VectorPotential) -> VectorPotential:
     return A if A._gauge is None else A._gauge[0]
 
 
+def _require_base(A: VectorPotential) -> None:
+    """InputError unless ``A`` is its own base: only a base potential holds a lattice table.
+
+    The routes read the base's table and dress their output with the gauge
+    phases (``_gauge_phases``); a table of gauge data would be a second path
+    to the same numbers, through the point engine and far slower.
+    """
+    if A._gauge is not None:
+        raise InputError("a segment table is built for a base potential, not gauge data; "
+                         "read the base's table and its gauge phases (fields._gauge_phases)")
+
+
 def _gauge_values(A: VectorPotential, x, quad: Quadrature) -> np.ndarray:
     """The summed gauge function ``rho`` of ``A``'s gauge data ``(base, terms)`` at ``x``.
 

@@ -85,9 +85,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .csvformat import format_e18
 from .errors import DimensionMismatchError, InputError, OffLatticeError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _exact_rule, _gauge_phases, _square_norm)
+                     _exact_rule, _gauge_phases, _require_base, _square_norm)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -320,24 +321,33 @@ def fourier_config(u: WaveFunction, direction: str = "forward") -> np.ndarray:
 # operator kernels
 
 # rows per formatted block of _write_csv
-_CSV_ROWS = 8192
+_CSV_ROWS = 2048
 
 
 def _write_csv(path, columns, header: str) -> None:
     """Write float ``columns`` (each raveled) side by side as a CSV table.
 
     The bytes are those of ``np.savetxt(path, table, delimiter=",", header=header)``:
-    ``%.18e`` per value and a ``# `` comment header.  Each block of
-    ``_CSV_ROWS`` rows is one ``%``-format over its flat values, not one
-    per row.
+    ``%.18e`` per value, ``,`` between columns and a ``# `` comment header.
+    Each block of ``_CSV_ROWS`` rows is copied from the columns and
+    formatted exactly in NumPy (``csvformat.format_e18``, which falls back
+    to ``%`` for the values it cannot prove); a block holding a non-finite
+    value is one ``%``-format over its flat values.
     """
-    table = np.column_stack([np.ravel(c) for c in columns])
-    line = ",".join(["%.18e"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# " + header.replace("\n", "\n# ") + "\n")
-        for r0 in range(0, len(table), _CSV_ROWS):
-            block = table[r0:r0 + _CSV_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    columns = [np.asarray(c) for c in columns]
+    rows, cols = columns[0].size, len(columns)
+    seps = [ord(",")] * (cols - 1) + [ord("\n")]
+    line = ",".join(["%.18e"] * cols) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode())
+        for r0 in range(0, rows, _CSV_ROWS):
+            block = np.empty((min(_CSV_ROWS, rows - r0), cols))
+            for c, col in enumerate(columns):
+                block[:, c] = col.flat[r0:r0 + _CSV_ROWS]
+            if np.isfinite(block).all():
+                fh.write(format_e18(block, seps))
+            else:
+                fh.write((line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 class OperatorKernel:
@@ -459,13 +469,14 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     antisymmetric, with an exactly zero diagonal.  The routes pass the base
     potential of gauge data (``fields._gauge_phases``) and dress their
     output with its gauge phases, so a gauge transform never builds a table
-    of its own.
+    of its own: gauge data passed here raise InputError.
 
     The table is memoized on the potential: one read-only entry for the last
     ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
     replaces, together with the phases ``segment_phase_matrix`` keeps beside
     it.  Callers take it by value and never write into it.
     """
+    _require_base(A)
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
     key = (grid, _exact_rule(quad, A))

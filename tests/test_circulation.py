@@ -91,8 +91,9 @@ def test_segment_phase_matrix_matches_circulation(case):
     expect = np.exp(-1j * F.circulation(gauge, x, y, QUAD))
     table = G.segment_phase_matrix(gauge, g, QUAD)
     assert np.abs(table - expect).max() < TOL
-    # reversed segments: exactly opposite circulations, exactly conjugate phases
-    gamma = G._segment_circulation(gauge, g, QUAD)
+    # reversed segments: exactly opposite circulations, exactly conjugate phases, on
+    # the base's table, which the routes read
+    gamma = G._segment_circulation(F._gauge_base(gauge), g, QUAD)
     assert np.array_equal(gamma, -gamma.T)
     assert not np.diagonal(gamma).any()
     assert np.array_equal(table, table.conj().T)
@@ -116,10 +117,11 @@ def test_segment_table_triangles_obey_stokes():
 def test_transversal_segment_table_is_the_flux_from_the_origin():
     # the transversal gauge circulates zero along rays, so Gamma[a, b] is the
     # flux through <0, a, b>, an independent quadrature of the same field
+    # (gauge data over a closed form: its circulations are the point engine's)
     B = F.gaussian_field_2d(1.0, 1.6)
     g = rig()
-    gamma = G._segment_circulation(F.transversal_gauge(B, QUAD), g, QUAD)
     a, b = lattice_pairs(g)
+    gamma = F.circulation(F.transversal_gauge(B, QUAD), a, b, QUAD)
     flux = F.flux_triangle(B, np.zeros(2), a, b, QUAD)
     assert np.abs(gamma - flux).max() <= 1e-12 * np.abs(flux).max()
 

@@ -4,8 +4,8 @@ The Gaussian preset keeps its centred gauge ``A_c``; its transversal gauge
 is ``(A_c, rho)`` with ``rho(x) = -Gamma^{A_c}([0, x])`` integrated at the
 rule of each call.  These tests pin ``A_c`` against the field and at its
 centre, its circulations against the flux, the independence of an order-48
-circulation from order-16 ones, and the accuracy of the order-16 table
-against the ray route it replaces.  Polynomial presets keep their exact
+circulation from order-16 ones, and the accuracy of its order-16
+circulations against the ray route they replace.  Polynomial presets keep their exact
 transversal ``PolynomialMap``: the transversal gauge carries it as ``poly``,
 so its second derivatives are analytic.
 """
@@ -89,9 +89,9 @@ def test_order16_table_is_no_less_accurate_than_the_ray_route():
     i, j = np.random.default_rng(0).integers(0, g.size, size=(2, 2000))
     pts = g.config_points()
     ref = flux_from_origin(B, pts[i], pts[j])
-    table = G._segment_circulation(F.transversal_gauge(B, QUAD), g, QUAD)[i, j]
+    closed = F.circulation(F.transversal_gauge(B, QUAD), pts[i], pts[j], QUAD)
     ray = F.circulation(F.transversal_gauge(eval_only(B), QUAD), pts[i], pts[j], QUAD)
-    err, ray_err = np.abs(table - ref).max(), np.abs(ray - ref).max()
+    err, ray_err = np.abs(closed - ref).max(), np.abs(ray - ref).max()
     assert err <= 1e-12 and ray_err > 1e-7
     assert err <= ray_err
 

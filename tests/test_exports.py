@@ -1,9 +1,11 @@
 import ast
 import importlib
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from magweyl import fields as F
 from magweyl import grid as G
@@ -45,6 +47,92 @@ def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path):
         np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
                    header="a header\nof two lines")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def percent_csv(table, header):
+    """The CSV bytes of ``table`` by ``'%.18e' %`` of each value: the writer's oracle."""
+    lines = ["# " + header.replace("\n", "\n# ")]
+    lines += [",".join("%.18e" % x for x in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_writes_like_percent(path, values):
+    # one column, then two (the values and their reversal); blocks of both widths
+    for table in (values[:, None], np.column_stack([values, values[::-1]])):
+        G._write_csv(path, list(table.T), "sweep")
+        assert path.read_bytes() == percent_csv(table, "sweep")
+
+
+def test_csv_writer_matches_percent_format_on_hard_values(tmp_path):
+    powers = 10.0 ** np.arange(-323, 309)
+    tiny = np.finfo(float).tiny
+    edges = np.array([1e-280, 1e280, tiny, np.finfo(float).max, 5e-324, 1e-310, tiny / 3,
+                      0.0, -0.0, np.nan, np.inf, -np.inf])
+    bits = np.random.default_rng(5).integers(0, 2**64, 10**5, dtype=np.uint64).view(float)
+    values = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # ties in the 19th digit among them
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges[:2], 0.0), np.nextafter(edges[:2], np.inf),
+        bits[np.isfinite(bits)],
+    ])
+    values = np.concatenate([values, -values])
+    assert len(values) > 8 * G._CSV_ROWS
+    assert_writes_like_percent(tmp_path / "sweep.csv", values)
+    # 2^-28 = 3.7252902984619140625e-09 exactly: the tie rounds to the even digit
+    G._write_csv(tmp_path / "tie.csv", [np.array([2.0**-28])], "tie")
+    assert (tmp_path / "tie.csv").read_text().splitlines()[1] == "3.725290298461914062e-09"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_csv_writer_matches_percent_format_on_any_floats(tmp_path_factory, values):
+    # the drawn floats repeated over one block of rows and on into the next
+    values = np.resize(np.array(values), G._CSV_ROWS + len(values))
+    assert_writes_like_percent(tmp_path_factory.mktemp("csv") / "any.csv", values)
+
+
+def test_csv_writer_memory_is_one_block(tmp_path):
+    # four blocks of two columns peak within the working set of one: formatting a
+    # whole table at once would hold every block's digits and bytes together
+    values = np.random.default_rng(4).standard_normal((4 * G._CSV_ROWS, 2))
+    columns = [values[:, 0], values[:, 1]]
+    G._write_csv(tmp_path / "warm.csv", columns[:1], "warm-up")  # the lookup tables
+    tracemalloc.start()
+    try:
+        G._write_csv(tmp_path / "mem.csv", columns, "memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * 2 * G._CSV_ROWS  # 320 bytes per value of one block
+
+
+def test_csv_output_has_one_writer():
+    # every CSV byte of the package goes through grid._write_csv: outside it and its
+    # formatter (csvformat.format_e18) no savetxt or tofile call and no %.18e literal
+    # (docstrings aside)
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner, docstrings = {}, set()
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                docstrings.add(body[0].value)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)  # the outermost function
+        for node in ast.walk(tree):
+            name = None
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("savetxt", "tofile") or (
+                    isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "%.18e" in node.value and node not in docstrings):
+                found.add((path.name, owner.get(node, "<module>")))
+    assert ("grid.py", "_write_csv") in found
+    assert found <= {("grid.py", "_write_csv"), ("csvformat.py", "format_e18")}
 
 
 # the calculus is dimension-generic up to the supported N = 3

@@ -12,8 +12,9 @@ These tests pin the memo (identity, read-only, replaced by another grid or
 rule, bit-identical to a fresh table, held by the base and never by the
 gauge data), the phase slot (the same array again, replaced with its table,
 bit for bit ``exp(-i Gamma)``, read by op_quantize at hbar = 1 only), the
-gauge-transformed table against the full quadrature of the same evaluator,
-the quantization and the Weyl operator of a gauge transform against a kernel
+gauge-transformed circulations against the full quadrature of the same
+evaluator (and the base's table, dressed, against them; the table refuses
+gauge data), the quantization and the Weyl operator of a gauge transform against a kernel
 written out from the transformed potential's plain evaluator and against
 ``gauge_conjugate``, the finiteness check on ``rho`` in both engines, and
 the exact ``rho`` part for a non-polynomial gauge function.  The transversal
@@ -31,7 +32,7 @@ import pytest
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
-from magweyl.errors import NumericError
+from magweyl.errors import InputError, NumericError
 
 QUAD = F.Quadrature(16)
 Q48 = F.Quadrature(48)
@@ -257,12 +258,19 @@ def test_gauge_transformed_table_matches_full_quadrature(case):
     g = G.PhaseSpaceGrid(dim, n, 4.0)
     for rho in rhos:
         A = F.add_gradient(A, rho)
-    gamma = G._segment_circulation(A, g, QUAD)
-    assert rel_gap(gamma, oracle(A, rhos, g)) <= 1e-13
-    assert np.array_equal(gamma, -gamma.T)
-    # the point engine agrees with the table
+    # gauge data hold no table: their circulations are the point engine's
     pts = g.config_points()
-    assert rel_gap(F.circulation(A, pts[:, None], pts[None], QUAD), gamma) <= 1e-13
+    gamma = F.circulation(A, pts[:, None], pts[None], QUAD)
+    assert rel_gap(gamma, oracle(A, rhos, g)) <= 1e-13
+    # the routes read the base's table, exactly antisymmetric, and dress it with
+    # rho(y) - rho(x); together they agree with the point engine
+    base = G._segment_circulation(F._gauge_base(A), g, QUAD)
+    assert np.array_equal(base, -base.T)
+    r = F._gauge_values(A, pts, QUAD)
+    assert rel_gap(base + (r[None] - r[:, None]), gamma) <= 1e-13
+    with pytest.raises(InputError):
+        G._segment_circulation(A, g, QUAD)
+    assert A._table is None
 
 
 def test_gauge_transform_reuses_the_base_table():
@@ -367,8 +375,10 @@ def test_non_polynomial_gauge_function_is_exact():
     exact = rho(b) - rho(a)
     assert np.abs(part - exact).max() <= 1e-13 * np.abs(exact).max()
     g = G.PhaseSpaceGrid(2, 8, 4.0)
-    r = rho(g.config_points())
-    table_part = G._segment_circulation(A2, g, QUAD) - G._segment_circulation(A, g, QUAD)
+    pts = g.config_points()
+    r = rho(pts)
+    table_part = (F.circulation(A2, pts[:, None], pts[None], QUAD)
+                  - G._segment_circulation(A, g, QUAD))
     assert np.abs(table_part - (r[None] - r[:, None])).max() <= 1e-13 * np.abs(r).max()
 
 
