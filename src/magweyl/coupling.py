@@ -25,7 +25,10 @@ The route multiplies the difference-variable transform of the symbol by
 conjugate: of the ``n^N`` differences per configuration point, only
 ``((n - 1)^N + 1) / 2 + n^N - (n - 1)^N`` are integrated, one of each pair
 inside the box and every difference with a lattice index 0, whose mirror
-lies outside it (``_midpoint_phases``).  A factored symbol
+lies outside it (``_midpoint_phases``).  A potential of declared degree
+<= 1 (a constant field's gauge), or any potential under a one-node rule, is
+read once per configuration point: its circulation is ``y . A(x)``, so the
+phases are plane waves in each axis of ``y``, ``N n`` exponentials per point.  A factored symbol
 ``sum_r g_r(x) h_r(p)`` is transformed once per factor, ``H_r = F^{-1} h_r``,
 and a row block's difference table is the product of its ``g_r(x)`` with the
 ``H_r``; a symbol given by ``fn`` is evaluated and transformed per block.
@@ -38,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, NumericError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _gauge_phases, _square_norm)
+                     _exact_rule, _gauge_phases, _square_norm)
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
                    _lattice_mesh, _ones, _row_blocks)
 
@@ -146,8 +149,27 @@ def _midpoint_phases(A: VectorPotential, x: np.ndarray, y: np.ndarray, quad: Qua
     slabs above ``c`` with a later axis at index 0, and the rest of those
     slabs are the conjugates of their mirrors below ``c``.  That integrates
     ``((n - 1)^N + 1) / 2 + n^N - (n - 1)^N`` of the ``n^N`` segments.
+
+    A potential without a closed-form segment whose rule has one node (declared
+    degree <= 1, or a one-node ``quad``) is evaluated by that rule at the
+    midpoint ``x`` alone: ``Gamma = y . A(x)``, a plane wave in each axis of
+    ``y``.  Then ``A`` is read once per row and ``out`` is the broadcast
+    product of ``N`` tables ``e^{i y_a A_a(x)}`` of shape ``(rows, n)``.
     """
     n, N = y.shape[0], y.shape[-1]
+    if A._segment is None and _exact_rule(quad, A).order == 1:
+        ax = np.asarray(A.eval(x.reshape(-1, N)), dtype=float)
+        if not np.all(np.isfinite(ax)):
+            raise NumericError("potential non-finite along integration segment")
+        for a in range(N):
+            ya = y[(0,) * a + (slice(None),) + (0,) * (N - 1 - a) + (a,)]
+            wave = np.exp(1j * np.multiply.outer(ax[:, a], ya))
+            wave = wave.reshape((len(ax),) + (1,) * a + (n,) + (1,) * (N - 1 - a))
+            if a:
+                out *= wave
+            else:
+                out[...] = wave
+        return out
     c, every, inner = n // 2, slice(None), slice(1, None)
 
     def integrate(piece):
@@ -199,7 +221,8 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     block's difference table is one product of its ``g_r(x)`` with those
     ``R`` tables; one given by ``fn`` is evaluated and transformed per block.
     The phases integrate one segment of each pair ``(y, -y)`` and conjugate
-    it for the other (``_midpoint_phases``).  Gauge data integrate their
+    it for the other, or are plane waves ``e^{i y . A(x)}`` where the rule has
+    one node (``_midpoint_phases``).  Gauge data integrate their
     base potential, and a block's phases are dressed with ``e^{i rho(x + y/2)}
     e^{-i rho(x - y/2)}``, gathered from one sample of ``rho`` per segment end
     (``_half_step_gauge``).  The points go through in ``_row_blocks``, each

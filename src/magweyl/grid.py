@@ -185,11 +185,11 @@ class PhaseSpaceGrid:
         return (1.0 / (2.0 * self.L)) * np.exp(1j * np.outer(self.config_axis, self.momentum_axis))
 
     def lattice_index(self, x) -> np.ndarray:
-        """Indices of configuration lattice components, validating on-lattice."""
+        """Indices of configuration lattice components; OffLatticeError off it, NaN and inf too."""
         x = np.asarray(x, dtype=float)
         idx = x / self.h + self.n // 2
         ridx = np.rint(idx)
-        if np.abs(idx - ridx).max() > 1e-9:
+        if not (np.all(np.isfinite(idx)) and np.abs(idx - ridx).max() <= 1e-9):
             raise OffLatticeError("point %r is not on the configuration lattice" % (x,))
         return ridx.astype(int)
 
@@ -200,34 +200,44 @@ def _lattice_mesh(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _lattice_steps(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Every lattice translation in units of h, shape (n^N, N), in ``config_points`` order."""
-    return _lattice_mesh([np.arange(grid.n) - grid.n // 2] * grid.dim)
-
-
 def _config_axis(grid: PhaseSpaceGrid, kind: str) -> np.ndarray:
     """Configuration axis of a symbol lattice: the grid's own, or the midpoints."""
     return grid.config_axis if kind == "standard" else grid.midpoint_axis
 
 
-def _shift_index_table(grid: PhaseSpaceGrid, steps, boundary: str = "zero"):
+def _shift_index_table(grid: PhaseSpaceGrid, steps=None, boundary: str = "zero"):
     """Flat lattice indices of ``y + s`` for every lattice point ``y`` and integer step ``s``.
 
-    ``steps`` is an integer array of shape (..., N), in units of the spacing h.  Returns
-    ``(cols, valid)``, both of shape (n^N, ...): with ``"cyclic"`` the
-    targets wrap around the box and all are valid; with ``"zero"`` the
-    targets outside the box are marked invalid (their clipped ``cols`` are
-    placeholders to be masked out, the zero-fill convention).
+    ``steps`` is one step of shape (N,), in units of the spacing h, or None
+    for every lattice translation ``x / h`` in ``config_points`` order.
+    Returns ``(cols, valid)``, of shape (n^N,) for one step and (n^N, n^N),
+    indexed (y, x), for every step: with ``"cyclic"`` the targets wrap around
+    the box and all are valid; with ``"zero"`` the targets outside the box are
+    marked invalid (their clipped ``cols`` are placeholders to be masked out,
+    the zero-fill convention).  Any other boundary raises InputError.  Both
+    tables are built axis by axis: ``cols`` is the broadcast sum of per-axis
+    ``(n, m)`` flat offsets and ``valid`` the AND of per-axis masks, so no
+    ``(N,)``-stacked index temporary of the output's size is made.
     """
-    idx = np.indices(grid.shape).reshape((grid.dim, grid.size) + (1,) * (steps.ndim - 1))
-    tgt = idx + np.moveaxis(steps, -1, 0)[:, None]
+    if boundary not in ("zero", "cyclic"):
+        raise InputError("boundary must be 'zero' or 'cyclic', got %r" % (boundary,))
+    N, n = grid.dim, grid.n
+    per_axis = ([np.arange(n) - n // 2] * N if steps is None
+                else [np.asarray(steps)[a:a + 1] for a in range(N)])
+    cols, valid = 0, True
+    for a, s in enumerate(per_axis):
+        tgt = np.arange(n)[:, None] + s  # (point, step) along axis a
+        sh = (1,) * a + (n,) + (1,) * (N - 1 - a) + (1,) * a + (len(s),) + (1,) * (N - 1 - a)
+        if boundary == "cyclic":
+            tgt %= n
+        else:
+            valid = valid & ((tgt >= 0) & (tgt < n)).reshape(sh)
+            tgt = np.clip(tgt, 0, n - 1)
+        cols = cols + (tgt * n ** (N - 1 - a)).reshape(sh)
+    out = (grid.size,) if steps is not None else (grid.size, grid.size)
     if boundary == "cyclic":
-        tgt %= grid.n
-        valid = np.ones(tgt.shape[1:], dtype=bool)
-    else:
-        valid = np.all((tgt >= 0) & (tgt < grid.n), axis=0)
-        tgt = np.clip(tgt, 0, grid.n - 1)
-    return np.ravel_multi_index(tuple(tgt), grid.shape), valid
+        valid = np.ones(out, dtype=bool)
+    return cols.reshape(out), valid.reshape(out)
 
 
 def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:

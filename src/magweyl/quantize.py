@@ -36,6 +36,7 @@ translation cocycle; the test suite pins both the sign and the magnitude).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -64,7 +65,6 @@ from .grid import (
     _base_phases,
     _gauge_dress,
     _half_phase,
-    _lattice_steps,
     _quantized_kernel,
     _shift_index_table,
 )
@@ -108,13 +108,15 @@ def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadr
                 boundary: str):
     """``(phase, cols, valid)`` of the Weyl operator at ``xi = (x, p)``, over lattice points y.
 
-    ``[W(xi) u](y) = phase[y] u[cols[y]]`` where ``valid[y]``, else 0 (see ``_shift_index_table``).
+    ``[W(xi) u](y) = phase[y] u[cols[y]]`` where ``valid[y]``, else 0: the one-step
+    table of ``_shift_index_table``, which refuses a boundary other than ``"zero"``
+    and ``"cyclic"`` before any circulation is integrated.
     """
     x = np.asarray(xi[0], dtype=float)
     p = np.asarray(xi[1], dtype=float)
     if p.shape != (grid.dim,):
         raise DimensionMismatchError("momentum must be a %d-vector" % grid.dim)
-    shifts = _shift_components(grid, x)
+    cols, valid = _shift_index_table(grid, _shift_components(grid, x), boundary)
     pts = grid.config_points()
     phase = np.exp(-1j * (pts + 0.5 * x) @ p)
     # own circulations, not the segment table: one operator needs n^N segments,
@@ -127,7 +129,6 @@ def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadr
         if gauge is not None:
             phase *= gauge[0]
             phase *= np.conj(gauge[1])
-    cols, valid = _shift_index_table(grid, shifts, boundary)
     return phase, cols, valid
 
 
@@ -172,7 +173,7 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
     The zero-fill shift gather of ``segment_phase_matrix``: a public view in
     translation layout, unread by the package (the benchmark resolves it).
     """
-    cols, valid = _shift_index_table(grid, _lattice_steps(grid))
+    cols, valid = _shift_index_table(grid)
     return np.where(valid, np.take_along_axis(segment_phase_matrix(A, grid, quad), cols, 1), 0)
 
 
@@ -216,7 +217,7 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     kern = np.zeros((g.size, g.size), dtype=complex)
     # for a fixed row y the map x -> y + x is one-to-one, so each entry is
     # hit at most once and one scatter assignment places every term
-    cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
+    cols, valid = _shift_index_table(g)  # (y, x)
     kern[np.nonzero(valid)[0], cols[valid]] = d.T[valid]
     if A is not None:
         phase, gauge = _base_phases(A, g, quad)
@@ -311,7 +312,10 @@ def weyl_trotter_diagnostic(A: VectorPotential | None, xi, u: WaveFunction, step
     form as n grows (the circulation appears as the limiting Riemann sum of
     the potential along the path).  Requires ``x / steps`` on the lattice.
     Returns the relative deviation; a diagnostic, not a construction route.
+    ``steps`` must be an integer >= 1, else InputError.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise InputError("steps must be an integer >= 1, got %r" % (steps,))
     g = u.grid
     x = np.asarray(xi[0], dtype=float)
     p = np.asarray(xi[1], dtype=float)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError, InputError, ResourceLimitError
 from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _gauge_phases
 from .grid import (
     OperatorKernel,
@@ -29,7 +29,6 @@ from .grid import (
     WaveFunction,
     _apply_axes,
     _half_phase,
-    _lattice_steps,
     _shift_index_table,
     fourier_symplectic,
     segment_phase_matrix,
@@ -68,7 +67,7 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     kern = np.conj(rank_one_kernel(v, u).kernel)  # (y, z): conj(v(y)) u(z)
     if A is not None:
         kern *= segment_phase_matrix(A, g, quad)
-    cols, valid = _shift_index_table(g, _lattice_steps(g))  # (y, x)
+    cols, valid = _shift_index_table(g)  # (y, x)
     w = kern[np.arange(g.size), cols.T]  # (x, y): kern[y, y + x]
     w[~valid.T] = 0
     del kern
@@ -102,7 +101,7 @@ def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
     ----------
     sample : sequence of (x, p) pairs or None
         None samples the full phase-space lattice (n^N translations times
-        n^N momenta).
+        n^N momenta); an empty sample raises InputError.
     rank_tol : float
         Singular values above ``rank_tol`` times the largest count.
 
@@ -116,6 +115,8 @@ def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
         ks = g.momentum_points()
         sample = [(x, p) for x in xs for p in ks]
     S = len(sample)
+    if S == 0:
+        raise InputError("span probe needs at least one sample point")
     dim2 = g.size**2
     if S * dim2 > max_entries:
         raise ResourceLimitError(

@@ -205,6 +205,13 @@ def test_table_routes_reject_nonfinite_potential():
         G.segment_phase_matrix(bad, g, QUAD)
     with pytest.raises(NumericError):
         Q.translation_phase_table(bad, g, QUAD)
+    # the coupling route: the mirror path of undeclared data and the plane waves
+    # of declared degree 1, which read A at the midpoints alone
+    f = G.gaussian_symbol(2, x_width=0.8, p_width=0.9)
+    linear = F.VectorPotential(2, bad.eval, degree_hint=1, _validate=False)
+    for A in (bad, linear):
+        with pytest.raises(NumericError, match="non-finite"):
+            C.covariant_coupling(f, A, g, QUAD, "midpoint")
 
 
 def test_only_the_table_builders_call_the_circulation_engine():

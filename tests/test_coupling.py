@@ -195,6 +195,29 @@ def test_transform_route_integrates_one_segment_of_each_mirror_pair(dim, n):
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("dim, n, degree, order", [(1, 8, 1, 16), (2, 6, 0, 16), (2, 6, 1, 16),
+                                                   (3, 4, 1, 16), (2, 6, None, 1)])
+def test_transform_route_reads_a_one_node_potential_once_per_point(monkeypatch, dim, n, degree,
+                                                                    order):
+    # declared degree <= 1, or a one-node rule: Gamma = y . A(x) at the midpoint x
+    # alone, so A is read once per configuration point and the engine never runs;
+    # the reference integrates the same potential, undeclared, at 16 nodes
+    slope = (0.1 * np.arange(dim * dim).reshape(dim, dim) - 0.3) * (degree == 1)
+    points = []
+    A = F.VectorPotential(dim, lambda x: (points.append(np.prod(x.shape[:-1]))
+                                          or x @ slope.T + 0.2),
+                          degree_hint=degree, _validate=False)
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    f = G.gaussian_symbol(dim, x_width=0.8, p_width=0.9)
+    monkeypatch.setattr(C, "_circulation_sum", None)
+    out = C.covariant_coupling(f, A, g, F.Quadrature(order), "midpoint").values
+    assert sum(points) == (2 * n - 1) ** dim
+    monkeypatch.undo()
+    plain = F.VectorPotential(dim, A.eval, _validate=False)
+    ref = C.covariant_coupling(f, plain, g, QUAD, "midpoint").values
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_transform_route_samples_the_gauge_function_once_per_segment_end(monkeypatch):
     # gauge data integrate their base, and rho is sampled once at each distinct
     # end x -+ y/2 of the route's segments: 5,039 points at n = 24 on the midpoint

@@ -45,6 +45,38 @@ def test_lattice_index_rejects_off_lattice():
     assert g.lattice_index(np.array([1.0]))[0] == 5
     with pytest.raises(OffLatticeError):
         g.lattice_index(np.array([0.3]))
+    # NaN and infinity pass a bare `> tol` check and cast to a garbage index
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OffLatticeError):
+            G.PhaseSpaceGrid(2, 8, 4.0).lattice_index(np.array([bad, 0.0]))
+
+
+def _shift_table_by_indices(g, steps, boundary):
+    """Reference shift table: targets stacked over all axes from ``np.indices``, then raveled."""
+    idx = np.indices(g.shape).reshape((g.dim, g.size) + (1,) * (steps.ndim - 1))
+    tgt = idx + np.moveaxis(steps, -1, 0)[:, None]
+    if boundary == "cyclic":
+        tgt %= g.n
+        valid = np.ones(tgt.shape[1:], dtype=bool)
+    else:
+        valid = np.all((tgt >= 0) & (tgt < g.n), axis=0)
+        tgt = np.clip(tgt, 0, g.n - 1)
+    return np.ravel_multi_index(tuple(tgt), g.shape), valid
+
+
+@pytest.mark.parametrize("boundary", ["zero", "cyclic"])
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 6), (3, 4)])
+def test_shift_index_table_matches_the_stacked_construction(dim, n, boundary):
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    every = G._lattice_mesh([np.arange(n) - n // 2] * dim)  # all steps, config_points order
+    cases = [(None, every)] + [(s, s) for s in (np.zeros(dim, dtype=int), every[1],
+                                                np.arange(dim) - 1, np.full(dim, n + 1))]
+    for steps, written in cases:
+        cols, valid = G._shift_index_table(g, steps, boundary)
+        ref_cols, ref_valid = _shift_table_by_indices(g, written, boundary)
+        assert cols.shape == ref_cols.shape == (g.size,) * (1 if steps is not None else 2)
+        assert cols.dtype == ref_cols.dtype and valid.dtype == ref_valid.dtype
+        assert np.array_equal(cols, ref_cols) and np.array_equal(valid, ref_valid)
 
 
 # ---------------------------------------------------------------------------

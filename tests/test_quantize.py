@@ -58,6 +58,21 @@ def test_weyl_rejects_off_lattice_translation():
     u = G.gaussian_wavefunction(g, width=0.7)
     with pytest.raises(OffLatticeError):
         Q.weyl_apply(None, (np.array([0.3, 0.0]), np.zeros(2)), u, QUAD)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(OffLatticeError):
+            Q.weyl_apply(None, (np.array([bad, 0.0]), np.zeros(2)), u, QUAD)
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "Zero", None])
+def test_weyl_operator_refuses_an_unknown_boundary(boundary):
+    # an unknown boundary used to zero-fill quietly
+    g = default_grid()
+    u = G.gaussian_wavefunction(g, width=0.7)
+    xi = (np.array([g.h, 0.0]), np.zeros(2))
+    with pytest.raises(InputError, match="boundary"):
+        Q.weyl_apply(F.symmetric_gauge(1.0), xi, u, QUAD, boundary=boundary)
+    with pytest.raises(InputError, match="boundary"):
+        Q.weyl_matrix(None, xi, g, QUAD, boundary=boundary)
 
 
 def test_weyl_norm_preservation_on_interior_vectors():
@@ -664,6 +679,15 @@ def test_trotter_product_converges_to_weyl_operator():
     errs = [Q.weyl_trotter_diagnostic(A, xi, u, steps) for steps in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < errs[0] / 4
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.0, 1.5, True, None])
+def test_trotter_diagnostic_refuses_a_bad_step_count(steps):
+    # steps=0 divided by zero and returned a number, as did steps=-1
+    g = G.PhaseSpaceGrid(1, 16, 4.0)
+    u = G.gaussian_wavefunction(g, width=0.8)
+    with pytest.raises(InputError, match="steps"):
+        Q.weyl_trotter_diagnostic(None, (np.array([2 * g.h]), np.array([0.3])), u, steps)
 
 
 def test_weyl_params_validation():

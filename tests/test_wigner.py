@@ -5,7 +5,7 @@ from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
 from magweyl import wigner as W
-from magweyl.errors import ResourceLimitError
+from magweyl.errors import InputError, ResourceLimitError
 
 QUAD = F.Quadrature(16)
 
@@ -143,6 +143,13 @@ def test_span_probe_identity_only():
     g = G.PhaseSpaceGrid(1, 4, 2.0)
     rep = W.weyl_span_probe(None, g, sample=[(np.zeros(1), np.zeros(1))], quad=QUAD)
     assert rep == {"sample_size": 1, "rank": 1, "full_dim": 16}
+
+
+def test_span_probe_refuses_an_empty_sample():
+    # an empty sample failed with an IndexError from the largest singular value
+    g = G.PhaseSpaceGrid(1, 4, 2.0)
+    with pytest.raises(InputError, match="sample"):
+        W.weyl_span_probe(None, g, sample=[], quad=QUAD)
 
 
 def test_span_probe_full_lattice_1d():
