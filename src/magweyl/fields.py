@@ -344,12 +344,11 @@ class VectorPotential:
     must be None or an integer >= 0, agree with `poly`, and give a rule that
     agrees with one more node on probe segments, else InputError.
 
-    A potential is a value: its lattice segment table is memoized on it
-    (``grid._segment_circulation``), and beside it the table's phases
-    ``exp(-i Gamma)`` (``grid.segment_phase_matrix``), keyed by the identity
-    of that table, so what `eval` reads must not change after a table is
-    built.  A gauge transform keeps no tables: the routes read those of its
-    base potential (``_gauge_phases``).
+    A potential is a value: the phases ``exp(-i Gamma)`` of its lattice
+    segments are memoized on it, one read-only table for the last grid and
+    rule (``grid.segment_phase_matrix``), so what `eval` reads must not
+    change after a table is built.  A gauge transform keeps no table: the
+    routes read its base potential's (``_gauge_phases``).
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,
@@ -367,9 +366,7 @@ class VectorPotential:
         # closed-form segment integral (start, displacement, quad) -> circulations,
         # applying quad on each half of the segment (_circulation_panels)
         self._segment = None
-        # the segment table memo: ((grid, rule), read-only table) or None
-        self._table = None
-        # its phases: (the table they exponentiate, read-only exp(-i table)) or None
+        # the segment phase memo: ((grid, rule), read-only exp(-i Gamma)) or None
         self._phase = None
         if _validate:
             self._validate()
@@ -495,7 +492,7 @@ def _gauge_phases(A: VectorPotential, x, quad: Quadrature, hbar: float = 1.0):
     + rho(y) - rho(x)``, so ``exp(-i Gamma^A / hbar)`` is the base potential's
     phase times ``e^{i rho(x) / hbar}`` in the row and its conjugate at ``y``
     in the column.  A route takes the base's tables and dresses its output with
-    the phases sampled here on the points it reads (``grid._gauge_dress``).
+    the phases sampled here on the points it reads (``grid._dress``).
     A potential without gauge data is its own base, with phases None.
     """
     if A._gauge is None:
@@ -586,8 +583,7 @@ def flux_triangle(B: MagneticField, a, b, c, quad: Quadrature = DEFAULT_QUADRATU
 def translation_phase(A: VectorPotential, q, x, quad: Quadrature = DEFAULT_QUADRATURE):
     """Unit-modulus phase ``exp(-i Gamma^A([q, q + x]))`` of the magnetic translation."""
     q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.exp(-1j * circulation(A, q, q + x, quad))
+    return segment_phase(A, q, q + np.asarray(x, dtype=float), quad)
 
 
 def segment_phase(A: VectorPotential, x, y, quad: Quadrature = DEFAULT_QUADRATURE):

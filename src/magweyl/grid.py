@@ -74,6 +74,10 @@ on composed kernels of localized symbols up to their out-of-band tails.
 Kernels whose symbols straddle the alias split (e.g. the bare identity)
 are reconstructed only as their alias class; see ``difference_mask`` for
 the one-period convention the pairings rely on.
+
+Every route gains or loses a potential's phases in ``_dress`` alone: the
+base potential's ``exp(-i Gamma / hbar)`` (at ``hbar = 1`` the one memo a
+potential keeps, ``segment_phase_matrix``), then the gauge phases.
 """
 
 from __future__ import annotations
@@ -478,20 +482,14 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
     mirrored below it with the opposite sign: the table is exactly
     antisymmetric, with an exactly zero diagonal.  The routes pass the base
     potential of gauge data (``fields._gauge_phases``) and dress their
-    output with its gauge phases, so a gauge transform never builds a table
-    of its own: gauge data passed here raise InputError.
-
-    The table is memoized on the potential: one read-only entry for the last
-    ``(grid, _exact_rule(quad, A))``, which a call with another grid or rule
-    replaces, together with the phases ``segment_phase_matrix`` keeps beside
-    it.  Callers take it by value and never write into it.
+    output with its gauge phases (``_dress``), so a gauge transform never
+    builds a table of its own: gauge data passed here raise InputError.
+    Each call integrates a new table; a potential keeps only its phases
+    (``segment_phase_matrix``).
     """
     _require_base(A)
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
-    key = (grid, _exact_rule(quad, A))
-    if A._table is not None and A._table[0] == key:
-        return A._table[1]
     pts = grid.config_points()
     size = grid.size
     gamma = np.empty((size, size))
@@ -502,8 +500,6 @@ def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrat
         gamma[r0:r1, r0:r1] = upper - upper.T
         gamma[r0:r1, r1:] = right
         gamma[r1:, r0:r1] = -right.T
-    gamma.flags.writeable = False
-    A._table, A._phase = (key, gamma), None  # a new table drops the phases of the old one
     return gamma
 
 
@@ -526,19 +522,29 @@ def _circulation_phases(gamma: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     return lam
 
 
-def _base_phases(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature,
-                 hbar: float = 1.0):
-    """``(phase, gauge)``: the base potential's ``exp(-i Gamma / hbar)`` and the gauge phases.
+def _dress(kern: np.ndarray, A: VectorPotential | None, grid: PhaseSpaceGrid,
+           quad: Quadrature, hbar: float = 1.0, strip: bool = False) -> np.ndarray:
+    """Multiply a kernel in place by the phases of ``A``: where every route gains or loses them.
 
-    ``gauge`` is ``e^{i rho / hbar}`` of ``A``'s gauge data on the lattice
-    points, None without gauge data (``fields._gauge_phases``).  At
-    ``hbar = 1`` the phase is the base's read-only memo
-    (``segment_phase_matrix``), else a new table.
+    Table first: the base potential's ``exp(-i Gamma / hbar)`` entrywise (the
+    memo of ``segment_phase_matrix`` at ``hbar = 1``, a new table otherwise),
+    then the gauge phases ``e^{i rho / hbar}`` of gauge data in the rows and
+    their conjugates in the columns (``_gauge_dress``).  ``strip`` multiplies
+    by the conjugates of both, which undoes the dressing.  ``A`` None leaves
+    the kernel as it is.
     """
+    if A is None:
+        return kern
     base, gauge = _gauge_phases(A, grid.config_points(), quad, hbar)
     if hbar == 1.0:
-        return segment_phase_matrix(base, grid, quad), gauge
-    return _circulation_phases(_segment_circulation(base, grid, quad), hbar), gauge
+        lam = segment_phase_matrix(base, grid, quad)
+    else:
+        lam = _circulation_phases(_segment_circulation(base, grid, quad), hbar)
+    if strip:  # kernel first: numpy's complex product rounds by operand order
+        np.multiply(kern, np.conj(lam), out=kern)
+        return _gauge_dress(kern, None if gauge is None else np.conj(gauge))
+    np.multiply(lam, kern, out=kern)
+    return _gauge_dress(kern, gauge)
 
 
 def _gauge_dress(kern: np.ndarray, gauge) -> np.ndarray:
@@ -557,28 +563,29 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
                          quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
     """Circulation phases ``exp(-i Gamma^A([x, y]))`` for all lattice pairs.
 
-    Returns the read-only table memoized on the potential beside its
-    circulation table (``_segment_circulation``), keyed by the identity of
-    that table: it is exponentiated once per circulation table, over half
-    the pairs (``_circulation_phases``), and replaced whenever that table
-    is.  Callers take it by value and never write into it.  ``A`` None gives
-    a new, writable table of ones.
+    Returns the read-only table memoized on the potential: one entry for the
+    last ``(grid, _exact_rule(quad, A))``, which a call with another grid or
+    rule replaces.  It is exponentiated over half the pairs
+    (``_circulation_phases``) from a new circulation table
+    (``_segment_circulation``), which is dropped at once.  Callers take it
+    by value and never write into it.  ``A`` None gives a new, writable
+    table of ones.
 
     Gauge data keep no table: their phases are a new writable table, the
     base potential's memo dressed with ``e^{i rho(x)} e^{-i rho(y)}``
     (``_gauge_dress``), of which the Hermitian part is taken, so it stays
     exactly Hermitian as the memo is.  The routes do not call this for gauge
-    data; each dresses its own output (``_base_phases``).
+    data; each dresses its own output (``_dress``).
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
     base, gauge = _gauge_phases(A, grid.config_points(), quad)
-    gamma = _segment_circulation(base, grid, quad)
-    memo = base._phase  # read once: a concurrent new table may drop the slot
-    if memo is None or memo[0] is not gamma:
-        lam = _circulation_phases(gamma)
+    key = (grid, _exact_rule(quad, base))
+    memo = base._phase
+    if memo is None or memo[0] != key:
+        lam = _circulation_phases(_segment_circulation(base, grid, quad))
         lam.flags.writeable = False
-        memo = base._phase = (gamma, lam)
+        memo = base._phase = (key, lam)
     if gauge is None:
         return memo[1]
     lam = _gauge_dress(memo[1].copy(), gauge)
@@ -943,10 +950,7 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
                       tau: float, hbar: float, mask: bool) -> OperatorKernel:
     """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
 
-    The phases are the memoized ``segment_phase_matrix`` at ``hbar = 1`` and
-    ``exp(-i Gamma / hbar)`` otherwise, both of the base potential of gauge
-    data; a gauge transform then dresses the kernel with ``e^{i rho / hbar}``
-    in place, rows then columns (``_base_phases``).  ``f`` is an evaluator,
+    The phases are those of ``_dress`` at ``hbar``.  ``f`` is an evaluator,
     or a checked midpoint table at ``tau = 1/2, hbar = 1``.
     """
     if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
@@ -960,11 +964,7 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
             kern = _per_difference_kernel(f, grid, tau, hbar, mask)
         if mask:
             kern *= difference_mask(grid)
-    if A is not None:
-        phase, gauge = _base_phases(A, grid, quad, hbar)
-        np.multiply(phase, kern, out=kern)  # table first, as in moyal._factor_kernels
-        _gauge_dress(kern, gauge)
-    return OperatorKernel(grid, kern)
+    return OperatorKernel(grid, _dress(kern, A, grid, quad, hbar))
 
 
 def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
@@ -1039,10 +1039,7 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
     flat = sum((first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(sh)
                for a, sh in enumerate(axis_shape))
-    psi = phi.kernel
-    if A is not None:
-        lam, gauge = _base_phases(A, g, quad)
-        psi = _gauge_dress(psi * np.conj(lam), None if gauge is None else np.conj(gauge))
+    psi = phi.kernel if A is None else _dress(phi.kernel.copy(), A, g, quad, strip=True)
     out = psi.ravel()[flat]
     del psi, flat  # free the phase-stripped copy before the contractions
     # one batched contraction per axis, slot t_a -> momentum k_a, batched over s_a;

@@ -12,8 +12,9 @@ than a quadrature statement.  The product depends on the potential only
 through its field: any two potentials with the same differential give the
 same symbol samples to quadrature accuracy.  A gauge transform ``A + grad
 rho`` conjugates both factors and their product by ``e^{i rho(Q)}``, which
-the inverse map strips again, so the product reads only the table of the
-base potential and never samples ``rho``.
+the inverse map strips again, so the product quantizes both factors in
+the base potential, with the kernel map of ``grid``, and never samples
+``rho``.
 
 The product composes only the band of the kernel that the inverse map
 reads.  Two facts make this exact:
@@ -46,7 +47,6 @@ from .fields import (
     Quadrature,
     VectorPotential,
     _gauge_base,
-    _gauge_phases,
     check_potential_matches_field,
     flux_triangle,
 )
@@ -59,7 +59,6 @@ from .grid import (
     symbol_from_kernel,
     kernel_compose,
     segment_phase_matrix,
-    _gauge_dress,
     _lattice_mesh,
     _row_blocks,
 )
@@ -98,8 +97,9 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     """
     if check_gauge:
         validate_gauge(A, B)
-    kf, kg, lam = _factor_kernels(f, g, A, grid, quad)
-    composed = _band_compose(kf.kernel, kg.kernel, lam, grid)
+    base = _gauge_base(A)  # gauge phases conjugate both factors and the product alike
+    kf, kg = (kernel_from_symbol(h, base, grid, quad) for h in (f, g))
+    composed = _band_compose(kf.kernel, kg.kernel, segment_phase_matrix(base, grid, quad), grid)
     del kf, kg  # free the factors before the inverse map
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
 
@@ -129,35 +129,9 @@ def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,
 
 def product_kernel(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid,
                    quad: Quadrature = DEFAULT_QUADRATURE) -> OperatorKernel:
-    """Composed quantization kernel of two symbols (no symbol extraction).
-
-    Each factor is ``kernel_from_symbol`` of its symbol to the last bit: the
-    base potential's phases, then the gauge phases of gauge data.
-    """
-    kf, kg, _ = _factor_kernels(f, g, A, grid, quad)
-    if A is not None:
-        gauge = _gauge_phases(A, grid.config_points(), quad)[1]
-        for k in (kf, kg):
-            _gauge_dress(k.kernel, gauge)
-    return kernel_compose(kf, kg)
-
-
-def _factor_kernels(f, g, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: Quadrature):
-    """``(kf, kg, lam)``: both factors' kernels from one circulation table (None for no A).
-
-    ``lam`` is the table of ``A``'s base potential, without the gauge phases
-    of gauge data (module notes; ``product_kernel`` adds them).
-    ``lam * kernel_from_symbol(., None)`` is ``kernel_from_symbol(., base)`` to
-    the last bit, as the mask weights 0, 1/2 and 1 commute exactly with the
-    phase factor.
-    """
-    kf, kg = (kernel_from_symbol(h, None, grid, quad) for h in (f, g))
-    if A is None:
-        return kf, kg, None
-    lam = segment_phase_matrix(_gauge_base(A), grid, quad)
-    for k in (kf, kg):
-        np.multiply(lam, k.kernel, out=k.kernel)
-    return kf, kg, lam
+    """Composed quantization kernel of two symbols (no symbol extraction)."""
+    return kernel_compose(kernel_from_symbol(f, A, grid, quad),
+                          kernel_from_symbol(g, A, grid, quad))
 
 
 def _axis_lattice(half_width: float, count: int) -> tuple[np.ndarray, float]:

@@ -17,15 +17,13 @@ Weyl-system sum over the phase-space lattice, with the symplectic-transform
 integrand evaluated at reflected arguments (the discrete counterpart of
 pairing the symbol with the Weyl system).
 
-The field enters every zero-fill route one way: its field-free kernel is
-multiplied entrywise by the segment table of ``grid`` (by
-``exp(-i Gamma / hbar)`` at scaled Planck constant), table first.  A gauge
-transform ``A + grad rho`` is the diagonal unitary ``e^{i rho(Q)}``: the
-route takes the table of its base potential and conjugates the kernel by
-``e^{i rho / hbar}`` sampled on the lattice (``grid._gauge_dress``).  Only
-``_weyl_phase`` integrates its own circulations.  Every momentum sum here
-runs per axis on the grid's two transform matrices, never on an
-``n^N x n^N`` phase table.
+The field enters every zero-fill route one way, ``grid._dress``: the
+field-free kernel is multiplied entrywise by the base potential's
+``exp(-i Gamma / hbar)``, table first, and a gauge transform ``A + grad
+rho``, the diagonal unitary ``e^{i rho(Q)}``, then conjugates it by
+``e^{i rho / hbar}`` sampled on the lattice.  Only ``_weyl_phase``
+integrates its own circulations.  Every momentum sum here runs per axis on
+the grid's two transform matrices, never on an ``n^N x n^N`` phase table.
 
 Sign conventions: with ``P = -i d`` and ``Pi = P - A(Q)`` the magnetic
 canonical commutation relations read ``i [Pi_k, Q_j] = delta_jk`` and
@@ -62,7 +60,7 @@ from .grid import (
     segment_phase_matrix,
     symplectic_parity,
     _apply_axes,
-    _base_phases,
+    _dress,
     _gauge_dress,
     _half_phase,
     _quantized_kernel,
@@ -206,7 +204,7 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     with the Weyl operators over the full phase-space lattice; translated
     samples are zero-filled.  The field-free sum is scattered straight into
     kernel units (the operator matrix is ``config_weight`` times the kernel)
-    and then dressed with the segment table, table first, as in
+    and then dressed with the phases (``grid._dress``), as in
     ``kernel_from_symbol``.
     """
     g = F.grid
@@ -219,11 +217,7 @@ def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
     # hit at most once and one scatter assignment places every term
     cols, valid = _shift_index_table(g)  # (y, x)
     kern[np.nonzero(valid)[0], cols[valid]] = d.T[valid]
-    if A is not None:
-        phase, gauge = _base_phases(A, g, quad)
-        np.multiply(phase, kern, out=kern)
-        _gauge_dress(kern, gauge)
-    return OperatorKernel(g, kern)
+    return OperatorKernel(g, _dress(kern, A, g, quad))
 
 
 def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,

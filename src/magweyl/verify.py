@@ -94,10 +94,9 @@ def _gauge_spectra(grid, B, gauges, quad, rng):
 def homomorphism(grid, B, gauges, quad, rng, symbols=None):
     """Composed kernel of two symbols against their operator product, relative."""
     f, h = symbols or _symbol_pair(grid.dim)
-    A = gauges[0]
-    lhs = my.product_kernel(f, h, A, grid, quad)
-    rhs = (qu.op_quantize(f, A, grid, quad=quad).operator_matrix
-           @ qu.op_quantize(h, A, grid, quad=quad).operator_matrix)
+    kf, kh = (qu.op_quantize(s, gauges[0], grid, quad=quad) for s in (f, h))
+    lhs = gr.kernel_compose(kf, kh)
+    rhs = kf.operator_matrix @ kh.operator_matrix
     return np.linalg.norm(lhs.operator_matrix - rhs) / np.linalg.norm(rhs)
 
 

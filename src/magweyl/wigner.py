@@ -7,7 +7,7 @@ of states to phase-space functions up to boundary truncation, and its
 symplectic Fourier transform is the symbol of the rank-one operator
 ``|u><v|`` -- the discrete form of the correspondence between phase-space
 coefficients and Hilbert-Schmidt operators.  The field enters only through
-the segment table of ``grid``, which dresses the rank-one kernel.
+``grid._dress``, which dresses the rank-one kernel as it does every kernel.
 
 ``weyl_span_probe`` measures the dimension spanned by Weyl operators over
 a sample of lattice points.  It uses the cyclic (wrapped) translation
@@ -21,17 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, ResourceLimitError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, _gauge_phases
+from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
     SymbolGrid,
     WaveFunction,
     _apply_axes,
+    _dress,
     _half_phase,
     _shift_index_table,
     fourier_symplectic,
-    segment_phase_matrix,
 )
 from .quantize import weyl_matrix
 
@@ -47,26 +47,16 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     """Phase-space coefficient table ``<v, W(x, p) u>`` on the standard lattice.
 
     Computed in factorized form: one zero-fill shift gather windows the
-    rank-one kernel, dressed with ``segment_phase_matrix``, into the products
-    for all lattice translations at once; a forward transform per axis takes
-    them to the dual lattice.  Zero-fill truncation matches the Weyl-operator
-    convention, so the table agrees with directly assembled inner products
-    to roundoff.  Gauge data dress the two states with their gauge phases and
-    the kernel with the base potential's table.
+    rank-one kernel, dressed with the phases of ``A`` (``grid._dress``), into
+    the products for all lattice translations at once; a forward transform
+    per axis takes them to the dual lattice.  Zero-fill truncation matches
+    the Weyl-operator convention, so the table agrees with directly
+    assembled inner products to roundoff.
     """
     g = u.grid
     if v.grid != g:
         raise DimensionMismatchError("states live on different grids")
-    if A is not None:
-        # gauge data: the base's table times e^{i rho(y)} e^{-i rho(z)}, the latter
-        # dressed into the two states
-        A, gauge = _gauge_phases(A, g.config_points(), quad)
-        if gauge is not None:
-            gauge = np.conj(gauge).reshape(g.shape)
-            u, v = (WaveFunction(w.grid, w.values * gauge) for w in (u, v))
-    kern = np.conj(rank_one_kernel(v, u).kernel)  # (y, z): conj(v(y)) u(z)
-    if A is not None:
-        kern *= segment_phase_matrix(A, g, quad)
+    kern = _dress(np.conj(rank_one_kernel(v, u).kernel), A, g, quad)  # (y, z): conj(v(y)) u(z)
     cols, valid = _shift_index_table(g)  # (y, x)
     w = kern[np.arange(g.size), cols.T]  # (x, y): kern[y, y + x]
     w[~valid.T] = 0

@@ -1,29 +1,32 @@
-"""Gauge transforms stay data, and each base potential integrates its segment table once.
+"""Gauge transforms stay data, and each base potential exponentiates its segment table once.
 
 ``add_gradient(A, rho)`` is gauge data: one base potential with no gauge
 data and one summed gauge function, so ``add_gradient(transversal_gauge(B),
 rho)`` is ``(A_c, rho_t + rho)``.  Its circulation is ``Gamma^base([a, b]) +
 rho(b) - rho(a)`` in the point engine.  On the lattice it is the diagonal
 unitary ``e^{i rho(Q)}``: every route reads the base's table and dresses its
-output with ``e^{i rho / hbar}``, so gauge data never hold a table.  The
-table of every base is memoized on it as one read-only entry per ``(grid,
-rule)``, and beside it the read-only phases ``exp(-i Gamma)`` of that table.
-These tests pin the memo (identity, read-only, replaced by another grid or
-rule, bit-identical to a fresh table, held by the base and never by the
-gauge data), the phase slot (the same array again, replaced with its table,
-bit for bit ``exp(-i Gamma)``, read by op_quantize at hbar = 1 only), the
-gauge-transformed circulations against the full quadrature of the same
-evaluator (and the base's table, dressed, against them; the table refuses
-gauge data), the quantization and the Weyl operator of a gauge transform against a kernel
-written out from the transformed potential's plain evaluator and against
-``gauge_conjugate``, the finiteness check on ``rho`` in both engines, and
-the exact ``rho`` part for a non-polynomial gauge function.  The transversal
+output with ``e^{i rho / hbar}``, so gauge data never hold a table.  Each
+base keeps one memo, the read-only phases ``exp(-i Gamma)`` for the last
+``(grid, exact rule)``; its circulation table is integrated anew on each
+call and never kept.  These tests pin the memo (keyed by the exact rule,
+the same read-only array again, replaced and released by another grid or
+rule, bit-identical to a fresh table and bit for bit ``exp(-i Gamma)``,
+held by the base and never by the gauge data, no Gamma resident, read by
+op_quantize at hbar = 1 only and left unset at other hbar), its memory
+peak, the gauge-transformed circulations against the full quadrature of
+the same evaluator (and the base's table, dressed, against them; the table
+refuses gauge data), the quantization and the Weyl operator of a gauge
+transform against a kernel written out from the transformed potential's
+plain evaluator and against ``gauge_conjugate``, the finiteness check on
+``rho`` in both engines, the exact ``rho`` part for a non-polynomial gauge
+function, and the one place each route gains its phases.  The transversal
 gauge of the Gaussian field is itself gauge data over a closed form, so its
 case is checked against the order-48 flux from the origin.
 """
 
 import ast
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +94,13 @@ def rel_gap(a, b):
 def test_second_call_returns_the_same_read_only_table():
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     A = F.symmetric_gauge(1.0)
-    gamma = G._segment_circulation(A, g, QUAD)
-    assert G._segment_circulation(A, g, QUAD) is gamma
-    assert not gamma.flags.writeable
+    lam = G.segment_phase_matrix(A, g, QUAD)
+    assert not lam.flags.writeable
     with pytest.raises(ValueError):
-        gamma[0, 1] = 1.0
+        lam[0, 1] = 1.0
     # the exact rule is the key: another cap with the same derived rule hits
-    assert G._segment_circulation(A, g, F.Quadrature(8)) is gamma
+    assert A._phase[0] == (g, F._exact_rule(QUAD, A)) and A._phase[1] is lam
+    assert G.segment_phase_matrix(A, g, F.Quadrature(8)) is lam
 
 
 def test_another_grid_or_rule_replaces_the_one_entry():
@@ -106,16 +109,17 @@ def test_another_grid_or_rule_replaces_the_one_entry():
     A = transversal_gaussian()
     base = F._gauge_base(A)
     G.segment_phase_matrix(A, g, QUAD)
-    first = base._table[1]
-    assert base._table[0] == (g, QUAD)
+    first = base._phase[1]
+    assert base._phase[0] == (g, QUAD)
     G.segment_phase_matrix(A, g2, QUAD)
-    assert base._table[0] == (g2, QUAD) and A._table is None
-    again = G._segment_circulation(base, g, QUAD)
+    assert base._phase[0] == (g2, QUAD) and base._phase[1].shape == (36, 36)
+    again = G.segment_phase_matrix(base, g, QUAD)
     assert again is not first and np.array_equal(again, first)
     G.segment_phase_matrix(A, g, F.Quadrature(12))
-    coarse = base._table[1]
-    assert base._table[0] == (g, F.Quadrature(12)) and A._table is None
-    assert not np.array_equal(coarse, first)
+    assert base._phase[0] == (g, F.Quadrature(12))
+    assert not np.array_equal(base._phase[1], first)
+    # the gauge data itself never holds a table
+    assert A._phase is None
 
 
 @pytest.mark.parametrize("make", [
@@ -130,24 +134,25 @@ def test_memo_hit_is_bit_identical_to_a_fresh_table(make):
     base = F._gauge_base(A)
     G.segment_phase_matrix(A, g, QUAD)
     if base is not A:
-        assert A._table is None and A._phase is None
-    assert np.array_equal(G._segment_circulation(base, g, QUAD),
-                          G._segment_circulation(F._gauge_base(make()), g, QUAD))
+        assert A._phase is None
+    hit = G.segment_phase_matrix(base, g, QUAD)
+    assert hit is base._phase[1]
+    assert np.array_equal(hit, G.segment_phase_matrix(F._gauge_base(make()), g, QUAD))
 
 
 def test_phase_matrix_exponentiates_in_place():
+    # a fresh potential: the 8 MiB circulation table and the 16 MiB result are the
+    # allocations; an out-of-place exp needs about 40 MiB
     g = G.PhaseSpaceGrid(2, 32, 8.0)
     A = F.symmetric_gauge(1.0)
-    gamma = G._segment_circulation(A, g, QUAD)
     tracemalloc.start()
     try:
         lam = G.segment_phase_matrix(A, g, QUAD)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(lam, np.exp(-1j * gamma))
-    # the 16 MiB result is the one allocation; out of place needs about 32
-    assert peak <= 17 * 2**20
+    assert np.array_equal(lam, np.exp(-1j * G._segment_circulation(A, g, QUAD)))
+    assert peak <= 25 * 2**20
 
 
 def test_second_phase_call_returns_the_same_read_only_table():
@@ -155,33 +160,28 @@ def test_second_phase_call_returns_the_same_read_only_table():
     A = F.symmetric_gauge(1.0)
     lam = G.segment_phase_matrix(A, g, QUAD)
     assert G.segment_phase_matrix(A, g, QUAD) is lam
-    assert A._phase[0] is A._table[1] and A._phase[1] is lam
-    assert not lam.flags.writeable
-    with pytest.raises(ValueError):
-        lam[0, 1] = 1.0
+    # no circulation table is resident: the phases are the potential's one array,
+    # and each circulation call integrates a new table
+    held = [v for x in vars(A).values() for v in (x if isinstance(x, tuple) else (x,))]
+    assert [v is lam for v in held if isinstance(v, np.ndarray)] == [True]
+    gamma = G._segment_circulation(A, g, QUAD)
+    assert G._segment_circulation(A, g, QUAD) is not gamma
     # no potential: a new table of ones each call, which callers may write
     ones = G.segment_phase_matrix(None, g, QUAD)
     assert ones.flags.writeable and ones is not G.segment_phase_matrix(None, g, QUAD)
 
 
 def test_another_grid_or_rule_replaces_the_phases_with_the_table():
+    # the slot holds one table: a replaced one is released, not kept beside the new
     g, g2 = G.PhaseSpaceGrid(2, 8, 4.0), G.PhaseSpaceGrid(2, 6, 4.0)
     A = transversal_gaussian()
     base = F._gauge_base(A)
-    G.segment_phase_matrix(A, g, QUAD)
-    first = base._phase[1]
-    # a new circulation table drops the phases of the old one at once
-    G._segment_circulation(base, g2, QUAD)
-    assert base._phase is None
+    old = weakref.ref(G.segment_phase_matrix(A, g, QUAD))
     G.segment_phase_matrix(A, g2, QUAD)
-    assert base._phase[0] is base._table[1] and base._phase[1].shape == (36, 36)
-    again = G.segment_phase_matrix(base, g, QUAD)
-    assert again is not first and np.array_equal(again, first)
-    G.segment_phase_matrix(A, g, F.Quadrature(12))
-    assert base._table[0] == (g, F.Quadrature(12)) and base._phase[0] is base._table[1]
-    assert not np.array_equal(base._phase[1], first)
-    # the gauge data itself never holds a table
-    assert A._table is None and A._phase is None
+    assert old() is None
+    old = weakref.ref(base._phase[1])
+    G.segment_phase_matrix(A, g2, F.Quadrature(12))
+    assert old() is None and base._phase[0] == (g2, F.Quadrature(12))
 
 
 @pytest.mark.parametrize("make", [
@@ -201,7 +201,7 @@ def test_memoized_phases_are_the_exponentiated_table(make):
     u = np.exp(1j * F._gauge_values(A, g.config_points(), QUAD))
     dressed = memo * u[:, None] * np.conj(u)
     assert np.array_equal(lam, 0.5 * (dressed + dressed.conj().T))
-    assert A._table is None and A._phase is None
+    assert A._phase is None
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.3])
@@ -212,7 +212,7 @@ def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
     A = transversal_gaussian()
     base = F._gauge_base(A)
     kern = Q.op_quantize(f, A, g, Q.WeylParams(tau, 1.0), QUAD, mask=True).kernel
-    assert base._phase is not None and A._table is None and A._phase is None
+    assert base._phase is not None and A._phase is None
     # the base's phases by the expression the route evaluated before the memo, bit
     # for bit, then the gauge phases in the rows and their conjugates in the columns
     old = G._separable_kernel(f, g, tau, 1.0, True)
@@ -223,11 +223,11 @@ def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
     old *= u[:, None]
     old *= np.conj(u)
     assert np.array_equal(kern, old)
-    # at hbar != 1 the route exponentiates the base's Gamma / hbar itself
+    # at hbar != 1 the route integrates the base's Gamma / hbar itself and keeps no memo
     A = transversal_gaussian()
     base = F._gauge_base(A)
     Q.op_quantize(f, A, g, Q.WeylParams(tau, 0.7), QUAD, mask=True)
-    assert base._table is not None and base._phase is None and A._table is None
+    assert base._phase is None and A._phase is None
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,11 @@ def test_gauge_transformed_table_matches_full_quadrature(case):
     assert rel_gap(base + (r[None] - r[:, None]), gamma) <= 1e-13
     with pytest.raises(InputError):
         G._segment_circulation(A, g, QUAD)
-    assert A._table is None
+    assert A._phase is None
 
 
 def test_gauge_transform_reuses_the_base_table():
-    # the base holds the one Gamma and phase table; the gauge data hold none
+    # the base holds the one phase table; the gauge data hold none
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     f = G.gaussian_symbol(2, x_width=1.0, p_width=0.9)
     A = transversal_gaussian()
@@ -282,12 +282,12 @@ def test_gauge_transform_reuses_the_base_table():
     base = F._gauge_base(A2)
     assert F._gauge_base(A) is base and F._gauge_base(base) is base
     Q.op_quantize(f, A2, g, quad=QUAD)
-    gamma, lam = base._table[1], base._phase[1]
-    assert base._table[0] == (g, QUAD)
+    lam = base._phase[1]
+    assert base._phase[0] == (g, QUAD)
     Q.op_quantize(f, A, g, quad=QUAD)
-    assert base._table[1] is gamma and base._phase[1] is lam
+    assert base._phase[1] is lam
     for P in (A, A2):
-        assert P._table is None and P._phase is None
+        assert P._phase is None
 
 
 def plain_circulation(A, a, b):
@@ -361,7 +361,7 @@ def test_nonfinite_gauge_function_is_refused_by_both_engines():
         G.segment_phase_matrix(A2, g, QUAD)
     with pytest.raises(NumericError):
         F.circulation(A2, np.zeros(2), np.array([2.0, 0.0]), QUAD)
-    assert A2._table is None
+    assert A2._phase is None
 
 
 def test_non_polynomial_gauge_function_is_exact():
@@ -407,3 +407,34 @@ def test_gauge_functions_are_sampled_through_one_helper():
     assert samplers == {("fields.py", "_gauge_phases"), ("fields.py", "_circulation_sum")}
     assert readers == {"fields.py"}
     assert table_names and not any("gauge" in name for name in table_names)
+
+
+def _functions(tree):
+    """``(qualified name, node)`` of the module-level functions and class methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name + "." + item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_phases_are_gained_in_one_dressing_step_and_kept_in_one_slot():
+    # grid._dress is where every kernel route gains or loses the lattice phases: only
+    # it, the gauge data's own phase table and the two routes that integrate their own
+    # circulations sample gauge phases.  The one memo slot is written by
+    # segment_phase_matrix alone
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    callers, slots, tables = set(), set(), set()
+    for path in sorted(src.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "_gauge_phases" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((path.stem, name))
+                if isinstance(node, ast.Attribute) and node.attr in ("_phase", "_table"):
+                    (slots if node.attr == "_phase" else tables).add((path.stem, name))
+    assert callers == {("grid", "_dress"), ("grid", "segment_phase_matrix"),
+                       ("quantize", "_weyl_phase"), ("coupling", "_half_step_gauge")}
+    assert slots == {("grid", "segment_phase_matrix"), ("fields", "VectorPotential.__init__")}
+    assert not tables

@@ -82,39 +82,40 @@ def test_product_table_requantizes_to_operator_product():
 
 @pytest.mark.parametrize("gauge", ["symmetric", "transversal_gaussian"])
 def test_product_uses_one_phase_table(monkeypatch, gauge):
-    # the product equals the symbol of the composed magnetic kernels, with
-    # one circulation table shared by both factors and the inverse map; the
-    # composed kernel alone also builds one table for both factors
+    # the product equals the symbol of the composed magnetic kernels, and on a fresh
+    # potential both factors and the inverse map share one circulation table: the
+    # base potential's, built once.  The composed kernel alone also builds one
     g = G.PhaseSpaceGrid(2, 10, 5.0)
-    if gauge == "symmetric":
-        B = F.constant_field_2d(1.0)
-        A = F.symmetric_gauge(1.0)
-    else:
+
+    def rig():
+        if gauge == "symmetric":
+            return F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
         B = F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2))
-        A = F.transversal_gauge(B, QUAD)
+        return B, F.transversal_gauge(B, QUAD)
+
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=0.8)
     h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.0,
                           p_width=0.9)
+    B, A = rig()
     ref_kernel = G.kernel_compose(G.kernel_from_symbol(f, A, g, QUAD),
                                   G.kernel_from_symbol(h, A, g, QUAD))
     ref = G.symbol_from_kernel(ref_kernel, A, QUAD)
-    tables = []
-    original = G.segment_phase_matrix
+    builds = []
+    original = G._segment_circulation
 
     def counted(A, grid, quad):
-        tables.append(A)
+        builds.append(A)
         return original(A, grid, quad)
 
-    monkeypatch.setattr(G, "segment_phase_matrix", counted)
-    monkeypatch.setattr(M, "segment_phase_matrix", counted, raising=False)
-    # the one table is the base potential's: the gauge data's own, when it has none
-    base = F._gauge_base(A)
+    monkeypatch.setattr(G, "_segment_circulation", counted)
+    B, A = rig()
     out = M.moyal_product(f, h, B, A, g, QUAD)
-    assert [t for t in tables if t is not None] == [base]
+    assert builds == [F._gauge_base(A)]
     assert np.abs(out.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
-    tables.clear()
+    builds.clear()
+    B, A = rig()
     kernel = M.product_kernel(f, h, A, g, QUAD)
-    assert tables == [base]
+    assert builds == [F._gauge_base(A)]
     assert np.array_equal(kernel.kernel, ref_kernel.kernel)
 
 
@@ -155,7 +156,8 @@ def test_band_product_matches_full_composition_on_read_pairs(dim, n):
     f, h = band_symbols(dim)
     read = read_pairs(g)
     for potential in (A, None):
-        kf, kg, lam = M._factor_kernels(f, h, potential, g, QUAD)
+        kf, kg = (G.kernel_from_symbol(s, potential, g, QUAD) for s in (f, h))
+        lam = None if potential is None else G.segment_phase_matrix(potential, g, QUAD)
         full = G.kernel_compose(kf, kg).kernel
         if lam is not None:
             full = full * np.conj(lam)
