@@ -50,6 +50,9 @@ DEFAULTS = {
 # worst |kernel route - direct route| a moyal run accepts, before the tolerance scale
 MOYAL_PROBE_TOLERANCE = 1e-3
 
+# momentum cutoff of a kinetic symbol, and of a momentum polynomial in `spectrum`, by default
+_DEFAULT_CUTOFF = 30.0
+
 
 def load_config(path: str) -> dict:
     try:
@@ -155,7 +158,7 @@ def symbol_from_spec(spec: dict, dim: int):
             x_width=float(spec.get("x_width", 1.0)), p_width=float(spec.get("p_width", 1.0)),
             amplitude=spec.get("amplitude", 1.0)), True
     if kind == "kinetic":
-        cutoff = float(spec.get("cutoff", 30.0))
+        cutoff = float(spec.get("cutoff", _DEFAULT_CUTOFF))
         terms = [(1.0, tuple(2 if j == a else 0 for j in range(dim))) for a in range(dim)]
         return cp.PolynomialSymbol(dim, terms).with_momentum_cutoff(cutoff), False
     if kind == "momentum_polynomial":
@@ -190,8 +193,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         raise InputError("spectrum needs a 'symbol' entry in the configuration")
     with _config_value("symbol"):
         sym, mask = symbol_from_spec(cfg["symbol"], grid.dim)
-        if isinstance(sym, cp.PolynomialSymbol):
-            sym = sym.with_momentum_cutoff(float(cfg["symbol"].get("cutoff", 30.0)))
+        if isinstance(sym, cp.PolynomialSymbol):  # a momentum polynomial given no cutoff
+            sym = sym.with_momentum_cutoff(_DEFAULT_CUTOFF)
     mask = cfg.get("mask", mask)
     if not isinstance(mask, bool):
         raise InputError("'mask' must be true or false, got %r" % (mask,))

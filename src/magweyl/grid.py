@@ -20,9 +20,10 @@ Kernel maps
 
 where ``phase`` is the unit-modulus circulation factor of a vector
 potential (1 for the non-magnetic case).  The midpoint ``(x + y)/2`` lies
-on the half-step lattice, so symbols enter either as closed-form
-evaluators (sampled exactly, no interpolation) or as half-step-lattice
-sample tables.  The symbol presets are separable and are given by their
+on the half-step lattice, so symbols enter as closed-form evaluators
+(sampled exactly, no interpolation), as half-step-lattice sample tables, or
+as standard-lattice tables read through their trigonometric interpolant on
+the midpoints.  The symbol presets are separable and are given by their
 factors alone (``SymbolEvaluator``), so every quantization route reads the
 same definition.
 
@@ -30,16 +31,19 @@ At ordering ``tau`` and Planck constant ``hbar`` (``quantize.op_quantize``)
 the symbol is read at ``((1 - tau) x + tau y, hbar k)`` and the phase is
 ``exp(-i Gamma / hbar)``; ``kernel_from_symbol`` is ``tau = 1/2, hbar = 1``.
 Both call ``_quantized_kernel``, the one place that picks the fill of the
-field-free kernel, multiplies the ``difference_mask`` into the fills that do
-not fold it in, and dresses the kernel with the phases, table first:
+field-free kernel, multiplies the mask into the fills that do not fold it
+in (``difference_mask``, or the zero-fill mask of a standard table), and
+dresses the kernel with the phases, table first:
 
-===========================  ===================  =================
-symbol                       tau = 1/2, hbar = 1  other tau or hbar
-===========================  ===================  =================
-evaluator with ``factors``   separable            separable
-evaluator given by ``fn``    windowed             per-difference
-midpoint ``SymbolGrid``      windowed             refused
-===========================  ===================  =================
+===========================  =========================  =================
+symbol                       tau = 1/2, hbar = 1        other tau or hbar
+===========================  =========================  =================
+evaluator with ``factors``   separable                  separable
+evaluator given by ``fn``    windowed                   per-difference
+midpoint ``SymbolGrid``      windowed                   refused
+standard ``SymbolGrid``      windowed (interpolated),   refused
+                             zero-fill mask
+===========================  =========================  =================
 
 * the separable fill (``_separable_kernel``): for ``f = sum_r g_r(x)
   h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x + tau y) H_r(x - y)``,
@@ -54,6 +58,19 @@ midpoint ``SymbolGrid``      windowed             refused
   (in place on the sample layout), then gathers every pair once.
 * the per-difference fill (``_per_difference_kernel``): one matrix-vector
   product per lattice difference, about ``n^{3N}`` symbol evaluations.
+* a standard table, whose kernel is the paper's Weyl-system sum ``w sum_xi
+  (F_sigma f)(xi) W^A(xi)`` with zero-filled translations, takes the
+  windowed map of its trigonometric interpolant on the midpoints (one
+  ``(2n - 1) x n`` matrix per configuration axis, applied just before that
+  axis's momentum step) times the zero-fill mask: per axis 1 where ``row -
+  col`` lies in ``(-n/2, n/2]`` lattice steps, the pairs ``(y, y + x)`` the
+  Weyl operators reach, else 0; so it has no unmasked form.  The
+  interpolant runs over the lattice's own momenta ``-n/2 ... n/2 - 1``, the
+  edge not split with ``+n/2 dp``: the sum reflects it to ``+n/2 dp``, off
+  the lattice, where the Weyl phases give it the sign ``(-1)^{x/h}`` per
+  axis.  So the Weyl system's coefficient tables reproduce their operators
+  exactly (rank-one reconstruction), and a symmetrized edge misses the sum
+  for tables that do not decay before the box edge.
 
 ``symbol_from_kernel`` is its mirror: one gather of the pairs of each
 midpoint class into a window of one alias period of differences per axis,
@@ -245,7 +262,7 @@ def _shift_index_table(grid: PhaseSpaceGrid, steps=None, boundary: str = "zero")
 
 
 def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
-    """Contract each of ``axes`` in turn with an ``(n, n)`` lattice Fourier ``matrix``."""
+    """Contract each of ``axes`` in turn with an ``(m, n)`` lattice ``matrix``: n points to m."""
     # one matmul per axis on a (head, n, tail) view, the last axis by matrix.T: no axis moves
     for ax in axes:
         shape = values.shape
@@ -253,7 +270,7 @@ def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
             values = values @ matrix.T
         else:
             values = matrix @ values.reshape(math.prod(shape[:ax]), shape[ax], -1)
-            values = values.reshape(shape)
+            values = values.reshape(shape[:ax] + (len(matrix),) + shape[ax + 1:])
     return values
 
 
@@ -320,15 +337,16 @@ def fourier_config(u: WaveFunction, direction: str = "forward") -> np.ndarray:
 
     ``forward`` maps lattice samples to ``h^N sum_x e^{-i x.p} u(x)`` on the
     dual lattice; ``inverse`` is its exact two-sided inverse.  The pair is
-    unitary for the grid weights (Parseval holds to roundoff).
+    unitary for the grid weights (Parseval holds to roundoff).  Another
+    direction, or ``u`` not a ``WaveFunction``, raises InputError.
     """
-    g = u.grid if isinstance(u, WaveFunction) else None
-    if g is None:
+    if not isinstance(u, WaveFunction):
         raise InputError("fourier_config expects a WaveFunction")
-    m = g._fwd_matrix if direction == "forward" else g._inv_matrix
     if direction not in ("forward", "inverse"):
         raise InputError("direction must be 'forward' or 'inverse'")
-    return _apply_axes(u.values, m, range(g.dim))
+    g = u.grid
+    return _apply_axes(u.values, g._fwd_matrix if direction == "forward" else g._inv_matrix,
+                       range(g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +802,8 @@ def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
     the configuration transform tensored with the inverse momentum transform
     followed by the axis swap.  The transform is an involution, so
     ``inverse`` runs the same steps as ``forward``, and applying it twice is
-    the identity to roundoff.
+    the identity to roundoff.  Another direction, or a midpoint table,
+    raises InputError.
     """
     if F.kind != "standard":
         raise InputError("symplectic transform needs a standard-lattice symbol grid")
@@ -796,14 +815,6 @@ def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
     vals = _apply_axes(vals, g._inv_matrix, range(N, 2 * N))
     vals = np.moveaxis(vals, list(range(2 * N)), list(range(N, 2 * N)) + list(range(N)))
     return SymbolGrid(g, "standard", vals)
-
-
-def symplectic_parity(F: SymbolGrid) -> SymbolGrid:
-    """Point reflection ``F(xi) -> F(-xi)`` as an exact lattice index map."""
-    vals = F.values
-    for ax in range(2 * F.grid.dim):
-        vals = np.roll(np.flip(vals, axis=ax), 1, axis=ax)
-    return SymbolGrid(F.grid, F.kind, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +962,8 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
     """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
 
     The phases are those of ``_dress`` at ``hbar``.  ``f`` is an evaluator,
-    or a checked midpoint table at ``tau = 1/2, hbar = 1``.
+    or a checked symbol table at ``tau = 1/2, hbar = 1``; a standard table
+    takes the zero-fill mask in place of ``difference_mask``.
     """
     if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
@@ -962,19 +974,35 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
             kern = _windowed_kernel(f, grid)
         else:
             kern = _per_difference_kernel(f, grid, tau, hbar, mask)
-        if mask:
+        if isinstance(f, SymbolGrid) and f.kind == "standard":
+            kern *= _zero_fill_mask(grid)
+        elif mask:
             kern *= difference_mask(grid)
     return OperatorKernel(grid, _dress(kern, A, grid, quad, hbar))
 
 
+def _zero_fill_mask(grid: PhaseSpaceGrid) -> np.ndarray:
+    """Per axis 1 where ``row - col`` lies in ``(-n/2, n/2]`` lattice steps, else 0 (module notes)."""
+    steps = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    return reduce(np.kron, [((steps > -grid.n // 2) & (steps <= grid.n // 2)) * 1.0] * grid.dim)
+
+
 def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
-    """The windowed map: field-free, unmasked kernel of an evaluator or of a midpoint table."""
-    alias = 1.0  # per momentum axis
+    """The windowed map: field-free, unmasked kernel of an evaluator or of a symbol table.
+
+    A standard table's configuration axes are interpolated from n to 2n - 1
+    points (module notes) one at a time, each just before its momentum step.
+    """
+    alias, interp = 1.0, None  # alias weight per momentum axis
     if isinstance(f, SymbolEvaluator):
         vals = f.sample(grid, kind="midpoint").values
     else:
         vals = f.values
-        if f.alias_doubled:
+        if f.kind == "standard":
+            # (1/2L) e^{i m p} over the midpoints m and the lattice's momenta p, times F
+            interp = (np.exp(1j * np.outer(grid.midpoint_axis, grid.momentum_axis))
+                      / (2.0 * grid.L)) @ grid._fwd_matrix
+        elif f.alias_doubled:
             # reconstructed tables hold both alias images; pair with half weight
             alias = 0.5
     n, N = grid.n, grid.dim
@@ -986,12 +1014,16 @@ def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
     phase = alias * grid._inv_matrix[2 * np.arange(T) + (s + n // 2) % 2]  # (s, t, k)
     # (s_1..s_N, k_1..k_N) -> (s_1..s_N, t_1..t_N), momentum axis a batched over s_a
     for a in range(N):
-        pre, mid = S**a, S ** (N - 1 - a) * T**a
+        if interp is not None:
+            vals = _apply_axes(vals, interp, [a])
+        shape = vals.shape
+        pre, mid = S**a, math.prod(shape[a + 1:N + a])
+        # only vals holds a step's output, so the next interpolation can free it
         if a < N - 1:
-            out = phase[:, None] @ vals.reshape(pre, S, mid, n, n ** (N - 1 - a))
+            vals = phase[:, None] @ vals.reshape(pre, S, mid, n, n ** (N - 1 - a))
         else:
-            out = vals.reshape(pre, S, mid, n) @ phase.transpose(0, 2, 1)
-        vals = out.reshape((S,) * N + (T,) * (a + 1) + (n,) * (N - 1 - a))
+            vals = vals.reshape(pre, S, mid, n) @ phase.transpose(0, 2, 1)
+        vals = vals.reshape(shape[:N + a] + (T,) + shape[N + a + 1:])
     i = np.arange(n)
     axis_shape = [(1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a) for a in range(N)]
     pairs = tuple(ij.reshape(sh) for ij in (i[:, None] + i, ((i[:, None] - i + n // 2) % n) // 2)

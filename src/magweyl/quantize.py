@@ -9,13 +9,13 @@ lattice (off-lattice translations are rejected rather than interpolated).
 Out-of-box samples are zero-filled by default; the cyclic variant used by
 the irreducibility probe wraps them around the box instead.
 
-Quantization routes: closed-form symbols, and midpoint-lattice tables at
-the default parameters, go through the one quantization map of ``grid``,
-whose module notes list the fill each input takes at each ``tau`` and
-``hbar``.  Standard-lattice tables are quantized as the weighted
-Weyl-system sum over the phase-space lattice, with the symplectic-transform
-integrand evaluated at reflected arguments (the discrete counterpart of
-pairing the symbol with the Weyl system).
+Quantization: every symbol goes through the one quantization map of
+``grid``, whose module notes list the fill each input takes at each
+``tau`` and ``hbar``.  A standard-lattice table is read through its
+trigonometric interpolant on the kernel midpoints; with the zero-fill mask
+this is the weighted Weyl-system sum over the phase-space lattice (the
+discrete counterpart of pairing the symbol with the Weyl system), which
+the tests write out one Weyl operator at a time.
 
 The field enters every zero-fill route one way, ``grid._dress``: the
 field-free kernel is multiplied entrywise by the base potential's
@@ -55,14 +55,8 @@ from .grid import (
     SymbolEvaluator,
     SymbolGrid,
     WaveFunction,
-    fourier_symplectic,
-    kernel_from_symbol,
     segment_phase_matrix,
-    symplectic_parity,
-    _apply_axes,
-    _dress,
     _gauge_dress,
-    _half_phase,
     _quantized_kernel,
     _shift_index_table,
 )
@@ -178,48 +172,6 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
 # ---------------------------------------------------------------------------
 # quantization
 
-def _weyl_sum_coefficients(F: SymbolGrid) -> np.ndarray:
-    """Integrand of the Weyl-system sum: reflected symplectic transform.
-
-    Reflecting the momentum-box edge ``-n/2 * dp`` lands on ``+n/2 * dp``,
-    which is off the lattice.  The Weyl phases ``e^{-i (y + x/2).p}`` relate
-    the two edge images by the sign ``(-1)^{x/h}`` per axis, so the edge
-    row of the reflected table carries that sign; this is the resolution
-    under which coefficient tables of the Weyl system itself reproduce
-    their operators exactly (rank-one reconstruction), and it is invisible
-    for integrands that decay before the box edge.
-    """
-    g = F.grid
-    c = symplectic_parity(fourier_symplectic(F, "forward")).values
-    odd = (np.arange(g.n) - g.n // 2) % 2 == 1  # x_a / h odd
-    for a in range(g.dim):
-        c[(slice(None),) * a + (odd,) + (slice(None),) * (g.dim - 1) + (0,)] *= -1.0
-    return c.reshape(g.size, g.size)
-
-
-def _weyl_sum_quantize(F: SymbolGrid, A, quad) -> OperatorKernel:
-    """Quantize a standard-lattice symbol table as a Weyl-system sum.
-
-    The integrand pairs the reflected symplectic transform of the table
-    with the Weyl operators over the full phase-space lattice; translated
-    samples are zero-filled.  The field-free sum is scattered straight into
-    kernel units (the operator matrix is ``config_weight`` times the kernel)
-    and then dressed with the phases (``grid._dress``), as in
-    ``kernel_from_symbol``.
-    """
-    g = F.grid
-    c = _half_phase(_weyl_sum_coefficients(F).reshape(g.shape + g.shape), g)
-    # d[x, y] = sum_p w c(x, p) e^{-i (y + x/2) . p}: the p axes contracted with conj(F^{-1})
-    d = _apply_axes(c, np.conj(g._inv_matrix), range(g.dim, 2 * g.dim)).reshape(g.size, g.size)
-    del c
-    kern = np.zeros((g.size, g.size), dtype=complex)
-    # for a fixed row y the map x -> y + x is one-to-one, so each entry is
-    # hit at most once and one scatter assignment places every term
-    cols, valid = _shift_index_table(g)  # (y, x)
-    kern[np.nonzero(valid)[0], cols[valid]] = d.T[valid]
-    return OperatorKernel(g, _dress(kern, A, g, quad))
-
-
 def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
                 params: WeylParams = WeylParams(),
                 quad: Quadrature = DEFAULT_QUADRATURE, mask: bool = True) -> OperatorKernel:
@@ -228,10 +180,11 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     Parameters
     ----------
     f : SymbolEvaluator or SymbolGrid
-        Closed-form symbols support any ``params``; midpoint tables go
-        through the kernel map and standard tables through the Weyl-system
-        sum (both at the default parameters, and only on their own grid).
-        Which fill each input takes is listed in the ``grid`` module notes.
+        Closed-form symbols support any ``params``; symbol tables only the
+        default parameters, and only on their own grid.  A standard table
+        is read through its trigonometric interpolant on the midpoints,
+        which makes its kernel the Weyl-system sum of the table.  Which
+        fill each input takes is listed in the ``grid`` module notes.
     A : VectorPotential or None
         Gauge potential; None quantizes without magnetic phases.
     params : WeylParams
@@ -240,28 +193,23 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     mask : bool
         One-period difference convention (see the kernel map); disable for
         broad-in-momentum symbols whose natural operator is the periodized
-        spectral one.  The Weyl-system sum of a standard table makes no
-        periodized difference tail, so it refuses ``mask=False``.
+        spectral one.  A standard table takes the zero-fill mask of the
+        Weyl-system sum, which has no periodized difference tail, so it
+        refuses ``mask=False``.
 
     Real symbols at ``tau = 1/2`` yield Hermitian kernels to roundoff, and
     the adjoint identity ``op(f, tau)^* = op(conj f, 1 - tau)`` holds at
     matrix level.
     """
-    default = params.tau == 0.5 and params.hbar == 1.0
     if isinstance(f, SymbolGrid):
         if f.grid != grid:
             raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
-        if not default:
+        if not (params.tau == 0.5 and params.hbar == 1.0):
             raise InputError("symbol tables support only the default quantization parameters")
-        if f.kind == "midpoint":
-            return kernel_from_symbol(f, A, grid, quad, mask=mask)
-        if not mask:
+        if f.kind == "standard" and not mask:
             raise InputError("the Weyl-system sum of a standard table has no unmasked form")
-        return _weyl_sum_quantize(f, A, quad)
-    if not isinstance(f, SymbolEvaluator):
+    elif not isinstance(f, SymbolEvaluator):
         raise InputError("unsupported symbol type %r" % type(f))
-    if default:
-        return kernel_from_symbol(f, A, grid, quad, mask=mask)
     return _quantized_kernel(f, A, grid, quad, params.tau, params.hbar, mask)
 
 

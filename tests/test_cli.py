@@ -52,6 +52,19 @@ def test_verify_is_deterministic(tmp_path):
     assert ra == rb
 
 
+def test_seed_option_overrides_the_config_seed(tmp_path):
+    # `--seed 7` on a config seeded 11 writes the report of a config seeded 7
+    rc = {}
+    for name, seed, argv in (("given", 7, []), ("other", 11, []), ("override", 11, ["--seed", "7"])):
+        write_config(tmp_path / (name + ".json"), seed=seed)
+        rc[name] = cli.main(["verify", "--config", str(tmp_path / (name + ".json")),
+                             "--out", str(tmp_path / name)] + argv)
+    read = lambda name: (tmp_path / name / "verify_report.json").read_bytes()
+    assert rc["override"] == rc["given"]
+    assert read("override") == read("given")
+    assert read("other") != read("given")  # the seed reaches the battery's samples
+
+
 def test_verify_gauge_mismatch_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     write_config(cfgfile, gauges=[{"kind": "symmetric", "b": 0.5}])
@@ -154,6 +167,31 @@ def test_spectrum_gauge_swap_invariance(tmp_path):
     e1 = np.array(json.loads((tmp_path / "o1" / "spectrum.json").read_text())["eigenvalues"])
     e2 = np.array(json.loads((tmp_path / "o2" / "spectrum.json").read_text())["eigenvalues"])
     assert verify.spectrum_error(e1, e2) < verify.TOLERANCES["gauge_spectrum_agreement"]
+
+
+@pytest.mark.parametrize("cutoff", [None, 4.0])
+def test_spectrum_of_a_momentum_polynomial_is_the_kinetic_spectrum(tmp_path, cutoff):
+    # p1^2 + p2^2 as a momentum polynomial, given no cutoff or one, quantizes to the
+    # kinetic symbol at the same cutoff (its default when none is given)
+    extra = {} if cutoff is None else {"cutoff": cutoff}
+    terms = [{"coeff": 1.0, "powers": [2, 0]}, {"powers": [0, 2]}]
+    out = {}
+    for name, symbol in (("kinetic", {"kind": "kinetic"}),
+                         ("polynomial", {"kind": "momentum_polynomial", "terms": terms})):
+        write_config(tmp_path / (name + ".json"), symbol=dict(symbol, **extra))
+        assert cli.main(["spectrum", "--config", str(tmp_path / (name + ".json")),
+                         "--out", str(tmp_path / name)]) == 0
+        out[name] = (json.loads((tmp_path / name / "spectrum.json").read_text())["eigenvalues"],
+                     (tmp_path / name / "spectrum.csv").read_bytes())
+    assert out["polynomial"] == out["kinetic"]
+
+
+def test_spectrum_of_an_unknown_symbol_kind_exits_2(tmp_path, capsys):
+    write_config(tmp_path / "cfg.json", symbol={"kind": "quartic"})
+    assert cli.main(["spectrum", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "unknown symbol kind 'quartic'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
 def test_moyal_unit_and_report(tmp_path):

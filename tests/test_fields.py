@@ -275,6 +275,22 @@ def test_finite_difference_checks_evaluate_each_partial_once():
     assert len(calls) == 6
 
 
+def test_second_derivative_of_a_potential_without_poly_is_the_central_difference():
+    # a potential given only by `eval`, such as the Gaussian field's transversal gauge,
+    # takes the central-difference branch (step 1e-4, error O(step^2) plus roundoff
+    # O(eps / step^2), about 1e-8 here); A = (0, sin x1 cos x2) has closed-form derivatives
+    assert F.transversal_gauge(F.gaussian_field_2d(1.0, 1.6), QUAD).poly is None
+    A = F.VectorPotential(2, lambda x: np.stack(
+        [np.zeros(x.shape[:-1]), np.sin(x[..., 0]) * np.cos(x[..., 1])], axis=-1))
+    x = np.random.default_rng(27).uniform(-3.0, 3.0, size=(200, 2))
+    s1c2 = np.sin(x[:, 0]) * np.cos(x[:, 1])
+    expect = {(0, 0): -s1c2, (0, 1): -np.cos(x[:, 0]) * np.sin(x[:, 1]), (1, 1): -s1c2}
+    for (j, k), value in expect.items():
+        for jj, kk in ((j, k), (k, j)):
+            assert np.abs(A.second_derivative(jj, kk, 1)(x) - value).max() <= 1e-7
+            assert np.abs(A.second_derivative(jj, kk, 0)(x)).max() == 0.0
+
+
 def test_field_from_config_round_trip():
     B = F.field_from_config({"kind": "constant", "dim": 2, "b": 2.0})
     assert B(np.zeros(2))[0, 1] == 2.0

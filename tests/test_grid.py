@@ -190,6 +190,21 @@ def test_symplectic_rejects_midpoint_grids():
         G.fourier_symplectic(sg)
 
 
+@pytest.mark.parametrize("transform", ["fourier_config", "fourier_symplectic"])
+def test_transforms_refuse_an_unknown_direction(transform):
+    g = G.PhaseSpaceGrid(1, 8, 4.0)
+    arg = (G.gaussian_wavefunction(g) if transform == "fourier_config"
+           else G.constant_symbol(1).sample(g, "standard"))
+    with pytest.raises(InputError, match="direction"):
+        getattr(G, transform)(arg, "backward")
+
+
+def test_fourier_config_refuses_a_bare_array():
+    g = G.PhaseSpaceGrid(1, 8, 4.0)
+    with pytest.raises(InputError, match="WaveFunction"):
+        G.fourier_config(G.gaussian_wavefunction(g).values)
+
+
 # ---------------------------------------------------------------------------
 # kernel map
 

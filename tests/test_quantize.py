@@ -10,6 +10,7 @@ from magweyl import grid as G
 from magweyl import quantize as Q
 from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError, OffLatticeError
+from weyl_sum_oracle import weyl_operator_sum
 
 QUAD = F.Quadrature(16)
 
@@ -263,7 +264,7 @@ def test_quantize_general_route_matches_kernel_route_at_defaults():
 def test_each_input_reaches_its_documented_fill(monkeypatch, tau, hbar):
     # the fill table of the grid module notes: factors -> separable at every tau and
     # hbar; `fn` -> windowed at tau = 1/2, hbar = 1, per-difference elsewhere; a
-    # midpoint table -> windowed at the defaults and refused elsewhere
+    # midpoint or standard table -> windowed at the defaults and refused elsewhere
     calls = []
     for name in ("_separable_kernel", "_windowed_kernel", "_per_difference_kernel"):
         monkeypatch.setattr(G, name, lambda *a, _fill=getattr(G, name), _name=name:
@@ -274,7 +275,8 @@ def test_each_input_reaches_its_documented_fill(monkeypatch, tau, hbar):
     params = Q.WeylParams(tau, hbar)
     for sym, fill in ((f, "_separable_kernel"), (unfactored(f), "_windowed_kernel" if default
                                                  else "_per_difference_kernel"),
-                      (f.sample(g, "midpoint"), "_windowed_kernel")):
+                      (f.sample(g, "midpoint"), "_windowed_kernel"),
+                      (f.sample(g, "standard"), "_windowed_kernel")):
         calls.clear()
         if isinstance(sym, G.SymbolGrid) and not default:
             with pytest.raises(InputError):
@@ -283,7 +285,13 @@ def test_each_input_reaches_its_documented_fill(monkeypatch, tau, hbar):
             continue
         Q.op_quantize(sym, None, g, params, QUAD)
         assert calls == [fill]
-        if default:
+        if not default:
+            continue
+        if getattr(sym, "kind", None) == "standard":  # the kernel map reads midpoint tables only
+            with pytest.raises(InputError):
+                G.kernel_from_symbol(sym, None, g, QUAD)
+            assert calls == [fill]
+        else:
             G.kernel_from_symbol(sym, None, g, QUAD)
             assert calls == [fill, fill]
 
@@ -530,18 +538,31 @@ def test_weyl_sum_route_close_to_kernel_route():
 
 
 def test_weyl_sum_route_is_the_weighted_weyl_operator_sum():
-    # loop reference for the gathered Weyl-system sum: the integrand times
-    # the zero-filled Weyl operators, one lattice point at a time
+    # loop reference for the quantization of a standard table: the Weyl-system
+    # integrand times the zero-filled Weyl operators, one lattice point at a time
     g = G.PhaseSpaceGrid(2, 4, 2.0)
     A = F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4), QUAD)
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=1.0,
                           amplitude=1.0 + 0.3j)
     table = f.sample(g, "standard")
-    c = Q._weyl_sum_coefficients(table)
-    xs, ps = g.config_points(), g.momentum_points()
-    ref = sum(c[a, b] * Q.weyl_matrix(A, (xs[a], ps[b]), g, QUAD).operator_matrix
-              for a in range(g.size) for b in range(g.size))
-    ref = g.config_weight * g.momentum_weight * ref
+    ref = weyl_operator_sum(table, A, QUAD)
+    got = Q.op_quantize(table, A, g, quad=QUAD).operator_matrix
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("magnetic", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 8), (2, 2), (2, 4), (3, 2)])
+def test_standard_table_quantization_is_the_weyl_operator_sum(dim, n, magnetic):
+    # random complex tables that do not decay: the momentum-box edge carries as
+    # much as any row, so reading the interpolant with a symmetrized edge
+    # frequency (half at +n/2 dp, half at -n/2 dp) misses the Weyl sum
+    g = G.PhaseSpaceGrid(dim, n, 1.5)
+    rng = np.random.default_rng(10 * dim + n)
+    shape = g.shape + g.shape
+    table = G.SymbolGrid(g, "standard", rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # the last potential: polynomial in dims 1 and 3, a transversal gauge's transform in 2
+    A = list(potentials(dim).values())[-1] if magnetic else None
+    ref = weyl_operator_sum(table, A, QUAD)
     got = Q.op_quantize(table, A, g, quad=QUAD).operator_matrix
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
