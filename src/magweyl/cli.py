@@ -50,7 +50,7 @@ DEFAULTS = {
 # worst |kernel route - direct route| a moyal run accepts, before the tolerance scale
 MOYAL_PROBE_TOLERANCE = 1e-3
 
-# momentum cutoff of a kinetic symbol, and of a momentum polynomial in `spectrum`, by default
+# momentum cutoff of a kinetic symbol, and of a momentum polynomial, by default
 _DEFAULT_CUTOFF = 30.0
 
 
@@ -163,10 +163,8 @@ def symbol_from_spec(spec: dict, dim: int):
         return cp.PolynomialSymbol(dim, terms).with_momentum_cutoff(cutoff), False
     if kind == "momentum_polynomial":
         terms = [(t.get("coeff", 1.0), tuple(t["powers"])) for t in spec["terms"]]
-        sym = cp.PolynomialSymbol(dim, terms)
-        if "cutoff" in spec:
-            return sym.with_momentum_cutoff(float(spec["cutoff"])), False
-        return sym, False
+        cutoff = float(spec.get("cutoff", _DEFAULT_CUTOFF))
+        return cp.PolynomialSymbol(dim, terms).with_momentum_cutoff(cutoff), False
     raise InputError("unknown symbol kind %r" % (kind,))
 
 
@@ -193,8 +191,6 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         raise InputError("spectrum needs a 'symbol' entry in the configuration")
     with _config_value("symbol"):
         sym, mask = symbol_from_spec(cfg["symbol"], grid.dim)
-        if isinstance(sym, cp.PolynomialSymbol):  # a momentum polynomial given no cutoff
-            sym = sym.with_momentum_cutoff(_DEFAULT_CUTOFF)
     mask = cfg.get("mask", mask)
     if not isinstance(mask, bool):
         raise InputError("'mask' must be true or false, got %r" % (mask,))

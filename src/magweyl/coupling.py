@@ -28,10 +28,16 @@ inside the box and every difference with a lattice index 0, whose mirror
 lies outside it (``_midpoint_phases``).  A potential of declared degree
 <= 1 (a constant field's gauge), or any potential under a one-node rule, is
 read once per configuration point: its circulation is ``y . A(x)``, so the
-phases are plane waves in each axis of ``y``, ``N n`` exponentials per point.  A factored symbol
-``sum_r g_r(x) h_r(p)`` is transformed once per factor, ``H_r = F^{-1} h_r``,
-and a row block's difference table is the product of its ``g_r(x)`` with the
-``H_r``; a symbol given by ``fn`` is evaluated and transformed per block.
+phases are plane waves in each axis of ``y``, ``N n`` exponentials per
+point.  A factored symbol ``sum_r g_r(x) h_r(p)`` is transformed once per
+factor, ``H_r = F^{-1} h_r``, and a row block's difference table is the
+product of its ``g_r(x)`` with the ``H_r``; a symbol given by ``fn`` is
+evaluated and transformed per block.  Where every ``h_r`` is a product over
+the axes (``factors._AxisProduct``, as for every preset) and the phases are
+plane waves without gauge data (or there is no potential), the whole route
+factorizes per axis (``_axis_rows``): row ``x`` is ``sum_r g_r(x) (x)_a
+T_ra(x)`` with ``T_ra = (e^{i y_a A_a(x)} H_ra) F^T``, one ``(rows, n)``
+table per axis and term, and no ``n^N`` difference table is built.
 """
 
 from __future__ import annotations
@@ -43,9 +49,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError, NumericError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _exact_rule, _gauge_phases, _square_norm)
+                     _exact_rule, _gauge_phases)
+from .factors import _AxisProduct, _momentum_monomial, _ones
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
-                   _lattice_mesh, _ones, _row_blocks)
+                   _lattice_mesh, _row_blocks)
 
 __all__ = [
     "PolynomialSymbol",
@@ -85,22 +92,11 @@ class PolynomialSymbol:
     def with_momentum_cutoff(self, scale: float) -> SymbolEvaluator:
         """Separable evaluator with a Gaussian momentum cutoff of `scale`."""
         # one (x-factor, p-factor) pair per monomial, the cutoff in the p-factor
-        factors = [(_ones if x_coeff is None else x_coeff, _momentum_monomial(coeff, powers, scale))
+        factors = [(_ones(self.dim) if x_coeff is None else x_coeff,
+                    _momentum_monomial(coeff, powers, scale))
                    for coeff, powers, x_coeff in self.terms]
         return SymbolEvaluator(self.dim, decay="poly-gaussian", name="poly-cutoff",
                                factors=factors)
-
-
-def _momentum_monomial(coeff, powers, cutoff: float):
-    """``h(p) = coeff p^powers exp(-|p|^2 / (2 cutoff^2))``, the p-factor of a cut-off monomial."""
-    def h(p):
-        term = complex(coeff)
-        for j, a in enumerate(powers):
-            if a:
-                term = term * p[..., j] ** a
-        return term * np.exp(-_square_norm(p) / (2.0 * cutoff**2))
-
-    return h
 
 
 def _poly_values(sym: PolynomialSymbol, A: VectorPotential | None, grid, kind,
@@ -157,14 +153,9 @@ def _midpoint_phases(A: VectorPotential, x: np.ndarray, y: np.ndarray, quad: Qua
     product of ``N`` tables ``e^{i y_a A_a(x)}`` of shape ``(rows, n)``.
     """
     n, N = y.shape[0], y.shape[-1]
-    if A._segment is None and _exact_rule(quad, A).order == 1:
-        ax = np.asarray(A.eval(x.reshape(-1, N)), dtype=float)
-        if not np.all(np.isfinite(ax)):
-            raise NumericError("potential non-finite along integration segment")
-        for a in range(N):
-            ya = y[(0,) * a + (slice(None),) + (0,) * (N - 1 - a) + (a,)]
-            wave = np.exp(1j * np.multiply.outer(ax[:, a], ya))
-            wave = wave.reshape((len(ax),) + (1,) * a + (n,) + (1,) * (N - 1 - a))
+    if _plane_wave_phases(A, quad):
+        for a, wave in enumerate(_plane_waves(A, x.reshape(-1, N), y[(slice(None),) + (0,) * N])):
+            wave = wave.reshape((len(wave),) + (1,) * a + (n,) + (1,) * (N - 1 - a))
             if a:
                 out *= wave
             else:
@@ -187,6 +178,24 @@ def _midpoint_phases(A: VectorPotential, x: np.ndarray, y: np.ndarray, quad: Qua
         mirror = head + (slice(c - 1, 0, -1),) + (slice(None, 0, -1),) * tail
         np.conjugate(out[(every,) + mirror], out=out[(every,) + above])
     return out
+
+
+def _plane_wave_phases(A: VectorPotential, quad: Quadrature) -> bool:
+    """Whether the route's phases of ``A`` are plane waves: no closed-form segment, one node."""
+    return A._segment is None and _exact_rule(quad, A).order == 1
+
+
+def _plane_waves(A: VectorPotential, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """Per axis ``a``, the table ``e^{i y_a A_a(x)}`` of shape ``(len(x), len(y))``.
+
+    ``A`` is read once at each of the points ``x``, shape ``(rows, N)``; ``y``
+    is the difference coordinate of one axis.  A non-finite value of ``A``
+    raises NumericError.
+    """
+    ax = np.asarray(A.eval(x), dtype=float)
+    if not np.all(np.isfinite(ax)):
+        raise NumericError("potential non-finite along integration segment")
+    return [np.exp(1j * np.multiply.outer(ax[:, a], y)) for a in range(A.dim)]
 
 
 def _half_step_gauge(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature):
@@ -222,7 +231,9 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     ``R`` tables; one given by ``fn`` is evaluated and transformed per block.
     The phases integrate one segment of each pair ``(y, -y)`` and conjugate
     it for the other, or are plane waves ``e^{i y . A(x)}`` where the rule has
-    one node (``_midpoint_phases``).  Gauge data integrate their
+    one node (``_midpoint_phases``).  Plane waves without gauge data, or no
+    potential, with every ``h_r`` an axis product, take ``_axis_rows``
+    instead, one axis at a time.  Gauge data integrate their
     base potential, and a block's phases are dressed with ``e^{i rho(x + y/2)}
     e^{-i rho(x - y/2)}``, gathered from one sample of ``rho`` per segment end
     (``_half_step_gauge``).  The points go through in ``_row_blocks``, each
@@ -235,18 +246,24 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
     kpts = g.momentum_points()
     axes = range(1, g.dim + 1)
     out = np.empty((len(x),) + g.shape, dtype=complex)
+    gauge = None
+    if A is not None:
+        A, gauge = _half_step_gauge(A, g, quad)
     if f.factors is not None:
         gx = np.empty((len(x), len(f.factors)), dtype=complex)
+        for r, (gr, _) in enumerate(f.factors):
+            gx[:, r] = gr(x)
+        if (gauge is None and (A is None or _plane_wave_phases(A, quad))
+                and all(isinstance(hr, _AxisProduct) for _, hr in f.factors)):
+            return _axis_rows(f, A, g, x, gx, out).reshape((len(caxis),) * g.dim + g.shape)
         hy = np.empty((len(f.factors), g.size), dtype=complex)
-        for r, (gr, hr) in enumerate(f.factors):
-            gx[:, r], hy[r] = gr(x), hr(kpts)
+        for r, (_, hr) in enumerate(f.factors):
+            hy[r] = hr(kpts)
         hy = _apply_axes(hy.reshape((-1,) + g.shape), g._inv_matrix, axes).reshape(hy.shape)
     blocks = _row_blocks(len(x))
-    gauge = None
     if A is not None:
         y = g.config_points().reshape(g.shape + (g.dim,))
         lam = np.empty((max(c1 - c0 for c0, c1 in blocks),) + g.shape, dtype=complex)
-        A, gauge = _half_step_gauge(A, g, quad)
     if gauge is not None:
         # flat half-step indices: x + y/2 at ends + diffs, x - y/2 at ends - diffs + centre
         table = (3 * g.n - 1,) * g.dim
@@ -269,6 +286,35 @@ def _transform_route(f: SymbolEvaluator, A: VectorPotential | None, grid: PhaseS
             fch *= phase
         out[c0:c1] = _apply_axes(fch, g._fwd_matrix, axes)
     return out.reshape((len(caxis),) * g.dim + g.shape)
+
+
+def _axis_rows(f: SymbolEvaluator, A: VectorPotential | None, g: PhaseSpaceGrid, x: np.ndarray,
+               gx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The transform route of axis-product ``h_r`` under plane-wave phases, one axis at a time.
+
+    With ``h_r = prod_a h_ra`` and the phases ``prod_a e^{i y_a A_a(x)}``
+    (1 for ``A`` None), row ``x`` of the output is ``sum_r g_r(x) (x)_a
+    T_ra(x)`` with ``T_ra = (e^{i y_a A_a(x)} H_ra) @ F^T``, where ``H_ra`` is
+    the per-axis inverse transform of ``h_ra``.  Per ``_row_blocks`` block,
+    one ``(rows, R, n)`` table per axis, the waves shared by the ``R`` terms;
+    the axes before the last are multiplied out with ``g_r(x)``, and the last
+    is contracted over ``r`` by one batched matmul into ``out``, of shape
+    ``(len(x),) + g.shape``.
+    """
+    n, N, R = g.n, g.dim, len(f.factors)
+    hats = [np.stack([g._inv_matrix @ np.broadcast_to(hr.fns[a](g.momentum_axis), (n,))
+                      for _, hr in f.factors]) for a in range(N)]  # per axis, (R, n)
+    rows = out.reshape(len(x), -1, n)
+    for c0, c1 in _row_blocks(len(x)):
+        waves = [None] * N if A is None else _plane_waves(A, x[c0:c1], g.config_axis)
+        lead = gx[c0:c1, :, None]  # (rows, R, product of the axes so far)
+        for a, (hat, w) in enumerate(zip(hats, waves)):
+            table = (hat if w is None else (w[:, None, :] * hat).reshape(-1, n)) @ g._fwd_matrix.T
+            table = table.reshape(-1, R, n)
+            if a < N - 1:
+                lead = (lead[..., None] * table[:, :, None, :]).reshape(c1 - c0, R, -1)
+        np.matmul(lead.transpose(0, 2, 1), table, out=rows[c0:c1])
+    return out
 
 
 def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,

@@ -35,21 +35,27 @@ field-free kernel, multiplies the mask into the fills that do not fold it
 in (``difference_mask``, or the zero-fill mask of a standard table), and
 dresses the kernel with the phases, table first:
 
-===========================  =========================  =================
+===========================  =========================  =========================
 symbol                       tau = 1/2, hbar = 1        other tau or hbar
-===========================  =========================  =================
-evaluator with ``factors``   separable                  separable
+===========================  =========================  =========================
+evaluator with ``factors``   separable: Kronecker       separable: Kronecker
+                             products, row blocks       products, row blocks
 evaluator given by ``fn``    windowed                   per-difference
 midpoint ``SymbolGrid``      windowed                   refused
 standard ``SymbolGrid``      windowed (interpolated),   refused
                              zero-fill mask
-===========================  =========================  =================
+===========================  =========================  =========================
 
 * the separable fill (``_separable_kernel``): for ``f = sum_r g_r(x)
   h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x + tau y) H_r(x - y)``,
-  one per-axis inverse transform ``H_r`` of each ``h_r`` (mask folded in),
-  filled in row blocks.  At ``tau = 1/2`` each ``g_r`` is evaluated once on
-  the midpoint lattice and read per axis at the midpoint index ``i + j``.
+  one per-axis inverse transform ``H_r`` of each ``h_r`` (mask folded in).
+  A term whose two factors are products over the axes
+  (``factors._AxisProduct``; every preset's are) is the Kronecker product
+  of one ``n x n`` matrix per axis, ``g_ra`` at the pair times ``H_ra`` at
+  its wrapped difference, and all such terms are written in one pass, one
+  matmul over the terms (``factors._kron_sum``).  Any other term is added
+  in row blocks; at ``tau = 1/2`` its ``g_r`` is evaluated once on the
+  midpoint lattice and read per axis at the midpoint index ``i + j``.
 * the windowed map (``_windowed_kernel``), the separable fill's test
   oracle.  Per axis, the pairs ``(i, j)`` of one midpoint class ``s = i + j``
   have wrapped differences of one parity, so the class reads only n/2 of
@@ -108,6 +114,8 @@ import numpy as np
 
 from .csvformat import format_e18
 from .errors import DimensionMismatchError, InputError, OffLatticeError
+from .factors import (_AxisProduct, _conj_factor, _gaussian_axes, _kron_sum, _ones,
+                      _scaled_factor)
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
                      _exact_rule, _gauge_phases, _require_base, _square_norm)
 
@@ -626,7 +634,8 @@ class SymbolEvaluator:
     symbol's only definition: its ``fn`` contracts them over ``r`` into one
     output array, the separable fill reads them directly, and ``+``,
     ``c *`` and ``conj`` of factored symbols are factored again.  Every
-    preset is given by its factors.
+    preset is given by its factors, each a product over the axes
+    (``factors._AxisProduct``), which ``+``, ``c *`` and ``conj`` keep.
     """
 
     def __init__(self, dim: int, fn=None, decay: str = "gaussian", name: str = "symbol",
@@ -656,8 +665,7 @@ class SymbolEvaluator:
             return SymbolEvaluator(self.dim, lambda x, p: np.conj(self.fn(x, p)), self.decay,
                                    self.name + "*")
         return SymbolEvaluator(self.dim, decay=self.decay, name=self.name + "*", factors=(
-            ((lambda x, g=g: np.conj(g(x))), (lambda p, h=h: np.conj(h(p))))
-            for g, h in self.factors))
+            (_conj_factor(g), _conj_factor(h)) for g, h in self.factors))
 
     def __add__(self, other: "SymbolEvaluator") -> "SymbolEvaluator":
         if other.dim != self.dim:
@@ -672,7 +680,7 @@ class SymbolEvaluator:
         if self.factors is None:
             return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay)
         return SymbolEvaluator(self.dim, decay=self.decay, factors=(
-            ((lambda x, g=g: c * g(x)), h) for g, h in self.factors))
+            (_scaled_factor(c, g), h) for g, h in self.factors))
 
     def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
         """Sample on the phase-space lattice of the requested flavor."""
@@ -692,13 +700,18 @@ class SymbolGrid:
     Fourier-Wigner data and symplectic transforms; ``"midpoint"`` is the
     half-step lattice of kernel midpoints (2n - 1 points, spacing h/2) --
     the natural carrier for kernel-map inverses and star products.
-    Values have shape (config axes ..., momentum axes ...).
+    Values have shape (config axes ..., momentum axes ...).  ``alias_doubled``
+    marks a midpoint table that holds alias sums (``symbol_from_kernel``); a
+    standard table with the flag raises InputError, as no route reads it there.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, kind: str, values: np.ndarray,
                  alias_doubled: bool = False):
         if kind not in ("standard", "midpoint"):
             raise InputError("symbol grid kind must be 'standard' or 'midpoint'")
+        if alias_doubled and kind == "standard":
+            raise InputError("a standard symbol table cannot be alias_doubled: only "
+                             "midpoint tables hold alias sums")
         expect = (len(_config_axis(grid, kind)),) * grid.dim + grid.shape
         values = np.asarray(values, dtype=complex)
         if values.shape != expect:
@@ -763,15 +776,9 @@ class SymbolGrid:
         _write_csv(path, [self.values.real, self.values.imag], header)
 
 
-def _ones(pts) -> np.ndarray:
-    """The factor 1 at points of shape ``(..., N)``."""
-    return np.ones(np.shape(pts)[:-1])
-
-
 def constant_symbol(dim: int, value=1.0) -> SymbolEvaluator:
-    value = complex(value)
     return SymbolEvaluator(dim, decay="none", name="constant",
-                           factors=[(lambda x: np.full(x.shape[:-1], value), _ones)])
+                           factors=[(_scaled_factor(complex(value), _ones(dim)), _ones(dim))])
 
 
 def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width=1.0,
@@ -784,12 +791,11 @@ def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width
             raise DimensionMismatchError("gaussian symbol %r must be a list of %d numbers, got %r"
                                          % (key, dim, value.tolist()))
     return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[
-        (lambda x: amplitude * np.exp(-_square_norm(x - xc) / (2.0 * x_width**2)),
-         lambda p: np.exp(-_square_norm(p - pc) / (2.0 * p_width**2)))])
+        (_scaled_factor(amplitude, _gaussian_axes(xc, x_width)), _gaussian_axes(pc, p_width))])
 
 
 def x_only_symbol(dim: int, fn) -> SymbolEvaluator:
-    return SymbolEvaluator(dim, decay="none", name="x-only", factors=[(fn, _ones)])
+    return SymbolEvaluator(dim, decay="none", name="x-only", factors=[(fn, _ones(dim))])
 
 
 # ---------------------------------------------------------------------------
@@ -843,41 +849,64 @@ def _trapezoid(steps: np.ndarray, n: int) -> np.ndarray:
 
 def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar: float,
                       mask: bool) -> np.ndarray:
-    """Field-free kernel of a symbol with ``factors``, filled in row blocks.
+    """Field-free kernel of a symbol with ``factors``: Kronecker products, then row blocks.
 
     For ``f = sum_r g_r(x) h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x +
     tau y) H_r(x - y)`` with ``H_r(v) = w sum_k e^{i v . k} h_r(hbar k)``, one
     per-axis inverse transform per term.  Per axis the pair ``(i, j)`` reads
-    ``H_r`` at the difference index ``i - j + n - 1`` of a ``(2n - 1)^N``
-    table, the transform at the wrapped difference with the trapezoid mask
-    weight of ``i - j`` folded in (all ones for ``mask=False``).  At
-    ``tau = 1/2`` each ``g_r`` is evaluated once on the ``(2n - 1)^N``
-    midpoint lattice and read at the midpoint index ``i + j``; at any other
-    ``tau`` it is evaluated per row block.  The working memory beyond the
-    kernel is one ``_row_blocks`` block.
+    ``H_r`` at the wrapped difference ``(i - j + n/2) mod n`` with the
+    trapezoid mask weight of ``i - j`` folded in (all ones for
+    ``mask=False``).  A term whose ``g_r`` and ``h_r`` are both axis products
+    is the Kronecker product of one ``n x n`` matrix per axis, ``g_ra`` at the
+    pair times that axis's weighted transform; all such terms are summed as
+    they are written (``factors._kron_sum``).  Every other term is added in
+    row blocks, gathered from a ``(2n - 1)^N`` table of ``H_r`` at the
+    difference index ``i - j + n - 1``: at ``tau = 1/2`` its ``g_r`` is
+    evaluated once on the ``(2n - 1)^N`` midpoint lattice and read at the
+    midpoint index ``i + j``, at any other ``tau`` per row block.  The
+    working memory beyond the kernel is one ``_row_blocks`` block.
     """
     n, N, size = grid.n, grid.dim, grid.size
     S = 2 * n - 1
     steps = np.arange(S) - (n - 1)  # i - j per axis
-    weight = reduce(np.multiply.outer, [_trapezoid(steps, n) if mask else np.ones(S)] * N)
-    wrapped = np.ix_(*[(steps + n // 2) % n] * N)
+    trapezoid = _trapezoid(steps, n) if mask else np.ones(S)
+    wrapped = (steps + n // 2) % n
+    i = np.arange(n)
+    diff_ij = np.subtract.outer(i, i) + n - 1
+    axis_pts = (grid.midpoint_axis[np.add.outer(i, i)] if tau == 0.5
+                else (1.0 - tau) * grid.config_axis[:, None] + tau * grid.config_axis)
+    k_axis = hbar * grid.momentum_axis
+
+    def axis_hat(ha):  # one axis's weighted transform at the difference index i - j + n - 1
+        return (grid._inv_matrix @ np.broadcast_to(ha(k_axis), (n,)))[wrapped] * trapezoid
+
+    mats, terms = [], []
+    for g, h in f.factors:
+        if isinstance(g, _AxisProduct) and isinstance(h, _AxisProduct):
+            mats.append([np.broadcast_to(ga(axis_pts), (n, n)) * axis_hat(ha)[diff_ij]
+                         for ga, ha in zip(g.fns, h.fns)])
+        else:
+            terms.append((g, h))
+    kern = _kron_sum(mats) if mats else np.zeros((size, size), dtype=complex)
+    if not terms:
+        return kern
+    weight = reduce(np.multiply.outer, [trapezoid] * N)
     k = hbar * grid.momentum_points()
     hats = []
-    for _, h in f.factors:
+    for _, h in terms:
         hat = _apply_axes(np.broadcast_to(h(k), (size,)).reshape(grid.shape), grid._inv_matrix,
                           range(N))
-        hats.append((hat[wrapped] * weight).ravel())
+        hats.append((hat[np.ix_(*[wrapped] * N)] * weight).ravel())
     half = tau == 0.5
     if half:
         mids = _lattice_mesh([grid.midpoint_axis] * N)
-        gmid = [np.broadcast_to(g(mids), (S**N,)) for g, _ in f.factors]
+        gmid = [np.broadcast_to(g(mids), (S**N,)) for g, _ in terms]
     else:
         pts = grid.config_points()
     # flat indices of the (2n - 1)^N tables: F(i) over the lattice points i, so that a
     # pair reads the midpoint table at F(i) + F(j) and the difference table at
     # F(i) - F(j) + F(n - 1, ..., n - 1)
     flat = np.ravel_multi_index(np.indices(grid.shape).reshape(N, size), (S,) * N)
-    kern = np.zeros((size, size), dtype=complex)
     for r0, r1 in _row_blocks(size):
         rows = flat[r0:r1, None]
         diff = rows - flat + flat[-1]
@@ -886,7 +915,7 @@ def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar
             gvals = [gm[mid] for gm in gmid]
         else:
             epts = (1.0 - tau) * pts[r0:r1, None] + tau * pts[None]
-            gvals = [g(epts) for g, _ in f.factors]
+            gvals = [g(epts) for g, _ in terms]
         block = kern[r0:r1]
         for gv, hat in zip(gvals, hats):
             block += gv * hat[diff]

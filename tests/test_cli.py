@@ -194,6 +194,17 @@ def test_spectrum_of_an_unknown_symbol_kind_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
+def test_moyal_of_a_momentum_polynomial_without_cutoff_runs(tmp_path):
+    # the cutoff a momentum polynomial is given by default holds for every command
+    poly = {"kind": "momentum_polynomial", "terms": [{"coeff": 1.0, "powers": [2, 0]}]}
+    write_config(tmp_path / "cfg.json", symbol_f=poly,
+                 symbol_g={"kind": "gaussian", "x_width": 1.1, "p_width": 0.9})
+    rc = cli.main(["moyal", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc in (0, 1)
+    assert (tmp_path / "out" / "product.csv").exists()
+    assert len(json.loads((tmp_path / "out" / "moyal_report.json").read_text())["probes"]) == 3
+
+
 def test_moyal_unit_and_report(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     write_config(cfgfile,

@@ -248,6 +248,69 @@ def test_transform_route_samples_the_gauge_function_once_per_segment_end(monkeyp
     assert np.abs(out[rows] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+def plain_factors(f):
+    """The same factors wrapped as plain callables: the route's block transforms."""
+    return G.SymbolEvaluator(f.dim, factors=[((lambda x, g=g: g(x)), (lambda p, h=h: h(p)))
+                                             for g, h in f.factors])
+
+
+def counted_axis_rows(monkeypatch):
+    calls = []
+    axis_rows = C._axis_rows
+    monkeypatch.setattr(C, "_axis_rows", lambda *args: calls.append(1) or axis_rows(*args))
+    return calls
+
+
+AXIS_ROUTE_CASES = [(1, "none"), (1, "linear"), (1, "one_node"), (2, "none"), (2, "symmetric"),
+                    (2, "one_node"), (3, "none"), (3, "linear"), (3, "one_node")]
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "standard"])
+@pytest.mark.parametrize("dim, case", AXIS_ROUTE_CASES)
+def test_per_axis_coupling_matches_the_block_route(monkeypatch, dim, case, kind):
+    # axis-product momentum factors under plane-wave phases (no potential, a declared
+    # degree <= 1, or any polynomial potential under a one-node rule) couple one axis
+    # at a time: the same table as the block route of the same factors as plain callables
+    g = G.PhaseSpaceGrid(dim, {1: 16, 2: 8, 3: 4}[dim], 4.0)
+    quad = F.Quadrature(1) if case == "one_node" else QUAD
+    A = {"none": None, "symmetric": F.symmetric_gauge(1.0),
+         "linear": F.linear_potential(np.random.default_rng(dim).normal(size=(dim, dim))),
+         "one_node": F.polynomial_potential(dim, [[(0.3, (2,) + (0,) * (dim - 1)),
+                                                   (0.2 * a - 0.1, (0,) * (dim - 1) + (1,))]
+                                                  for a in range(dim)])}[case]
+    powers = [(2,) + (0,) * (dim - 1), (0,) * (dim - 1) + (3,)]
+    f = (C.PolynomialSymbol(dim, [(1.0, powers[0]),
+                                  (0.7 - 0.2j, powers[1], lambda x: np.cos(x[..., 0]))])
+         .with_momentum_cutoff(0.9)
+         + G.gaussian_symbol(dim, x_center=[0.2] * dim, x_width=0.8, p_width=1.1,
+                             amplitude=0.4 + 0.3j))
+    calls = counted_axis_rows(monkeypatch)
+    fast = C.covariant_coupling(f, A, g, quad, kind).values
+    assert calls == [1]
+    ref = C.covariant_coupling(plain_factors(f), A, g, quad, kind).values
+    assert calls == [1]
+    assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["gauge_data", "closed_form_segment"])
+def test_gauge_data_and_closed_form_segments_take_the_block_route(monkeypatch, case):
+    # the phases are not plane waves: gauge data dress them with e^{i rho}, and a field
+    # preset's closed-form segment integrates its own rule, even with one node
+    g = G.PhaseSpaceGrid(2, 6, 3.0)
+    quad = F.Quadrature(1)
+    if case == "gauge_data":
+        A = F.add_gradient(F.symmetric_gauge(1.0),
+                           F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.1, (2, 0))]])))
+    else:
+        A = F.transversal_gauge(F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2)), quad)
+    f = G.gaussian_symbol(2, x_width=0.8, p_width=0.9)
+    calls = counted_axis_rows(monkeypatch)
+    out = C.covariant_coupling(f, A, g, quad, "midpoint").values
+    assert calls == []
+    ref = C.covariant_coupling(plain_factors(f), A, g, quad, "midpoint").values
+    assert np.array_equal(out, ref)
+
+
 def test_kinetic_sample_memory_peak(traced_peak):
     # dim 2, n=32: the 62 MiB midpoint table and momentum-sized factors, no full-size temporaries
     g = G.PhaseSpaceGrid(2, 32, 8.0)

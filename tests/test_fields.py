@@ -1,11 +1,12 @@
 import ast
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magweyl import coupling as C
+from magweyl import factors as FA
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl.errors import DimensionMismatchError, InputError, NumericError
@@ -327,14 +328,6 @@ def test_square_norm_sites_are_bit_identical_to_the_reduction(dim):
     pts = rng.normal(scale=3.0, size=(36, 64, dim))
     assert np.array_equal(F._square_norm(pts), old(pts))
     xc, pc = rng.normal(size=dim), rng.normal(size=dim)
-    (gx, hp), = G.gaussian_symbol(dim, xc, pc, 1.1, 0.8, amplitude=0.6 - 0.3j).factors
-    assert np.array_equal(gx(pts), (0.6 - 0.3j) * np.exp(-old(pts - xc) / (2.0 * 1.1**2)))
-    assert np.array_equal(hp(pts), np.exp(-old(pts - pc) / (2.0 * 0.8**2)))
-    term = complex(0.7)
-    for j in range(dim):
-        term = term * pts[..., j]
-    assert np.array_equal(C._momentum_monomial(0.7, (1,) * dim, 0.9)(pts),
-                          term * np.exp(-old(pts) / (2.0 * 0.9**2)))
     g = G.PhaseSpaceGrid(dim, 6, 3.0)
     u = G.gaussian_wavefunction(g, xc, 1.3, pc, normalize=False)
     y = g.config_points()
@@ -348,6 +341,44 @@ def test_square_norm_sites_are_bit_identical_to_the_reduction(dim):
         profile = np.divide(-1.2 * np.expm1(-u), 2.0 * u)
         assert np.array_equal(B._potential.eval(pts),
                               profile[..., None] * np.stack([-y[..., 1], y[..., 0]], -1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axis_product_factors_are_their_per_axis_expressions(dim):
+    # the preset factors that are products over the axes, each against its per-axis
+    # expression bit for bit, and against its former N-dim closed form through |v|^2
+    # to within the rounding of a product of exponentials (measured 4.9e-16 of the
+    # largest value, 1.6e-14 of each value, at dims 1-3)
+    def old(v):
+        return (v ** 2).sum(axis=-1)
+
+    def per_axis(fn):
+        return reduce(np.multiply, [fn(a, pts[..., a]) for a in range(dim)])
+
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(scale=3.0, size=(36, 64, dim))
+    xc, pc = rng.normal(size=dim), rng.normal(size=dim)
+    (gx, hp), = G.gaussian_symbol(dim, xc, pc, 1.1, 0.8, amplitude=0.6 - 0.3j).factors
+    term = complex(0.7)
+    for j in range(dim):
+        term = term * pts[..., j]
+    cases = [
+        (gx, per_axis(lambda a, t: (0.6 - 0.3j if a == 0 else 1.0)
+                      * np.exp(-np.square(t - xc[a]) / (2.0 * 1.1**2))),
+         (0.6 - 0.3j) * np.exp(-old(pts - xc) / (2.0 * 1.1**2))),
+        (hp, per_axis(lambda a, t: np.exp(-np.square(t - pc[a]) / (2.0 * 0.8**2))),
+         np.exp(-old(pts - pc) / (2.0 * 0.8**2))),
+        (FA._momentum_monomial(0.7, (1,) * dim, 0.9),
+         per_axis(lambda a, t: (complex(0.7) if a == 0 else 1.0)
+                  * (t * np.exp(-np.square(t) / (2.0 * 0.9**2)))),
+         term * np.exp(-old(pts) / (2.0 * 0.9**2))),
+    ]
+    for factor, expression, closed in cases:
+        assert isinstance(factor, FA._AxisProduct) and len(factor.fns) == dim
+        got = factor(pts)
+        assert np.array_equal(got, expression)
+        assert np.abs(got - closed).max() <= 2e-15 * np.abs(closed).max()
+        assert np.all(np.abs(got - closed) <= 1e-13 * np.abs(closed))
 
 
 def test_squared_norms_have_one_implementation():

@@ -542,3 +542,13 @@ def test_symbol_grid_shape_validation():
         G.SymbolGrid(g, "standard", np.zeros((8, 7)))
     with pytest.raises(InputError):
         G.SymbolGrid(g, "other", np.zeros((8, 8)))
+
+
+def test_standard_symbol_grid_refuses_the_alias_flag():
+    # only the inverse map's midpoint tables hold alias sums; no route reads the flag on a
+    # standard table, so a standard table that claims it is refused
+    g = G.PhaseSpaceGrid(1, 8, 4.0)
+    with pytest.raises(InputError, match="standard"):
+        G.SymbolGrid(g, "standard", np.zeros((8, 8)), alias_doubled=True)
+    assert G.SymbolGrid(g, "midpoint", np.zeros((15, 8)), alias_doubled=True).alias_doubled
+    assert not G.SymbolGrid(g, "standard", np.zeros((8, 8))).conj().alias_doubled
