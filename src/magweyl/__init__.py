@@ -24,13 +24,11 @@ from .fields import (
     circulation,
     constant_field,
     constant_field_2d,
-    field_from_config,
     flux_phase,
     flux_triangle,
     gaussian_field_2d,
     landau_gauge,
     linear_field_2d,
-    potential_from_config,
     segment_phase,
     symmetric_gauge,
     translation_phase,
@@ -84,5 +82,6 @@ from .coupling import (
     minimal_coupling,
     minimal_coupling_evaluator,
 )
+from .config import field_from_config, potential_from_config
 
 __version__ = "0.1.0"

@@ -47,9 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, NumericError
+from .errors import DimensionMismatchError, InputError, NumericError, require_finite
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
-                     _exact_rule, _gauge_phases)
+                     _exact_rule, _gauge_base, _gauge_phases)
 from .factors import _AxisProduct, _momentum_monomial, _ones
 from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
                    _lattice_mesh, _row_blocks)
@@ -90,7 +90,8 @@ class PolynomialSymbol:
         return max((sum(p) for _, p, _ in self.terms), default=0)
 
     def with_momentum_cutoff(self, scale: float) -> SymbolEvaluator:
-        """Separable evaluator with a Gaussian momentum cutoff of `scale`."""
+        """Separable evaluator with a Gaussian momentum cutoff of `scale`, finite and > 0."""
+        require_finite("cutoff", scale, positive=True)
         # one (x-factor, p-factor) pair per monomial, the cutoff in the p-factor
         factors = [(_ones(self.dim) if x_coeff is None else x_coeff,
                     _momentum_monomial(coeff, powers, scale))
@@ -208,12 +209,12 @@ def _half_step_gauge(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature)
     flat table over all ``(3n - 1)^N`` indices holds 1 at the rest.  ``gauge``
     is None without gauge data.
     """
+    if _gauge_base(A) is A:  # no gauge data: no half-step mesh either
+        return A, None
     m = 3 * grid.n - 1
     idx = _lattice_mesh([np.arange(m)] * grid.dim)
     ends = np.all(idx <= m - 2, axis=-1) | np.all(idx >= 1, axis=-1)
     base, phases = _gauge_phases(A, (idx[ends] - 3 * grid.n // 2) * (grid.h / 2), quad)
-    if phases is None:
-        return base, None
     gauge = np.ones(len(idx), dtype=complex)
     gauge[ends] = phases
     return base, gauge

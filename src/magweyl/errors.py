@@ -8,6 +8,8 @@ brute-force evaluations (exit code 2: the configuration asks for too
 much).
 """
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Invalid or inconsistent user input."""
@@ -31,3 +33,10 @@ class NumericError(ArithmeticError):
 
 class ResourceLimitError(RuntimeError):
     """A brute-force quadrature would exceed its configured size cap."""
+
+
+def require_finite(name: str, value, positive: bool = False):
+    """``value``, unless it is not finite (or, with ``positive``, not > 0): InputError names it."""
+    if not (np.isfinite(value) and (not positive or value > 0)):  # refuses NaN too
+        raise InputError("%s must be finite%s, got %r" % (name, " and > 0" * positive, value))
+    return value

@@ -18,6 +18,8 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import DimensionMismatchError, require_finite
+
 
 class _AxisProduct:
     """The factor ``prod_a fns[a](x[..., a])`` of points ``x`` of shape ``(..., N)``.
@@ -57,8 +59,17 @@ def _ones(dim: int) -> _AxisProduct:
     return _AxisProduct([_one] * dim)
 
 
-def _gaussian_axes(center, width) -> _AxisProduct:
-    """``exp(-|x - center|^2 / (2 width^2))``, one axis at a time."""
+def _gaussian_axes(dim: int, center, width, name: str) -> _AxisProduct:
+    """``exp(-|x - center|^2 / (2 width^2))`` in ``dim`` axes, one at a time; None centres at 0.
+
+    ``name`` (``"x"`` or ``"p"``) labels the InputError for a centre that is not
+    ``dim`` numbers, or a width that is not finite and > 0.
+    """
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if center.shape != (dim,):
+        raise DimensionMismatchError("gaussian symbol '%s_center' must be a list of %d numbers, "
+                                     "got %r" % (name, dim, center.tolist()))
+    require_finite(name + "_width", width, positive=True)
     return _AxisProduct((lambda t, c=c: np.exp(-np.square(t - c) / (2.0 * width**2)))
                         for c in center)
 

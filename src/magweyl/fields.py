@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, NumericError
+from .errors import DimensionMismatchError, InputError, NumericError, require_finite
 
 __all__ = [
     "Quadrature",
@@ -66,8 +66,6 @@ __all__ = [
     "linear_potential",
     "symmetric_gauge",
     "landau_gauge",
-    "field_from_config",
-    "potential_from_config",
 ]
 
 
@@ -91,8 +89,10 @@ class Quadrature:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InputError("quadrature order must be a positive integer")
+        order = self.order  # an integer of any type but bool, such as NumPy's
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+            raise InputError("quadrature order must be an integer >= 1, got %r" % (order,))
+        object.__setattr__(self, "order", int(order))
         x, w = np.polynomial.legendre.leggauss(self.order)
         for name, values in (("nodes", 0.5 * (x + 1.0)), ("weights", 0.5 * w)):
             values.flags.writeable = False
@@ -736,6 +736,7 @@ def constant_field(dim: int, matrix) -> MagneticField:
 
 
 def constant_field_2d(b: float) -> MagneticField:
+    require_finite("b", b)
     return constant_field(2, [[0.0, b], [-b, 0.0]])
 
 
@@ -841,6 +842,10 @@ def gaussian_field_2d(amplitude: float, width: float, center=(0.0, 0.0)) -> Magn
     1.7e-13 over widths 1.6 to 2.4 and centres in [-1, 1]^2.
     """
     c = np.asarray(center, dtype=float)
+    if c.shape != (2,):
+        raise InputError("gaussian field center must be 2 numbers, got %r" % (c.tolist(),))
+    require_finite("amplitude", amplitude)
+    require_finite("width", width, positive=True)
     B = _planar_field(
         lambda x: amplitude * np.exp(-0.5 * _square_norm(x - c) / width**2), None,
         "gaussian")
@@ -868,6 +873,8 @@ def constant_potential(values) -> VectorPotential:
 def linear_potential(matrix) -> VectorPotential:
     """Potential ``A(x) = M x``; generates the constant field ``B = M^T - M``."""
     m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError("linear potential needs a square matrix, got shape %r" % (m.shape,))
     dim = m.shape[0]
     comps = []
     for i in range(dim):
@@ -889,6 +896,7 @@ def polynomial_potential(dim: int, components) -> VectorPotential:
 
 def symmetric_gauge(b: float) -> VectorPotential:
     """Planar potential ``(-b x2 / 2, b x1 / 2)`` for the constant field b."""
+    require_finite("b", b)
     A = linear_potential([[0.0, -b / 2.0], [b / 2.0, 0.0]])
     A.name = "symmetric"
     return A
@@ -896,65 +904,7 @@ def symmetric_gauge(b: float) -> VectorPotential:
 
 def landau_gauge(b: float) -> VectorPotential:
     """Planar potential ``(0, b x1)`` for the constant field b."""
+    require_finite("b", b)
     A = linear_potential([[0.0, 0.0], [b, 0.0]])
     A.name = "landau"
     return A
-
-
-# ---------------------------------------------------------------------------
-# config records (the structured preset descriptions consumed by the CLI)
-
-def _terms_from_config(terms):
-    return [(float(t["coeff"]), tuple(int(p) for p in t["powers"])) for t in terms]
-
-
-def field_from_config(cfg: dict) -> MagneticField:
-    """Build a field preset from a config record ``{kind, dim, ...}``."""
-    kind = cfg.get("kind")
-    dim = int(cfg.get("dim", 2))
-    if kind == "zero":
-        return zero_field(dim)
-    if kind == "constant":
-        if "matrix" in cfg:
-            return constant_field(dim, cfg["matrix"])
-        if dim != 2:
-            raise InputError("scalar constant field strength requires dim = 2")
-        return constant_field_2d(float(cfg.get("b", 1.0)))
-    if kind == "linear":
-        if dim != 2:
-            raise InputError("linear field preset is planar (dim = 2)")
-        return linear_field_2d(float(cfg.get("b0", 0.0)), cfg.get("gradient", [0.0, 0.0]))
-    if kind == "polynomial":
-        if dim != 2:
-            raise InputError("polynomial field preset is planar (dim = 2)")
-        return polynomial_field_2d(_terms_from_config(cfg["terms"]))
-    if kind == "gaussian":
-        if dim != 2:
-            raise InputError("gaussian field preset is planar (dim = 2)")
-        return gaussian_field_2d(float(cfg.get("amplitude", 1.0)), float(cfg.get("width", 2.0)),
-                                 cfg.get("center", (0.0, 0.0)))
-    raise InputError("unknown field kind %r" % (kind,))
-
-
-def potential_from_config(cfg: dict, field: MagneticField | None = None,
-                          quad: Quadrature = DEFAULT_QUADRATURE) -> VectorPotential:
-    """Build a potential preset from a config record ``{kind, ...}``."""
-    kind = cfg.get("kind")
-    if kind == "zero":
-        return zero_potential(int(cfg.get("dim", 2)))
-    if kind == "constant":
-        return constant_potential(cfg["values"])
-    if kind == "linear":
-        return linear_potential(cfg["matrix"])
-    if kind == "polynomial":
-        comps = [_terms_from_config(c) for c in cfg["components"]]
-        return polynomial_potential(int(cfg.get("dim", 2)), comps)
-    if kind == "symmetric":
-        return symmetric_gauge(float(cfg.get("b", 1.0)))
-    if kind == "landau":
-        return landau_gauge(float(cfg.get("b", 1.0)))
-    if kind == "transversal":
-        if field is None:
-            field = field_from_config(cfg["of_field"])
-        return transversal_gauge(field, quad)
-    raise InputError("unknown potential kind %r" % (kind,))

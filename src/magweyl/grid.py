@@ -113,7 +113,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .csvformat import format_e18
-from .errors import DimensionMismatchError, InputError, OffLatticeError
+from .errors import DimensionMismatchError, InputError, OffLatticeError, require_finite
 from .factors import (_AxisProduct, _conj_factor, _gaussian_axes, _kron_sum, _ones,
                       _scaled_factor)
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
@@ -783,15 +783,10 @@ def constant_symbol(dim: int, value=1.0) -> SymbolEvaluator:
 
 def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width=1.0,
                     amplitude=1.0) -> SymbolEvaluator:
-    """Phase-space Gaussian, separable in x and p."""
-    xc = np.zeros(dim) if x_center is None else np.asarray(x_center, dtype=float)
-    pc = np.zeros(dim) if p_center is None else np.asarray(p_center, dtype=float)
-    for key, value in (("x_center", xc), ("p_center", pc)):
-        if value.shape != (dim,):
-            raise DimensionMismatchError("gaussian symbol %r must be a list of %d numbers, got %r"
-                                         % (key, dim, value.tolist()))
-    return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[
-        (_scaled_factor(amplitude, _gaussian_axes(xc, x_width)), _gaussian_axes(pc, p_width))])
+    """Phase-space Gaussian, separable in x and p; InputError for a width not finite and > 0."""
+    return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[(_scaled_factor(
+        require_finite("amplitude", amplitude), _gaussian_axes(dim, x_center, x_width, "x")),
+        _gaussian_axes(dim, p_center, p_width, "p"))])
 
 
 def x_only_symbol(dim: int, fn) -> SymbolEvaluator:

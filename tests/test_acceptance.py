@@ -21,6 +21,7 @@ from magweyl import moyal as M
 from magweyl import quantize as Q
 from magweyl import verify as V
 from magweyl import wigner as W
+from magweyl.config import field_from_config
 
 QUAD = F.Quadrature(16)
 RIG = dict(dim=2, n=16, L=6.0)
@@ -184,7 +185,7 @@ def test_criterion_07_wigner_isometries():
 ])
 def test_criterion_08_commutators(field_cfg, label):
     g = G.PhaseSpaceGrid(2, 24, 6.0)  # commutator needs n >= 24 momentum resolution
-    B = F.field_from_config(field_cfg)
+    B = field_from_config(field_cfg)
     A = F.transversal_gauge(B, QUAD)
     u = G.gaussian_wavefunction(g, width=1.0)
     P = [Q.momentum_operator(A, j, g).operator_matrix for j in range(2)]

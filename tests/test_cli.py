@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import re
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magweyl import cli, verify
+from magweyl import cli, config, verify
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {"verify": "verify_default.json", "spectrum": "spectrum_landau.json",
+           "moyal": "moyal_gaussians.json", "compare-coupling": "coupling_cubic.json"}
 
 
 def write_config(path, **overrides):
@@ -139,6 +146,18 @@ def test_nonfinite_numbers_exit_2(tmp_path, capsys, bad):
     assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
                      "--tolerance-scale", str(bad)]) == 2
 
+
+
+def test_report_echoes_the_defaults_every_command_reads(tmp_path):
+    # the keys every command reads get their defaults; a given record stays as given
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"n": 8}, "seed": 7}), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) in (0, 1)
+    assert json.loads((tmp_path / "o" / "verify_report.json").read_text())["config"] == {
+        "schema": "magweyl-config/1", "grid": {"n": 8},
+        "field": {"kind": "constant", "dim": 2, "b": 1.0},
+        "gauges": [{"kind": "symmetric", "b": 1.0}, {"kind": "landau", "b": 1.0}],
+        "quadrature_order": 16, "seed": 7, "tolerance_scale": 1.0}
 
 def test_spectrum_free_particle_nonnegative(tmp_path):
     cfgfile = tmp_path / "cfg.json"
@@ -388,3 +407,118 @@ def test_reports_record_gauss_orders(tmp_path, command, report, overrides, order
     write_config(cfgfile, **overrides)
     assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     assert json.loads((tmp_path / "out" / report).read_text())["gauss_orders"] == orders
+
+
+def test_moyal_default_probe_count_fits_a_1d_grid(tmp_path):
+    # without `probes`, a 1-D run takes min(3, dim + 1) = 2 probe points
+    cfgfile = tmp_path / "cfg.json"
+    write_config(cfgfile,
+                 grid={"dim": 1, "n": 32, "L": 8.0},
+                 field={"kind": "zero", "dim": 1},
+                 gauges=[{"kind": "zero", "dim": 1}],
+                 symbol_f={"kind": "gaussian", "x_width": 0.8, "p_width": 0.8},
+                 symbol_g={"kind": "gaussian", "x_width": 0.8, "p_width": 0.8,
+                           "x_center": [0.3]})
+    assert cli.main(["moyal", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) != 2
+    report = json.loads((tmp_path / "out" / "moyal_report.json").read_text())
+    assert len(report["probes"]) == 2 and "probes" not in report["config"]
+
+
+def shipped(command, edit=None):
+    cfg = json.loads((CONFIGS / SHIPPED[command]).read_text())
+    if edit:
+        edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("command, edit, argv, key", [
+    ("verify", lambda c: c.update(seed=-1), [], "'seed'"),
+    ("moyal", lambda c: c.update(seed=-1), [], "'seed'"),
+    ("verify", None, ["--seed", "-1"], "'seed'"),
+    ("moyal", lambda c: c["symbol_f"].update(amplitude="a"), [], "amplitude"),
+    ("moyal", lambda c: c["symbol_f"].update(x_width=0), [], "x_width"),
+    ("spectrum", lambda c: c["symbol"].update(cutoff=0), [], "cutoff"),
+    ("spectrum", lambda c: c["symbol"].update(cutoff=-5), [], "cutoff"),
+    ("spectrum", lambda c: c["symbol"].update(cutoff=float("inf")), [], "cutoff"),
+    ("moyal", lambda c: c["symbol_f"].update(p_width=-1), [], "p_width"),
+    ("verify", lambda c: c.update(quadrature_ordr=4), [], "'quadrature_ordr'"),
+    ("verify", lambda c: c["grid"].update(nn=99), [], "grid.nn"),
+    ("moyal", lambda c: c.update(mask=True), [], "'mask'"),
+    ("verify", lambda c: c.update(quadrature_order=True), [], "'quadrature_order'"),
+    ("moyal", lambda c: c["probes"].update(count=True), [], "probes.count"),
+    ("compare-coupling", lambda c: c["symbol"].update(cutoff=30.0), [], "symbol.cutoff"),
+    ("compare-coupling", lambda c: c.update(symbol={"kind": "kinetic"}), [], "'kinetic'"),
+    ("verify", lambda c: c["gauges"][0].update(of_field={"kind": "constant"}), [],
+     "gauges[0].of_field"),
+    ("verify", lambda c: c["field"].update(dim=3), [], "field.dim"),
+    ("spectrum", lambda c: c["gauges"][0].update(dim=1), [], "gauges[0].dim"),
+])
+def test_refused_values_exit_2_and_name_their_key(tmp_path, capsys, command, edit, argv, key):
+    # each was accepted, or ended in a traceback, before the config schema was declared
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(shipped(command, edit)), encoding="utf-8")
+    rc = cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert key in err, err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+MISSING, EXTRA = "<missing>", "<extra key>"
+MUTATIONS = ["x", float("nan"), float("inf"), -float("inf"), 0, -1, True, MISSING, EXTRA]
+
+
+def places(value, path=()):
+    """The path of every entry of a configuration tree, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from places(item, path + (key,))
+
+
+def dotted(path) -> str:
+    return "".join("[%d]" % k if isinstance(k, int) else "." + k for k in path).lstrip(".")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_value_mutations_of_the_shipped_configs(tmp_path_factory, data):
+    # a shipped config with one value replaced by a wrong type, NaN, +-inf, 0, a negative,
+    # a bool, or removed, or with a key added: the run exits 0, 1 or 2 without a
+    # traceback, and an exit 2 names the key (the grid is never enlarged)
+    command = data.draw(st.sampled_from(sorted(SHIPPED)))
+    cfg = shipped(command)
+    path = data.draw(st.sampled_from(list(places(cfg))))
+    mutation = data.draw(st.sampled_from(MUTATIONS if path else [EXTRA]))
+    parent = reduce(lambda node, k: node[k], path[:-1], cfg)
+    target = reduce(lambda node, k: node[k], path, cfg)
+    if mutation == EXTRA:
+        if not isinstance(target, dict):
+            return
+        target["unread_key"] = 1
+        path = path + ("unread_key",)
+    elif mutation == MISSING:
+        del parent[path[-1]]
+    else:
+        negated = mutation == -1 and isinstance(target, float)
+        parent[path[-1]] = -abs(target) if negated else mutation
+    out = tmp_path_factory.mktemp("mutation")
+    (out / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([command, "--config", str(out / "cfg.json"), "--out", str(out / "o")])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "'%s'" % path[0] in err.getvalue() or dotted(path) in err.getvalue(), \
+            (command, path, mutation, err.getvalue())
+
+
+def test_readme_lists_every_key_of_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration schema")[1].split("\n## ")[0]
+    for typ, kinds in config.RECORDS.items():
+        for kind, keys in kinds.items():
+            for name in ([kind] if kind else []) + list(keys):
+                # as `name`, or as `record.name` for a key of grid or probes
+                assert re.search(r"`(\w+\.)?%s`" % re.escape(name), section), (typ, kind, name)

@@ -362,3 +362,25 @@ def test_wrong_quantization_fails_gauge_covariance():
     conj2 = Q.gauge_conjugate(right_A, rho, "forward")
     ok = np.linalg.norm(right_A2.kernel - conj2.kernel) / np.linalg.norm(right_A.kernel)
     assert ok < 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -5.0, float("nan"), float("inf")])
+def test_momentum_cutoff_refuses_degenerate_scales(cutoff):
+    # a cutoff of 0 reached the eigen-solve as NaN; the internal 1e6 stays valid
+    sym = C.PolynomialSymbol(2, [(1.0, (2, 0))])
+    with pytest.raises(InputError, match="cutoff"):
+        sym.with_momentum_cutoff(cutoff)
+    assert sym.with_momentum_cutoff(1e6).dim == 2
+
+
+def test_block_route_builds_no_half_step_mesh_without_gauge_data(monkeypatch):
+    # the (3n - 1)^N half-step mesh serves gauge data alone; a plain (cubic) potential
+    # goes through the block route without asking for it
+    g = G.PhaseSpaceGrid(2, 6, 3.0)
+    A = F.polynomial_potential(2, [[(0.2, (3, 0))], [(0.5, (1, 0)), (0.1, (0, 3))]])
+    f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (0.7, (0, 1))]).with_momentum_cutoff(0.85)
+    axes = []
+    mesh = C._lattice_mesh
+    monkeypatch.setattr(C, "_lattice_mesh", lambda ax: axes.append(len(ax[0])) or mesh(ax))
+    C.covariant_coupling(plain_factors(f), A, g, QUAD, "midpoint")
+    assert axes and 3 * g.n - 1 not in axes

@@ -26,6 +26,7 @@ from magweyl import grid as G
 from magweyl import moyal as M
 from magweyl import quantize as Q
 from magweyl import verify as V
+from magweyl.config import field_from_config, potential_from_config
 from magweyl.errors import InputError
 
 QUAD = F.Quadrature(16)
@@ -221,9 +222,9 @@ def test_presets_pass_the_declared_degree_check():
         assert F.VectorPotential(A.dim, A.eval, degree_hint=A.degree_hint).degree_hint is not None
     for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"):
         cfg = json.loads(path.read_text())
-        B = F.field_from_config(cfg["field"])
+        B = field_from_config(cfg["field"])
         for gcfg in cfg["gauges"]:
-            F.potential_from_config(gcfg, B, QUAD)
+            potential_from_config(gcfg, B, QUAD)
 
 
 def test_add_gradient_degree():

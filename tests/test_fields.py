@@ -9,6 +9,7 @@ import pytest
 from magweyl import factors as FA
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl.config import field_from_config, potential_from_config
 from magweyl.errors import DimensionMismatchError, InputError, NumericError
 
 QUAD = F.Quadrature(16)
@@ -293,22 +294,22 @@ def test_second_derivative_of_a_potential_without_poly_is_the_central_difference
 
 
 def test_field_from_config_round_trip():
-    B = F.field_from_config({"kind": "constant", "dim": 2, "b": 2.0})
+    B = field_from_config({"kind": "constant", "dim": 2, "b": 2.0})
     assert B(np.zeros(2))[0, 1] == 2.0
-    B = F.field_from_config({"kind": "linear", "dim": 2, "b0": 1.0, "gradient": [0.5, 0.0]})
+    B = field_from_config({"kind": "linear", "dim": 2, "b0": 1.0, "gradient": [0.5, 0.0]})
     assert abs(B(np.array([2.0, 0.0]))[0, 1] - 2.0) < 1e-14
     with pytest.raises(InputError):
-        F.field_from_config({"kind": "nope"})
+        field_from_config({"kind": "nope"})
 
 
 def test_potential_from_config():
-    A = F.potential_from_config({"kind": "landau", "b": 1.0})
+    A = potential_from_config({"kind": "landau", "b": 1.0})
     assert np.allclose(A(np.array([1.0, 5.0])), [0.0, 1.0])
-    A = F.potential_from_config({"kind": "transversal",
-                                 "of_field": {"kind": "constant", "dim": 2, "b": 1.0}})
+    A = potential_from_config({"kind": "transversal",
+                               "of_field": {"kind": "constant", "dim": 2, "b": 1.0}})
     assert np.allclose(A(np.array([1.0, 0.0])), [0.0, 0.5])
     with pytest.raises(InputError):
-        F.potential_from_config({"kind": "nope"})
+        potential_from_config({"kind": "nope"})
 
 
 def test_scalar_from_config_gradient():
@@ -394,3 +395,23 @@ def test_squared_norms_have_one_implementation():
                 if any(ast.unparse(a) == "-1" for a in axes):
                     found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"width": 0.0}, "width"), ({"width": -1.0}, "width"), ({"width": float("nan")}, "width"),
+    ({"amplitude": float("inf")}, "amplitude"), ({"amplitude": float("nan")}, "amplitude")])
+def test_gaussian_field_refuses_degenerate_parameters(kwargs, name):
+    with pytest.raises(InputError, match=name):
+        F.gaussian_field_2d(**dict({"amplitude": 1.0, "width": 1.6}, **kwargs))
+
+
+@pytest.mark.parametrize("order", [True, False, 2.5, "3", 0, -2])
+def test_quadrature_takes_only_an_integer_order(order):
+    # a bool is not an order: Quadrature(True) was a one-node rule
+    with pytest.raises(InputError, match="quadrature order"):
+        F.Quadrature(order)
+
+
+def test_quadrature_order_may_be_a_numpy_integer():
+    quad = F.Quadrature(np.int64(4))
+    assert quad == F.Quadrature(4) and type(quad.order) is int and len(quad.nodes) == 4

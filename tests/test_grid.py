@@ -552,3 +552,14 @@ def test_standard_symbol_grid_refuses_the_alias_flag():
         G.SymbolGrid(g, "standard", np.zeros((8, 8)), alias_doubled=True)
     assert G.SymbolGrid(g, "midpoint", np.zeros((15, 8)), alias_doubled=True).alias_doubled
     assert not G.SymbolGrid(g, "standard", np.zeros((8, 8))).conj().alias_doubled
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"x_width": 0}, "x_width"), ({"p_width": -1.0}, "p_width"),
+    ({"x_width": float("nan")}, "x_width"), ({"p_width": float("inf")}, "p_width"),
+    ({"amplitude": float("nan")}, "amplitude"), ({"amplitude": float("inf")}, "amplitude")])
+def test_gaussian_symbol_refuses_degenerate_parameters(kwargs, name):
+    # widths must be finite and > 0 and the amplitude finite: a zero width sampled NaN
+    with pytest.raises(InputError, match=name):
+        G.gaussian_symbol(2, **kwargs)
+    assert G.gaussian_symbol(2, x_width=0.5, amplitude=-2.0 + 1.0j).dim == 2
