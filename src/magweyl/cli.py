@@ -142,7 +142,7 @@ def cmd_moyal(shown: dict, cfg: dict, outdir: Path) -> int:
 def cmd_compare_coupling(shown: dict, cfg: dict, outdir: Path) -> int:
     grid, B, gauges, quad, rng = build_rig(cfg)
     sym = config.named("symbol", cp.PolynomialSymbol, grid.dim, cfg["symbol"]["terms"])
-    diff, rep = cp.coupling_discrepancy(sym, gauges[0], grid, quad=quad)
+    diff, rep = config.named("symbol", cp.coupling_discrepancy, sym, gauges[0], grid, quad=quad)
     maxdiff = rep["max_abs_difference"]
     verdict = "equal" if maxdiff < 1e-8 else ("differ" if maxdiff > 1e-3 else "ambiguous")
     expected = "equal"

@@ -346,8 +346,9 @@ class VectorPotential:
 
     A potential is a value: the phases ``exp(-i Gamma)`` of its lattice
     segments are memoized on it, one read-only table for the last grid and
-    rule (``grid.segment_phase_matrix``), so what `eval` reads must not
-    change after a table is built.  A gauge transform keeps no table: the
+    rule (``grid.segment_phase_matrix``), whose circulations are integrated
+    and exponentiated in one pass and kept nowhere else, so what `eval`
+    reads must not change after a table is built.  A gauge transform keeps no table: the
     routes read its base potential's (``_gauge_phases``).
     """
 

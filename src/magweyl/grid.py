@@ -32,8 +32,9 @@ the symbol is read at ``((1 - tau) x + tau y, hbar k)`` and the phase is
 ``exp(-i Gamma / hbar)``; ``kernel_from_symbol`` is ``tau = 1/2, hbar = 1``.
 Both call ``_quantized_kernel``, the one place that picks the fill of the
 field-free kernel, multiplies the mask into the fills that do not fold it
-in (``difference_mask``, or the zero-fill mask of a standard table), and
-dresses the kernel with the phases, table first:
+in (the per-axis weights of ``difference_mask``, or the zero-fill mask of a
+standard table, one axis at a time by ``_multiply_per_axis``), and dresses
+the kernel with the phases, table first:
 
 ===========================  =========================  =========================
 symbol                       tau = 1/2, hbar = 1        other tau or hbar
@@ -100,7 +101,11 @@ the one-period convention the pairings rely on.
 
 Every route gains or loses a potential's phases in ``_dress`` alone: the
 base potential's ``exp(-i Gamma / hbar)`` (at ``hbar = 1`` the one memo a
-potential keeps, ``segment_phase_matrix``), then the gauge phases.
+potential keeps, ``segment_phase_matrix``), then the gauge phases.  That
+table is built in one pass (``_segment_phases``): the circulations of the
+pairs on and above the diagonal are integrated one row block at a time,
+exponentiated in place in the table and mirrored by conjugation, so no
+kernel-sized array but the table itself is made.
 """
 
 from __future__ import annotations
@@ -282,12 +287,17 @@ def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
     return values
 
 
-def _half_phase(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Multiply an ``(x..., p...)`` table in place by ``e^{-i (x/2).p}``, per axis pair."""
+def _multiply_per_axis(values: np.ndarray, table: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Multiply C-ordered ``values`` in place by the ``(n, n)`` ``table`` on each axis pair.
+
+    ``values`` is viewed as ``(u_1..u_N, v_1..v_N)``: a kernel's rows and
+    columns, or a table's configuration and momentum axes.  Entry ``(u, v)``
+    gains ``prod_a table[u_a, v_a]``, the Kronecker table's, one axis at a time.
+    """
     N, n = grid.dim, grid.n
-    axis = np.exp(-0.5j * np.outer(grid.config_axis, grid.momentum_axis))
+    view = values.reshape((n,) * (2 * N))
     for a in range(N):
-        values *= axis.reshape((1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a))
+        view *= table.reshape((1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a))
     return values
 
 
@@ -498,49 +508,35 @@ def _row_blocks(rows: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _segment_circulation(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature) -> np.ndarray:
-    """Circulations ``Gamma^A([x, y])`` of all lattice pairs: the field of every zero-fill route.
+def _segment_phases(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature,
+                    hbar: float = 1.0) -> np.ndarray:
+    """``exp(-i Gamma^A([x, y]) / hbar)`` of all lattice pairs: the field of every zero-fill route.
 
-    Reversing a segment negates its circulation, so only the pairs on and
-    above the diagonal are integrated, in the ``_row_blocks`` of the
-    lattice, each one ``_circulation_sum`` call over its rows and the
-    columns from its first row on.  Each block's part above the diagonal is
-    mirrored below it with the opposite sign: the table is exactly
-    antisymmetric, with an exactly zero diagonal.  The routes pass the base
-    potential of gauge data (``fields._gauge_phases``) and dress their
-    output with its gauge phases (``_dress``), so a gauge transform never
-    builds a table of its own: gauge data passed here raise InputError.
-    Each call integrates a new table; a potential keeps only its phases
-    (``segment_phase_matrix``).
+    One pass over the ``_row_blocks`` of the lattice.  Each block is one
+    ``_circulation_sum`` call over its rows and the columns from its first
+    row on; its diagonal block is made exactly antisymmetric, the block is
+    exponentiated in place in the output, and its part right of the
+    diagonal block is conjugated into the mirrored columns below.  A
+    reversed segment has the negated circulation and ``exp(i t)`` is the
+    conjugate of ``exp(-i t)`` bit for bit, so the table is exactly
+    Hermitian, and no kernel-sized circulation table is made.  The routes
+    pass the base potential of gauge data (``fields._gauge_phases``) and
+    dress their output with its gauge phases (``_dress``); gauge data passed
+    here raise InputError.  Each call builds a new table; a potential keeps
+    the one at ``hbar = 1`` (``segment_phase_matrix``).
     """
     _require_base(A)
     if A.dim != grid.dim:
         raise DimensionMismatchError("potential dimension does not match grid")
     pts = grid.config_points()
-    size = grid.size
-    gamma = np.empty((size, size))
-    for r0, r1 in _row_blocks(size):
+    lam = np.empty((grid.size, grid.size), dtype=complex)
+    for r0, r1 in _row_blocks(grid.size):
         start = pts[r0:r1, None]
         rows = _circulation_sum(A, start, pts[None, r0:] - start, quad)
-        upper, right = np.triu(rows[:, :r1 - r0], 1), rows[:, r1 - r0:]
-        gamma[r0:r1, r0:r1] = upper - upper.T
-        gamma[r0:r1, r1:] = right
-        gamma[r1:, r0:r1] = -right.T
-    return gamma
-
-
-def _circulation_phases(gamma: np.ndarray, hbar: float = 1.0) -> np.ndarray:
-    """``exp(-i gamma / hbar)`` of an exactly antisymmetric table, in one complex allocation.
-
-    Each ``_row_blocks`` block is exponentiated only on and to the right of
-    the diagonal, and its part right of the block is conjugated into the
-    mirrored columns below it: ``exp(i t)`` is the conjugate of ``exp(-i t)``
-    bit for bit, so the table is the full exponential to the last bit.
-    """
-    lam = np.empty(gamma.shape, dtype=complex)
-    for r0, r1 in _row_blocks(len(gamma)):
+        upper = np.triu(rows[:, :r1 - r0], 1)
+        rows[:, :r1 - r0] = upper - upper.T
         part = lam[r0:r1, r0:]
-        np.multiply(gamma[r0:r1, r0:], -1j, out=part)
+        np.multiply(rows, -1j, out=part)
         if hbar != 1.0:
             part /= hbar
         np.exp(part, out=part)
@@ -553,19 +549,17 @@ def _dress(kern: np.ndarray, A: VectorPotential | None, grid: PhaseSpaceGrid,
     """Multiply a kernel in place by the phases of ``A``: where every route gains or loses them.
 
     Table first: the base potential's ``exp(-i Gamma / hbar)`` entrywise (the
-    memo of ``segment_phase_matrix`` at ``hbar = 1``, a new table otherwise),
-    then the gauge phases ``e^{i rho / hbar}`` of gauge data in the rows and
-    their conjugates in the columns (``_gauge_dress``).  ``strip`` multiplies
-    by the conjugates of both, which undoes the dressing.  ``A`` None leaves
-    the kernel as it is.
+    memo of ``segment_phase_matrix`` at ``hbar = 1``, else a new table of
+    ``_segment_phases``, built in the same one pass), then the gauge phases
+    ``e^{i rho / hbar}`` of gauge data in the rows and their conjugates in
+    the columns (``_gauge_dress``).  ``strip`` multiplies by the conjugates
+    of both, which undoes the dressing.  ``A`` None leaves the kernel as is.
     """
     if A is None:
         return kern
     base, gauge = _gauge_phases(A, grid.config_points(), quad, hbar)
-    if hbar == 1.0:
-        lam = segment_phase_matrix(base, grid, quad)
-    else:
-        lam = _circulation_phases(_segment_circulation(base, grid, quad), hbar)
+    lam = (segment_phase_matrix(base, grid, quad) if hbar == 1.0
+           else _segment_phases(base, grid, quad, hbar))
     if strip:  # kernel first: numpy's complex product rounds by operand order
         np.multiply(kern, np.conj(lam), out=kern)
         return _gauge_dress(kern, None if gauge is None else np.conj(gauge))
@@ -591,11 +585,10 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
 
     Returns the read-only table memoized on the potential: one entry for the
     last ``(grid, _exact_rule(quad, A))``, which a call with another grid or
-    rule replaces.  It is exponentiated over half the pairs
-    (``_circulation_phases``) from a new circulation table
-    (``_segment_circulation``), which is dropped at once.  Callers take it
-    by value and never write into it.  ``A`` None gives a new, writable
-    table of ones.
+    rule replaces.  Its circulations are integrated and exponentiated in one
+    pass over the pairs on and above the diagonal, and mirrored by
+    conjugation (``_segment_phases``).  Callers take it by value and never
+    write into it.  ``A`` None gives a new, writable table of ones.
 
     Gauge data keep no table: their phases are a new writable table, the
     base potential's memo dressed with ``e^{i rho(x)} e^{-i rho(y)}``
@@ -609,7 +602,7 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
     key = (grid, _exact_rule(quad, base))
     memo = base._phase
     if memo is None or memo[0] != key:
-        lam = _circulation_phases(_segment_circulation(base, grid, quad))
+        lam = _segment_phases(base, grid, quad)
         lam.flags.writeable = False
         memo = base._phase = (key, lam)
     if gauge is None:
@@ -986,8 +979,9 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
     """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
 
     The phases are those of ``_dress`` at ``hbar``.  ``f`` is an evaluator,
-    or a checked symbol table at ``tau = 1/2, hbar = 1``; a standard table
-    takes the zero-fill mask in place of ``difference_mask``.
+    or a checked symbol table at ``tau = 1/2, hbar = 1``.  The mask is
+    multiplied in one axis at a time (``_multiply_per_axis``): the weights of
+    ``difference_mask``, or the zero-fill mask for a standard table.
     """
     if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
@@ -998,17 +992,12 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
             kern = _windowed_kernel(f, grid)
         else:
             kern = _per_difference_kernel(f, grid, tau, hbar, mask)
-        if isinstance(f, SymbolGrid) and f.kind == "standard":
-            kern *= _zero_fill_mask(grid)
+        steps = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))  # row - col per axis
+        if isinstance(f, SymbolGrid) and f.kind == "standard":  # the zero-fill mask (module notes)
+            _multiply_per_axis(kern, ((steps > -grid.n // 2) & (steps <= grid.n // 2)) * 1.0, grid)
         elif mask:
-            kern *= difference_mask(grid)
+            _multiply_per_axis(kern, _trapezoid(steps, grid.n), grid)
     return OperatorKernel(grid, _dress(kern, A, grid, quad, hbar))
-
-
-def _zero_fill_mask(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Per axis 1 where ``row - col`` lies in ``(-n/2, n/2]`` lattice steps, else 0 (module notes)."""
-    steps = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
-    return reduce(np.kron, [((steps > -grid.n // 2) & (steps <= grid.n // 2)) * 1.0] * grid.dim)
 
 
 def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:

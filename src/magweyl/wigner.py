@@ -29,7 +29,7 @@ from .grid import (
     WaveFunction,
     _apply_axes,
     _dress,
-    _half_phase,
+    _multiply_per_axis,
     _shift_index_table,
     fourier_symplectic,
 )
@@ -63,7 +63,8 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     del kern
     # forward transform of the y axes, then the half phase e^{-i (x/2).p}
     vals = _apply_axes(w.reshape(g.shape + g.shape), g._fwd_matrix, range(g.dim, 2 * g.dim))
-    return SymbolGrid(g, "standard", _half_phase(vals, g))
+    return SymbolGrid(g, "standard", _multiply_per_axis(
+        vals, np.exp(-0.5j * np.outer(g.config_axis, g.momentum_axis)), g))
 
 
 def rank_one_symbol(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,

@@ -10,9 +10,10 @@ integrate their own segments.  These tests pin each route entrywise against
 the public ``circulation`` for a polynomial and a non-polynomial gauge and a
 gauge transform of the latter, and check that no other module calls the
 circulation engine.  The table itself
-integrates each unordered pair once and mirrors it: it is checked for exact
-antisymmetry on grids down to one point per row block, and its two
-triangles against the flux through lattice triangles (Stokes).
+integrates and exponentiates each unordered pair once and mirrors it by
+conjugation: it is checked for exact Hermitian symmetry with a diagonal of
+exact ones on grids down to one point per row block, and its two triangles
+against the flux through lattice triangles (Stokes).
 """
 
 import ast
@@ -91,27 +92,28 @@ def test_segment_phase_matrix_matches_circulation(case):
     expect = np.exp(-1j * F.circulation(gauge, x, y, QUAD))
     table = G.segment_phase_matrix(gauge, g, QUAD)
     assert np.abs(table - expect).max() < TOL
-    # reversed segments: exactly opposite circulations, exactly conjugate phases, on
-    # the base's table, which the routes read
-    gamma = G._segment_circulation(F._gauge_base(gauge), g, QUAD)
-    assert np.array_equal(gamma, -gamma.T)
-    assert not np.diagonal(gamma).any()
+    # reversed segments: exactly conjugate phases and a diagonal of exact ones, on the
+    # base's table, which the routes read
+    lam = G._segment_phases(F._gauge_base(gauge), g, QUAD)
+    assert np.array_equal(lam, lam.conj().T)
+    assert np.array_equal(np.diagonal(lam), np.ones(g.size))
     assert np.array_equal(table, table.conj().T)
 
 
 def test_segment_table_triangles_obey_stokes():
-    # Gamma[x, z] + Gamma[z, y] + Gamma[y, x] is the flux through <x, z, y>;
-    # seeded triples read both triangles of the table, so a slip in the
-    # mirrored half shows as a flux mismatch
+    # the phases of Gamma[x, z] + Gamma[z, y] + Gamma[y, x] are those of the flux
+    # through <x, z, y>; seeded triples read both triangles of the table, so a slip
+    # in the mirrored half shows as a flux mismatch
     B = F.polynomial_field_2d([(1.0, (0, 0)), (0.3, (1, 0)), (-0.2, (1, 1)), (0.1, (0, 2))])
     g = rig()
-    gamma = G._segment_circulation(F.transversal_gauge(B, QUAD), g, QUAD)
+    lam = G._segment_phases(F.transversal_gauge(B, QUAD), g, QUAD)
     i, k, j = np.random.default_rng(11).integers(0, g.size, size=(3, 200))
     assert np.any(i < j) and np.any(i > j)
     pts = g.config_points()
     flux = F.flux_triangle(B, pts[i], pts[k], pts[j], QUAD)
-    loop = gamma[i, k] + gamma[k, j] + gamma[j, i]
-    assert np.abs(loop - flux).max() <= 1e-12 * np.abs(flux).max()
+    loop = lam[i, k] * lam[k, j] * lam[j, i]
+    # |e^{-i a} - e^{-i b}| <= |a - b|: the bound on the circulations, on their phases
+    assert np.abs(loop - np.exp(-1j * flux)).max() <= 1e-12 * np.abs(flux).max()
 
 
 def test_transversal_segment_table_is_the_flux_from_the_origin():

@@ -376,13 +376,15 @@ def test_compare_coupling_verdicts(tmp_path, terms, gauges, expected):
     assert report["passed"]
 
 
-def test_compare_coupling_high_degree_exits_2(tmp_path):
+def test_compare_coupling_high_degree_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     write_config(cfgfile, symbol={"kind": "momentum_polynomial",
                                   "terms": [{"coeff": 1.0, "powers": [4, 0]}]})
     rc = cli.main(["compare-coupling", "--config", str(cfgfile),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+    # the refusal names the key that holds the symbol, as every config refusal does
+    assert "'symbol'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, report, overrides, orders", [

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -133,6 +134,26 @@ def test_csv_output_has_one_writer():
                 found.add((path.name, owner.get(node, "<module>")))
     assert ("grid.py", "_write_csv") in found
     assert found <= {("grid.py", "_write_csv"), ("csvformat.py", "format_e18")}
+
+
+# CPython's parser doubles its token buffer past about 8,190 tokens per module, and a
+# CLI child run with PYTHONDONTWRITEBYTECODE=1 compiles the package from source, so
+# one module over the step raises the peak RSS of every such child: compiling grid.py
+# plus filler lines peaked at 2.65 MiB (tracemalloc) at 8,190 tokens and at 3.08 MiB
+# at 8,198.  Tokens are counted without comments, blank-line NLs, ENCODING and
+# ENDMARKER; a docstring is one token.
+_MODULE_TOKENS = 8190
+
+
+def test_every_module_stays_under_the_parser_token_buffer():
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
+    counts = {}
+    for path in sorted(src.glob("*.py")):
+        with path.open("rb") as fh:
+            counts[path.name] = sum(t.type not in skip for t in tokenize.tokenize(fh.readline))
+    assert "grid.py" in counts
+    assert {name: c for name, c in counts.items() if c >= _MODULE_TOKENS} == {}
 
 
 # the calculus is dimension-generic up to the supported N = 3

@@ -7,10 +7,11 @@ rho(b) - rho(a)`` in the point engine.  On the lattice it is the diagonal
 unitary ``e^{i rho(Q)}``: every route reads the base's table and dresses its
 output with ``e^{i rho / hbar}``, so gauge data never hold a table.  Each
 base keeps one memo, the read-only phases ``exp(-i Gamma)`` for the last
-``(grid, exact rule)``; its circulation table is integrated anew on each
-call and never kept.  These tests pin the memo (keyed by the exact rule,
-the same read-only array again, replaced and released by another grid or
-rule, bit-identical to a fresh table and bit for bit ``exp(-i Gamma)``,
+``(grid, exact rule)``, integrated and exponentiated in one pass; no
+circulation table of kernel size is made.  These tests pin the memo (keyed
+by the exact rule, the same read-only array again, replaced and released by
+another grid or rule, bit-identical to a fresh table and bit for bit
+``exp(-i Gamma)`` of the point engine's circulations, mirrored,
 held by the base and never by the gauge data, no Gamma resident, read by
 op_quantize at hbar = 1 only and left unset at other hbar), its memory
 peak, the gauge-transformed circulations against the full quadrature of
@@ -67,8 +68,18 @@ def transversal_gaussian():
     return F.transversal_gauge(gaussian_field(), QUAD)
 
 
+def mirrored_circulation(A, g):
+    """Point-engine circulations of the lattice pairs on and above the diagonal, mirrored.
+
+    The segment table's oracle: its ``exp(-1j * ...)`` is the table bit for bit.
+    """
+    pts = g.config_points()
+    upper = np.triu(F.circulation(A, pts[:, None], pts[None], QUAD), 1)
+    return upper - upper.T
+
+
 def full_quadrature(A, rhos, g):
-    return G._segment_circulation(plain(A), g, QUAD)
+    return mirrored_circulation(plain(A), g)
 
 
 def flux_plus_gauge(A, rhos, g):
@@ -141,8 +152,9 @@ def test_memo_hit_is_bit_identical_to_a_fresh_table(make):
 
 
 def test_phase_matrix_exponentiates_in_place():
-    # a fresh potential: the 8 MiB circulation table and the 16 MiB result are the
-    # allocations; an out-of-place exp needs about 40 MiB
+    # a fresh potential: the 16 MiB result and one row block's circulations and
+    # integration temporaries are the allocations (20.8 MiB measured); a kernel-sized
+    # circulation table beside it needs about 24 MiB, an out-of-place exp about 40 MiB
     g = G.PhaseSpaceGrid(2, 32, 8.0)
     A = F.symmetric_gauge(1.0)
     tracemalloc.start()
@@ -151,8 +163,8 @@ def test_phase_matrix_exponentiates_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(lam, np.exp(-1j * G._segment_circulation(A, g, QUAD)))
-    assert peak <= 25 * 2**20
+    assert np.array_equal(lam, np.exp(-1j * mirrored_circulation(A, g)))
+    assert peak <= 22 * 2**20
 
 
 def test_second_phase_call_returns_the_same_read_only_table():
@@ -161,11 +173,11 @@ def test_second_phase_call_returns_the_same_read_only_table():
     lam = G.segment_phase_matrix(A, g, QUAD)
     assert G.segment_phase_matrix(A, g, QUAD) is lam
     # no circulation table is resident: the phases are the potential's one array,
-    # and each circulation call integrates a new table
+    # and each table call builds a new, writable table
     held = [v for x in vars(A).values() for v in (x if isinstance(x, tuple) else (x,))]
     assert [v is lam for v in held if isinstance(v, np.ndarray)] == [True]
-    gamma = G._segment_circulation(A, g, QUAD)
-    assert G._segment_circulation(A, g, QUAD) is not gamma
+    fresh = G._segment_phases(A, g, QUAD)
+    assert fresh is not lam and fresh.flags.writeable and np.array_equal(fresh, lam)
     # no potential: a new table of ones each call, which callers may write
     ones = G.segment_phase_matrix(None, g, QUAD)
     assert ones.flags.writeable and ones is not G.segment_phase_matrix(None, g, QUAD)
@@ -197,7 +209,7 @@ def test_memoized_phases_are_the_exponentiated_table(make):
     base = F._gauge_base(A)
     lam = G.segment_phase_matrix(A, g, QUAD)
     memo = base._phase[1]
-    assert np.array_equal(memo, np.exp(-1j * G._segment_circulation(base, g, QUAD)))
+    assert np.array_equal(memo, np.exp(-1j * mirrored_circulation(base, g)))
     u = np.exp(1j * F._gauge_values(A, g.config_points(), QUAD))
     dressed = memo * u[:, None] * np.conj(u)
     assert np.array_equal(lam, 0.5 * (dressed + dressed.conj().T))
@@ -216,7 +228,7 @@ def test_general_route_reads_the_phases_at_unit_hbar_only(tau):
     # the base's phases by the expression the route evaluated before the memo, bit
     # for bit, then the gauge phases in the rows and their conjugates in the columns
     old = G._separable_kernel(f, g, tau, 1.0, True)
-    phase = -1j * G._segment_circulation(base, g, QUAD)
+    phase = -1j * mirrored_circulation(base, g)
     phase /= 1.0
     np.multiply(np.exp(phase, out=phase), old, out=old)
     u = np.exp(1j * F._gauge_values(A, g.config_points(), QUAD))
@@ -262,14 +274,15 @@ def test_gauge_transformed_table_matches_full_quadrature(case):
     pts = g.config_points()
     gamma = F.circulation(A, pts[:, None], pts[None], QUAD)
     assert rel_gap(gamma, oracle(A, rhos, g)) <= 1e-13
-    # the routes read the base's table, exactly antisymmetric, and dress it with
-    # rho(y) - rho(x); together they agree with the point engine
-    base = G._segment_circulation(F._gauge_base(A), g, QUAD)
-    assert np.array_equal(base, -base.T)
+    # the routes read the base's phases, exp(-i Gamma) of its mirrored circulations
+    # bit for bit, and dress them with rho(y) - rho(x); together they agree with the
+    # point engine
+    base = mirrored_circulation(F._gauge_base(A), g)
+    assert np.array_equal(G._segment_phases(F._gauge_base(A), g, QUAD), np.exp(-1j * base))
     r = F._gauge_values(A, pts, QUAD)
     assert rel_gap(base + (r[None] - r[:, None]), gamma) <= 1e-13
     with pytest.raises(InputError):
-        G._segment_circulation(A, g, QUAD)
+        G._segment_phases(A, g, QUAD)
     assert A._phase is None
 
 
@@ -378,7 +391,7 @@ def test_non_polynomial_gauge_function_is_exact():
     pts = g.config_points()
     r = rho(pts)
     table_part = (F.circulation(A2, pts[:, None], pts[None], QUAD)
-                  - G._segment_circulation(A, g, QUAD))
+                  - mirrored_circulation(A, g))
     assert np.abs(table_part - (r[None] - r[:, None])).max() <= 1e-13 * np.abs(r).max()
 
 
@@ -402,7 +415,7 @@ def test_gauge_functions_are_sampled_through_one_helper():
                     samplers.add((path.name, fn.name))
                 if isinstance(node, ast.Attribute) and node.attr == "_gauge":
                     readers.add(path.name)
-                if (path.name, fn.name) == ("grid.py", "_segment_circulation"):
+                if (path.name, fn.name) == ("grid.py", "_segment_phases"):
                     table_names.add(getattr(node, "id", getattr(node, "attr", "")))
     assert samplers == {("fields.py", "_gauge_phases"), ("fields.py", "_circulation_sum")}
     assert readers == {"fields.py"}

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def test_apply_axes_matches_dense_exponential(dim, n, matrix, axes):
                   "all": range(2 * dim)}[axes]
     got = G._apply_axes(table.reshape(g.shape + g.shape), getattr(g, matrix), contracted)
     assert np.abs(got.reshape(g.size, g.size) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mask", ["trapezoid", "zero_fill"])
+@pytest.mark.parametrize("dim,n", [(d, n) for d in (1, 2, 3) for n in (2, 6, 8)])
+def test_per_axis_masks_match_the_kronecker_tables(dim, n, mask):
+    # the kernel routes multiply their mask in one axis pair at a time, in place; the
+    # result is the kernel times the n^N x n^N Kronecker table, bit for bit: the
+    # public difference_mask, or the zero-fill mask (1 where row - col lies in
+    # (-n/2, n/2] steps per axis)
+    g = G.PhaseSpaceGrid(dim, n, 3.0)
+    steps = np.subtract.outer(np.arange(n), np.arange(n))
+    if mask == "trapezoid":
+        axis, kron = G._trapezoid(steps, n), G.difference_mask(g)
+    else:
+        axis = ((steps > -n // 2) & (steps <= n // 2)) * 1.0
+        kron = reduce(np.kron, [axis] * dim)
+    rng = np.random.default_rng(100 * dim + n)
+    kern = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
+    expect = kern * kron
+    assert G._multiply_per_axis(kern, axis, g) is kern
+    assert np.array_equal(kern, expect)
 
 
 def test_wavefunction_norm_and_inner():

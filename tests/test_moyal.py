@@ -83,7 +83,7 @@ def test_product_table_requantizes_to_operator_product():
 @pytest.mark.parametrize("gauge", ["symmetric", "transversal_gaussian"])
 def test_product_uses_one_phase_table(monkeypatch, gauge):
     # the product equals the symbol of the composed magnetic kernels, and on a fresh
-    # potential both factors and the inverse map share one circulation table: the
+    # potential both factors and the inverse map share one phase table: the
     # base potential's, built once.  The composed kernel alone also builds one
     g = G.PhaseSpaceGrid(2, 10, 5.0)
 
@@ -101,13 +101,13 @@ def test_product_uses_one_phase_table(monkeypatch, gauge):
                                   G.kernel_from_symbol(h, A, g, QUAD))
     ref = G.symbol_from_kernel(ref_kernel, A, QUAD)
     builds = []
-    original = G._segment_circulation
+    original = G._segment_phases
 
-    def counted(A, grid, quad):
+    def counted(A, grid, quad, hbar=1.0):
         builds.append(A)
-        return original(A, grid, quad)
+        return original(A, grid, quad, hbar)
 
-    monkeypatch.setattr(G, "_segment_circulation", counted)
+    monkeypatch.setattr(G, "_segment_phases", counted)
     B, A = rig()
     out = M.moyal_product(f, h, B, A, g, QUAD)
     assert builds == [F._gauge_base(A)]
