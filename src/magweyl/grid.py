@@ -239,22 +239,17 @@ def _config_axis(grid: PhaseSpaceGrid, kind: str) -> np.ndarray:
     return grid.config_axis if kind == "standard" else grid.midpoint_axis
 
 
-def _shift_index_table(grid: PhaseSpaceGrid, steps=None, boundary: str = "zero"):
+def _shift_index_table(grid: PhaseSpaceGrid, steps=None):
     """Flat lattice indices of ``y + s`` for every lattice point ``y`` and integer step ``s``.
 
     ``steps`` is one step of shape (N,), in units of the spacing h, or None
     for every lattice translation ``x / h`` in ``config_points`` order.
     Returns ``(cols, valid)``, of shape (n^N,) for one step and (n^N, n^N),
-    indexed (y, x), for every step: with ``"cyclic"`` the targets wrap around
-    the box and all are valid; with ``"zero"`` the targets outside the box are
-    marked invalid (their clipped ``cols`` are placeholders to be masked out,
-    the zero-fill convention).  Any other boundary raises InputError.  Both
-    tables are built axis by axis: ``cols`` is the broadcast sum of per-axis
-    ``(n, m)`` flat offsets and ``valid`` the AND of per-axis masks, so no
-    ``(N,)``-stacked index temporary of the output's size is made.
+    indexed (y, x), for every step; targets outside the box are invalid, their
+    clipped ``cols`` placeholders to be masked out (the zero-fill convention).
+    Built axis by axis (per-axis ``(n, m)`` flat offsets summed, masks ANDed),
+    with no ``(N,)``-stacked index temporary of the output's size.
     """
-    if boundary not in ("zero", "cyclic"):
-        raise InputError("boundary must be 'zero' or 'cyclic', got %r" % (boundary,))
     N, n = grid.dim, grid.n
     per_axis = ([np.arange(n) - n // 2] * N if steps is None
                 else [np.asarray(steps)[a:a + 1] for a in range(N)])
@@ -262,15 +257,9 @@ def _shift_index_table(grid: PhaseSpaceGrid, steps=None, boundary: str = "zero")
     for a, s in enumerate(per_axis):
         tgt = np.arange(n)[:, None] + s  # (point, step) along axis a
         sh = (1,) * a + (n,) + (1,) * (N - 1 - a) + (1,) * a + (len(s),) + (1,) * (N - 1 - a)
-        if boundary == "cyclic":
-            tgt %= n
-        else:
-            valid = valid & ((tgt >= 0) & (tgt < n)).reshape(sh)
-            tgt = np.clip(tgt, 0, n - 1)
-        cols = cols + (tgt * n ** (N - 1 - a)).reshape(sh)
+        valid = valid & ((tgt >= 0) & (tgt < n)).reshape(sh)
+        cols = cols + (np.clip(tgt, 0, n - 1) * n ** (N - 1 - a)).reshape(sh)
     out = (grid.size,) if steps is not None else (grid.size, grid.size)
-    if boundary == "cyclic":
-        valid = np.ones(out, dtype=bool)
     return cols.reshape(out), valid.reshape(out)
 
 

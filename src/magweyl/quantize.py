@@ -6,8 +6,8 @@ The unitary Weyl system acts on lattice wave functions by
 
 with the translation component ``x`` restricted to the configuration
 lattice (off-lattice translations are rejected rather than interpolated).
-Out-of-box samples are zero-filled by default; the cyclic variant used by
-the irreducibility probe wraps them around the box instead.
+Out-of-box samples are zero-filled; the irreducibility probe of ``wigner``
+writes out its own cyclic (wrapped) operators.
 
 Quantization: every symbol goes through the one quantization map of
 ``grid``, whose module notes list the fill each input takes at each
@@ -89,30 +89,31 @@ class WeylParams:
             raise InputError("hbar must be positive and finite, got %r" % (self.hbar,))
 
 
+def _lattice_vector(grid: PhaseSpaceGrid, v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.dim,):
+        raise DimensionMismatchError("%s must be a %d-vector" % (name, grid.dim))
+    return v
+
+
 def _shift_components(grid: PhaseSpaceGrid, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.dim,):
-        raise DimensionMismatchError("translation must be a %d-vector" % grid.dim)
-    return grid.lattice_index(x) - grid.n // 2
+    return grid.lattice_index(_lattice_vector(grid, x, "translation")) - grid.n // 2
 
 
-def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadrature,
-                boundary: str):
-    """``(phase, cols, valid)`` of the Weyl operator at ``xi = (x, p)``, over lattice points y.
+def _check_axis(j, grid: PhaseSpaceGrid) -> None:
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j < grid.dim:
+        raise InputError("axis index must be an integer in [0, %d), got %r" % (grid.dim, j))
 
-    ``[W(xi) u](y) = phase[y] u[cols[y]]`` where ``valid[y]``, else 0: the one-step
-    table of ``_shift_index_table``, which refuses a boundary other than ``"zero"``
-    and ``"cyclic"`` before any circulation is integrated.
-    """
+
+def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadrature):
+    """``(phase, cols, valid)`` at ``xi = (x, p)``: ``[W(xi) u](y) = phase[y] u[cols[y]]``
+    where ``valid[y]``, else 0."""
     x = np.asarray(xi[0], dtype=float)
-    p = np.asarray(xi[1], dtype=float)
-    if p.shape != (grid.dim,):
-        raise DimensionMismatchError("momentum must be a %d-vector" % grid.dim)
-    cols, valid = _shift_index_table(grid, _shift_components(grid, x), boundary)
+    p = _lattice_vector(grid, xi[1], "momentum")
+    cols, valid = _shift_index_table(grid, _shift_components(grid, x))
     pts = grid.config_points()
     phase = np.exp(-1j * (pts + 0.5 * x) @ p)
-    # own circulations, not the segment table: one operator needs n^N segments,
-    # and the cyclic variant the unwrapped [y, y + x], which leaves the box.
+    # own circulations, not the segment table: one operator needs n^N segments.
     # Gauge data: the base's, times e^{i rho(y)} e^{-i rho(y + x)}
     if A is not None:
         ends = np.stack([pts, pts + x])
@@ -125,22 +126,22 @@ def _weyl_phase(A: VectorPotential | None, xi, grid: PhaseSpaceGrid, quad: Quadr
 
 
 def weyl_apply(A: VectorPotential | None, xi, u: WaveFunction,
-               quad: Quadrature = DEFAULT_QUADRATURE, boundary: str = "zero") -> WaveFunction:
+               quad: Quadrature = DEFAULT_QUADRATURE) -> WaveFunction:
     """Apply the magnetic Weyl operator at phase-space point ``xi = (x, p)``.
 
     The translation part of ``xi`` must lie on the configuration lattice;
-    translated samples leaving the box are zero-filled (``boundary="zero"``)
-    or wrapped (``"cyclic"``).  Norm is preserved up to the truncated mass.
+    translated samples leaving the box are zero-filled.  Norm is preserved
+    up to the truncated mass.
     """
     g = u.grid
-    phase, cols, valid = _weyl_phase(A, xi, g, quad, boundary)
+    phase, cols, valid = _weyl_phase(A, xi, g, quad)
     return WaveFunction(g, (phase * np.where(valid, u.values.ravel()[cols], 0)).reshape(g.shape))
 
 
 def weyl_matrix(A: VectorPotential | None, xi, grid: PhaseSpaceGrid,
-                quad: Quadrature = DEFAULT_QUADRATURE, boundary: str = "zero") -> OperatorKernel:
+                quad: Quadrature = DEFAULT_QUADRATURE) -> OperatorKernel:
     """Materialize the Weyl operator at ``xi`` as an operator kernel."""
-    phase, cols, valid = _weyl_phase(A, xi, grid, quad, boundary)
+    phase, cols, valid = _weyl_phase(A, xi, grid, quad)
     m = np.zeros((grid.size, grid.size), dtype=complex)
     m[np.flatnonzero(valid), cols[valid]] = phase[valid]
     return OperatorKernel.from_operator_matrix(grid, m)
@@ -149,8 +150,7 @@ def weyl_matrix(A: VectorPotential | None, xi, grid: PhaseSpaceGrid,
 def magnetic_translation(A: VectorPotential | None, x, grid: PhaseSpaceGrid,
                          quad: Quadrature = DEFAULT_QUADRATURE) -> OperatorKernel:
     """The magnetic translation by ``x``; the Weyl operator at ``(-x, 0)``."""
-    x = np.asarray(x, dtype=float)
-    return weyl_matrix(A, (-x, np.zeros(grid.dim)), grid, quad)
+    return weyl_matrix(A, (-np.asarray(x, dtype=float), np.zeros(grid.dim)), grid, quad)
 
 
 def momentum_modulation(p, grid: PhaseSpaceGrid) -> OperatorKernel:
@@ -224,8 +224,7 @@ def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -
     on axis j, the identity on the others.  The potential part is the
     multiplication operator by A_j on the lattice.
     """
-    if not 0 <= j < grid.dim:
-        raise InputError("axis index %d out of range for dimension %d" % (j, grid.dim))
+    _check_axis(j, grid)
     deriv = grid._inv_matrix @ (grid.momentum_axis[:, None] * grid._fwd_matrix)
     mat = reduce(np.kron, [deriv if a == j else np.eye(grid.n) for a in range(grid.dim)])
     if A is not None:
@@ -238,8 +237,7 @@ def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -
 
 def position_operator(j: int, grid: PhaseSpaceGrid) -> OperatorKernel:
     """Multiplication by the j-th coordinate."""
-    if not 0 <= j < grid.dim:
-        raise InputError("axis index %d out of range for dimension %d" % (j, grid.dim))
+    _check_axis(j, grid)
     return OperatorKernel.from_operator_matrix(
         grid, np.diag(grid.config_points()[:, j].astype(complex)))
 
@@ -260,9 +258,8 @@ def weyl_trotter_diagnostic(A: VectorPotential | None, xi, u: WaveFunction, step
         raise InputError("steps must be an integer >= 1, got %r" % (steps,))
     g = u.grid
     x = np.asarray(xi[0], dtype=float)
-    p = np.asarray(xi[1], dtype=float)
-    step = x / steps
-    cols, valid = _shift_index_table(g, _shift_components(g, step))
+    p = _lattice_vector(g, xi[1], "momentum")
+    cols, valid = _shift_index_table(g, _shift_components(g, x / steps))
     pts = g.config_points()
     aq = pts @ p
     if A is not None:

@@ -9,19 +9,20 @@ symplectic Fourier transform is the symbol of the rank-one operator
 coefficients and Hilbert-Schmidt operators.  The field enters only through
 ``grid._dress``, which dresses the rank-one kernel as it does every kernel.
 
-``weyl_span_probe`` measures the dimension spanned by Weyl operators over
-a sample of lattice points.  It uses the cyclic (wrapped) translation
-convention: that is the finite Weyl system for which a full-lattice sample
-spans the whole matrix algebra, the strongest finite-grid counterpart of
-irreducibility.
+``weyl_span_probe`` measures the dimension spanned by the cyclic (wrapped)
+Weyl operators over a sample of lattice points: the finite Weyl system for
+which a full-lattice sample spans the whole matrix algebra, the strongest
+finite-grid counterpart of irreducibility.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, ResourceLimitError
-from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential
+from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, circulation
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
@@ -33,7 +34,7 @@ from .grid import (
     _shift_index_table,
     fourier_symplectic,
 )
-from .quantize import weyl_matrix
+from .quantize import _lattice_vector
 
 __all__ = [
     "fourier_wigner",
@@ -54,8 +55,6 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
     assembled inner products to roundoff.
     """
     g = u.grid
-    if v.grid != g:
-        raise DimensionMismatchError("states live on different grids")
     kern = _dress(np.conj(rank_one_kernel(v, u).kernel), A, g, quad)  # (y, z): conj(v(y)) u(z)
     cols, valid = _shift_index_table(g)  # (y, x)
     w = kern[np.arange(g.size), cols.T]  # (x, y): kern[y, y + x]
@@ -86,7 +85,12 @@ def rank_one_kernel(u: WaveFunction, v: WaveFunction) -> OperatorKernel:
 def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
                     sample=None, quad: Quadrature = DEFAULT_QUADRATURE,
                     rank_tol: float = 1e-8, max_entries: int = 2**26) -> dict:
-    """Numerical rank of the span of Weyl operators over sampled lattice points.
+    """Numerical rank of the span of cyclic Weyl operators over sampled lattice points.
+
+    ``[W(x, p) u](y) = e^{-i (y + x/2).p} e^{-i Gamma^A([y, y + x])} u(y + x mod n)``
+    touches only the pairs ``(y, y + x mod n)``, so the sample stack is block-diagonal
+    by translation class (``x / h`` mod n per axis): one block of rows per class,
+    zero-padded to the largest, one circulation per distinct ``x``, one batched SVD.
 
     Parameters
     ----------
@@ -94,30 +98,39 @@ def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
         None samples the full phase-space lattice (n^N translations times
         n^N momenta); an empty sample raises InputError.
     rank_tol : float
-        Singular values above ``rank_tol`` times the largest count.
+        Singular values above ``rank_tol`` times the largest count; 0 < rank_tol < 1.
+    max_entries : int
+        Cap on the block entries, padding included.
 
-    Returns a report ``{"sample_size", "rank", "full_dim"}``; the full
-    lattice yields ``full_dim = (n^N)^2`` for any potential, the
-    finite-dimensional counterpart of irreducibility of the system.
+    Returns a report ``{"sample_size", "rank", "full_dim"}``; the full lattice
+    has rank ``full_dim = (n^N)^2`` for any potential.
     """
-    g = grid
+    if not (isinstance(rank_tol, numbers.Real) and 0.0 < rank_tol < 1.0):  # NaN fails too
+        raise InputError("rank_tol must be finite with 0 < rank_tol < 1, got %r" % (rank_tol,))
+    g, pts = grid, grid.config_points()
     if sample is None:
-        xs = g.config_points()
-        ks = g.momentum_points()
-        sample = [(x, p) for x in xs for p in ks]
-    S = len(sample)
-    if S == 0:
+        xs, ps = np.repeat(pts, g.size, axis=0), np.tile(g.momentum_points(), (g.size, 1))
+    elif len(sample) == 0:
         raise InputError("span probe needs at least one sample point")
-    dim2 = g.size**2
-    if S * dim2 > max_entries:
-        raise ResourceLimitError(
-            "span probe needs %d matrix entries, cap is %d" % (S * dim2, max_entries)
-        )
-    stack = np.zeros((S, dim2), dtype=complex)
-    for i, (x, p) in enumerate(sample):
-        m = weyl_matrix(A, (np.asarray(x, dtype=float), np.asarray(p, dtype=float)),
-                        g, quad, boundary="cyclic")
-        stack[i] = m.operator_matrix.ravel()
-    sv = np.linalg.svd(stack, compute_uv=False)
-    rank = int((sv > rank_tol * sv[0]).sum())
-    return {"sample_size": S, "rank": rank, "full_dim": dim2}
+    else:
+        xs, ps = (np.stack([_lattice_vector(g, pair[k], name) for pair in sample])
+                  for k, name in enumerate(("translation", "momentum")))
+    steps = (g.lattice_index(xs) - g.n // 2) % g.n
+    _, cls, counts = np.unique(np.ravel_multi_index(tuple(steps.T), g.shape),
+                               return_inverse=True, return_counts=True)
+    entries = len(counts) * counts.max() * g.size
+    if entries > max_entries:
+        raise ResourceLimitError("span probe needs %d entries, cap %d" % (entries, max_entries))
+    order = np.argsort(cls, kind="stable")  # grouped by class; a row's slot is its place
+    xs, ps, cls = xs[order], ps[order], cls[order]
+    slot = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
+    # -i (y.p + Gamma^A([y, y + x])) per sample; the row constant x.p/2 moves no singular value
+    arg = -1j * (ps @ pts.T)
+    if A is not None:
+        shifts, which = np.unique(xs, axis=0, return_inverse=True)
+        arg -= 1j * circulation(A, pts, pts + shifts[:, None], quad)[which.ravel()]
+    blocks = np.zeros((len(counts), counts.max(), g.size), dtype=complex)
+    blocks[cls, slot] = np.exp(arg, out=arg)
+    sv = np.linalg.svd(blocks, compute_uv=False)  # padding adds zeros, which never count
+    return {"sample_size": len(cls), "rank": int((sv > rank_tol * sv.max()).sum()),
+            "full_dim": g.size**2}

@@ -262,12 +262,12 @@ def test_criterion_10_landau_levels():
     report(10, "landau level positions", worst, 0.02)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_criterion_11_weyl_span(dim):
-    g = G.PhaseSpaceGrid(dim, 4, 2.0)
+@pytest.mark.parametrize("dim, n", [(1, 4), (2, 4), (2, 8)], ids=["1", "2", "2-n8"])
+def test_criterion_11_weyl_span(dim, n):
+    g = G.PhaseSpaceGrid(dim, n, 2.0)
     A = None if dim == 1 else F.symmetric_gauge(1.0)
     rep = W.weyl_span_probe(A, g, quad=QUAD)
-    print("criterion 11 [%s] span rank dim=%d: %d of %d"
+    print("criterion 11 [%s] span rank dim=%d n=%d: %d of %d"
           % ("PASS" if rep["rank"] == rep["full_dim"] else "FAIL",
-             dim, rep["rank"], rep["full_dim"]))
+             dim, n, rep["rank"], rep["full_dim"]))
     assert rep["rank"] == rep["full_dim"]

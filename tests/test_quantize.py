@@ -66,18 +66,6 @@ def test_weyl_rejects_off_lattice_translation():
             Q.weyl_apply(None, (np.array([bad, 0.0]), np.zeros(2)), u, QUAD)
 
 
-@pytest.mark.parametrize("boundary", ["wrap", "Zero", None])
-def test_weyl_operator_refuses_an_unknown_boundary(boundary):
-    # an unknown boundary used to zero-fill quietly
-    g = default_grid()
-    u = G.gaussian_wavefunction(g, width=0.7)
-    xi = (np.array([g.h, 0.0]), np.zeros(2))
-    with pytest.raises(InputError, match="boundary"):
-        Q.weyl_apply(F.symmetric_gauge(1.0), xi, u, QUAD, boundary=boundary)
-    with pytest.raises(InputError, match="boundary"):
-        Q.weyl_matrix(None, xi, g, QUAD, boundary=boundary)
-
-
 def test_weyl_norm_preservation_on_interior_vectors():
     g = default_grid()
     u = G.gaussian_wavefunction(g, width=0.6)
@@ -90,7 +78,9 @@ def test_weyl_norm_preservation_on_interior_vectors():
     lambda g, p: Q.weyl_apply(None, (np.zeros(g.dim), p), G.gaussian_wavefunction(g, width=0.7)),
     lambda g, p: Q.weyl_matrix(None, (np.zeros(g.dim), p), g),
     lambda g, p: Q.momentum_modulation(p, g),
-], ids=["weyl_apply", "weyl_matrix", "momentum_modulation"])
+    lambda g, p: Q.weyl_trotter_diagnostic(
+        None, (np.zeros(g.dim), p), G.gaussian_wavefunction(g, width=0.7), 1),
+], ids=["weyl_apply", "weyl_matrix", "momentum_modulation", "weyl_trotter_diagnostic"])
 def test_weyl_rejects_wrong_momentum_shape(build):
     g = G.PhaseSpaceGrid(2, 8, 4.0)
     with pytest.raises(DimensionMismatchError):
@@ -715,6 +705,16 @@ def test_momentum_operator_memory_peak(traced_peak):
     # the kernel, its weighted copy and one more kernel fit; a dense transform does not
     g = G.PhaseSpaceGrid(2, 32, 6.0)
     assert traced_peak(lambda: Q.momentum_operator(F.symmetric_gauge(1.0), 0, g)) <= 48 * 2**20
+
+
+@pytest.mark.parametrize("j", [0.5, True, False, None, -1, 2, "0"])
+def test_basic_observables_refuse_a_bad_axis_index(j):
+    # a float axis gave the identity momentum, an IndexError or a ValueError
+    g = G.PhaseSpaceGrid(2, 4, 2.0)
+    with pytest.raises(InputError, match="axis"):
+        Q.momentum_operator(None, j, g)
+    with pytest.raises(InputError, match="axis"):
+        Q.position_operator(j, g)
 
 
 def test_momentum_operator_hermitian():

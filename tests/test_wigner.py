@@ -5,8 +5,8 @@ from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
 from magweyl import wigner as W
-from magweyl.errors import InputError, ResourceLimitError
-from weyl_sum_oracle import weyl_sum_coefficients
+from magweyl.errors import DimensionMismatchError, InputError, OffLatticeError, ResourceLimitError
+from weyl_sum_oracle import stack_singular_values, weyl_sum_coefficients
 
 QUAD = F.Quadrature(16)
 
@@ -170,6 +170,75 @@ def test_span_probe_full_lattice_2d_magnetic():
 
 
 def test_span_probe_resource_guard():
-    g = G.PhaseSpaceGrid(2, 16, 6.0)
+    # the full lattice at dim 2, n=32 needs 2^30 block entries; n=16 (2^24) fits the default cap
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
     with pytest.raises(ResourceLimitError):
         W.weyl_span_probe(None, g, quad=QUAD)
+    # the cap counts block rows times n^N, padding included: 16 classes of 16 rows times 16,
+    # and two classes padded to two rows times 4
+    small = G.PhaseSpaceGrid(2, 4, 2.0)
+    assert W.weyl_span_probe(None, small, quad=QUAD, max_entries=4096)["rank"] == 256
+    with pytest.raises(ResourceLimitError):
+        W.weyl_span_probe(None, small, quad=QUAD, max_entries=4095)
+    line = G.PhaseSpaceGrid(1, 4, 2.0)
+    sample = [(np.zeros(1), np.zeros(1)), (np.zeros(1), np.ones(1)),
+              (np.full(1, line.h), np.zeros(1))]
+    assert W.weyl_span_probe(None, line, sample=sample, max_entries=16)["rank"] == 3
+    with pytest.raises(ResourceLimitError):
+        W.weyl_span_probe(None, line, sample=sample, max_entries=15)
+
+
+def _span_sample(g, rng, count):
+    """Seeded (x, p) pairs: steps past the box edge, a translation and its image
+    one box length away (one class), and repeated pairs."""
+    steps = rng.integers(-g.n - 2, g.n + 3, size=(count, g.dim))
+    steps[1] = steps[0] + g.n
+    ps = rng.uniform(-2.0, 2.0, size=(count, g.dim))
+    sample = [(s * g.h, p) for s, p in zip(steps, ps)]
+    return sample + sample[:3] + [(sample[1][0], ps[-1])]
+
+
+@pytest.mark.parametrize("dim, n, potential", [
+    (1, 4, None), (1, 6, None), (2, 4, None), (2, 4, "symmetric"), (2, 6, "symmetric"),
+    (2, 4, "gaussian"), (2, 6, "gaussian"),
+])
+def test_span_probe_matches_the_stack_oracle(dim, n, potential, monkeypatch):
+    g = G.PhaseSpaceGrid(dim, n, 2.0)
+    A = {None: None, "symmetric": F.symmetric_gauge(1.0),
+         "gaussian": F.transversal_gauge(F.gaussian_field_2d(1.5, 0.7, (0.3, -0.2)))}[potential]
+    rng = np.random.default_rng(100 * dim + n)
+    svd, seen = np.linalg.svd, []
+
+    def recorded_svd(a, **kw):  # the probe's singular values, all blocks
+        seen.append(svd(a, **kw))
+        return seen[-1]
+
+    for count in (5, g.size, 3 * g.size):
+        sample = _span_sample(g, rng, count)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", recorded_svd)
+            rep = W.weyl_span_probe(A, g, sample=sample, quad=QUAD)
+        got = np.sort(seen.pop().ravel())[::-1]
+        ref = stack_singular_values(A, g, sample, QUAD)
+        assert rep == {"sample_size": len(sample), "full_dim": g.size**2,
+                       "rank": int((ref > 1e-8 * ref[0]).sum())}
+        k = max(len(got), len(ref))
+        got, ref = np.pad(got, (0, k - len(got))), np.pad(ref, (0, k - len(ref)))
+        assert np.abs(got - ref).max() <= 1e-12 * ref[0]
+
+
+def test_span_probe_refuses_bad_input():
+    g = G.PhaseSpaceGrid(2, 4, 2.0)
+    with pytest.raises(OffLatticeError):
+        W.weyl_span_probe(None, g, sample=[(np.array([0.3 * g.h, 0.0]), np.zeros(2))])
+    with pytest.raises(DimensionMismatchError, match="momentum"):
+        W.weyl_span_probe(None, g, sample=[(np.zeros(2), np.zeros(3))])
+    with pytest.raises(DimensionMismatchError, match="translation"):
+        W.weyl_span_probe(None, g, sample=[(np.zeros(1), np.zeros(2))])
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), 0.0, -1e-8, 1.0, 2.0, None])
+def test_span_probe_refuses_a_bad_rank_tol(rank_tol):
+    # NaN and 2.0 used to report rank 0
+    with pytest.raises(InputError, match="rank_tol"):
+        W.weyl_span_probe(None, G.PhaseSpaceGrid(2, 4, 2.0), rank_tol=rank_tol)

@@ -1,14 +1,19 @@
-"""The Weyl-system sum of a standard symbol table, written out as the test oracle.
+"""Weyl-system test oracles, written out one Weyl operator at a time.
 
 ``op_quantize`` reads a standard table as its trigonometric interpolant on
 the kernel midpoints.  The paper's other definition of the same map pairs
 the reflected symplectic transform of the table with the Weyl operators
-over the full phase-space lattice; these helpers spell that sum out, one
-Weyl operator at a time, independently of the package's route.
+over the full phase-space lattice; the first helpers spell that sum out,
+independently of the package's route.
+
+``weyl_span_probe`` takes one block per translation class; the last
+helpers build the whole stack of cyclic Weyl matrices it stands for, from
+``circulation`` and index arithmetic, and take its singular values.
 """
 
 import numpy as np
 
+from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
 
@@ -48,3 +53,24 @@ def weyl_operator_sum(F, A, quad):
     ref = sum(c[a, b] * Q.weyl_matrix(A, (xs[a], ps[b]), g, quad).operator_matrix
               for a in range(g.size) for b in range(g.size))
     return g.config_weight * g.momentum_weight * ref
+
+
+def cyclic_weyl_matrix(A, x, p, g, quad):
+    """``[W(x, p) u](y) = e^{-i (y + x/2).p} e^{-i Gamma^A([y, y + x])} u(y + x mod n)``, dense."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    y = g.config_points()
+    idx = np.indices(g.shape).reshape(g.dim, g.size)  # lattice index of each y, per axis
+    step = np.rint(x / g.h).astype(int)[:, None]
+    cols = np.ravel_multi_index(tuple((idx + step) % g.n), g.shape)
+    phase = np.exp(-1j * ((y + 0.5 * x) @ p))
+    if A is not None:
+        phase = phase * np.exp(-1j * F.circulation(A, y, y + x, quad))
+    m = np.zeros((g.size, g.size), dtype=complex)
+    m[np.arange(g.size), cols] = phase
+    return m
+
+
+def stack_singular_values(A, g, sample, quad):
+    """Singular values of the ``(S, n^{2N})`` stack of raveled cyclic Weyl matrices."""
+    stack = np.stack([cyclic_weyl_matrix(A, x, p, g, quad).ravel() for x, p in sample])
+    return np.linalg.svd(stack, compute_uv=False)
