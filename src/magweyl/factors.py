@@ -36,6 +36,11 @@ class _AxisProduct:
         return reduce(np.multiply, [fa(x[..., a]) for a, fa in enumerate(self.fns)])
 
 
+def _axis_term(term) -> bool:
+    """Whether both factors of a symbol's term ``(g, h)`` are axis products."""
+    return all(isinstance(u, _AxisProduct) for u in term)
+
+
 def _conj_factor(g):
     """``conj`` of one factor of a symbol; an axis product stays one."""
     if isinstance(g, _AxisProduct):

@@ -97,7 +97,12 @@ exact to roundoff on the image of the (masked) kernel map -- in practice
 on composed kernels of localized symbols up to their out-of-band tails.
 Kernels whose symbols straddle the alias split (e.g. the bare identity)
 are reconstructed only as their alias class; see ``difference_mask`` for
-the one-period convention the pairings rely on.
+the one-period convention the pairings rely on.  The map is three steps:
+the window tables (``_windows``), the gather of the kernel's pairs into
+them (``_window_pairs``) and the per-axis contraction (``_window_symbol``).
+The star product's twisted route (``moyal``) fills the same windows from
+the per-axis factor matrices of the separable fill (``_axis_matrices``)
+and ends in the same contraction.
 
 Every route gains or loses a potential's phases in ``_dress`` alone: the
 base potential's ``exp(-i Gamma / hbar)`` (at ``hbar = 1`` the one memo a
@@ -119,7 +124,7 @@ import numpy as np
 
 from .csvformat import format_e18
 from .errors import DimensionMismatchError, InputError, OffLatticeError, require_finite
-from .factors import (_AxisProduct, _conj_factor, _gaussian_axes, _kron_sum, _ones,
+from .factors import (_axis_term, _conj_factor, _gaussian_axes, _kron_sum, _ones,
                       _scaled_factor)
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
                      _exact_rule, _gauge_phases, _require_base, _square_norm)
@@ -824,6 +829,29 @@ def _trapezoid(steps: np.ndarray, n: int) -> np.ndarray:
     return np.where(steps < n // 2, 1.0, np.where(steps == n // 2, 0.5, 0.0))
 
 
+def _axis_matrices(terms, grid: PhaseSpaceGrid, tau: float = 0.5, hbar: float = 1.0,
+                   mask: bool = True) -> list:
+    """Per term ``(g, h)`` of axis products, its field-free kernel's ``n x n`` factor per axis.
+
+    The term's kernel is the Kronecker product of the factors.  Entry ``(i,
+    j)`` of axis ``a`` is ``g_a`` at the pair's point ``(1 - tau) x_i + tau
+    x_j`` times ``H_a(v) = w sum_k e^{i v k} h_a(hbar k)`` at the wrapped
+    difference ``(i - j + n/2) mod n``, times the trapezoid mask weight of
+    ``i - j`` (1 for ``mask=False``).
+    """
+    n = grid.n
+    i = np.arange(n)
+    steps = np.subtract.outer(i, i)
+    weight = _trapezoid(steps, n) if mask else 1.0
+    wrapped = (steps + n // 2) % n
+    pts = (grid.midpoint_axis[np.add.outer(i, i)] if tau == 0.5
+           else (1.0 - tau) * grid.config_axis[:, None] + tau * grid.config_axis)
+    k_axis = hbar * grid.momentum_axis
+    return [[np.broadcast_to(ga(pts), (n, n))
+             * ((grid._inv_matrix @ np.broadcast_to(ha(k_axis), (n,)))[wrapped] * weight)
+             for ga, ha in zip(g.fns, h.fns)] for g, h in terms]
+
+
 def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar: float,
                       mask: bool) -> np.ndarray:
     """Field-free kernel of a symbol with ``factors``: Kronecker products, then row blocks.
@@ -834,39 +862,24 @@ def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar
     ``H_r`` at the wrapped difference ``(i - j + n/2) mod n`` with the
     trapezoid mask weight of ``i - j`` folded in (all ones for
     ``mask=False``).  A term whose ``g_r`` and ``h_r`` are both axis products
-    is the Kronecker product of one ``n x n`` matrix per axis, ``g_ra`` at the
-    pair times that axis's weighted transform; all such terms are summed as
-    they are written (``factors._kron_sum``).  Every other term is added in
-    row blocks, gathered from a ``(2n - 1)^N`` table of ``H_r`` at the
+    is the Kronecker product of its ``_axis_matrices``; all such terms are
+    summed as they are written (``factors._kron_sum``).  Every other term is
+    added in row blocks, gathered from a ``(2n - 1)^N`` table of ``H_r`` at the
     difference index ``i - j + n - 1``: at ``tau = 1/2`` its ``g_r`` is
     evaluated once on the ``(2n - 1)^N`` midpoint lattice and read at the
     midpoint index ``i + j``, at any other ``tau`` per row block.  The
     working memory beyond the kernel is one ``_row_blocks`` block.
     """
     n, N, size = grid.n, grid.dim, grid.size
+    mats = _axis_matrices([t for t in f.factors if _axis_term(t)], grid, tau, hbar, mask)
+    terms = [t for t in f.factors if not _axis_term(t)]
+    kern = _kron_sum(mats) if mats else np.zeros((size, size), dtype=complex)
+    if not terms:
+        return kern
     S = 2 * n - 1
     steps = np.arange(S) - (n - 1)  # i - j per axis
     trapezoid = _trapezoid(steps, n) if mask else np.ones(S)
     wrapped = (steps + n // 2) % n
-    i = np.arange(n)
-    diff_ij = np.subtract.outer(i, i) + n - 1
-    axis_pts = (grid.midpoint_axis[np.add.outer(i, i)] if tau == 0.5
-                else (1.0 - tau) * grid.config_axis[:, None] + tau * grid.config_axis)
-    k_axis = hbar * grid.momentum_axis
-
-    def axis_hat(ha):  # one axis's weighted transform at the difference index i - j + n - 1
-        return (grid._inv_matrix @ np.broadcast_to(ha(k_axis), (n,)))[wrapped] * trapezoid
-
-    mats, terms = [], []
-    for g, h in f.factors:
-        if isinstance(g, _AxisProduct) and isinstance(h, _AxisProduct):
-            mats.append([np.broadcast_to(ga(axis_pts), (n, n)) * axis_hat(ha)[diff_ij]
-                         for ga, ha in zip(g.fns, h.fns)])
-        else:
-            terms.append((g, h))
-    kern = _kron_sum(mats) if mats else np.zeros((size, size), dtype=complex)
-    if not terms:
-        return kern
     weight = reduce(np.multiply.outer, [trapezoid] * N)
     k = hbar * grid.momentum_points()
     hats = []
@@ -1033,21 +1046,14 @@ def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
     return vals[pairs].reshape(grid.size, grid.size)
 
 
-def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
-                       quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
-    """Symbol of an operator kernel, on the midpoint phase-space lattice.
+def _windows(g: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse map's windows per axis: first indices ``(S, W)`` and slot phases ``(S, n, W)``.
 
-    Inverts :func:`kernel_from_symbol`: the circulation phases are removed,
-    the pairs of every midpoint class are gathered into one window per axis,
-    and the difference variable of each window is Fourier-transformed back
-    to the dual lattice over one alias period, one axis at a time.  The
-    output is flagged ``alias_doubled``: each value holds the symbol plus
-    its half-box alias mirror, so it is faithful on the inner momentum band
-    for quarter-box limited symbols and re-quantizes exactly (see module
-    notes).
+    Slot ``t`` of the midpoint class ``s`` is the pair ``(first, s - first)``
+    of ``first[s, t]``; a slot past a window's end repeats its last pair with
+    phase 0.
     """
-    g = phi.grid
-    n, N = g.n, g.dim
+    n = g.n
     S, W = 2 * n - 1, n // 2 + 1
     # Per axis, the midpoint class s = i + j uses the first indices i with
     # |2 i - s| <= n/2: differences up to one half box in either direction.
@@ -1055,28 +1061,45 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     # box period; with the trapezoid weights the kernel map puts on them the
     # window is an exact one-period quadrature, symmetric under difference
     # reversal.  Near the box edges the window is clipped to the available
-    # pairs; slots past its end repeat its last pair with phase 0.
+    # pairs.
     s = np.arange(S)[:, None]
     lo = np.maximum(np.maximum(s - (n - 1), 0), (s - n // 2 + 1) // 2)
     hi = np.minimum(np.minimum(s, n - 1), (s + n // 2) // 2)
     first = lo + np.arange(W)
     valid = first <= hi
     first = np.minimum(first, hi)
-    # slot phases e^{-i v k} at the difference v = x - y, shape (S, n, W);
-    # the kernel's trapezoid mask already carries the period-endpoint
-    # halves, so the slot weights are plain
+    # slot phases e^{-i v k} at the difference v = x - y; the kernel's trapezoid
+    # mask already carries the period-endpoint halves, so the slot weights are plain
     v = (2.0 * first - s) * g.h
     phase = np.where(valid[:, None, :],
                      (2.0 * g.h) * np.exp(-1j * v[:, None, :] * g.momentum_axis[:, None]), 0)
+    return first, phase
+
+
+def _window_pairs(phi: OperatorKernel, A: VectorPotential | None, quad: Quadrature,
+                  first: np.ndarray) -> np.ndarray:
+    """The phase-stripped kernel on the window slots, ``out[s_1, t_1, ..., s_N, t_N]``."""
+    g = phi.grid
+    n, N = g.n, g.dim
+    S, W = first.shape
+    s = np.arange(S)[:, None]
     # out[s_1, t_1, ..., s_N, t_N] = psi[i_1, ..., i_N, s_1 - i_1, ..., s_N - i_N], read
     # at flat offsets into psi: a sum of one (s_a, t_a) term per axis
     axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
     flat = sum((first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(sh)
                for a, sh in enumerate(axis_shape))
     psi = phi.kernel if A is None else _dress(phi.kernel.copy(), A, g, quad, strip=True)
-    out = psi.ravel()[flat]
-    del psi, flat  # free the phase-stripped copy before the contractions
-    # one batched contraction per axis, slot t_a -> momentum k_a, batched over s_a;
+    return psi.ravel()[flat]
+
+
+def _window_symbol(out: np.ndarray, phase: np.ndarray, g: PhaseSpaceGrid) -> SymbolGrid:
+    """The alias-doubled midpoint symbol of window samples ``out``: one contraction per axis.
+
+    Slot ``t_a`` goes to momentum ``k_a``, batched over ``s_a``.  A caller
+    passes ``out`` as a temporary, so it is freed by the first contraction.
+    """
+    n, N = g.n, g.dim
+    S, _, W = phase.shape
     # every product is a matrix product.  The axes before the last left-multiply
     # every later index; the last right-multiplies every earlier index, one strided
     # row each, by the transposed phases
@@ -1090,3 +1113,20 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     out = out.transpose(list(range(1, 2 * N - 1, 2)) + [0] + list(range(2, 2 * N, 2))
                         + [2 * N - 1])
     return SymbolGrid(g, "midpoint", out, alias_doubled=True)
+
+
+def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
+                       quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
+    """Symbol of an operator kernel, on the midpoint phase-space lattice.
+
+    Inverts :func:`kernel_from_symbol`: the circulation phases are removed,
+    the pairs of every midpoint class are gathered into one window per axis
+    (``_windows``, ``_window_pairs``), and the difference variable of each
+    window is Fourier-transformed back to the dual lattice over one alias
+    period, one axis at a time (``_window_symbol``).  The output is flagged
+    ``alias_doubled``: each value holds the symbol plus its half-box alias
+    mirror, so it is faithful on the inner momentum band for quarter-box
+    limited symbols and re-quantizes exactly (see module notes).
+    """
+    first, phase = _windows(phi.grid)
+    return _window_symbol(_window_pairs(phi, A, quad, first), phase, phi.grid)

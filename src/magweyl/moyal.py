@@ -16,8 +16,9 @@ the inverse map strips again, so the product quantizes both factors in
 the base potential, with the kernel map of ``grid``, and never samples
 ``rho``.
 
-The product composes only the band of the kernel that the inverse map
-reads.  Two facts make this exact:
+Both routes compute the composed kernel, its phase stripped, only on the
+pairs the inverse map reads, and share the inverse map's per-axis
+contraction (``grid._window_symbol``).  Two facts make this exact:
 
 * the factor kernels are masked (``kernel_from_symbol`` with ``mask=True``),
   so each is exactly 0 at every pair more than n/2 lattice steps apart on
@@ -25,10 +26,28 @@ reads.  Two facts make this exact:
 * ``symbol_from_kernel`` reads only the pairs at most n/2 steps apart on
   every axis.
 
-So each row block of the first lattice axis is multiplied only against the
-columns within n/2 first-axis steps of it (``_band_compose``); the entries
-outside stay 0 and are never read.  ``product_kernel`` returns a kernel and
-composes the full matrices.
+The twisted route takes a base potential of declared degree <= 1 and two
+evaluators whose factors are all axis products (``factors._AxisProduct``;
+every preset's are).  An affine potential with Jacobian ``J`` has the
+triangle flux
+
+    Gamma(x, z) + Gamma(z, y) - Gamma(x, y) = z^T W (x - y) + x^T W y
+                                            = (z - m)^T W (x - y),
+
+``W = (J - J^T) / 2`` and ``m = (x + y) / 2``: bilinear, so once ``x - y``
+is fixed the sum over the middle point ``z`` splits axis by axis into one
+``n x n`` product per axis of the factors' per-axis matrices
+(``grid._axis_matrices``), with ``e^{-i z_a c_a}``, ``c = W (x - y)``,
+between them (``_twisted_slots``).  No factor kernel, phase table or
+``n^N x n^N`` array is made.
+
+Every other input (an ``fn`` evaluator, a ``SymbolGrid``, a potential of
+higher or undeclared degree) takes the band route: both factor kernels are
+filled in the base potential, and each row block of the first lattice axis
+is multiplied only against the columns within n/2 first-axis steps of it
+(``_band_compose``); the entries outside stay 0 and are never read, and the
+base's phase table strips the product.  ``product_kernel`` returns a kernel
+and composes the full matrices.
 
 A direct evaluation of the defining double phase-space integral -- the
 oscillatory integral with the triangle-flux phase -- is kept as an
@@ -40,7 +59,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GaugeMismatchError, InputError, ResourceLimitError
+from .errors import GaugeMismatchError, InputError, NumericError, ResourceLimitError
+from .factors import _axis_term
 from .fields import (
     DEFAULT_QUADRATURE,
     MagneticField,
@@ -59,8 +79,11 @@ from .grid import (
     symbol_from_kernel,
     kernel_compose,
     segment_phase_matrix,
+    _axis_matrices,
     _lattice_mesh,
     _row_blocks,
+    _window_symbol,
+    _windows,
 )
 
 __all__ = [
@@ -90,6 +113,13 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     values are faithful on the inner momentum band and it re-quantizes to
     the composed kernel exactly.
 
+    Two routes give the same table to roundoff (module notes).  When the
+    base potential declares degree <= 1 and every factor of both symbols is
+    an axis product (every preset's is), the twisted route sums over the
+    middle point one axis at a time on the pairs the inverse map reads.
+    Every other input (an ``fn`` evaluator, a ``SymbolGrid``, a potential
+    of higher or undeclared degree) takes the band route.
+
     Raises
     ------
     GaugeMismatchError
@@ -98,10 +128,71 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     if check_gauge:
         validate_gauge(A, B)
     base = _gauge_base(A)  # gauge phases conjugate both factors and the product alike
+    if (base.degree_hint is not None and base.degree_hint <= 1 and base.dim == grid.dim
+            and all(isinstance(h, SymbolEvaluator) and h.dim == grid.dim
+                    and h.factors is not None and all(map(_axis_term, h.factors))
+                    for h in (f, g))):
+        first, phase = _windows(grid)
+        return _window_symbol(_twisted_slots(f, g, _twist(base), grid, first), phase, grid)
     kf, kg = (kernel_from_symbol(h, base, grid, quad) for h in (f, g))
     composed = _band_compose(kf.kernel, kg.kernel, segment_phase_matrix(base, grid, quad), grid)
     del kf, kg  # free the factors before the inverse map
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
+
+
+def _twist(base: VectorPotential) -> np.ndarray:
+    """``W = (J - J^T) / 2`` of an affine potential, its Jacobian ``J`` read off ``eval``.
+
+    ``J[:, b] = A(e_b) - A(0)`` over the unit vectors ``e_b``, exact for a
+    potential of degree <= 1; a non-finite value raises NumericError.
+    """
+    N = base.dim
+    vals = np.asarray(base.eval(np.vstack([np.zeros(N), np.eye(N)])), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("potential non-finite at the origin or a unit vector")
+    jac = (vals[1:] - vals[0]).T
+    return 0.5 * (jac - jac.T)
+
+
+def _twisted_slots(f: SymbolEvaluator, g: SymbolEvaluator, twist: np.ndarray,
+                   grid: PhaseSpaceGrid, first: np.ndarray) -> np.ndarray:
+    """The twisted route: the phase-stripped composed kernel on the window slots of ``first``.
+
+    With ``F_ra``, ``G_sa`` the per-axis factors of the two symbols
+    (``grid._axis_matrices``), the midpoint ``m`` of the slot's pair ``(x, y)``
+    and ``c = W (x - y)``, the slot holds ``w sum_{r,s} prod_a sum_z F_ra(x_a,
+    z) e^{-i (z - m_a) c_a} G_sa(z, y_a)`` (module notes).  Per axis ``a``,
+    ``c_a`` takes one value per tuple of the other axes' steps ``x_b - y_b`` in
+    ``[-n/2, n/2]``: one batched ``n x n`` product each, read at the window
+    pairs and spread over the other axes' slots by the steps they hold.
+    """
+    n, N = grid.n, grid.dim
+    S, T = first.shape
+    second = np.arange(S)[:, None] - first
+    steps = (first - second).ravel() + n // 2  # x - y at each slot, as an index into the steps
+    tables = []
+    fm, gm = (np.array(_axis_matrices(u.factors, grid)) for u in (f, g))  # (terms, N, n, n)
+    for a in range(N):
+        # (terms of f, terms of g, tuples of the other axes' steps, S, T); a tuple sets c_a
+        tuples = _lattice_mesh([[0] if b == a else np.arange(n + 1) - n // 2 for b in range(N)])
+        c = grid.h * (tuples @ twist[a])[:, None]
+        slots = ((fm[:, None, None, a] * np.exp(-1j * c * grid.config_axis)[:, None])
+                 @ gm[None, :, None, a])[..., first, second]
+        slots *= np.exp(1j * c[:, :, None] * grid.midpoint_axis[:, None])
+        pre = (n + 1) ** a
+        slots = slots.reshape(-1, pre, len(c) // pre, S * T).swapaxes(2, 3)
+        tables.append(slots.reshape((-1,) + (n + 1,) * a + (S * T,) + (n + 1,) * (N - 1 - a)))
+    tables[0] = tables[0] * grid.config_weight
+    out = None
+    for per_axis in zip(*tables):  # one term pair at a time
+        part = None
+        for a, tab in enumerate(per_axis):
+            for b in range(N):
+                if b != a:
+                    tab = np.take(tab, steps, axis=b)
+            part = tab if part is None else np.multiply(part, tab, out=part)
+        out = part if out is None else out + part
+    return out.reshape((S, T) * N)
 
 
 def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,

@@ -225,11 +225,11 @@ def momentum_operator(A: VectorPotential | None, j: int, grid: PhaseSpaceGrid) -
     multiplication operator by A_j on the lattice.
     """
     _check_axis(j, grid)
+    if A is not None and A.dim != grid.dim:  # before the dense matrix is made
+        raise DimensionMismatchError("potential dimension does not match grid")
     deriv = grid._inv_matrix @ (grid.momentum_axis[:, None] * grid._fwd_matrix)
     mat = reduce(np.kron, [deriv if a == j else np.eye(grid.n) for a in range(grid.dim)])
     if A is not None:
-        if A.dim != grid.dim:
-            raise DimensionMismatchError("potential dimension does not match grid")
         a_j = np.asarray(A.eval(grid.config_points()), dtype=float)[:, j]
         mat[np.diag_indices(grid.size)] -= a_j
     return OperatorKernel.from_operator_matrix(grid, mat)

@@ -31,6 +31,7 @@ from .grid import (
     _apply_axes,
     _dress,
     _multiply_per_axis,
+    _row_blocks,
     _shift_index_table,
     fourier_symplectic,
 )
@@ -100,7 +101,11 @@ def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
     rank_tol : float
         Singular values above ``rank_tol`` times the largest count; 0 < rank_tol < 1.
     max_entries : int
-        Cap on the block entries, padding included.
+        Cap on the block entries, padding included: the complex blocks, 16
+        bytes an entry, are the probe's one large array, so the cap bounds
+        its working memory at about ``16 * max_entries`` bytes.  The phases
+        are written into the blocks one ``_row_blocks`` block of samples at
+        a time.
 
     Returns a report ``{"sample_size", "rank", "full_dim"}``; the full lattice
     has rank ``full_dim = (n^N)^2`` for any potential.
@@ -123,14 +128,19 @@ def weyl_span_probe(A: VectorPotential | None, grid: PhaseSpaceGrid,
         raise ResourceLimitError("span probe needs %d entries, cap %d" % (entries, max_entries))
     order = np.argsort(cls, kind="stable")  # grouped by class; a row's slot is its place
     xs, ps, cls = xs[order], ps[order], cls[order]
-    slot = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
-    # -i (y.p + Gamma^A([y, y + x])) per sample; the row constant x.p/2 moves no singular value
-    arg = -1j * (ps @ pts.T)
+    rows = cls * counts.max() + np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
     if A is not None:
         shifts, which = np.unique(xs, axis=0, return_inverse=True)
-        arg -= 1j * circulation(A, pts, pts + shifts[:, None], quad)[which.ravel()]
+        circ, which = circulation(A, pts, pts + shifts[:, None], quad), which.ravel()
     blocks = np.zeros((len(counts), counts.max(), g.size), dtype=complex)
-    blocks[cls, slot] = np.exp(arg, out=arg)
+    table = blocks.reshape(-1, g.size)
+    # e^{-i (y.p + Gamma^A([y, y + x]))} per sample, written into its block row in
+    # _row_blocks; the row constant x.p/2 moves no singular value
+    for r0, r1 in _row_blocks(len(cls)):
+        arg = -1j * (ps[r0:r1] @ pts.T)
+        if A is not None:
+            arg -= 1j * circ[which[r0:r1]]
+        table[rows[r0:r1]] = np.exp(arg, out=arg)
     sv = np.linalg.svd(blocks, compute_uv=False)  # padding adds zeros, which never count
     return {"sample_size": len(cls), "rank": int((sv > rank_tol * sv.max()).sum()),
             "full_dim": g.size**2}

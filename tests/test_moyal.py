@@ -82,9 +82,10 @@ def test_product_table_requantizes_to_operator_product():
 
 @pytest.mark.parametrize("gauge", ["symmetric", "transversal_gaussian"])
 def test_product_uses_one_phase_table(monkeypatch, gauge):
-    # the product equals the symbol of the composed magnetic kernels, and on a fresh
-    # potential both factors and the inverse map share one phase table: the
-    # base potential's, built once.  The composed kernel alone also builds one
+    # the product equals the symbol of the composed magnetic kernels.  On a fresh
+    # potential the band route's factors and inverse map share one phase table: the
+    # base potential's, built once; the twisted route (the symmetric gauge is affine)
+    # builds none.  The composed kernel alone builds one
     g = G.PhaseSpaceGrid(2, 10, 5.0)
 
     def rig():
@@ -110,7 +111,7 @@ def test_product_uses_one_phase_table(monkeypatch, gauge):
     monkeypatch.setattr(G, "_segment_phases", counted)
     B, A = rig()
     out = M.moyal_product(f, h, B, A, g, QUAD)
-    assert builds == [F._gauge_base(A)]
+    assert builds == ([] if gauge == "symmetric" else [F._gauge_base(A)])
     assert np.abs(out.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
     builds.clear()
     B, A = rig()
@@ -174,6 +175,144 @@ def test_band_product_matches_symbol_of_composed_kernel(dim, n):
     ref = G.symbol_from_kernel(M.product_kernel(f, h, A, g, QUAD), A, QUAD).values
     out = M.moyal_product(f, h, B, A, g, QUAD).values
     assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the twisted route: an affine base potential and axis-product factors
+
+def twisted_rig(name):
+    if name == "linear-1d":
+        return G.PhaseSpaceGrid(1, 16, 5.0), F.zero_field(1), F.linear_potential([[0.7]])
+    if name == "linear-3d":
+        return (G.PhaseSpaceGrid(3, 6, 4.0),) + band_rig(3)
+    g, B = G.PhaseSpaceGrid(2, 12, 5.0), F.constant_field_2d(1.3)
+    if name == "landau":
+        return g, B, F.landau_gauge(1.3)
+    A = F.symmetric_gauge(1.3)
+    if name == "symmetric+grad":
+        rho = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.3, (2, 1)), (-0.1, (0, 3))]]))
+        A = F.add_gradient(A, rho)
+    return g, B, A
+
+
+def fn_only(sym):
+    """The same symbol given by ``fn`` alone: the band route's input."""
+    return G.SymbolEvaluator(sym.dim, sym.fn)
+
+
+@pytest.mark.parametrize("name", ["linear-1d", "symmetric", "landau", "symmetric+grad",
+                                  "linear-3d"])
+def test_twisted_route_matches_band_route(name, monkeypatch):
+    g, B, A = twisted_rig(name)
+    dim = g.dim
+    f = (G.gaussian_symbol(dim, x_center=[0.2] * dim, x_width=0.9, p_width=0.8,
+                           amplitude=1.0 + 0.5j)
+         + (0.3 - 0.2j) * G.gaussian_symbol(dim, p_center=[0.1] * dim, x_width=1.2,
+                                            p_width=0.7))
+    h = (G.gaussian_symbol(dim, x_center=[-0.1] * dim, p_center=[0.1] * dim, x_width=1.1,
+                           p_width=0.9)
+         + G.gaussian_symbol(dim, x_center=[0.3] * dim, x_width=0.8, p_width=1.0,
+                             amplitude=-0.4j))
+    band = M.moyal_product(fn_only(f), fn_only(h), B, A, g, QUAD).values
+    monkeypatch.setattr(M, "_band_compose", None)  # the twisted route composes no kernels
+    out = M.moyal_product(f, h, B, A, g, QUAD).values
+    assert np.abs(out - band).max() <= 1e-14 * np.abs(band).max()
+
+
+@pytest.mark.parametrize("case", ["degree-2", "fn", "x-only", "table"])
+def test_product_route_selection(case, monkeypatch):
+    # only a base of declared degree <= 1 with axis-product factors takes the twisted route
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    B, A = F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
+    quad = QUAD
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=0.8)
+    h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], x_width=1.0, p_width=0.9)
+    if case == "degree-2":  # the one-node rule is not exact for it, so the routes differ
+        A = F.polynomial_potential(2, [[(-0.5, (0, 1))], [(0.5, (1, 0)), (0.2, (2, 0))]])
+        B, quad = F.linear_field_2d(1.0, [0.4, 0.0]), F.Quadrature(1)
+    elif case == "fn":
+        h = fn_only(h)
+    elif case == "x-only":
+        h = G.x_only_symbol(2, lambda x: np.exp(-np.square(x).sum(-1)))
+    else:
+        h = h.sample(g, "midpoint")
+    ref = G.symbol_from_kernel(M.product_kernel(f, h, A, g, quad), A, quad).values
+    monkeypatch.setattr(M, "_twisted_slots", None)
+    out = M.moyal_product(f, h, B, A, g, quad).values
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# closed form: two Gaussians in a constant field
+
+def gaussian_star_closed_form(b, f, g, q, p):
+    """The star product of two planar Gaussians in the constant field ``b`` at ``(q, p)``.
+
+    The defining integral over ``u = (x, k, y, l)``, f at ``(x, k)`` and g at
+    ``(y, l)``, is ``4^N (2 pi)^{-2N} int e^{-1/2 u^T M u + v^T u + c}``: the
+    symplectic phase ``-2 i [(q - y).(p - k) - (q - x).(p - l)]``, the flux
+    ``-i b area(q + x - y, x + y - q, q - x + y)`` through the triangle with
+    side midpoints ``x, y, q`` and the Gaussians' exponents.  Its value is
+    ``(2 pi)^{2N} det(M)^{-1/2} exp(c + 1/2 v^T M^{-1} v)``, the root the
+    product of the eigenvalues' principal roots (``Re M`` is positive definite).
+    """
+    N = 2
+    Sx, Sk, Sy, Sl = (np.eye(N, 4 * N, k) for k in range(0, 4 * N, N))
+    form = {"M": np.zeros((4 * N, 4 * N), complex), "v": np.zeros(4 * N, complex), "c": 0j}
+
+    def bilinear(coef, a0, A, b0, Bm, C):  # coef (a0 + A u)^T C (b0 + Bm u)
+        form["c"] += coef * a0 @ C @ b0
+        form["v"] += coef * (Bm.T @ C.T @ a0 + A.T @ C @ b0)
+        quad = A.T @ C @ Bm
+        form["M"] -= coef * (quad + quad.T)
+
+    for (Sc, Sm), sym in (((Sx, Sk), f), ((Sy, Sl), g)):
+        for S, centre, width in ((Sc, sym["x_center"], sym["x_width"]),
+                                 (Sm, sym["p_center"], sym["p_width"])):
+            c0 = -np.asarray(centre, dtype=float)
+            bilinear(-0.5 / width**2, c0, S, c0, S, np.eye(N))
+    bilinear(-2j, q, -Sy, p, -Sk, np.eye(N))
+    bilinear(2j, q, -Sx, p, -Sl, np.eye(N))
+    # signed area of <a, a + s, a + t>: (s_1 t_2 - s_2 t_1) / 2, with s = 2 (y - q), t = 2 (y - x)
+    area = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    bilinear(-1j * b, -2.0 * q, 2.0 * Sy, np.zeros(N), 2.0 * (Sy - Sx), area)
+    Mq, v = form["M"], form["v"]
+    root = np.prod(np.sqrt(np.linalg.eigvals(Mq)))
+    return (4.0**N * np.exp(form["c"] + 0.5 * v @ np.linalg.solve(Mq, v)) / root
+            * f["amplitude"] * g["amplitude"])
+
+
+STAR_F = dict(x_center=[0.3, -0.2], p_center=[0.1, -0.25], x_width=1.1, p_width=0.9,
+              amplitude=1.0)
+STAR_G = dict(x_center=[-0.35, 0.15], p_center=[-0.2, 0.05], x_width=0.95, p_width=0.85,
+              amplitude=0.7 - 0.4j)
+
+
+def test_closed_form_orientation_is_flux_triangle():
+    b = 1.3
+    a, s, t = np.random.default_rng(5).normal(size=(3, 2))
+    area = 0.5 * (s[0] * t[1] - s[1] * t[0])
+    assert F.flux_triangle(F.constant_field_2d(b), a, a + s, a + t) == pytest.approx(b * area,
+                                                                                   rel=1e-14)
+
+
+def test_twisted_route_matches_gaussian_closed_form():
+    # dim 2, n=32, L=8: measured 9.0e-12, 1.2e-11 and 2.0e-11 at these three points; the
+    # direct probe at 24 points per axis misses the centre by 9.2e-13
+    b, g = 1.0, G.PhaseSpaceGrid(2, 32, 8.0)
+    B = F.constant_field_2d(b)
+    f, h = G.gaussian_symbol(2, **STAR_F), G.gaussian_symbol(2, **STAR_G)
+    prod = M.moyal_product(f, h, B, F.symmetric_gauge(b), g, QUAD)
+    n = g.n
+    for s, k in (((n, n), (n // 2, n // 2)), ((n + 2, n - 1), (n // 2 + 1, n // 2)),
+                 ((n - 3, n + 1), (n // 2 - 1, n // 2 + 2))):
+        q, p = g.midpoint_axis[list(s)], g.momentum_axis[list(k)]
+        exact = gaussian_star_closed_form(b, STAR_F, STAR_G, q, p)
+        assert abs(prod.values[s + k] - exact) <= 2e-10
+    centre = (np.zeros(2), np.zeros(2))
+    probe = M.moyal_direct_probe(f, h, B, centre, points_per_axis=24, config_halfwidth=4.5,
+                                 momentum_halfwidth=4.5)
+    assert abs(probe - gaussian_star_closed_form(b, STAR_F, STAR_G, *centre)) <= 1e-11
 
 
 def test_product_memory_peak(traced_peak):

@@ -707,6 +707,17 @@ def test_momentum_operator_memory_peak(traced_peak):
     assert traced_peak(lambda: Q.momentum_operator(F.symmetric_gauge(1.0), 0, g)) <= 48 * 2**20
 
 
+def test_momentum_operator_refuses_a_wrong_dimension_before_its_matrix(traced_peak):
+    # the check ran after the dense derivative matrix: 16.0 MB allocated at dim 1, n=512
+    g, A = G.PhaseSpaceGrid(1, 512, 6.0), F.symmetric_gauge(1.0)
+
+    def refused():
+        with pytest.raises(DimensionMismatchError):
+            Q.momentum_operator(A, 0, g)
+
+    assert traced_peak(refused) <= 2**20
+
+
 @pytest.mark.parametrize("j", [0.5, True, False, None, -1, 2, "0"])
 def test_basic_observables_refuse_a_bad_axis_index(j):
     # a float axis gave the identity momentum, an IndexError or a ValueError

@@ -188,6 +188,17 @@ def test_span_probe_resource_guard():
         W.weyl_span_probe(None, line, sample=sample, max_entries=15)
 
 
+def test_span_probe_memory_peak(traced_peak):
+    # the full dim-2 lattice at n=12: 144 classes of 144 rows of 144 entries, 45.6 MiB of
+    # blocks.  The phases go into them one row block at a time (measured 54.6 MiB); a full
+    # phase table of the samples beside the blocks peaked at 116 MB
+    g = G.PhaseSpaceGrid(2, 12, 4.0)
+    A = F.symmetric_gauge(1.0)
+    reports = []
+    assert traced_peak(lambda: reports.append(W.weyl_span_probe(A, g, quad=QUAD))) <= 60 * 2**20
+    assert reports[0]["rank"] == g.size**2
+
+
 def _span_sample(g, rng, count):
     """Seeded (x, p) pairs: steps past the box edge, a translation and its image
     one box length away (one class), and repeated pairs."""
