@@ -36,21 +36,23 @@ from .fields import (
     zero_field,
     zero_potential,
 )
+from .symbols import (
+    SymbolEvaluator,
+    SymbolGrid,
+    constant_symbol,
+    gaussian_symbol,
+    x_only_symbol,
+)
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
-    SymbolEvaluator,
-    SymbolGrid,
     WaveFunction,
-    constant_symbol,
     fourier_config,
     fourier_symplectic,
-    gaussian_symbol,
     gaussian_wavefunction,
     kernel_compose,
     kernel_from_symbol,
     symbol_from_kernel,
-    x_only_symbol,
 )
 from .quantize import (
     WeylParams,

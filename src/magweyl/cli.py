@@ -32,6 +32,7 @@ from . import fields as fl
 from . import grid as gr
 from . import moyal as my
 from . import quantize as qu
+from .csvformat import _write_csv
 from .errors import GaugeMismatchError, InputError, NumericError, ResourceLimitError
 from .verify import run_battery
 
@@ -99,7 +100,7 @@ def cmd_spectrum(shown: dict, cfg: dict, outdir: Path) -> int:
                 {"config": shown, "gauss_orders": gauss_orders(B, gauges, quad),
                  "hermiticity_defect": defect,
                  "eigenvalues": [float(e) for e in evs]})
-    gr._write_csv(outdir / "spectrum.csv", [evs], "sorted eigenvalues")
+    _write_csv(outdir / "spectrum.csv", [evs], "sorted eigenvalues")
     print("wrote %d eigenvalues in [%.6f, %.6f]" % (len(evs), evs[0], evs[-1]))
     return 0
 

@@ -16,7 +16,7 @@ import numbers
 
 from . import coupling as cp
 from . import fields as fl
-from . import grid as gr
+from . import symbols as sy
 from .errors import InputError
 
 SCHEMA = "magweyl-config/1"
@@ -218,8 +218,8 @@ _BUILDERS = {  # kind: the field, potential or symbol of a checked record r in d
         "landau": lambda r, dim, B, quad: fl.landau_gauge(r["b"]),
         "transversal": lambda r, dim, B, quad: fl.transversal_gauge(B, quad)},
     "symbol": {
-        "constant": lambda r, dim: gr.constant_symbol(dim, r["value"]),
-        "gaussian": lambda r, dim: gr.gaussian_symbol(dim, r["x_center"], r["p_center"],
+        "constant": lambda r, dim: sy.constant_symbol(dim, r["value"]),
+        "gaussian": lambda r, dim: sy.gaussian_symbol(dim, r["x_center"], r["p_center"],
                                                       r["x_width"], r["p_width"], r["amplitude"]),
         "kinetic": lambda r, dim: cp.PolynomialSymbol(dim, [  # |p|^2
             (1.0, tuple(2 if j == a else 0 for j in range(dim))) for a in range(dim)

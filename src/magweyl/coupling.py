@@ -33,7 +33,7 @@ point.  A factored symbol ``sum_r g_r(x) h_r(p)`` is transformed once per
 factor, ``H_r = F^{-1} h_r``, and a row block's difference table is the
 product of its ``g_r(x)`` with the ``H_r``; a symbol given by ``fn`` is
 evaluated and transformed per block.  Where every ``h_r`` is a product over
-the axes (``factors._AxisProduct``, as for every preset) and the phases are
+the axes (``symbols._AxisProduct``, as for every preset) and the phases are
 plane waves without gauge data (or there is no potential), the whole route
 factorizes per axis (``_axis_rows``): row ``x`` is ``sum_r g_r(x) (x)_a
 T_ra(x)`` with ``T_ra = (e^{i y_a A_a(x)} H_ra) F^T``, one ``(rows, n)``
@@ -50,9 +50,9 @@ import numpy as np
 from .errors import DimensionMismatchError, InputError, NumericError, require_finite
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
                      _exact_rule, _gauge_base, _gauge_phases)
-from .factors import _AxisProduct, _momentum_monomial, _ones
-from .grid import (PhaseSpaceGrid, SymbolEvaluator, SymbolGrid, _apply_axes, _config_axis,
-                   _lattice_mesh, _row_blocks)
+from .grid import PhaseSpaceGrid, _apply_axes, _row_blocks
+from .symbols import (SymbolEvaluator, SymbolGrid, _AxisProduct, _config_axis, _lattice_mesh,
+                      _momentum_monomial, _ones)
 
 __all__ = [
     "PolynomialSymbol",

@@ -1,10 +1,10 @@
-"""Exact ``'%.18e' %`` formatting of float tables in NumPy: the digits of every CSV.
+"""Exact ``'%.18e' %`` formatting of float tables in NumPy, and the package's CSV writer.
 
 ``format_e18`` writes a block of finite floats as ``'%.18e'`` text, byte
 for byte what Python's ``%`` (and so ``np.savetxt``) writes, without a
 Python-level conversion per value: CPython needs big-integer arithmetic for
-19 correctly rounded digits, about 1 us a value.  ``grid._write_csv`` feeds
-it one block of rows at a time.
+19 correctly rounded digits, about 1 us a value.  ``_write_csv``, the one
+CSV writer of the package, feeds it one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -148,3 +148,33 @@ def format_e18(values: np.ndarray, seps) -> bytes:
     words[:, 5] = exp_a[e] | (48 + last.astype("<u4"))
     out[..., 6] = exp_b[e].reshape(values.shape) | np.asarray(seps, dtype="<u4") << 16
     return out.tobytes().translate(None, b"\0")
+
+
+# rows per formatted block of _write_csv
+_CSV_ROWS = 2048
+
+
+def _write_csv(path, columns, header: str) -> None:
+    """Write float ``columns`` (each raveled) side by side as a CSV table.
+
+    The bytes are those of ``np.savetxt(path, table, delimiter=",", header=header)``:
+    ``%.18e`` per value, ``,`` between columns and a ``# `` comment header.
+    Each block of ``_CSV_ROWS`` rows is copied from the columns and
+    formatted exactly in NumPy (``format_e18``, which falls back
+    to ``%`` for the values it cannot prove); a block holding a non-finite
+    value is one ``%``-format over its flat values.
+    """
+    columns = [np.asarray(c) for c in columns]
+    rows, cols = columns[0].size, len(columns)
+    seps = [ord(",")] * (cols - 1) + [ord("\n")]
+    line = ",".join(["%.18e"] * cols) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode())
+        for r0 in range(0, rows, _CSV_ROWS):
+            block = np.empty((min(_CSV_ROWS, rows - r0), cols))
+            for c, col in enumerate(columns):
+                block[:, c] = col.flat[r0:r0 + _CSV_ROWS]
+            if np.isfinite(block).all():
+                fh.write(format_e18(block, seps))
+            else:
+                fh.write((line * len(block) % tuple(block.ravel().tolist())).encode())

@@ -24,15 +24,15 @@ on the half-step lattice, so symbols enter as closed-form evaluators
 (sampled exactly, no interpolation), as half-step-lattice sample tables, or
 as standard-lattice tables read through their trigonometric interpolant on
 the midpoints.  The symbol presets are separable and are given by their
-factors alone (``SymbolEvaluator``), so every quantization route reads the
-same definition.
+factors alone (``SymbolEvaluator``, in ``symbols``), so every quantization
+route reads the same definition.
 
 At ordering ``tau`` and Planck constant ``hbar`` (``quantize.op_quantize``)
 the symbol is read at ``((1 - tau) x + tau y, hbar k)`` and the phase is
 ``exp(-i Gamma / hbar)``; ``kernel_from_symbol`` is ``tau = 1/2, hbar = 1``.
 Both call ``_quantized_kernel``, the one place that picks the fill of the
 field-free kernel, multiplies the mask into the fills that do not fold it
-in (the per-axis weights of ``difference_mask``, or the zero-fill mask of a
+in (the trapezoid weights of ``_trapezoid``, or the zero-fill mask of a
 standard table, one axis at a time by ``_multiply_per_axis``), and dresses
 the kernel with the phases, table first:
 
@@ -51,12 +51,12 @@ standard ``SymbolGrid``      windowed (interpolated),   refused
   h_r(p)`` the kernel is ``sum_r g_r((1 - tau) x + tau y) H_r(x - y)``,
   one per-axis inverse transform ``H_r`` of each ``h_r`` (mask folded in).
   A term whose two factors are products over the axes
-  (``factors._AxisProduct``; every preset's are) is the Kronecker product
+  (``symbols._AxisProduct``; every preset's are) is the Kronecker product
   of one ``n x n`` matrix per axis, ``g_ra`` at the pair times ``H_ra`` at
   its wrapped difference, and all such terms are written in one pass, one
-  matmul over the terms (``factors._kron_sum``).  Any other term is added
-  in row blocks; at ``tau = 1/2`` its ``g_r`` is evaluated once on the
-  midpoint lattice and read per axis at the midpoint index ``i + j``.
+  matmul over the terms (``_kron_sum``).  Any other term is added in row
+  blocks; at ``tau = 1/2`` its ``g_r`` is evaluated once on the midpoint
+  lattice and read per axis at the midpoint index ``i + j``.
 * the windowed map (``_windowed_kernel``), the separable fill's test
   oracle.  Per axis, the pairs ``(i, j)`` of one midpoint class ``s = i + j``
   have wrapped differences of one parity, so the class reads only n/2 of
@@ -96,8 +96,8 @@ re-quantized with the dual half-weight, which makes
 exact to roundoff on the image of the (masked) kernel map -- in practice
 on composed kernels of localized symbols up to their out-of-band tails.
 Kernels whose symbols straddle the alias split (e.g. the bare identity)
-are reconstructed only as their alias class; see ``difference_mask`` for
-the one-period convention the pairings rely on.  The map is three steps:
+are reconstructed only as their alias class; see ``_trapezoid`` for the
+one-period convention the pairings rely on.  The map is three steps:
 the window tables (``_windows``), the gather of the kernel's pairs into
 them (``_window_pairs``) and the per-axis contraction (``_window_symbol``).
 The star product's twisted route (``moyal``) fills the same windows from
@@ -122,12 +122,13 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .csvformat import format_e18
-from .errors import DimensionMismatchError, InputError, OffLatticeError, require_finite
-from .factors import (_axis_term, _conj_factor, _gaussian_axes, _kron_sum, _ones,
-                      _scaled_factor)
+from .csvformat import _write_csv
+from .errors import DimensionMismatchError, InputError, OffLatticeError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
                      _exact_rule, _gauge_phases, _require_base, _square_norm)
+# the public names of symbols are re-exported here (__all__)
+from .symbols import (SymbolEvaluator, SymbolGrid, constant_symbol, gaussian_symbol,
+                      x_only_symbol, _axis_term, _lattice_mesh)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -141,7 +142,6 @@ __all__ = [
     "symbol_from_kernel",
     "kernel_compose",
     "segment_phase_matrix",
-    "difference_mask",
     "gaussian_wavefunction",
     "gaussian_symbol",
     "x_only_symbol",
@@ -232,16 +232,6 @@ class PhaseSpaceGrid:
             raise OffLatticeError("point %r is not on the configuration lattice" % (x,))
         return ridx.astype(int)
 
-
-def _lattice_mesh(axes) -> np.ndarray:
-    """All points of the product lattice of the 1-D ``axes``, shape (prod len, N), row-major."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _config_axis(grid: PhaseSpaceGrid, kind: str) -> np.ndarray:
-    """Configuration axis of a symbol lattice: the grid's own, or the midpoints."""
-    return grid.config_axis if kind == "standard" else grid.midpoint_axis
 
 
 def _shift_index_table(grid: PhaseSpaceGrid, steps=None):
@@ -363,36 +353,6 @@ def fourier_config(u: WaveFunction, direction: str = "forward") -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operator kernels
-
-# rows per formatted block of _write_csv
-_CSV_ROWS = 2048
-
-
-def _write_csv(path, columns, header: str) -> None:
-    """Write float ``columns`` (each raveled) side by side as a CSV table.
-
-    The bytes are those of ``np.savetxt(path, table, delimiter=",", header=header)``:
-    ``%.18e`` per value, ``,`` between columns and a ``# `` comment header.
-    Each block of ``_CSV_ROWS`` rows is copied from the columns and
-    formatted exactly in NumPy (``csvformat.format_e18``, which falls back
-    to ``%`` for the values it cannot prove); a block holding a non-finite
-    value is one ``%``-format over its flat values.
-    """
-    columns = [np.asarray(c) for c in columns]
-    rows, cols = columns[0].size, len(columns)
-    seps = [ord(",")] * (cols - 1) + [ord("\n")]
-    line = ",".join(["%.18e"] * cols) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode())
-        for r0 in range(0, rows, _CSV_ROWS):
-            block = np.empty((min(_CSV_ROWS, rows - r0), cols))
-            for c, col in enumerate(columns):
-                block[:, c] = col.flat[r0:r0 + _CSV_ROWS]
-            if np.isfinite(block).all():
-                fh.write(format_e18(block, seps))
-            else:
-                fh.write((line * len(block) % tuple(block.ravel().tolist())).encode())
-
 
 class OperatorKernel:
     """Integral kernel on the configuration lattice.
@@ -608,179 +568,6 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
 
 
 # ---------------------------------------------------------------------------
-# symbols
-
-class SymbolEvaluator:
-    """Phase-space function ``(x, p) -> complex``, vectorized.
-
-    A symbol is given by exactly one of ``fn`` and ``factors``.  ``fn`` is
-    any closed form ``(x, p) -> values``.  ``factors`` describes a separable
-    symbol as a finite sum of products, ``sum_r g_r(x) h_r(p)``: a tuple of
-    ``(g, h)`` callables, each taking points of shape ``(..., N)`` to values
-    that broadcast against the leading shape.  The factors are then the
-    symbol's only definition: its ``fn`` contracts them over ``r`` into one
-    output array, the separable fill reads them directly, and ``+``,
-    ``c *`` and ``conj`` of factored symbols are factored again.  Every
-    preset is given by its factors, each a product over the axes
-    (``factors._AxisProduct``), which ``+``, ``c *`` and ``conj`` keep.
-    """
-
-    def __init__(self, dim: int, fn=None, decay: str = "gaussian", name: str = "symbol",
-                 factors=None):
-        if (fn is None) == (factors is None):
-            raise InputError("a symbol takes exactly one of 'fn' and 'factors'")
-        self.dim = int(dim)
-        self.factors = None if factors is None else tuple(factors)
-        self.fn = self._factored if fn is None else fn
-        self.decay = decay
-        self.name = name
-
-    def _factored(self, x, p):
-        """``sum_r g_r(x) h_r(p)``, contracted over ``r`` straight into the one output array."""
-        gx = np.empty((len(self.factors),) + x.shape[:-1], dtype=complex)
-        hp = np.empty((len(self.factors),) + p.shape[:-1], dtype=complex)
-        for r, (g, h) in enumerate(self.factors):
-            gx[r], hp[r] = g(x), h(p)
-        return np.einsum("r...,r...->...", gx, hp)
-
-    def __call__(self, x, p):
-        return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float)),
-                          dtype=complex)
-
-    def conj(self) -> "SymbolEvaluator":
-        if self.factors is None:
-            return SymbolEvaluator(self.dim, lambda x, p: np.conj(self.fn(x, p)), self.decay,
-                                   self.name + "*")
-        return SymbolEvaluator(self.dim, decay=self.decay, name=self.name + "*", factors=(
-            (_conj_factor(g), _conj_factor(h)) for g, h in self.factors))
-
-    def __add__(self, other: "SymbolEvaluator") -> "SymbolEvaluator":
-        if other.dim != self.dim:
-            raise DimensionMismatchError("cannot add symbols of dimensions %d and %d"
-                                         % (self.dim, other.dim))
-        if self.factors is None or other.factors is None:
-            return SymbolEvaluator(self.dim, lambda x, p: self.fn(x, p) + other.fn(x, p),
-                                   self.decay)
-        return SymbolEvaluator(self.dim, decay=self.decay, factors=self.factors + other.factors)
-
-    def __rmul__(self, c) -> "SymbolEvaluator":
-        if self.factors is None:
-            return SymbolEvaluator(self.dim, lambda x, p: c * self.fn(x, p), self.decay)
-        return SymbolEvaluator(self.dim, decay=self.decay, factors=(
-            (_scaled_factor(c, g), h) for g, h in self.factors))
-
-    def sample(self, grid: PhaseSpaceGrid, kind: str = "standard") -> "SymbolGrid":
-        """Sample on the phase-space lattice of the requested flavor."""
-        if self.dim != grid.dim:
-            raise DimensionMismatchError("symbol dimension does not match grid")
-        caxis = _config_axis(grid, kind)
-        x = _lattice_mesh([caxis] * grid.dim)
-        vals = self(x[:, None, :], grid.momentum_points()[None, :, :])
-        return SymbolGrid(grid, kind, vals.reshape((len(caxis),) * grid.dim + grid.shape))
-
-
-class SymbolGrid:
-    """Symbol samples on a phase-space lattice.
-
-    ``kind`` selects the configuration axis: ``"standard"`` is the grid
-    lattice itself (n points, spacing h) -- the natural carrier for
-    Fourier-Wigner data and symplectic transforms; ``"midpoint"`` is the
-    half-step lattice of kernel midpoints (2n - 1 points, spacing h/2) --
-    the natural carrier for kernel-map inverses and star products.
-    Values have shape (config axes ..., momentum axes ...).  ``alias_doubled``
-    marks a midpoint table that holds alias sums (``symbol_from_kernel``); a
-    standard table with the flag raises InputError, as no route reads it there.
-    """
-
-    def __init__(self, grid: PhaseSpaceGrid, kind: str, values: np.ndarray,
-                 alias_doubled: bool = False):
-        if kind not in ("standard", "midpoint"):
-            raise InputError("symbol grid kind must be 'standard' or 'midpoint'")
-        if alias_doubled and kind == "standard":
-            raise InputError("a standard symbol table cannot be alias_doubled: only "
-                             "midpoint tables hold alias sums")
-        expect = (len(_config_axis(grid, kind)),) * grid.dim + grid.shape
-        values = np.asarray(values, dtype=complex)
-        if values.shape != expect:
-            raise DimensionMismatchError(
-                "symbol values shape %r does not match expected %r" % (values.shape, expect)
-            )
-        self.grid = grid
-        self.kind = kind
-        self.values = values
-        self.alias_doubled = bool(alias_doubled)
-
-    @property
-    def config_axis(self) -> np.ndarray:
-        return _config_axis(self.grid, self.kind)
-
-    @property
-    def config_spacing(self) -> float:
-        return self.grid.h if self.kind == "standard" else self.grid.h / 2.0
-
-    @property
-    def cell_weight(self) -> float:
-        return self.config_spacing**self.grid.dim * self.grid.momentum_weight
-
-    def integral(self) -> complex:
-        """Phase-space integral with the lattice cell weights.
-
-        For alias-doubled midpoint tables this reproduces the weighted trace
-        of the underlying kernel exactly (the doubled values sit on the
-        midpoint classes that carry diagonal information).
-        """
-        return complex(self.cell_weight * self.values.sum())
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.cell_weight * (np.abs(self.values) ** 2).sum()))
-
-    def conj(self) -> "SymbolGrid":
-        """Pointwise complex conjugation; the adjoint on the symbol side."""
-        return SymbolGrid(self.grid, self.kind, np.conj(self.values), self.alias_doubled)
-
-    def inner_band(self) -> np.ndarray:
-        """Values restricted to momenta inside a half box per axis.
-
-        Reconstructed (alias-doubled) symbols are faithful there provided
-        the underlying symbol decays inside a quarter box.
-        """
-        n = self.grid.n
-        sl = slice(n // 4 + 1, n - n // 4)
-        idx = (slice(None),) * self.grid.dim + (sl,) * self.grid.dim
-        return self.values[idx]
-
-    def __sub__(self, other: "SymbolGrid") -> "SymbolGrid":
-        if self.kind != other.kind or self.grid != other.grid:
-            raise DimensionMismatchError("symbol grids are not compatible")
-        return SymbolGrid(self.grid, self.kind, self.values - other.values)
-
-    def to_csv(self, path) -> None:
-        """Write the table as CSV (re/im pairs, config axes before momentum axes)."""
-        header = ("symbol values F(x, p) on the %s lattice, row-major over "
-                  "%d configuration axes (%d points each) then %d momentum axes "
-                  "(%d points each); columns re, im"
-                  % (self.kind, self.grid.dim, self.values.shape[0], self.grid.dim, self.grid.n))
-        _write_csv(path, [self.values.real, self.values.imag], header)
-
-
-def constant_symbol(dim: int, value=1.0) -> SymbolEvaluator:
-    return SymbolEvaluator(dim, decay="none", name="constant",
-                           factors=[(_scaled_factor(complex(value), _ones(dim)), _ones(dim))])
-
-
-def gaussian_symbol(dim: int, x_center=None, p_center=None, x_width=1.0, p_width=1.0,
-                    amplitude=1.0) -> SymbolEvaluator:
-    """Phase-space Gaussian, separable in x and p; InputError for a width not finite and > 0."""
-    return SymbolEvaluator(dim, decay="gaussian", name="gaussian", factors=[(_scaled_factor(
-        require_finite("amplitude", amplitude), _gaussian_axes(dim, x_center, x_width, "x")),
-        _gaussian_axes(dim, p_center, p_width, "p"))])
-
-
-def x_only_symbol(dim: int, fn) -> SymbolEvaluator:
-    return SymbolEvaluator(dim, decay="none", name="x-only", factors=[(fn, _ones(dim))])
-
-
-# ---------------------------------------------------------------------------
 # symplectic transform
 
 def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
@@ -808,23 +595,19 @@ def fourier_symplectic(F: SymbolGrid, direction: str = "forward") -> SymbolGrid:
 # ---------------------------------------------------------------------------
 # kernel maps
 
-def difference_mask(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Trapezoid weights over the pair differences, one box period per axis.
-
-    Entry weight is the product over axes of 1 for ``|x_a - y_a| < L``, 1/2
-    for ``|x_a - y_a| = L`` and 0 beyond.  Kernels built by the symbol map
-    carry this mask so that each difference period is counted exactly once:
-    without it the far corners of the matrix duplicate the near-diagonal
-    band (the momentum sum is box-periodic in the difference), which leaves
-    operator actions on interior states untouched but double-counts traces
-    of composed kernels.
-    """
-    i = np.arange(grid.n)
-    return reduce(np.kron, [_trapezoid(np.subtract.outer(i, i), grid.n)] * grid.dim)
-
-
 def _trapezoid(steps: np.ndarray, n: int) -> np.ndarray:
-    """Per-axis ``difference_mask`` weights of ``steps`` lattice steps (1, 1/2 at n/2, 0 beyond)."""
+    """Mask weights on one axis of pair differences of ``steps`` lattice steps: one box period.
+
+    The weight is 1 for ``|x_a - y_a| < L``, 1/2 for ``|x_a - y_a| = L`` (n/2
+    steps) and 0 beyond.  A kernel built by the symbol map carries the
+    product of these weights over the axes, so that each difference period
+    is counted exactly once: without it the far corners of the matrix
+    duplicate the near-diagonal band (the momentum sum is box-periodic in
+    the difference), which leaves operator actions on interior states
+    untouched but double-counts traces of composed kernels.  Every route
+    applies it per axis, multiplied in (``_multiply_per_axis``) or folded
+    into its per-axis factors.
+    """
     steps = np.abs(steps)
     return np.where(steps < n // 2, 1.0, np.where(steps == n // 2, 0.5, 0.0))
 
@@ -852,6 +635,23 @@ def _axis_matrices(terms, grid: PhaseSpaceGrid, tau: float = 0.5, hbar: float = 
              for ga, ha in zip(g.fns, h.fns)] for g, h in terms]
 
 
+def _kron_sum(mats) -> np.ndarray:
+    """``sum_r kron(mats[r][0], ..., mats[r][-1])`` of per-axis ``n x n`` matrices, written once.
+
+    With ``P_r`` the Kronecker product of all but the last axis (``n^{N-1}``
+    square), entry ``((I, i), (J, j))`` is ``sum_r P_r[I, J] M_r[i, j]``: one
+    matmul over ``r``, batched over the rows ``(I, i)``, straight into the
+    kernel, so no temporary is of the kernel's order.
+    """
+    lead = np.stack([reduce(np.kron, m[:-1], np.ones((1, 1))) for m in mats])  # (R, m, m)
+    last = np.stack([m[-1] for m in mats])  # (R, n, n)
+    m, n = lead.shape[1], last.shape[1]
+    kern = np.empty((m * n, m * n), dtype=complex)
+    np.matmul(lead.transpose(1, 2, 0)[:, None], last.transpose(1, 0, 2)[None],
+              out=kern.reshape(m, n, m, n))
+    return kern
+
+
 def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar: float,
                       mask: bool) -> np.ndarray:
     """Field-free kernel of a symbol with ``factors``: Kronecker products, then row blocks.
@@ -863,7 +663,7 @@ def _separable_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float, hbar
     trapezoid mask weight of ``i - j`` folded in (all ones for
     ``mask=False``).  A term whose ``g_r`` and ``h_r`` are both axis products
     is the Kronecker product of its ``_axis_matrices``; all such terms are
-    summed as they are written (``factors._kron_sum``).  Every other term is
+    summed as they are written (``_kron_sum``).  Every other term is
     added in row blocks, gathered from a ``(2n - 1)^N`` table of ``H_r`` at the
     difference index ``i - j + n - 1``: at ``tau = 1/2`` its ``g_r`` is
     evaluated once on the ``(2n - 1)^N`` midpoint lattice and read at the
@@ -966,27 +766,37 @@ def kernel_from_symbol(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     kernel equals the magnetic one divided entrywise by the circulation
     phases, and constant symbols map to the identity kernel exactly.
     """
+    _check_symbol(f, grid)
+    if isinstance(f, SymbolGrid) and f.kind != "midpoint":
+        raise InputError("kernel map needs symbol samples on the midpoint lattice")
+    return _quantized_kernel(f, A, grid, quad, 0.5, 1.0, mask)
+
+
+def _check_symbol(f, grid: PhaseSpaceGrid) -> None:
+    """The input checks both quantization maps make, each before its own table checks.
+
+    A table on another grid, or an evaluator of another dimension, raises
+    DimensionMismatchError; any other type raises InputError.
+    """
     if isinstance(f, SymbolGrid):
         if f.grid != grid:
             raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
-        if f.kind != "midpoint":
-            raise InputError("kernel map needs symbol samples on the midpoint lattice")
     elif not isinstance(f, SymbolEvaluator):
         raise InputError("unsupported symbol type %r" % type(f))
-    return _quantized_kernel(f, A, grid, quad, 0.5, 1.0, mask)
+    elif f.dim != grid.dim:
+        raise DimensionMismatchError("symbol dimension does not match grid")
 
 
 def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: Quadrature,
                       tau: float, hbar: float, mask: bool) -> OperatorKernel:
     """The quantization map at ``tau`` and ``hbar``: fill (module notes), mask, phases.
 
-    The phases are those of ``_dress`` at ``hbar``.  ``f`` is an evaluator,
-    or a checked symbol table at ``tau = 1/2, hbar = 1``.  The mask is
-    multiplied in one axis at a time (``_multiply_per_axis``): the weights of
-    ``difference_mask``, or the zero-fill mask for a standard table.
+    The phases are those of ``_dress`` at ``hbar``.  ``f`` is a checked
+    (``_check_symbol``) evaluator, or a checked symbol table at ``tau = 1/2,
+    hbar = 1``.  The mask is multiplied in one axis at a time
+    (``_multiply_per_axis``): the weights of ``_trapezoid``, or the
+    zero-fill mask for a standard table.
     """
-    if isinstance(f, SymbolEvaluator) and f.dim != grid.dim:
-        raise DimensionMismatchError("symbol dimension does not match grid")
     if isinstance(f, SymbolEvaluator) and f.factors is not None:
         kern = _separable_kernel(f, grid, tau, hbar, mask)
     else:

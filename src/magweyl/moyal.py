@@ -27,7 +27,7 @@ contraction (``grid._window_symbol``).  Two facts make this exact:
   every axis.
 
 The twisted route takes a base potential of declared degree <= 1 and two
-evaluators whose factors are all axis products (``factors._AxisProduct``;
+evaluators whose factors are all axis products (``symbols._AxisProduct``;
 every preset's are).  An affine potential with Jacobian ``J`` has the
 triangle flux
 
@@ -60,7 +60,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GaugeMismatchError, InputError, NumericError, ResourceLimitError
-from .factors import _axis_term
 from .fields import (
     DEFAULT_QUADRATURE,
     MagneticField,
@@ -73,18 +72,16 @@ from .fields import (
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
-    SymbolEvaluator,
-    SymbolGrid,
     kernel_from_symbol,
     symbol_from_kernel,
     kernel_compose,
     segment_phase_matrix,
     _axis_matrices,
-    _lattice_mesh,
     _row_blocks,
     _window_symbol,
     _windows,
 )
+from .symbols import SymbolEvaluator, SymbolGrid, _axis_term, _lattice_mesh
 
 __all__ = [
     "moyal_product",
@@ -111,7 +108,11 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     Computed as the symbol of the composed quantization kernels.  The
     output is an alias-doubled midpoint table (see the grid module); its
     values are faithful on the inner momentum band and it re-quantizes to
-    the composed kernel exactly.
+    the composed kernel up to that kernel's wrap and alias tail.  For the
+    two Gaussians of the shipped ``moyal`` config in the symmetric gauge,
+    ``kernel_from_symbol`` of the table misses ``product_kernel`` by 7.2e-6
+    of its largest entry at dim 2, n=16, L=6, by 3.5e-7 at n=16, L=8 and by
+    1.4e-9 at n=32, L=8: the tail shrinks as the box grows.
 
     Two routes give the same table to roundoff (module notes).  When the
     base potential declares degree <= 1 and every factor of both symbols is

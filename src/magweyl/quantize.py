@@ -52,14 +52,14 @@ from .fields import (
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
-    SymbolEvaluator,
-    SymbolGrid,
     WaveFunction,
     segment_phase_matrix,
+    _check_symbol,
     _gauge_dress,
     _quantized_kernel,
     _shift_index_table,
 )
+from .symbols import SymbolGrid
 
 __all__ = [
     "WeylParams",
@@ -201,15 +201,12 @@ def op_quantize(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     the adjoint identity ``op(f, tau)^* = op(conj f, 1 - tau)`` holds at
     matrix level.
     """
+    _check_symbol(f, grid)
     if isinstance(f, SymbolGrid):
-        if f.grid != grid:
-            raise DimensionMismatchError("symbol table grid %r does not match %r" % (f.grid, grid))
         if not (params.tau == 0.5 and params.hbar == 1.0):
             raise InputError("symbol tables support only the default quantization parameters")
         if f.kind == "standard" and not mask:
             raise InputError("the Weyl-system sum of a standard table has no unmasked form")
-    elif not isinstance(f, SymbolEvaluator):
-        raise InputError("unsupported symbol type %r" % type(f))
     return _quantized_kernel(f, A, grid, quad, params.tau, params.hbar, mask)
 
 
@@ -240,37 +237,6 @@ def position_operator(j: int, grid: PhaseSpaceGrid) -> OperatorKernel:
     _check_axis(j, grid)
     return OperatorKernel.from_operator_matrix(
         grid, np.diag(grid.config_points()[:, j].astype(complex)))
-
-
-def weyl_trotter_diagnostic(A: VectorPotential | None, xi, u: WaveFunction, steps: int,
-                            quad: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Deviation of an n-step product approximation from the Weyl operator.
-
-    The Weyl operator is the exponential of ``Q.p - x.(P - A(Q))``; splitting
-    it into the multiplication part ``a(Q) = Q.p + x.A(Q)`` and the
-    translation part and alternating n small steps converges to the closed
-    form as n grows (the circulation appears as the limiting Riemann sum of
-    the potential along the path).  Requires ``x / steps`` on the lattice.
-    Returns the relative deviation; a diagnostic, not a construction route.
-    ``steps`` must be an integer >= 1, else InputError.
-    """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise InputError("steps must be an integer >= 1, got %r" % (steps,))
-    g = u.grid
-    x = np.asarray(xi[0], dtype=float)
-    p = _lattice_vector(g, xi[1], "momentum")
-    cols, valid = _shift_index_table(g, _shift_components(g, x / steps))
-    pts = g.config_points()
-    aq = pts @ p
-    if A is not None:
-        aq = aq + np.asarray(A.eval(pts), dtype=float) @ x
-    phase_step = np.exp(-1j * aq / steps)
-    vals = u.values.ravel()
-    for _ in range(steps):
-        vals = phase_step * np.where(valid, vals[cols], 0)
-    exact = weyl_apply(A, (x, p), u, quad).values.ravel()
-    return float(np.sqrt((np.abs(vals - exact) ** 2).sum())
-                 / np.sqrt((np.abs(exact) ** 2).sum()))
 
 
 def gauge_conjugate(phi: OperatorKernel, rho: ScalarPotential,

@@ -18,14 +18,15 @@ from . import fields as fl
 from . import grid as gr
 from . import moyal as my
 from . import quantize as qu
+from . import symbols as sy
 from . import wigner as wg
 
 __all__ = ["CRITERIA", "TOLERANCES", "run_battery"]
 
 def _symbol_pair(dim):
     """The battery's two Gaussian symbols."""
-    return (gr.gaussian_symbol(dim, x_width=0.9, p_width=1.0),
-            gr.gaussian_symbol(dim, x_center=0.2 * np.ones(dim), x_width=0.8, p_width=0.9))
+    return (sy.gaussian_symbol(dim, x_width=0.9, p_width=1.0),
+            sy.gaussian_symbol(dim, x_center=0.2 * np.ones(dim), x_width=0.8, p_width=0.9))
 
 
 def stokes_and_cocycle(grid, B, gauges, quad, rng):
@@ -56,7 +57,7 @@ def transform_structure(grid, B, gauges, quad, rng):
 
 def constant_symbol_identity(grid, B, gauges, quad, rng):
     """Kernel of the constant symbol 1 against the identity, in units of ``1 / h^N``."""
-    ident = gr.kernel_from_symbol(gr.constant_symbol(grid.dim), gauges[0], grid, quad)
+    ident = gr.kernel_from_symbol(sy.constant_symbol(grid.dim), gauges[0], grid, quad)
     return np.abs(ident.kernel - np.eye(grid.size) / grid.config_weight).max() * grid.config_weight
 
 
@@ -111,7 +112,7 @@ def trace_identity(grid, B, gauges, quad, rng, symbols=None):
     f, h = symbols or _symbol_pair(grid.dim)
     prod = my.moyal_product(f, h, B, gauges[0], grid, quad, check_gauge=False)
     fh = f.sample(grid, "midpoint").values * h.sample(grid, "midpoint").values
-    rhs = gr.SymbolGrid(grid, "midpoint", fh).integral()
+    rhs = sy.SymbolGrid(grid, "midpoint", fh).integral()
     return abs(prod.integral() - rhs) / abs(rhs)
 
 

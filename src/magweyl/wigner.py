@@ -26,7 +26,6 @@ from .fields import DEFAULT_QUADRATURE, Quadrature, VectorPotential, circulation
 from .grid import (
     OperatorKernel,
     PhaseSpaceGrid,
-    SymbolGrid,
     WaveFunction,
     _apply_axes,
     _dress,
@@ -36,6 +35,7 @@ from .grid import (
     fourier_symplectic,
 )
 from .quantize import _lattice_vector
+from .symbols import SymbolGrid
 
 __all__ = [
     "fourier_wigner",

@@ -5,6 +5,7 @@ from magweyl import coupling as C
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
+from magweyl import symbols as S
 from magweyl.errors import DimensionMismatchError, InputError
 
 QUAD = F.Quadrature(16)
@@ -167,7 +168,7 @@ def test_transform_route_matches_the_written_out_route(dim, gauge, kind):
                                     (0.7 - 0.2j, powers[1], lambda x: np.cos(x[..., 0]))])
     fac = poly.with_momentum_cutoff(0.9)
     fn = G.SymbolEvaluator(dim, fac.fn)
-    x = G._lattice_mesh([G._config_axis(g, kind)] * dim)[:, None, :]
+    x = S._lattice_mesh([S._config_axis(g, kind)] * dim)[:, None, :]
     y, k = g.config_points(), g.momentum_points()
     lam = np.exp(1j * F.circulation(A, x - 0.5 * y, x + 0.5 * y, QUAD))
     to_diff = g.momentum_weight * np.exp(1j * y @ k.T)
@@ -226,7 +227,7 @@ def test_transform_route_samples_the_gauge_function_once_per_segment_end(monkeyp
     B = F.gaussian_field_2d(1.2, 1.4, (0.3, -0.2))
     A = F.transversal_gauge(B, QUAD)
     f = C.PolynomialSymbol(2, [(1.0, (2, 0)), (0.7, (0, 3))]).with_momentum_cutoff(0.85)
-    x, y, k = G._lattice_mesh([g.midpoint_axis] * 2), g.config_points(), g.momentum_points()
+    x, y, k = S._lattice_mesh([g.midpoint_axis] * 2), g.config_points(), g.momentum_points()
     ends = np.rint(np.stack([x[:, None] + 0.5 * y, x[:, None] - 0.5 * y]) / (g.h / 2)).astype(int)
     distinct = len(np.unique(ends[..., 0] * (4 * g.n) + ends[..., 1]))  # half steps, |.| < 2n
     points = []

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from magweyl import csvformat as CF
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl import symbols as S
 from magweyl import verify as V
 
 QUAD = F.Quadrature(16)
@@ -39,12 +41,12 @@ def test_symbol_csv_export_roundtrip(tmp_path):
 
 def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path):
     # more rows than one formatted block, with signed zeros, non-finite and subnormal values
-    values = np.random.default_rng(3).standard_normal((G._CSV_ROWS + 3, 2))
+    values = np.random.default_rng(3).standard_normal((CF._CSV_ROWS + 3, 2))
     values[::7] = 0.0
     values[::11, 1] = -0.0
     values[[5, 6, 8], [0, 1, 0]] = [np.nan, -np.inf, 1e-310]
     for columns in ([values[:, 0]], [values[:, 0], values[:, 1]]):
-        G._write_csv(tmp_path / "ours.csv", columns, "a header\nof two lines")
+        CF._write_csv(tmp_path / "ours.csv", columns, "a header\nof two lines")
         np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
                    header="a header\nof two lines")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -60,7 +62,7 @@ def percent_csv(table, header):
 def assert_writes_like_percent(path, values):
     # one column, then two (the values and their reversal); blocks of both widths
     for table in (values[:, None], np.column_stack([values, values[::-1]])):
-        G._write_csv(path, list(table.T), "sweep")
+        CF._write_csv(path, list(table.T), "sweep")
         assert path.read_bytes() == percent_csv(table, "sweep")
 
 
@@ -77,10 +79,10 @@ def test_csv_writer_matches_percent_format_on_hard_values(tmp_path):
         bits[np.isfinite(bits)],
     ])
     values = np.concatenate([values, -values])
-    assert len(values) > 8 * G._CSV_ROWS
+    assert len(values) > 8 * CF._CSV_ROWS
     assert_writes_like_percent(tmp_path / "sweep.csv", values)
     # 2^-28 = 3.7252902984619140625e-09 exactly: the tie rounds to the even digit
-    G._write_csv(tmp_path / "tie.csv", [np.array([2.0**-28])], "tie")
+    CF._write_csv(tmp_path / "tie.csv", [np.array([2.0**-28])], "tie")
     assert (tmp_path / "tie.csv").read_text().splitlines()[1] == "3.725290298461914062e-09"
 
 
@@ -88,27 +90,27 @@ def test_csv_writer_matches_percent_format_on_hard_values(tmp_path):
 @given(st.lists(st.floats(), min_size=1, max_size=64))
 def test_csv_writer_matches_percent_format_on_any_floats(tmp_path_factory, values):
     # the drawn floats repeated over one block of rows and on into the next
-    values = np.resize(np.array(values), G._CSV_ROWS + len(values))
+    values = np.resize(np.array(values), CF._CSV_ROWS + len(values))
     assert_writes_like_percent(tmp_path_factory.mktemp("csv") / "any.csv", values)
 
 
 def test_csv_writer_memory_is_one_block(tmp_path):
     # four blocks of two columns peak within the working set of one: formatting a
     # whole table at once would hold every block's digits and bytes together
-    values = np.random.default_rng(4).standard_normal((4 * G._CSV_ROWS, 2))
+    values = np.random.default_rng(4).standard_normal((4 * CF._CSV_ROWS, 2))
     columns = [values[:, 0], values[:, 1]]
-    G._write_csv(tmp_path / "warm.csv", columns[:1], "warm-up")  # the lookup tables
+    CF._write_csv(tmp_path / "warm.csv", columns[:1], "warm-up")  # the lookup tables
     tracemalloc.start()
     try:
-        G._write_csv(tmp_path / "mem.csv", columns, "memory")
+        CF._write_csv(tmp_path / "mem.csv", columns, "memory")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 320 * 2 * G._CSV_ROWS  # 320 bytes per value of one block
+    assert peak <= 320 * 2 * CF._CSV_ROWS  # 320 bytes per value of one block
 
 
 def test_csv_output_has_one_writer():
-    # every CSV byte of the package goes through grid._write_csv: outside it and its
+    # every CSV byte of the package goes through csvformat._write_csv: outside it and its
     # formatter (csvformat.format_e18) no savetxt or tofile call and no %.18e literal
     # (docstrings aside)
     src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
@@ -132,8 +134,37 @@ def test_csv_output_has_one_writer():
                     isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and "%.18e" in node.value and node not in docstrings):
                 found.add((path.name, owner.get(node, "<module>")))
-    assert ("grid.py", "_write_csv") in found
-    assert found <= {("grid.py", "_write_csv"), ("csvformat.py", "format_e18")}
+    assert ("csvformat.py", "_write_csv") in found
+    assert found <= {("csvformat.py", "_write_csv"), ("csvformat.py", "format_e18")}
+
+
+def package_imports(path):
+    """The ``magweyl`` modules one source file imports, by name, relative or absolute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= ({node.module.split(".")[0]} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("magweyl"):
+            names |= ({node.module.split(".")[1]} if "." in node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("magweyl.")}
+    return names
+
+
+def test_symbols_sit_below_grid():
+    # symbols.py imports no grid (so no import cycle), and grid re-exports exactly the
+    # public names of symbols, each the same object
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    assert package_imports(src / "symbols.py") <= {"errors", "csvformat"}
+    reexported = {a.name for node in ast.walk(ast.parse((src / "grid.py").read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.level and node.module == "symbols"
+                  for a in node.names if not a.name.startswith("_")}
+    assert reexported == set(S.__all__)
+    for name in reexported:
+        assert getattr(G, name) is getattr(S, name), name
+        assert name in G.__all__, name
 
 
 # CPython's parser doubles its token buffer past about 8,190 tokens per module, and a

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magweyl import factors as FA
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl import symbols as S
 from magweyl.config import field_from_config, potential_from_config
 from magweyl.errors import DimensionMismatchError, InputError, NumericError
 
@@ -369,13 +369,13 @@ def test_axis_product_factors_are_their_per_axis_expressions(dim):
          (0.6 - 0.3j) * np.exp(-old(pts - xc) / (2.0 * 1.1**2))),
         (hp, per_axis(lambda a, t: np.exp(-np.square(t - pc[a]) / (2.0 * 0.8**2))),
          np.exp(-old(pts - pc) / (2.0 * 0.8**2))),
-        (FA._momentum_monomial(0.7, (1,) * dim, 0.9),
+        (S._momentum_monomial(0.7, (1,) * dim, 0.9),
          per_axis(lambda a, t: (complex(0.7) if a == 0 else 1.0)
                   * (t * np.exp(-np.square(t) / (2.0 * 0.9**2)))),
          term * np.exp(-old(pts) / (2.0 * 0.9**2))),
     ]
     for factor, expression, closed in cases:
-        assert isinstance(factor, FA._AxisProduct) and len(factor.fns) == dim
+        assert isinstance(factor, S._AxisProduct) and len(factor.fns) == dim
         got = factor(pts)
         assert np.array_equal(got, expression)
         assert np.abs(got - closed).max() <= 2e-15 * np.abs(closed).max()

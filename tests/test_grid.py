@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from magweyl import fields as F
 from magweyl import grid as G
+from magweyl import symbols as S
 from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError
+from mask_oracle import difference_mask
 
 QUAD = F.Quadrature(16)
 
@@ -66,7 +68,7 @@ def _shift_table_by_indices(g, steps):
                          ids=["1-8-zero", "2-6-zero", "3-4-zero"])
 def test_shift_index_table_matches_the_stacked_construction(dim, n):
     g = G.PhaseSpaceGrid(dim, n, 3.0)
-    every = G._lattice_mesh([np.arange(n) - n // 2] * dim)  # all steps, config_points order
+    every = S._lattice_mesh([np.arange(n) - n // 2] * dim)  # all steps, config_points order
     cases = [(None, every)] + [(s, s) for s in (np.zeros(dim, dtype=int), every[1],
                                                 np.arange(dim) - 1, np.full(dim, n + 1))]
     for steps, written in cases:
@@ -136,12 +138,12 @@ def test_apply_axes_matches_dense_exponential(dim, n, matrix, axes):
 def test_per_axis_masks_match_the_kronecker_tables(dim, n, mask):
     # the kernel routes multiply their mask in one axis pair at a time, in place; the
     # result is the kernel times the n^N x n^N Kronecker table, bit for bit: the
-    # public difference_mask, or the zero-fill mask (1 where row - col lies in
+    # Kronecker oracle difference_mask, or the zero-fill mask (1 where row - col lies in
     # (-n/2, n/2] steps per axis)
     g = G.PhaseSpaceGrid(dim, n, 3.0)
     steps = np.subtract.outer(np.arange(n), np.arange(n))
     if mask == "trapezoid":
-        axis, kron = G._trapezoid(steps, n), G.difference_mask(g)
+        axis, kron = G._trapezoid(steps, n), difference_mask(g)
     else:
         axis = ((steps > -n // 2) & (steps <= n // 2)) * 1.0
         kron = reduce(np.kron, [axis] * dim)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magweyl import coupling as C
-from magweyl import factors as FA
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
+from magweyl import symbols as S
 from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError, OffLatticeError
-from weyl_sum_oracle import weyl_operator_sum
+from weyl_sum_oracle import weyl_operator_sum, weyl_trotter_diagnostic
 
 QUAD = F.Quadrature(16)
 
@@ -78,7 +78,7 @@ def test_weyl_norm_preservation_on_interior_vectors():
     lambda g, p: Q.weyl_apply(None, (np.zeros(g.dim), p), G.gaussian_wavefunction(g, width=0.7)),
     lambda g, p: Q.weyl_matrix(None, (np.zeros(g.dim), p), g),
     lambda g, p: Q.momentum_modulation(p, g),
-    lambda g, p: Q.weyl_trotter_diagnostic(
+    lambda g, p: weyl_trotter_diagnostic(
         None, (np.zeros(g.dim), p), G.gaussian_wavefunction(g, width=0.7), 1),
 ], ids=["weyl_apply", "weyl_matrix", "momentum_modulation", "weyl_trotter_diagnostic"])
 def test_weyl_rejects_wrong_momentum_shape(build):
@@ -503,7 +503,7 @@ def test_preset_factors_are_axis_products():
             for f in built:
                 for term in f.factors:
                     for factor in term[factors]:
-                        assert isinstance(factor, FA._AxisProduct) and len(factor.fns) == dim
+                        assert isinstance(factor, S._AxisProduct) and len(factor.fns) == dim
 
 
 @pytest.mark.parametrize("mask", [True, False])
@@ -780,7 +780,7 @@ def test_trotter_product_converges_to_weyl_operator():
     A = F.polynomial_potential(1, [[(0.05, (2,))]])
     u = G.gaussian_wavefunction(g, width=0.8)
     xi = (np.array([8 * g.h]), np.array([0.3]))
-    errs = [Q.weyl_trotter_diagnostic(A, xi, u, steps) for steps in (1, 2, 4, 8)]
+    errs = [weyl_trotter_diagnostic(A, xi, u, steps) for steps in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < errs[0] / 4
 
@@ -791,7 +791,7 @@ def test_trotter_diagnostic_refuses_a_bad_step_count(steps):
     g = G.PhaseSpaceGrid(1, 16, 4.0)
     u = G.gaussian_wavefunction(g, width=0.8)
     with pytest.raises(InputError, match="steps"):
-        Q.weyl_trotter_diagnostic(None, (np.array([2 * g.h]), np.array([0.3])), u, steps)
+        weyl_trotter_diagnostic(None, (np.array([2 * g.h]), np.array([0.3])), u, steps)
 
 
 def test_weyl_params_validation():

@@ -6,16 +6,22 @@ the reflected symplectic transform of the table with the Weyl operators
 over the full phase-space lattice; the first helpers spell that sum out,
 independently of the package's route.
 
-``weyl_span_probe`` takes one block per translation class; the last
+``weyl_span_probe`` takes one block per translation class; the next
 helpers build the whole stack of cyclic Weyl matrices it stands for, from
 ``circulation`` and index arithmetic, and take its singular values.
+
+``weyl_trotter_diagnostic`` reaches one Weyl operator by a product of small
+multiplication and translation steps instead of its closed form.
 """
+
+import numbers
 
 import numpy as np
 
 from magweyl import fields as F
 from magweyl import grid as G
 from magweyl import quantize as Q
+from magweyl.errors import InputError
 
 
 def symplectic_parity(F):
@@ -74,3 +80,33 @@ def stack_singular_values(A, g, sample, quad):
     """Singular values of the ``(S, n^{2N})`` stack of raveled cyclic Weyl matrices."""
     stack = np.stack([cyclic_weyl_matrix(A, x, p, g, quad).ravel() for x, p in sample])
     return np.linalg.svd(stack, compute_uv=False)
+
+
+def weyl_trotter_diagnostic(A, xi, u, steps, quad=F.DEFAULT_QUADRATURE) -> float:
+    """Deviation of an n-step product approximation from the Weyl operator.
+
+    The Weyl operator is the exponential of ``Q.p - x.(P - A(Q))``; splitting
+    it into the multiplication part ``a(Q) = Q.p + x.A(Q)`` and the
+    translation part and alternating n small steps converges to the closed
+    form as n grows (the circulation appears as the limiting Riemann sum of
+    the potential along the path).  Requires ``x / steps`` on the lattice.
+    Returns the relative deviation; a diagnostic, not a construction route.
+    ``steps`` must be an integer >= 1, else InputError.
+    """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise InputError("steps must be an integer >= 1, got %r" % (steps,))
+    g = u.grid
+    x = np.asarray(xi[0], dtype=float)
+    p = Q._lattice_vector(g, xi[1], "momentum")
+    cols, valid = G._shift_index_table(g, Q._shift_components(g, x / steps))
+    pts = g.config_points()
+    aq = pts @ p
+    if A is not None:
+        aq = aq + np.asarray(A.eval(pts), dtype=float) @ x
+    phase_step = np.exp(-1j * aq / steps)
+    vals = u.values.ravel()
+    for _ in range(steps):
+        vals = phase_step * np.where(valid, vals[cols], 0)
+    exact = Q.weyl_apply(A, (x, p), u, quad).values.ravel()
+    return float(np.sqrt((np.abs(vals - exact) ** 2).sum())
+                 / np.sqrt((np.abs(exact) ** 2).sum()))
