@@ -349,7 +349,9 @@ class VectorPotential:
     rule (``grid.segment_phase_matrix``), whose circulations are integrated
     and exponentiated in one pass and kept nowhere else, so what `eval`
     reads must not change after a table is built.  A gauge transform keeps no table: the
-    routes read its base potential's (``_gauge_phases``).
+    routes read its base potential's (``_gauge_phases``).  The kernel routes
+    build none for an affine potential, whose twist they read off `eval`
+    (``grid._affine``).
     """
 
     def __init__(self, dim, eval, degree_hint=None, poly: PolynomialMap | None = None,

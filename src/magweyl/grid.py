@@ -104,8 +104,14 @@ The star product's twisted route (``moyal``) fills the same windows from
 the per-axis factor matrices of the separable fill (``_axis_matrices``)
 and ends in the same contraction.
 
-Every route gains or loses a potential's phases in ``_dress`` alone: the
-base potential's ``exp(-i Gamma / hbar)`` (at ``hbar = 1`` the one memo a
+Every route gains or loses a potential's phases in ``_dress`` alone.  A
+base potential ``A(x) = J x + A(0)`` of declared degree <= 1 (``_affine``)
+has ``Gamma^A([x, y]) = y^T W x + rho(y) - rho(x)``, ``W = (J - J^T) / 2``
+and ``rho(x) = x^T S x / 2 + A(0) . x`` with ``S = (J + J^T) / 2``: the
+kernel is multiplied in place by the twist, one ``(n, n)`` table per axis
+pair with ``W_ab != 0`` (``_twist_dress``), and by ``e^{i rho / hbar}``
+folded into any gauge phases, with no ``n^N x n^N`` table.  Any other base
+dresses by its ``exp(-i Gamma / hbar)`` (at ``hbar = 1`` the one memo a
 potential keeps, ``segment_phase_matrix``), then the gauge phases.  That
 table is built in one pass (``_segment_phases``): the circulations of the
 pairs on and above the diagonal are integrated one row block at a time,
@@ -123,7 +129,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .csvformat import _write_csv
-from .errors import DimensionMismatchError, InputError, OffLatticeError
+from .errors import DimensionMismatchError, InputError, NumericError, OffLatticeError
 from .fields import (DEFAULT_QUADRATURE, Quadrature, VectorPotential, _circulation_sum,
                      _exact_rule, _gauge_phases, _require_base, _square_norm)
 # the public names of symbols are re-exported here (__all__)
@@ -403,14 +409,16 @@ class OperatorKernel:
     def hermiticity_defect(self) -> float:
         """Largest entry of ``|K - K^H|`` over the largest of ``|K|`` (at least 1).
 
-        Computed in ``_row_blocks``: one block of rows against the matching
-        block of columns at a time, with no kernel-sized temporary.
+        Computed in ``_row_blocks``: each block of rows, from its diagonal
+        block on, against the matching block of columns, so each off-diagonal
+        pair of blocks is compared once (``|K_ij - conj K_ji|`` is the same
+        float at ``(j, i)``), with no kernel-sized temporary.
         """
+        kern = self.kernel
         d = scale = 0.0
-        for r0, r1 in _row_blocks(len(self.kernel)):
-            rows = self.kernel[r0:r1]
-            d = np.maximum(d, np.abs(rows - self.kernel[:, r0:r1].conj().T).max())
-            scale = np.maximum(scale, np.abs(rows).max())  # both keep a NaN, as one max does
+        for r0, r1 in _row_blocks(len(kern)):
+            d = np.maximum(d, np.abs(kern[r0:r1, r0:] - kern[r0:, r0:r1].conj().T).max())
+            scale = np.maximum(scale, np.abs(kern[r0:r1]).max())  # both keep a NaN, as one max does
         return float(d / max(scale, 1.0))
 
     def to_csv(self, path) -> None:
@@ -429,8 +437,6 @@ class OperatorKernel:
         ``hermiticity_defect`` above ``hermitian_tol`` raises NumericError;
         None skips the check, for a caller that has made it.
         """
-        from .errors import NumericError
-
         if hermitian_tol is not None and self.hermiticity_defect() > hermitian_tol:
             raise NumericError("operator is not Hermitian within tolerance")
         return self.grid.config_weight * np.linalg.eigvalsh(self.kernel)
@@ -498,20 +504,54 @@ def _segment_phases(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature,
     return lam
 
 
+def _affine(A: VectorPotential, dim: int):
+    """``(W, S, A(0))`` of an affine base potential ``A(x) = J x + A(0)``; None for any other.
+
+    The one predicate of the twisted routes (``_dress``, ``moyal_product``):
+    ``A`` declares degree <= 1, has no closed-form ``_segment`` and is of the
+    grid's ``dim``.  ``J[:, b] = A(e_b) - A(0)`` over the unit vectors ``e_b``
+    is exact for such a potential; ``W = (J - J^T) / 2`` and ``S = (J + J^T) /
+    2``, so that ``Gamma^A([x, y]) = y^T W x + rho(y) - rho(x)`` with ``rho(x) =
+    x^T S x / 2 + A(0) . x``.  A non-finite value raises NumericError.
+    """
+    if A.degree_hint is None or A.degree_hint > 1 or A._segment is not None or A.dim != dim:
+        return None
+    vals = np.asarray(A.eval(np.vstack([np.zeros(dim), np.eye(dim)])), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("potential non-finite at the origin or a unit vector")
+    jac = (vals[1:] - vals[0]).T
+    return 0.5 * (jac - jac.T), 0.5 * (jac + jac.T), vals[0]
+
+
 def _dress(kern: np.ndarray, A: VectorPotential | None, grid: PhaseSpaceGrid,
            quad: Quadrature, hbar: float = 1.0, strip: bool = False) -> np.ndarray:
     """Multiply a kernel in place by the phases of ``A``: where every route gains or loses them.
 
-    Table first: the base potential's ``exp(-i Gamma / hbar)`` entrywise (the
-    memo of ``segment_phase_matrix`` at ``hbar = 1``, else a new table of
-    ``_segment_phases``, built in the same one pass), then the gauge phases
-    ``e^{i rho / hbar}`` of gauge data in the rows and their conjugates in
-    the columns (``_gauge_dress``).  ``strip`` multiplies by the conjugates
-    of both, which undoes the dressing.  ``A`` None leaves the kernel as is.
+    An affine base (``_affine``) dresses by its twist ``exp(-i y^T W x / hbar)``
+    and gauge phases (``_twist_dress``): ``e^{i rho / hbar}`` of its
+    symmetric part and constant, times those of any gauge data; no table is
+    built and no memo kept.  Any other base dresses table first: its ``exp(-i
+    Gamma / hbar)`` entrywise (the memo of ``segment_phase_matrix`` at ``hbar =
+    1``, else a new table of ``_segment_phases``, built in the same one pass),
+    then the gauge phases ``e^{i rho / hbar}`` of gauge data in the rows and
+    their conjugates in the columns (``_gauge_dress``).  ``strip`` multiplies
+    by the conjugates of both, which undoes the dressing.  ``A`` None leaves
+    the kernel as is.
     """
     if A is None:
         return kern
-    base, gauge = _gauge_phases(A, grid.config_points(), quad, hbar)
+    pts = grid.config_points()
+    base, gauge = _gauge_phases(A, pts, quad, hbar)
+    affine = _affine(base, grid.dim)
+    if affine is not None:
+        twist, sym, shift = affine
+        if sym.any() or shift.any():  # e^{i rho / hbar}
+            phase = np.exp((0.5j / hbar) * np.einsum("pa,ab,pb->p", pts, sym, pts)
+                           + (1j / hbar) * (pts @ shift))
+            gauge = phase if gauge is None else gauge * phase
+        if strip:
+            twist, gauge = -twist, None if gauge is None else np.conj(gauge)
+        return _twist_dress(kern, twist / hbar, gauge, grid)
     lam = (segment_phase_matrix(base, grid, quad) if hbar == 1.0
            else _segment_phases(base, grid, quad, hbar))
     if strip:  # kernel first: numpy's complex product rounds by operand order
@@ -519,6 +559,43 @@ def _dress(kern: np.ndarray, A: VectorPotential | None, grid: PhaseSpaceGrid,
         return _gauge_dress(kern, None if gauge is None else np.conj(gauge))
     np.multiply(lam, kern, out=kern)
     return _gauge_dress(kern, gauge)
+
+
+def _twist_dress(kern: np.ndarray, twist: np.ndarray, gauge, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Multiply a kernel in place by ``exp(-i y^T W x)`` (``W = twist``), then as ``_gauge_dress``.
+
+    The twist splits over the axis pairs: ``a < b`` with ``W_ab != 0`` gives
+    one ``(n, n)`` table ``t = exp(-i W_ab x_i x_j)``, read at ``(x_b, y_a)``
+    and conjugated at ``(x_a, y_b)``.  The factors of each row axis ``x_p``
+    (the first also takes the column gauge ``conj(gauge)``) are multiplied
+    into one ``(n, n^N)`` table over ``(x_p, y)``, so that every multiply
+    runs along whole rows.  One pass over the ``_row_blocks`` of ``x_1``
+    applies the tables and ``gauge`` in the rows to each block while it is
+    in cache; no temporary is of the kernel's order.
+    """
+    N, n, size = grid.dim, grid.n, grid.size
+    ax = grid.config_axis
+    factors = [[] for _ in range(N)]  # per row axis x_p: arrays over (x_p, y_1..y_N)
+    for a, b in itertools.combinations(range(N), 2):
+        if twist[a, b] != 0:
+            t = np.exp(-1j * twist[a, b] * np.multiply.outer(ax, ax))
+            for p, q, tab in ((b, a, t), (a, b, np.conj(t))):
+                factors[p].append(tab.reshape((n,) + (1,) * q + (n,) + (1,) * (N - 1 - q)))
+    axes = [p for p in range(N) if factors[p]]
+    if not axes:
+        return _gauge_dress(kern, gauge)
+    if gauge is not None:
+        factors[axes[0]].append(np.conj(gauge).reshape((1,) + (n,) * N))
+    tables = [(p, np.broadcast_to(reduce(np.multiply, factors[p]), (n,) * (N + 1)).reshape(
+        (1,) * p + (n,) + (1,) * (N - 1 - p) + (size,))) for p in axes]
+    view = kern.reshape((n,) * N + (size,))  # (x_1..x_N, y)
+    for r0, r1 in _row_blocks(n):
+        block = view[r0:r1]
+        for p, tab in tables:
+            block *= tab[r0:r1] if p == 0 else tab
+        if gauge is not None:
+            block *= gauge.reshape((n,) * N + (1,))[r0:r1]
+    return kern
 
 
 def _gauge_dress(kern: np.ndarray, gauge) -> np.ndarray:
@@ -547,8 +624,10 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
     Gauge data keep no table: their phases are a new writable table, the
     base potential's memo dressed with ``e^{i rho(x)} e^{-i rho(y)}``
     (``_gauge_dress``), of which the Hermitian part is taken, so it stays
-    exactly Hermitian as the memo is.  The routes do not call this for gauge
-    data; each dresses its own output (``_dress``).
+    exactly Hermitian as the memo is.  The kernel routes do not call this
+    for gauge data, nor for an affine base (``_affine``), which they dress
+    by its twist; each dresses its own output (``_dress``).  The star
+    product's band route and ``quantize.translation_phase_table`` read it.
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)

@@ -26,10 +26,12 @@ contraction (``grid._window_symbol``).  Two facts make this exact:
 * ``symbol_from_kernel`` reads only the pairs at most n/2 steps apart on
   every axis.
 
-The twisted route takes a base potential of declared degree <= 1 and two
-evaluators whose factors are all axis products (``symbols._AxisProduct``;
-every preset's are).  An affine potential with Jacobian ``J`` has the
-triangle flux
+The twisted route takes an affine base potential and two evaluators whose
+factors are all axis products (``symbols._AxisProduct``; every preset's
+are).  ``grid._affine`` is the one predicate for an affine base, here and
+in the kernel maps' dressing (``grid._dress``), and reads its twist ``W``
+off ``eval``.  An affine potential with Jacobian ``J`` has the triangle
+flux
 
     Gamma(x, z) + Gamma(z, y) - Gamma(x, y) = z^T W (x - y) + x^T W y
                                             = (z - m)^T W (x - y),
@@ -46,8 +48,10 @@ higher or undeclared degree) takes the band route: both factor kernels are
 filled in the base potential, and each row block of the first lattice axis
 is multiplied only against the columns within n/2 first-axis steps of it
 (``_band_compose``); the entries outside stay 0 and are never read, and the
-base's phase table strips the product.  ``product_kernel`` returns a kernel
-and composes the full matrices.
+base's phase table strips the product.  That table is read for an affine
+base too, whose factor kernels the twist dressed: the strip is one
+entrywise product per band block, and the two agree to roundoff.
+``product_kernel`` returns a kernel and composes the full matrices.
 
 A direct evaluation of the defining double phase-space integral -- the
 oscillatory integral with the triangle-flux phase -- is kept as an
@@ -59,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GaugeMismatchError, InputError, NumericError, ResourceLimitError
+from .errors import GaugeMismatchError, InputError, ResourceLimitError
 from .fields import (
     DEFAULT_QUADRATURE,
     MagneticField,
@@ -76,6 +80,7 @@ from .grid import (
     symbol_from_kernel,
     kernel_compose,
     segment_phase_matrix,
+    _affine,
     _axis_matrices,
     _row_blocks,
     _window_symbol,
@@ -115,11 +120,11 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     1.4e-9 at n=32, L=8: the tail shrinks as the box grows.
 
     Two routes give the same table to roundoff (module notes).  When the
-    base potential declares degree <= 1 and every factor of both symbols is
-    an axis product (every preset's is), the twisted route sums over the
-    middle point one axis at a time on the pairs the inverse map reads.
-    Every other input (an ``fn`` evaluator, a ``SymbolGrid``, a potential
-    of higher or undeclared degree) takes the band route.
+    base potential is affine (``grid._affine``) and every factor of both
+    symbols is an axis product (every preset's is), the twisted route sums
+    over the middle point one axis at a time on the pairs the inverse map
+    reads.  Every other input (an ``fn`` evaluator, a ``SymbolGrid``, a
+    potential of higher or undeclared degree) takes the band route.
 
     Raises
     ------
@@ -129,30 +134,16 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
     if check_gauge:
         validate_gauge(A, B)
     base = _gauge_base(A)  # gauge phases conjugate both factors and the product alike
-    if (base.degree_hint is not None and base.degree_hint <= 1 and base.dim == grid.dim
-            and all(isinstance(h, SymbolEvaluator) and h.dim == grid.dim
-                    and h.factors is not None and all(map(_axis_term, h.factors))
-                    for h in (f, g))):
+    affine = _affine(base, grid.dim)
+    if affine is not None and all(isinstance(h, SymbolEvaluator) and h.dim == grid.dim
+                                  and h.factors is not None and all(map(_axis_term, h.factors))
+                                  for h in (f, g)):
         first, phase = _windows(grid)
-        return _window_symbol(_twisted_slots(f, g, _twist(base), grid, first), phase, grid)
+        return _window_symbol(_twisted_slots(f, g, affine[0], grid, first), phase, grid)
     kf, kg = (kernel_from_symbol(h, base, grid, quad) for h in (f, g))
     composed = _band_compose(kf.kernel, kg.kernel, segment_phase_matrix(base, grid, quad), grid)
     del kf, kg  # free the factors before the inverse map
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
-
-
-def _twist(base: VectorPotential) -> np.ndarray:
-    """``W = (J - J^T) / 2`` of an affine potential, its Jacobian ``J`` read off ``eval``.
-
-    ``J[:, b] = A(e_b) - A(0)`` over the unit vectors ``e_b``, exact for a
-    potential of degree <= 1; a non-finite value raises NumericError.
-    """
-    N = base.dim
-    vals = np.asarray(base.eval(np.vstack([np.zeros(N), np.eye(N)])), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("potential non-finite at the origin or a unit vector")
-    jac = (vals[1:] - vals[0]).T
-    return 0.5 * (jac - jac.T)
 
 
 def _twisted_slots(f: SymbolEvaluator, g: SymbolEvaluator, twist: np.ndarray,

@@ -19,9 +19,10 @@ the tests write out one Weyl operator at a time.
 
 The field enters every zero-fill route one way, ``grid._dress``: the
 field-free kernel is multiplied entrywise by the base potential's
-``exp(-i Gamma / hbar)``, table first, and a gauge transform ``A + grad
-rho``, the diagonal unitary ``e^{i rho(Q)}``, then conjugates it by
-``e^{i rho / hbar}`` sampled on the lattice.  Only ``_weyl_phase``
+``exp(-i Gamma / hbar)`` (an affine base's by its twist and gauge phase,
+with no table), and a gauge transform ``A + grad rho``, the diagonal
+unitary ``e^{i rho(Q)}``, then conjugates it by ``e^{i rho / hbar}``
+sampled on the lattice.  Only ``_weyl_phase``
 integrates its own circulations.  Every momentum sum here runs per axis on
 the grid's two transform matrices, never on an ``n^N x n^N`` phase table.
 

@@ -13,7 +13,9 @@ circulation engine.  The table itself
 integrates and exponentiates each unordered pair once and mirrors it by
 conjugation: it is checked for exact Hermitian symmetry with a diagonal of
 exact ones on grids down to one point per row block, and its two triangles
-against the flux through lattice triangles (Stokes).
+against the flux through lattice triangles (Stokes).  An affine base
+potential dresses the kernel maps by its twist and gauge phase instead, with
+no table: that route is pinned against the table route in dims 1 to 3.
 """
 
 import ast
@@ -228,3 +230,63 @@ def test_only_the_table_builders_call_the_circulation_engine():
                     and node.func.id == "_circulation_sum"):
                 callers.add(path.name)
     assert callers == {"fields.py", "grid.py", "coupling.py"}
+
+
+# ---------------------------------------------------------------------------
+# the twist: an affine base potential dresses with no table
+
+RHO = F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.3, (2, 1)), (-0.1, (0, 3))]]))
+TWIST_CASES = {
+    "dim1-affine": lambda: (1, 12, F.polynomial_potential(1, [[(0.7, (1,)), (0.4, (0,))]])),
+    "dim2-symmetric": lambda: (2, 8, F.symmetric_gauge(1.3)),
+    "dim2-landau": lambda: (2, 8, F.landau_gauge(1.3)),
+    # constant terms and a symmetric part in the Jacobian
+    "dim2-affine-polynomial": lambda: (2, 6, F.polynomial_potential(
+        2, [[(0.2, (0, 0)), (0.5, (0, 1)), (0.1, (1, 0))], [(-0.3, (0, 0)), (-0.4, (1, 0))]])),
+    "dim2-symmetric+grad": lambda: (2, 8, F.add_gradient(F.symmetric_gauge(1.3), RHO)),
+    "dim3-linear": lambda: (3, 4, F.linear_potential(
+        [[0.3, -0.5, 0.2], [0.5, 0.1, 0.0], [0.1, 0.3, -0.2]])),
+}
+
+
+def table_dressed(kern, A, g, hbar=1.0, strip=False):
+    """``kern`` dressed (or stripped) as the table route does: the base's table, then ``rho``."""
+    base, gauge = F._gauge_phases(A, g.config_points(), QUAD, hbar)
+    lam = G._segment_phases(base, g, QUAD, hbar)
+    if strip:
+        return G._gauge_dress(kern * np.conj(lam), None if gauge is None else np.conj(gauge))
+    return G._gauge_dress(lam * kern, gauge)
+
+
+@pytest.mark.parametrize("case", sorted(TWIST_CASES))
+def test_affine_twist_matches_the_table_route(case, monkeypatch):
+    # Gamma^A([x, y]) = y^T W x + rho(y) - rho(x) for A(x) = J x + A(0): every route
+    # that dresses (the kernel maps at each tau and hbar, the inverse map's strip)
+    # agrees with the table route, and none builds a table or fills the memo.
+    # Measured: 1.2e-16 against the table, 2.9e-16 for the round trip, a defect
+    # of 3.9e-17
+    dim, n, A = TWIST_CASES[case]()
+    g = G.PhaseSpaceGrid(dim, n, 4.0)
+    base = F._gauge_base(A)
+    assert G._affine(base, dim) is not None
+    f = G.gaussian_symbol(dim, x_center=[0.2] * dim, p_center=[-0.1] * dim, x_width=0.9,
+                          p_width=1.1, amplitude=1.0 - 0.4j)
+    real = G.gaussian_symbol(dim, x_center=[0.2] * dim, x_width=0.9, p_width=1.1)
+    params = (Q.WeylParams(), Q.WeylParams(tau=0.3, hbar=0.8))
+    plains = [Q.op_quantize(f, None, g, p, QUAD).kernel for p in params]
+    refs = [table_dressed(plain, A, g, p.hbar) for p, plain in zip(params, plains)]
+    ref_symbol = G.symbol_from_kernel(
+        G.OperatorKernel(g, table_dressed(refs[0].copy(), A, g, strip=True)), None, QUAD).values
+    builds = []
+    original = G._segment_phases
+    monkeypatch.setattr(G, "_segment_phases",
+                        lambda *args: builds.append(args[0]) or original(*args))
+    for p, plain, ref in zip(params, plains, refs):
+        out = Q.op_quantize(f, A, g, p, QUAD).kernel
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+        back = G._dress(out, A, g, QUAD, p.hbar, strip=True)  # the round trip
+        assert np.abs(back - plain).max() <= 1e-14 * np.abs(plain).max()
+    out = G.symbol_from_kernel(G.OperatorKernel(g, refs[0]), A, QUAD).values
+    assert np.abs(out - ref_symbol).max() <= 1e-14 * np.abs(ref_symbol).max()
+    assert G.kernel_from_symbol(real, A, g, QUAD).hermiticity_defect() <= 1e-15
+    assert builds == [] and base._phase is None and A._phase is None

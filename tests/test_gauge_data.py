@@ -4,11 +4,11 @@
 data and one summed gauge function, so ``add_gradient(transversal_gauge(B),
 rho)`` is ``(A_c, rho_t + rho)``.  Its circulation is ``Gamma^base([a, b]) +
 rho(b) - rho(a)`` in the point engine.  On the lattice it is the diagonal
-unitary ``e^{i rho(Q)}``: every route reads the base's table and dresses its
-output with ``e^{i rho / hbar}``, so gauge data never hold a table.  Each
-base keeps one memo, the read-only phases ``exp(-i Gamma)`` for the last
-``(grid, exact rule)``, integrated and exponentiated in one pass; no
-circulation table of kernel size is made.  These tests pin the memo (keyed
+unitary ``e^{i rho(Q)}``: every route reads the base's table (an affine
+base's twist) and dresses its output with ``e^{i rho / hbar}``, so gauge
+data never hold a table.  Each base keeps one memo, the read-only phases
+``exp(-i Gamma)`` for the last ``(grid, exact rule)``, integrated and
+exponentiated in one pass; no circulation table of kernel size is made.  These tests pin the memo (keyed
 by the exact rule, the same read-only array again, replaced and released by
 another grid or rule, bit-identical to a fresh table and bit for bit
 ``exp(-i Gamma)`` of the point engine's circulations, mirrored,

@@ -455,10 +455,21 @@ def test_hermiticity_defect_and_spectrum_match_the_full_matrix_forms():
     g = G.PhaseSpaceGrid(2, 6, 4.0)
     rng = np.random.default_rng(5)
     m = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
-    for kern in (3.0 * m, 0.1 * m):  # scale above and below the floor 1
-        K = G.OperatorKernel(g, kern)
+    # 36 rows and 38 rows in 16 blocks of 2 or 3 rows, 10 rows in 10 blocks of one
+    uneven = [G.PhaseSpaceGrid(1, n, 4.0) for n in (38, 10)]
+    cases = [(g, 3.0 * m), (g, 0.1 * m)]  # scale above and below the floor 1
+    cases += [(u, rng.normal(size=(u.size,) * 2) + 1j * rng.normal(size=(u.size,) * 2))
+              for u in uneven]
+    for grid, kern in cases:
+        K = G.OperatorKernel(grid, kern)
         full = np.abs(kern - kern.conj().T).max() / max(np.abs(kern).max(), 1.0)
         assert K.hermiticity_defect() == float(full)
+    # a NaN below the diagonal, in the column block that a row block compares
+    # against its mirror: the defect is NaN, as the one-shot expression's is
+    bad = m + m.conj().T
+    bad[30, 4] = np.nan
+    assert np.isnan(np.abs(bad - bad.conj().T).max())
+    assert np.isnan(G.OperatorKernel(g, bad).hermiticity_defect())
     H = G.OperatorKernel(g, m + m.conj().T)
     ref = np.linalg.eigvalsh(H.operator_matrix)
     assert np.abs(H.eigenvalues() - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -545,6 +545,28 @@ def test_spectrum_checks_memory_peak(traced_peak, method):
     assert traced_peak(getattr(K, method)) <= 4 * 2**20
 
 
+def test_affine_quantization_memory_budget(traced_peak):
+    # dim 2, n=32, symmetric gauge: a preset's kernel is its output alone, and the
+    # twist dress adds its two (n, n^2) tables (1.07 kernels measured; with the phase
+    # table it replaces, 2.34).  The spectrum pipeline adds the defect's row-block
+    # temporaries (1.13); LAPACK's copy in the eigen-solve is not traced.  The small
+    # call first takes the one-time lazy imports out of the figure
+    kernel = 16 * 2**20
+    f = G.gaussian_symbol(2, x_center=[0.3, -0.2], x_width=1.1, p_width=0.9)
+    Q.op_quantize(f, F.symmetric_gauge(1.0), G.PhaseSpaceGrid(2, 4, 8.0), quad=QUAD)
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    assert traced_peak(lambda: Q.op_quantize(f, F.symmetric_gauge(1.0), g, quad=QUAD)) \
+        <= 1.1 * kernel
+    kinetic = C.PolynomialSymbol(2, [(1.0, (2, 0)), (1.0, (0, 2))]).with_momentum_cutoff(30.0)
+
+    def spectrum():  # as the CLI's spectrum command
+        K = Q.op_quantize(kinetic, F.symmetric_gauge(1.0), g, quad=QUAD, mask=False)
+        K.hermiticity_defect()
+        K.eigenvalues(hermitian_tol=None)
+
+    assert traced_peak(spectrum) <= 2.1 * kernel
+
+
 def test_separable_route_memory_peak(traced_peak):
     # dim 2, n=32: a kernel is 16 MiB; the route keeps the kernel, the segment
     # circulations and their phase, and row-block temporaries: at most 4 kernels
