@@ -31,10 +31,9 @@ At ordering ``tau`` and Planck constant ``hbar`` (``quantize.op_quantize``)
 the symbol is read at ``((1 - tau) x + tau y, hbar k)`` and the phase is
 ``exp(-i Gamma / hbar)``; ``kernel_from_symbol`` is ``tau = 1/2, hbar = 1``.
 Both call ``_quantized_kernel``, the one place that picks the fill of the
-field-free kernel, multiplies the mask into the fills that do not fold it
-in (the trapezoid weights of ``_trapezoid``, or the zero-fill mask of a
-standard table, one axis at a time by ``_multiply_per_axis``), and dresses
-the kernel with the phases, table first:
+field-free kernel, and dresses the kernel with the phases.  Every fill
+multiplies in its mask (the trapezoid weights of ``_trapezoid``, or the
+zero-fill mask of a standard table) as it writes the kernel:
 
 ===========================  =========================  =========================
 symbol                       tau = 1/2, hbar = 1        other tau or hbar
@@ -60,11 +59,16 @@ standard ``SymbolGrid``      windowed (interpolated),   refused
 * the windowed map (``_windowed_kernel``), the separable fill's test
   oracle.  Per axis, the pairs ``(i, j)`` of one midpoint class ``s = i + j``
   have wrapped differences of one parity, so the class reads only n/2 of
-  the n differences.  The map contracts each momentum axis, batched over
-  that axis's midpoint index, with those n/2 rows of the inverse transform
-  (in place on the sample layout), then gathers every pair once.
+  the n differences.  The map streams blocks of rows of the first axis's
+  midpoint index ``s_1`` (``_midpoint_blocks``): per block it evaluates,
+  reads or interpolates the block's midpoint rows only, contracts each
+  momentum axis, batched over that axis's midpoint index, with those n/2
+  rows of the inverse transform, and writes the block's pairs into the
+  kernel by one flat ``take``, times the mask.  Beyond the kernel it holds
+  one block (1.22 kernels at dim 2, n = 32 for a table).
 * the per-difference fill (``_per_difference_kernel``): one matrix-vector
-  product per lattice difference, about ``n^{3N}`` symbol evaluations.
+  product per lattice difference, times its mask weight, about ``n^{3N}``
+  symbol evaluations.
 * a standard table, whose kernel is the paper's Weyl-system sum ``w sum_xi
   (F_sigma f)(xi) W^A(xi)`` with zero-filled translations, takes the
   windowed map of its trigonometric interpolant on the midpoints (one
@@ -79,10 +83,13 @@ standard ``SymbolGrid``      windowed (interpolated),   refused
   exactly (rank-one reconstruction), and a symmetrized edge misses the sum
   for tables that do not decay before the box edge.
 
-``symbol_from_kernel`` is its mirror: one gather of the pairs of each
-midpoint class into a window of one alias period of differences per axis,
-then one contraction per axis with the window's Fourier phases, batched
-over that axis's midpoint index as in the windowed map.  With an
+``symbol_from_kernel`` is its mirror, streamed over the same blocks of
+``s_1``: per block, one gather of the pairs of each midpoint class into a
+window of one alias period of differences per axis, then one contraction
+per axis with the window's Fourier phases, batched over that axis's
+midpoint index as in the windowed map, written into the block's rows of a
+C-ordered ``(2n - 1)^N x n^N`` table, so no intermediate is of the
+table's order.  With an
 even point count the pairs ``(x, y)`` sharing a midpoint supply only half
 the momentum modes (differences step by ``2h``), so the reconstructed table
 holds the alias sum ``f(u, k) + f(u, k -+ n/2 * dp)``: values are faithful
@@ -98,11 +105,11 @@ on composed kernels of localized symbols up to their out-of-band tails.
 Kernels whose symbols straddle the alias split (e.g. the bare identity)
 are reconstructed only as their alias class; see ``_trapezoid`` for the
 one-period convention the pairings rely on.  The map is three steps:
-the window tables (``_windows``), the gather of the kernel's pairs into
-them (``_window_pairs``) and the per-axis contraction (``_window_symbol``).
-The star product's twisted route (``moyal``) fills the same windows from
-the per-axis factor matrices of the separable fill (``_axis_matrices``)
-and ends in the same contraction.
+the window tables (``_windows``), the gather of a block's kernel pairs into
+them (``_window_pairs``) and the per-axis contraction of each block
+(``_window_symbol``).  The star product's twisted route (``moyal``) fills
+the same windows from the per-axis factor matrices of the separable fill
+(``_axis_matrices``) and ends in the same contraction.
 
 Every route gains or loses a potential's phases in ``_dress`` alone.  A
 base potential ``A(x) = J x + A(0)`` of declared degree <= 1 (``_affine``)
@@ -283,11 +290,15 @@ def _multiply_per_axis(values: np.ndarray, table: np.ndarray, grid: PhaseSpaceGr
     ``values`` is viewed as ``(u_1..u_N, v_1..v_N)``: a kernel's rows and
     columns, or a table's configuration and momentum axes.  Entry ``(u, v)``
     gains ``prod_a table[u_a, v_a]``, the Kronecker table's, one axis at a time.
+    Axis ``a``'s table is tiled over the ``v`` axes into an ``(n, n^N)`` table
+    over ``(u_a, v)``, so that each multiply runs along whole rows of ``v``.
     """
-    N, n = grid.dim, grid.n
-    view = values.reshape((n,) * (2 * N))
+    N, n, size = grid.dim, grid.n, grid.size
     for a in range(N):
-        view *= table.reshape((1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a))
+        tile = np.broadcast_to(table.reshape((n,) + (1,) * a + (n,) + (1,) * (N - 1 - a)),
+                               (n,) * (N + 1)).reshape(n, 1, size)
+        view = values.reshape(n**a, n, n ** (N - 1 - a), size)
+        view *= tile
     return values
 
 
@@ -458,14 +469,30 @@ def kernel_compose(phi: OperatorKernel, psi: OperatorKernel) -> OperatorKernel:
 _SEGMENT_BLOCKS = 16
 
 
-def _row_blocks(rows: int) -> list[tuple[int, int]]:
-    """``_SEGMENT_BLOCKS`` ranges ``(r0, r1)`` of consecutive rows covering ``range(rows)``.
+def _row_blocks(rows: int, blocks: int = _SEGMENT_BLOCKS) -> list[tuple[int, int]]:
+    """``blocks`` ranges ``(r0, r1)`` of consecutive rows covering ``range(rows)``, as even as can be.
 
     Fewer blocks when there are fewer rows, never an empty one.
     """
-    blocks = min(_SEGMENT_BLOCKS, rows)
+    blocks = min(blocks, rows)
     edges = [rows * k // blocks for k in range(blocks + 1)]
     return list(zip(edges[:-1], edges[1:]))
+
+
+# entries of midpoint-table rows that one block of the forward and of the inverse
+# window map spans (_midpoint_blocks)
+_FORWARD_ENTRIES, _INVERSE_ENTRIES = 2**17, 2**16
+
+
+def _midpoint_blocks(grid: PhaseSpaceGrid, entries: int, least: int = 1) -> list[tuple[int, int]]:
+    """Even blocks ``(s0, s1)`` of the first axis's midpoint index ``s_1``, for the window maps.
+
+    Each spans about ``entries`` entries of a midpoint table, ``(2n - 1)^{N-1}
+    n^N`` a row, and at least ``least`` rows.
+    """
+    S = 2 * grid.n - 1
+    rows = max(least, entries // (S ** (grid.dim - 1) * grid.size))
+    return _row_blocks(S, max(1, S // rows))
 
 
 def _segment_phases(A: VectorPotential, grid: PhaseSpaceGrid, quad: Quadrature,
@@ -627,7 +654,8 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
     exactly Hermitian as the memo is.  The kernel routes do not call this
     for gauge data, nor for an affine base (``_affine``), which they dress
     by its twist; each dresses its own output (``_dress``).  The star
-    product's band route and ``quantize.translation_phase_table`` read it.
+    product's band route (for a base that is not affine) and
+    ``quantize.translation_phase_table`` read it.
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)
@@ -684,8 +712,8 @@ def _trapezoid(steps: np.ndarray, n: int) -> np.ndarray:
     duplicate the near-diagonal band (the momentum sum is box-periodic in
     the difference), which leaves operator actions on interior states
     untouched but double-counts traces of composed kernels.  Every route
-    applies it per axis, multiplied in (``_multiply_per_axis``) or folded
-    into its per-axis factors.
+    applies it per axis, folded into its per-axis factors or multiplied in
+    as it writes the kernel.
     """
     steps = np.abs(steps)
     return np.where(steps < n // 2, 1.0, np.where(steps == n // 2, 0.5, 0.0))
@@ -799,8 +827,8 @@ def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float,
     phases ``e^{i (x - y) . k}``, so their entries are one matrix-vector
     product of the symbol at ``(1 - tau) x + tau y`` and the hbar-scaled
     momenta; about ``n^{3N}`` symbol evaluations.  With the mask on,
-    differences beyond half a period per axis (weight 0) are skipped; the
-    mask itself is not applied.
+    differences beyond half a period per axis (weight 0) are skipped and
+    each other difference's entries are multiplied by its trapezoid weight.
     """
     n = grid.n
     pts = grid.config_points()
@@ -815,7 +843,10 @@ def _per_difference_kernel(f: SymbolEvaluator, grid: PhaseSpaceGrid, tau: float,
         fvals = f(epts[:, None, :], scaled_k)  # (rows, size_k)
         # phases w e^{i (x - y) . k}: per axis the inverse-transform row of the
         # wrapped index difference, whose value is a configuration lattice point
-        kern[xs, ys] = fvals @ reduce(np.kron, [grid._inv_matrix[(n // 2 - da) % n] for da in d])
+        vals = fvals @ reduce(np.kron, [grid._inv_matrix[(n // 2 - da) % n] for da in d])
+        if mask:
+            vals *= float(_trapezoid(np.array(d), n).prod())  # 1 or a power of 1/2: exact
+        kern[xs, ys] = vals
     return kern
 
 
@@ -872,67 +903,94 @@ def _quantized_kernel(f, A: VectorPotential | None, grid: PhaseSpaceGrid, quad: 
 
     The phases are those of ``_dress`` at ``hbar``.  ``f`` is a checked
     (``_check_symbol``) evaluator, or a checked symbol table at ``tau = 1/2,
-    hbar = 1``.  The mask is multiplied in one axis at a time
-    (``_multiply_per_axis``): the weights of ``_trapezoid``, or the
-    zero-fill mask for a standard table.
+    hbar = 1``.  Every fill multiplies its mask in as it writes the kernel:
+    the weights of ``_trapezoid``, or the zero-fill mask of a standard table.
     """
     if isinstance(f, SymbolEvaluator) and f.factors is not None:
         kern = _separable_kernel(f, grid, tau, hbar, mask)
+    elif tau == 0.5 and hbar == 1.0:
+        kern = _windowed_kernel(f, grid, mask)
     else:
-        if tau == 0.5 and hbar == 1.0:
-            kern = _windowed_kernel(f, grid)
-        else:
-            kern = _per_difference_kernel(f, grid, tau, hbar, mask)
-        steps = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))  # row - col per axis
-        if isinstance(f, SymbolGrid) and f.kind == "standard":  # the zero-fill mask (module notes)
-            _multiply_per_axis(kern, ((steps > -grid.n // 2) & (steps <= grid.n // 2)) * 1.0, grid)
-        elif mask:
-            _multiply_per_axis(kern, _trapezoid(steps, grid.n), grid)
+        kern = _per_difference_kernel(f, grid, tau, hbar, mask)
     return OperatorKernel(grid, _dress(kern, A, grid, quad, hbar))
 
 
-def _windowed_kernel(f, grid: PhaseSpaceGrid) -> np.ndarray:
-    """The windowed map: field-free, unmasked kernel of an evaluator or of a symbol table.
+def _windowed_kernel(f, grid: PhaseSpaceGrid, mask: bool) -> np.ndarray:
+    """The windowed map: field-free kernel of an evaluator or of a symbol table, mask multiplied in.
 
-    A standard table's configuration axes are interpolated from n to 2n - 1
-    points (module notes) one at a time, each just before its momentum step.
+    Streamed over the ``_midpoint_blocks`` of the first axis's midpoint index
+    ``s_1``: an evaluator is evaluated on the block's midpoints only, a
+    midpoint table is read as a slice, and a standard table's first
+    configuration axis is interpolated on the block's rows only (each later
+    axis from n to 2n - 1 points just before its momentum step; module
+    notes).  The block's pairs (``i_1 + j_1`` in the block) are read by one
+    flat ``take`` at offsets summed per axis, multiplied by the mask (the
+    trapezoid weights with ``mask``; a standard table's zero-fill mask
+    always) and written into the kernel, so no array is of the kernel's order
+    but the kernel.
     """
-    alias, interp = 1.0, None  # alias weight per momentum axis
-    if isinstance(f, SymbolEvaluator):
-        vals = f.sample(grid, kind="midpoint").values
-    else:
-        vals = f.values
-        if f.kind == "standard":
-            # (1/2L) e^{i m p} over the midpoints m and the lattice's momenta p, times F
-            interp = (np.exp(1j * np.outer(grid.midpoint_axis, grid.momentum_axis))
-                      / (2.0 * grid.L)) @ grid._fwd_matrix
-        elif f.alias_doubled:
-            # reconstructed tables hold both alias images; pair with half weight
-            alias = 0.5
     n, N = grid.n, grid.dim
-    S, T = 2 * n - 1, n // 2
+    S, T, m = 2 * n - 1, n // 2, grid.size // n
+    i = np.arange(n)
+    steps, ij = np.subtract.outer(i, i), np.add.outer(i, i)  # row - col and midpoint index
+    alias, interp = 1.0, None  # alias weight per momentum axis
+    weight = _trapezoid(steps, n) if mask else None
+    if isinstance(f, SymbolEvaluator):
+        mids, k = _lattice_mesh([grid.midpoint_axis] * N), grid.momentum_points()[None]
+        rows = lambda s0, s1: f(mids[s0 * S ** (N - 1):s1 * S ** (N - 1), None], k).reshape(
+            (s1 - s0,) + (S,) * (N - 1) + grid.shape)
+    elif f.kind == "standard":
+        # (1/2L) e^{i m p} over the midpoints m and the lattice's momenta p, times F
+        interp = (np.exp(1j * np.outer(grid.midpoint_axis, grid.momentum_axis))
+                  / (2.0 * grid.L)) @ grid._fwd_matrix
+        weight = ((steps > -n // 2) & (steps <= n // 2)) * 1.0  # the zero-fill mask (module notes)
+        table = np.ascontiguousarray(f.values)  # read once per block: a strided one is copied once
+        rows = lambda s0, s1: _apply_axes(table, interp[s0:s1], [0])
+    else:
+        # reconstructed tables hold both alias images; pair with half weight
+        alias = 0.5 if f.alias_doubled else 1.0
+        rows = lambda s0, s1: f.values[s0:s1]
     # Per axis, the pairs (i, j) of the midpoint class s = i + j have wrapped
     # difference slots (i - j + n/2) mod n of one parity, (s + n/2) mod 2, so
     # the class reads only the slots 2 t + parity: those rows of the inverse transform.
-    s = np.arange(S)[:, None]
-    phase = alias * grid._inv_matrix[2 * np.arange(T) + (s + n // 2) % 2]  # (s, t, k)
-    # (s_1..s_N, k_1..k_N) -> (s_1..s_N, t_1..t_N), momentum axis a batched over s_a
-    for a in range(N):
-        if interp is not None:
-            vals = _apply_axes(vals, interp, [a])
-        shape = vals.shape
-        pre, mid = S**a, math.prod(shape[a + 1:N + a])
-        # only vals holds a step's output, so the next interpolation can free it
-        if a < N - 1:
-            vals = phase[:, None] @ vals.reshape(pre, S, mid, n, n ** (N - 1 - a))
-        else:
-            vals = vals.reshape(pre, S, mid, n) @ phase.transpose(0, 2, 1)
-        vals = vals.reshape(shape[:N + a] + (T,) + shape[N + a + 1:])
-    i = np.arange(n)
-    axis_shape = [(1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a) for a in range(N)]
-    pairs = tuple(ij.reshape(sh) for ij in (i[:, None] + i, ((i[:, None] - i + n // 2) % n) // 2)
-                  for sh in axis_shape)
-    return vals[pairs].reshape(grid.size, grid.size)
+    phase = alias * grid._inv_matrix[2 * np.arange(T) + (np.arange(S)[:, None] + n // 2) % 2]
+    slot = ((steps + n // 2) % n) // 2
+    # offsets of the pairs (i_a, j_a), a > 1, into a block (s_1, s_2..s_N, t_1..t_N), and
+    # their mask weights, over (i_2..i_N, j_2..j_N)
+    rest, wrest = np.zeros((1,) * (2 * N - 2), dtype=int), 1.0
+    for a in range(1, N):
+        sh = (1,) * (a - 1) + (n,) + (1,) * (N - 2) + (n,) + (1,) * (N - 1 - a)
+        rest = rest + (ij * S ** (N - 1 - a) * T**N + slot * T ** (N - 1 - a)).reshape(sh)
+        if weight is not None:
+            wrest = wrest * weight.reshape(sh)
+    rest = rest.reshape(m, m)
+    kern = np.empty((grid.size, grid.size), dtype=complex)
+    # two rows at least: the interpolant of one row would be a matrix-vector product,
+    # which rounds otherwise than the matrix product of more rows
+    for s0, s1 in _midpoint_blocks(grid, _FORWARD_ENTRIES, least=2):
+        vals = rows(s0, s1)
+        # (s_1..s_N, k_1..k_N) -> (s_1..s_N, t_1..t_N), momentum axis a batched over s_a
+        for a in range(N):
+            if interp is not None and a > 0:
+                vals = _apply_axes(vals, interp, [a])
+            shape = vals.shape
+            pre, mid = math.prod(shape[:a]), math.prod(shape[a + 1:N + a])
+            ph = phase[s0:s1] if a == 0 else phase
+            # only vals holds a step's output, so the next interpolation can free it
+            if a < N - 1:
+                vals = ph[:, None] @ vals.reshape(pre, shape[a], mid, n, n ** (N - 1 - a))
+            else:
+                vals = vals.reshape(pre, shape[a], mid, n) @ ph.transpose(0, 2, 1)
+            vals = vals.reshape(shape[:N + a] + (T,) + shape[N + a + 1:])
+        ip, jp = np.nonzero((ij >= s0) & (ij < s1))  # the block's pairs on the first axis
+        lead = (ij[ip, jp] - s0) * S ** (N - 1) * T**N + slot[ip, jp] * T ** (N - 1)
+        pairs = vals.take(lead[:, None, None] + rest)
+        if weight is not None:  # 0, 1/2 and 1 multiply exactly in any order
+            pairs *= weight[ip, jp][:, None, None]
+            if N > 1:
+                pairs *= wrest.reshape(m, m)
+        kern.reshape(n, m, n, m)[ip, :, jp, :] = pairs
+    return kern
 
 
 def _windows(g: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -966,41 +1024,53 @@ def _windows(g: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_pairs(phi: OperatorKernel, A: VectorPotential | None, quad: Quadrature,
-                  first: np.ndarray) -> np.ndarray:
-    """The phase-stripped kernel on the window slots, ``out[s_1, t_1, ..., s_N, t_N]``."""
+                  first: np.ndarray):
+    """The phase-stripped kernel on the window slots: ``slots(s0, s1)`` is ``out[s_1 - s0, t_1, ...,
+    s_N, t_N]`` over the block ``s0 <= s_1 < s1``."""
     g = phi.grid
     n, N = g.n, g.dim
     S, W = first.shape
     s = np.arange(S)[:, None]
     # out[s_1, t_1, ..., s_N, t_N] = psi[i_1, ..., i_N, s_1 - i_1, ..., s_N - i_N], read
-    # at flat offsets into psi: a sum of one (s_a, t_a) term per axis
-    axis_shape = [(1, 1) * a + (S, W) + (1, 1) * (N - 1 - a) for a in range(N)]
-    flat = sum((first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(sh)
-               for a, sh in enumerate(axis_shape))
-    psi = phi.kernel if A is None else _dress(phi.kernel.copy(), A, g, quad, strip=True)
-    return psi.ravel()[flat]
+    # at flat offsets into psi: a sum of one (s_a, t_a) term per axis, the first sliced
+    offsets = [(first * n ** (2 * N - 1 - a) + (s - first) * n ** (N - 1 - a)).reshape(
+        (1, 1) * a + (S, W) + (1, 1) * (N - 1 - a)) for a in range(N)]
+    rest = sum(offsets[1:], np.zeros((1, 1), dtype=int))
+    psi = (np.ascontiguousarray(phi.kernel) if A is None
+           else _dress(phi.kernel.copy(), A, g, quad, strip=True))
+    return lambda s0, s1: psi.reshape(-1).take(offsets[0][s0:s1] + rest)
 
 
-def _window_symbol(out: np.ndarray, phase: np.ndarray, g: PhaseSpaceGrid) -> SymbolGrid:
-    """The alias-doubled midpoint symbol of window samples ``out``: one contraction per axis.
+def _window_symbol(slots, phase: np.ndarray, g: PhaseSpaceGrid) -> SymbolGrid:
+    """The alias-doubled midpoint symbol of window samples: one contraction per axis.
 
-    Slot ``t_a`` goes to momentum ``k_a``, batched over ``s_a``.  A caller
-    passes ``out`` as a temporary, so it is freed by the first contraction.
+    ``slots(s0, s1)`` gives the samples ``out[s_1 - s0, t_1, ..., s_N, t_N]`` of
+    one of the ``_midpoint_blocks``; slot ``t_a`` goes to momentum ``k_a``,
+    batched over ``s_a``, and the block is written into the C-ordered
+    ``(2n - 1)^N x n^N`` output, so no intermediate is of the output's order.
     """
     n, N = g.n, g.dim
     S, _, W = phase.shape
-    # every product is a matrix product.  The axes before the last left-multiply
-    # every later index; the last right-multiplies every earlier index, one strided
-    # row each, by the transposed phases
-    for a in range(N - 1):
-        head, tail = out.shape[:2 * a], out.shape[2 * a + 2:]
-        out = (phase @ out.reshape(math.prod(head), S, W, -1)).reshape(head + (S, n) + tail)
-    rows = (S * n) ** (N - 1)
-    out = out.reshape(rows, S, W).transpose(1, 0, 2) @ phase.transpose(0, 2, 1)
-    # (s_N, s_1, k_1, ..., s_{N-1}, k_{N-1}, k_N) -> configuration axes before momentum axes
-    out = out.reshape((S,) + (S, n) * (N - 1) + (n,))
-    out = out.transpose(list(range(1, 2 * N - 1, 2)) + [0] + list(range(2, 2 * N, 2))
-                        + [2 * N - 1])
+    out = np.empty((S,) * N + g.shape, dtype=complex)
+    for s0, s1 in _midpoint_blocks(g, _INVERSE_ENTRIES):
+        vals = slots(s0, s1)
+        phases = [phase[s0:s1]] + [phase] * (N - 1)  # per axis, over its midpoint index
+        # every product is a matrix product.  The axes before the last left-multiply
+        # every later index, giving (s_1, k_1, ..., s_{N-1}, k_{N-1}, s_N, t_N)
+        for a in range(N - 1):
+            head, tail = vals.shape[:2 * a], vals.shape[2 * a + 2:]
+            vals = (phases[a] @ vals.reshape(math.prod(head), len(phases[a]), W, -1)).reshape(
+                head + (len(phases[a]), n) + tail)
+        # the last right-multiplies by the transposed phases, batched over s_N, straight
+        # into the block's rows of the output: both are viewed as (s_N, s_1..s_{N-1}, 1,
+        # k_1..k_{N-1}, t_N or k_N), so a product's rows are the k_{N-1} of one strided
+        # run (the unit axis at N = 1), and no copy of the block is transposed
+        x = np.expand_dims(vals.transpose([2 * N - 2] + list(range(0, 2 * N - 2, 2))
+                                          + list(range(1, 2 * N, 2))), N)
+        o = np.expand_dims(out[s0:s1].transpose([N - 1] + list(range(N - 1))
+                                                + list(range(N, 2 * N))), N)
+        np.matmul(x, phases[-1].transpose(0, 2, 1).reshape(
+            (len(phases[-1]),) + (1,) * (2 * N - 2) + (W, n)), out=o)
     return SymbolGrid(g, "midpoint", out, alias_doubled=True)
 
 
@@ -1012,7 +1082,8 @@ def symbol_from_kernel(phi: OperatorKernel, A: VectorPotential | None,
     the pairs of every midpoint class are gathered into one window per axis
     (``_windows``, ``_window_pairs``), and the difference variable of each
     window is Fourier-transformed back to the dual lattice over one alias
-    period, one axis at a time (``_window_symbol``).  The output is flagged
+    period, one axis at a time (``_window_symbol``), one block of midpoint
+    rows at a time into a C-ordered table.  The output is flagged
     ``alias_doubled``: each value holds the symbol plus its half-box alias
     mirror, so it is faithful on the inner momentum band for quarter-box
     limited symbols and re-quantizes exactly (see module notes).

@@ -18,7 +18,8 @@ the base potential, with the kernel map of ``grid``, and never samples
 
 Both routes compute the composed kernel, its phase stripped, only on the
 pairs the inverse map reads, and share the inverse map's per-axis
-contraction (``grid._window_symbol``).  Two facts make this exact:
+contraction (``grid._window_symbol``), which writes one block of midpoint
+rows at a time into a C-ordered table.  Two facts make this exact:
 
 * the factor kernels are masked (``kernel_from_symbol`` with ``mask=True``),
   so each is exactly 0 at every pair more than n/2 lattice steps apart on
@@ -47,10 +48,11 @@ Every other input (an ``fn`` evaluator, a ``SymbolGrid``, a potential of
 higher or undeclared degree) takes the band route: both factor kernels are
 filled in the base potential, and each row block of the first lattice axis
 is multiplied only against the columns within n/2 first-axis steps of it
-(``_band_compose``); the entries outside stay 0 and are never read, and the
-base's phase table strips the product.  That table is read for an affine
-base too, whose factor kernels the twist dressed: the strip is one
-entrywise product per band block, and the two agree to roundoff.
+(``_band_compose``); the entries outside stay 0 and are never read.  The
+base's phase table strips the product, one entrywise product per band
+block; an affine base, whose factor kernels the twist dressed, is stripped
+in place by the conjugate twist instead (``grid._dress``), so no table is
+built or memoized, and the two strips agree to roundoff.
 ``product_kernel`` returns a kernel and composes the full matrices.
 
 A direct evaluation of the defining double phase-space integral -- the
@@ -82,6 +84,7 @@ from .grid import (
     segment_phase_matrix,
     _affine,
     _axis_matrices,
+    _dress,
     _row_blocks,
     _window_symbol,
     _windows,
@@ -139,10 +142,14 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
                                   and h.factors is not None and all(map(_axis_term, h.factors))
                                   for h in (f, g)):
         first, phase = _windows(grid)
-        return _window_symbol(_twisted_slots(f, g, affine[0], grid, first), phase, grid)
+        slots = _twisted_slots(f, g, affine[0], grid, first)
+        return _window_symbol(lambda s0, s1: slots[s0:s1], phase, grid)
     kf, kg = (kernel_from_symbol(h, base, grid, quad) for h in (f, g))
-    composed = _band_compose(kf.kernel, kg.kernel, segment_phase_matrix(base, grid, quad), grid)
+    lam = None if affine is not None else segment_phase_matrix(base, grid, quad)
+    composed = _band_compose(kf.kernel, kg.kernel, lam, grid)
     del kf, kg  # free the factors before the inverse map
+    if affine is not None:  # the conjugate twist, in place: no phase table
+        _dress(composed, base, grid, quad, strip=True)
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
 
 

@@ -31,7 +31,6 @@ from .grid import (
     _dress,
     _multiply_per_axis,
     _row_blocks,
-    _shift_index_table,
     fourier_symplectic,
 )
 from .quantize import _lattice_vector
@@ -48,23 +47,48 @@ def fourier_wigner(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,
                    quad: Quadrature = DEFAULT_QUADRATURE) -> SymbolGrid:
     """Phase-space coefficient table ``<v, W(x, p) u>`` on the standard lattice.
 
-    Computed in factorized form: one zero-fill shift gather windows the
-    rank-one kernel, dressed with the phases of ``A`` (``grid._dress``), into
-    the products for all lattice translations at once; a forward transform
-    per axis takes them to the dual lattice.  Zero-fill truncation matches
-    the Weyl-operator convention, so the table agrees with directly
-    assembled inner products to roundoff.
+    Computed in factorized form: the rank-one kernel ``conj(v(y)) u(z)``,
+    dressed with the phases of ``A`` (``grid._dress``), is read at the pairs
+    ``(y, y + x)`` of every lattice translation ``x`` (``_translations``); a
+    forward transform per axis takes the ``y`` axes to the dual lattice.
+    Zero-fill truncation matches the Weyl-operator convention, so the table
+    agrees with directly assembled inner products to roundoff.  Each step
+    holds the only reference to its input, so it peaks at two kernels.
     """
     g = u.grid
-    kern = _dress(np.conj(rank_one_kernel(v, u).kernel), A, g, quad)  # (y, z): conj(v(y)) u(z)
-    cols, valid = _shift_index_table(g)  # (y, x)
-    w = kern[np.arange(g.size), cols.T]  # (x, y): kern[y, y + x]
-    w[~valid.T] = 0
-    del kern
+    N = g.dim
     # forward transform of the y axes, then the half phase e^{-i (x/2).p}
-    vals = _apply_axes(w.reshape(g.shape + g.shape), g._fwd_matrix, range(g.dim, 2 * g.dim))
+    vals = _apply_axes(_translations(_dress(np.outer(np.conj(v.values.ravel()), u.values.ravel()),
+                                            A, g, quad), g),
+                       g._fwd_matrix, range(N, 2 * N))
     return SymbolGrid(g, "standard", _multiply_per_axis(
         vals, np.exp(-0.5j * np.outer(g.config_axis, g.momentum_axis)), g))
+
+
+def _translations(kern: np.ndarray, g: PhaseSpaceGrid) -> np.ndarray:
+    """``w[x, y] = kern[y, y + x]`` over the lattice translations ``x`` and points ``y``, C-ordered.
+
+    Zero where ``y + x`` leaves the box.  Written one ``_row_blocks`` block of
+    the first translation axis at a time by a flat ``take`` at offsets summed
+    per axis, so no index array is of the kernel's order.  Shape ``n^{2N}``
+    as ``(x_1..x_N, y_1..y_N)``.
+    """
+    n, N = g.n, g.dim
+    # per axis over (x_a, y_a): the offset of the pair (y, y + x) into the kernel, and
+    # whether y_a + x_a (the translation x_a / h = index - n/2) stays in the box
+    i = np.arange(n)
+    z = i[None, :] + i[:, None] - n // 2
+    offset = [(i[None, :] * n ** (2 * N - 1 - a) + np.clip(z, 0, n - 1) * n ** (N - 1 - a)).reshape(
+        (1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a)) for a in range(N)]
+    rest = sum(offset[1:], np.zeros((1,) * (2 * N), dtype=int))
+    outside = [((z < 0) | (z >= n)).reshape(off.shape) for off in offset]
+    w = np.empty((n,) * (2 * N), dtype=complex)
+    for r0, r1 in _row_blocks(n):
+        block = w[r0:r1]
+        np.take(kern.reshape(-1), offset[0][r0:r1] + rest, out=block, mode="clip")  # in range
+        for a, out in enumerate(outside):
+            np.copyto(block, 0, where=out[r0:r1] if a == 0 else out)
+    return w
 
 
 def rank_one_symbol(u: WaveFunction, v: WaveFunction, A: VectorPotential | None,

@@ -2,7 +2,6 @@ import ast
 import importlib
 import inspect
 import tokenize
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,18 +93,13 @@ def test_csv_writer_matches_percent_format_on_any_floats(tmp_path_factory, value
     assert_writes_like_percent(tmp_path_factory.mktemp("csv") / "any.csv", values)
 
 
-def test_csv_writer_memory_is_one_block(tmp_path):
+def test_csv_writer_memory_is_one_block(tmp_path, traced_peak):
     # four blocks of two columns peak within the working set of one: formatting a
     # whole table at once would hold every block's digits and bytes together
     values = np.random.default_rng(4).standard_normal((4 * CF._CSV_ROWS, 2))
     columns = [values[:, 0], values[:, 1]]
     CF._write_csv(tmp_path / "warm.csv", columns[:1], "warm-up")  # the lookup tables
-    tracemalloc.start()
-    try:
-        CF._write_csv(tmp_path / "mem.csv", columns, "memory")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: CF._write_csv(tmp_path / "mem.csv", columns, "memory"))
     assert peak <= 320 * 2 * CF._CSV_ROWS  # 320 bytes per value of one block
 
 

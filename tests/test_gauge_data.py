@@ -26,7 +26,6 @@ case is checked against the order-48 flux from the origin.
 """
 
 import ast
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -151,18 +150,14 @@ def test_memo_hit_is_bit_identical_to_a_fresh_table(make):
     assert np.array_equal(hit, G.segment_phase_matrix(F._gauge_base(make()), g, QUAD))
 
 
-def test_phase_matrix_exponentiates_in_place():
+def test_phase_matrix_exponentiates_in_place(traced_peak):
     # a fresh potential: the 16 MiB result and one row block's circulations and
     # integration temporaries are the allocations (20.8 MiB measured); a kernel-sized
     # circulation table beside it needs about 24 MiB, an out-of-place exp about 40 MiB
     g = G.PhaseSpaceGrid(2, 32, 8.0)
     A = F.symmetric_gauge(1.0)
-    tracemalloc.start()
-    try:
-        lam = G.segment_phase_matrix(A, g, QUAD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: G.segment_phase_matrix(A, g, QUAD))
+    lam = G.segment_phase_matrix(A, g, QUAD)  # the memo the traced call left
     assert np.array_equal(lam, np.exp(-1j * mirrored_circulation(A, g)))
     assert peak <= 22 * 2**20
 

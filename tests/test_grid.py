@@ -1,6 +1,7 @@
 import cmath
 import itertools
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from magweyl import symbols as S
 from magweyl import verify as V
 from magweyl.errors import DimensionMismatchError, InputError
 from mask_oracle import difference_mask
+from windowed_oracle import windowed_kernel
 
 QUAD = F.Quadrature(16)
 
@@ -427,7 +429,8 @@ def reference_kernel_from_symbol(f, lam, g, masked, rows):
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 6), (1, 8), (2, 2), (2, 6), (2, 8),
                                    (3, 2), (3, 6), (3, 8)])
 def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, source):
-    # n = 6 has an odd n/2; from dim 2 on the alias table is a non-contiguous view.
+    # n = 6 has an odd n/2.  The alias table is C-ordered as symbol_from_kernel writes
+    # it; the map is given a Fortran-ordered copy, so that it reads a strided table.
     # The factored evaluator takes the separable fill; the same function given by
     # `fn` and the alias table take the windowed map
     g = G.PhaseSpaceGrid(dim, n, 3.0)
@@ -435,8 +438,10 @@ def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, sou
     rng = np.random.default_rng(10 * dim + n)
     if source == "alias_table":
         k = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
-        f = G.symbol_from_kernel(G.OperatorKernel(g, k), None, QUAD)
-        assert f.alias_doubled and (dim == 1 or not f.values.flags.c_contiguous)
+        rec = G.symbol_from_kernel(G.OperatorKernel(g, k), None, QUAD)
+        assert rec.alias_doubled and rec.values.flags.c_contiguous
+        f = G.SymbolGrid(g, "midpoint", np.asfortranarray(rec.values), alias_doubled=True)
+        assert not f.values.flags.c_contiguous
     else:
         f = G.gaussian_symbol(dim, x_center=[0.4] * dim, p_center=[-0.3] * dim,
                               x_width=0.9, p_width=1.1, amplitude=1.0 - 0.5j)
@@ -447,6 +452,38 @@ def test_kernel_from_symbol_matches_loop_reference(dim, n, magnetic, masked, sou
     ref = reference_kernel_from_symbol(f, G.segment_phase_matrix(A, g, QUAD), g, masked, rows)
     kern = G.kernel_from_symbol(f, A, g, QUAD, mask=masked).kernel[rows]
     assert np.abs(kern - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(dim=st.integers(1, 3), n=st.sampled_from([2, 4, 6, 8]), L=st.floats(1.0, 8.0),
+       mask=st.booleans(), magnetic=st.booleans(),
+       source=st.sampled_from(["fn", "midpoint", "alias_doubled", "standard"]),
+       entries=st.sampled_from([1, 2**10, G._FORWARD_ENTRIES]), seed=st.integers(0, 2**32 - 1))
+def test_streamed_windowed_map_matches_the_whole_array_oracle(dim, n, L, mask, magnetic, source,
+                                                              entries, seed):
+    # bit for bit: each block runs the oracle's per-item matmuls (two rows at least, so
+    # the interpolant stays a matrix product), and the mask's 0, 1/2 and 1 multiply
+    # exactly in any order.  One entry per block streams two midpoint rows at a time
+    g = G.PhaseSpaceGrid(dim, n, L)
+    rng = np.random.default_rng(seed)
+
+    def table(kind):
+        shape = (len(S._config_axis(g, kind)),) * dim + g.shape
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if source == "fn":
+        f = G.SymbolEvaluator(dim, G.gaussian_symbol(
+            dim, x_center=rng.uniform(-1.0, 1.0, dim), p_center=rng.uniform(-1.0, 1.0, dim),
+            x_width=rng.uniform(0.5, 1.5), p_width=rng.uniform(0.5, 1.5),
+            amplitude=complex(*rng.normal(size=2))).fn)
+    elif source == "standard":
+        f = G.SymbolGrid(g, "standard", table("standard"))
+    else:
+        f = G.SymbolGrid(g, "midpoint", table("midpoint"), alias_doubled=source == "alias_doubled")
+    A = magnetic_potential(dim, 1.3) if magnetic else None
+    with mock.patch.object(G, "_FORWARD_ENTRIES", entries):
+        kern = G._quantized_kernel(f, A, g, QUAD, 0.5, 1.0, mask).kernel
+    assert np.array_equal(kern, G._dress(windowed_kernel(f, g, mask), A, g, QUAD))
 
 
 def test_hermiticity_defect_and_spectrum_match_the_full_matrix_forms():
@@ -476,11 +513,26 @@ def test_hermiticity_defect_and_spectrum_match_the_full_matrix_forms():
 
 
 def test_kernel_from_symbol_memory_peak(traced_peak):
-    # the windowed map of a symbol given by `fn`: the 62 MB sample table and the
-    # half-width first transform fit under the bound; one more copy of the table does not
-    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    # dim 2, n=32: the windowed map of a symbol given by `fn` evaluates it one block of
+    # midpoint rows at a time, so the kernel and one block's samples and contractions
+    # are the allocations (1.33 kernels measured; the whole 3.9-kernel sample table
+    # peaked at 5.84).  The small call first takes the one-time lazy imports out
     f = G.SymbolEvaluator(2, G.gaussian_symbol(2, x_width=0.9, p_width=1.1).fn)
-    assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD)) <= 150 * 2**20
+    G.kernel_from_symbol(f, None, G.PhaseSpaceGrid(2, 4, 6.0), QUAD)
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD), g) <= 1.5
+
+
+@pytest.mark.parametrize("alias_doubled", [False, True])
+def test_midpoint_table_memory_peak(traced_peak, alias_doubled):
+    # dim 2, n=32: a midpoint table is read one block of rows at a time, so beyond the
+    # kernel only one block's contractions and pairs are allocated (1.22 kernels
+    # measured; contracting the whole table peaked at 2.94)
+    g = G.PhaseSpaceGrid(2, 32, 6.0)
+    table = G.gaussian_symbol(2, x_width=0.9, p_width=1.1).sample(g, "midpoint")
+    f = G.SymbolGrid(g, "midpoint", table.values, alias_doubled=alias_doubled)
+    G.kernel_from_symbol(f, None, g, QUAD)
+    assert traced_peak(lambda: G.kernel_from_symbol(f, None, g, QUAD), g) <= 1.35
 
 
 def test_gaussian_sample_memory_peak(traced_peak):

@@ -318,16 +318,68 @@ def test_twisted_route_matches_gaussian_closed_form():
 
 
 def test_product_memory_peak(traced_peak):
-    # dim 2, n=32 (a kernel is 16 MiB), on a warm rig whose phases are memoized:
-    # the band product, then the 62 MiB output and the inverse map's temporaries.
-    # The factor kernels are freed before the inverse map; kept, they read 159.5 MiB
+    # dim 2, n=32, presets in the symmetric gauge (the twisted route): the window
+    # slots (1.09 kernels), the C-ordered 3.88-kernel output and one block of midpoint
+    # rows of the inverse map's contractions (5.07 kernels measured; contracting
+    # every row at once peaked at 5.97); the bound is the measured peak plus 10 %
     g = G.PhaseSpaceGrid(2, 32, 8.0)
     B, A = F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
     f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9)
     h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.1,
                           p_width=0.9)
-    G.segment_phase_matrix(A, g, QUAD)
-    assert traced_peak(lambda: M.moyal_product(f, h, B, A, g, QUAD)) <= 120 * 2**20
+    M.moyal_product(f, h, B, A, g, QUAD)
+    assert traced_peak(lambda: M.moyal_product(f, h, B, A, g, QUAD), g) <= 5.58
+
+
+def test_band_route_memory_peak_in_an_affine_gauge(traced_peak):
+    # dim 2, n=32, a preset and an `fn` symbol (the band route) in a fresh symmetric
+    # gauge: the two factor kernels and the band, then the band stripped in place by
+    # the conjugate twist and the output (4.99 kernels measured).  No phase table is
+    # built or left on the potential (7.97 kernels when the strip read one)
+    g = G.PhaseSpaceGrid(2, 32, 8.0)
+    B = F.constant_field_2d(1.0)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9)
+    h = fn_only(G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.1,
+                                  p_width=0.9))
+    M.moyal_product(f, h, B, F.symmetric_gauge(1.0), g, QUAD)
+    A = F.symmetric_gauge(1.0)
+    assert traced_peak(lambda: M.moyal_product(f, h, B, A, g, QUAD), g) <= 5.5
+    assert A._phase is None
+
+
+@pytest.mark.parametrize("route", ["twisted", "band"])
+def test_product_and_inverse_map_write_c_ordered_tables(route):
+    # the inverse map writes each block of midpoint rows into a C-ordered table, on
+    # both product routes and in symbol_from_kernel
+    g = G.PhaseSpaceGrid(2, 8, 4.0)
+    B, A = F.constant_field_2d(1.0), F.symmetric_gauge(1.0)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=1.0, p_width=0.9)
+    h = G.gaussian_symbol(2, x_center=[-0.3, 0.1], x_width=1.1, p_width=0.9)
+    prod = M.moyal_product(f, h if route == "twisted" else fn_only(h), B, A, g, QUAD)
+    assert prod.values.flags.c_contiguous
+    rec = G.symbol_from_kernel(G.kernel_from_symbol(f, A, g, QUAD), A, QUAD)
+    assert rec.values.flags.c_contiguous
+
+
+def test_band_route_strips_an_affine_base_by_its_twist(monkeypatch):
+    # the band route in the symmetric gauge reads no phase table, and its product is the
+    # table-stripped band's to roundoff
+    g = G.PhaseSpaceGrid(2, 10, 5.0)
+    B = F.constant_field_2d(1.3)
+    f = G.gaussian_symbol(2, x_center=[0.2, -0.1], x_width=0.9, p_width=0.8, amplitude=0.6j)
+    h = fn_only(G.gaussian_symbol(2, x_center=[-0.3, 0.1], p_center=[0.2, 0.0], x_width=1.0,
+                                  p_width=0.9))
+    A = F.symmetric_gauge(1.3)
+    kf, kg = (G.kernel_from_symbol(s, A, g, QUAD) for s in (f, h))
+    band = M._band_compose(kf.kernel, kg.kernel, G.segment_phase_matrix(A, g, QUAD), g)
+    ref = G.symbol_from_kernel(G.OperatorKernel(g, band), None, QUAD).values
+    builds = []
+    original = G._segment_phases
+    monkeypatch.setattr(G, "_segment_phases", lambda *a: builds.append(a) or original(*a))
+    A = F.symmetric_gauge(1.3)
+    out = M.moyal_product(f, h, B, A, g, QUAD).values
+    assert builds == [] and A._phase is None
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_product_associative_on_lattice():

@@ -705,12 +705,15 @@ def test_momentum_operator_matches_dense_transform(dim, n, linear):
 
 
 def test_weyl_sum_route_memory_peak(traced_peak):
-    # dim 2, n=32: one kernel is 16 MiB; the per-axis transforms keep the
-    # coefficient table, its transform, the scatter target and the phase table
+    # dim 2, n=32: a standard table is interpolated one block of midpoint rows at a
+    # time, so the kernel, one block's interpolants and contractions and the twist's
+    # tables are the allocations (1.22 kernels measured; the whole interpolant
+    # peaked at 2.99)
     g = G.PhaseSpaceGrid(2, 32, 6.0)
     table = G.gaussian_symbol(2, x_width=0.9, p_width=1.1).sample(g, "standard")
     A = F.symmetric_gauge(1.0)
-    assert traced_peak(lambda: Q.op_quantize(table, A, g, quad=QUAD)) <= 64 * 2**20
+    Q.op_quantize(table, A, g, quad=QUAD)
+    assert traced_peak(lambda: Q.op_quantize(table, A, g, quad=QUAD), g) <= 1.5
 
 
 def test_kronecker_fill_memory_peak(traced_peak):
