@@ -144,10 +144,11 @@ def cmd_compare_coupling(shown: dict, cfg: dict, outdir: Path) -> int:
     grid, B, gauges, quad, rng = build_rig(cfg)
     sym = config.named("symbol", cp.PolynomialSymbol, grid.dim, cfg["symbol"]["terms"])
     diff, rep = config.named("symbol", cp.coupling_discrepancy, sym, gauges[0], grid, quad=quad)
-    maxdiff = rep["max_abs_difference"]
-    verdict = "equal" if maxdiff < 1e-8 else ("differ" if maxdiff > 1e-3 else "ambiguous")
+    maxdiff, scale = rep["max_abs_difference"], cfg["tolerance_scale"]
+    verdict = ("equal" if maxdiff < 1e-8 * scale
+               else "differ" if maxdiff > 1e-3 * scale else "ambiguous")
     expected = "equal"
-    if sym.degree == 3 and any(t["max_abs_correction"] > 1e-10
+    if sym.degree == 3 and any(t["max_abs_correction"] > 1e-10 * scale
                                for t in rep["third_order_terms"]):
         expected = "differ"
     report = {

@@ -328,12 +328,15 @@ def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
     (accurate only for symbols with genuine momentum decay).  Symbols that
     depend on x alone are fixed points, first-order momenta map to
     ``p_j - A_j(x)``, and degree <= 2 polynomials agree with the naive
-    substitution for every potential.
+    substitution for every potential.  A symbol or potential of another
+    dimension than ``grid`` raises DimensionMismatchError.
     """
     if not isinstance(f, (PolynomialSymbol, SymbolEvaluator)):
         raise InputError("unsupported symbol type %r" % type(f))
     if f.dim != grid.dim:
         raise DimensionMismatchError("symbol dimension does not match grid")
+    if A is not None and A.dim != grid.dim:
+        raise DimensionMismatchError("potential dimension does not match grid")
     if isinstance(f, PolynomialSymbol):
         if f.degree <= 3:
             return SymbolGrid(grid, kind, _poly_values(f, A, grid, kind, correction=True))
@@ -346,6 +349,8 @@ def covariant_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
 def minimal_coupling(f, A: VectorPotential | None, grid: PhaseSpaceGrid,
                      kind: str = "standard") -> SymbolGrid:
     """Naive substitution ``(x, p) -> f(x, p - A(x))`` on the lattice."""
+    if A is not None and A.dim != grid.dim:
+        raise DimensionMismatchError("potential dimension does not match grid")
     if isinstance(f, PolynomialSymbol):
         if f.dim != grid.dim:  # an evaluator's dimension is checked by its sample
             raise DimensionMismatchError("symbol dimension does not match grid")

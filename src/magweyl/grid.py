@@ -111,7 +111,8 @@ them (``_window_pairs``) and the per-axis contraction of each block
 the same windows from the per-axis factor matrices of the separable fill
 (``_axis_matrices``) and ends in the same contraction.
 
-Every route gains or loses a potential's phases in ``_dress`` alone.  A
+Every route gains or loses a potential's phases in ``_dress`` alone, the
+star product's band route too, which strips its composed kernel there.  A
 base potential ``A(x) = J x + A(0)`` of declared degree <= 1 (``_affine``)
 has ``Gamma^A([x, y]) = y^T W x + rho(y) - rho(x)``, ``W = (J - J^T) / 2``
 and ``rho(x) = x^T S x / 2 + A(0) . x`` with ``S = (J + J^T) / 2``: the
@@ -124,6 +125,11 @@ table is built in one pass (``_segment_phases``): the circulations of the
 pairs on and above the diagonal are integrated one row block at a time,
 exponentiated in place in the table and mirrored by conjugation, so no
 kernel-sized array but the table itself is made.
+
+``_translations`` is the one zero-fill gather of every lattice translation,
+``kern[y, y + x]`` with 0 where ``y + x`` leaves the box: ``wigner`` reads
+the rank-one kernel through it, ``quantize.translation_phase_table`` the
+phase table.
 """
 
 from __future__ import annotations
@@ -246,29 +252,48 @@ class PhaseSpaceGrid:
         return ridx.astype(int)
 
 
+def _shift_index_table(grid: PhaseSpaceGrid, steps):
+    """Flat lattice indices of ``y + s`` for every lattice point ``y`` and one integer step ``s``.
 
-def _shift_index_table(grid: PhaseSpaceGrid, steps=None):
-    """Flat lattice indices of ``y + s`` for every lattice point ``y`` and integer step ``s``.
-
-    ``steps`` is one step of shape (N,), in units of the spacing h, or None
-    for every lattice translation ``x / h`` in ``config_points`` order.
-    Returns ``(cols, valid)``, of shape (n^N,) for one step and (n^N, n^N),
-    indexed (y, x), for every step; targets outside the box are invalid, their
+    ``steps`` has shape (N,), in units of the spacing h.  Returns ``(cols,
+    valid)`` of shape (n^N,); targets outside the box are invalid, their
     clipped ``cols`` placeholders to be masked out (the zero-fill convention).
-    Built axis by axis (per-axis ``(n, m)`` flat offsets summed, masks ANDed),
-    with no ``(N,)``-stacked index temporary of the output's size.
+    Built axis by axis: per-axis flat offsets summed, masks ANDed.
     """
     N, n = grid.dim, grid.n
-    per_axis = ([np.arange(n) - n // 2] * N if steps is None
-                else [np.asarray(steps)[a:a + 1] for a in range(N)])
     cols, valid = 0, True
-    for a, s in enumerate(per_axis):
-        tgt = np.arange(n)[:, None] + s  # (point, step) along axis a
-        sh = (1,) * a + (n,) + (1,) * (N - 1 - a) + (1,) * a + (len(s),) + (1,) * (N - 1 - a)
+    for a, s in enumerate(np.asarray(steps)):
+        tgt = np.arange(n) + s
+        sh = (1,) * a + (n,) + (1,) * (N - 1 - a)
         valid = valid & ((tgt >= 0) & (tgt < n)).reshape(sh)
         cols = cols + (np.clip(tgt, 0, n - 1) * n ** (N - 1 - a)).reshape(sh)
-    out = (grid.size,) if steps is not None else (grid.size, grid.size)
-    return cols.reshape(out), valid.reshape(out)
+    return cols.reshape(grid.size), valid.reshape(grid.size)
+
+
+def _translations(kern: np.ndarray, g: PhaseSpaceGrid) -> np.ndarray:
+    """``w[x, y] = kern[y, y + x]`` over the lattice translations ``x`` and points ``y``, C-ordered.
+
+    Zero where ``y + x`` leaves the box.  Written one ``_row_blocks`` block of
+    the first translation axis at a time by a flat ``take`` at offsets summed
+    per axis, so no index array is of the kernel's order.  Shape ``n^{2N}``
+    as ``(x_1..x_N, y_1..y_N)``.
+    """
+    n, N = g.n, g.dim
+    # per axis over (x_a, y_a): the offset of the pair (y, y + x) into the kernel, and
+    # whether y_a + x_a (the translation x_a / h = index - n/2) stays in the box
+    i = np.arange(n)
+    z = i[None, :] + i[:, None] - n // 2
+    offset = [(i[None, :] * n ** (2 * N - 1 - a) + np.clip(z, 0, n - 1) * n ** (N - 1 - a)).reshape(
+        (1,) * a + (n,) + (1,) * (N - 1) + (n,) + (1,) * (N - 1 - a)) for a in range(N)]
+    rest = sum(offset[1:], np.zeros((1,) * (2 * N), dtype=int))
+    outside = [((z < 0) | (z >= n)).reshape(off.shape) for off in offset]
+    w = np.empty((n,) * (2 * N), dtype=complex)
+    for r0, r1 in _row_blocks(n):
+        block = w[r0:r1]
+        np.take(kern.reshape(-1), offset[0][r0:r1] + rest, out=block, mode="clip")  # in range
+        for a, out in enumerate(outside):
+            np.copyto(block, 0, where=out[r0:r1] if a == 0 else out)
+    return w
 
 
 def _apply_axes(values: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
@@ -651,11 +676,11 @@ def segment_phase_matrix(A: VectorPotential | None, grid: PhaseSpaceGrid,
     Gauge data keep no table: their phases are a new writable table, the
     base potential's memo dressed with ``e^{i rho(x)} e^{-i rho(y)}``
     (``_gauge_dress``), of which the Hermitian part is taken, so it stays
-    exactly Hermitian as the memo is.  The kernel routes do not call this
-    for gauge data, nor for an affine base (``_affine``), which they dress
-    by its twist; each dresses its own output (``_dress``).  The star
-    product's band route (for a base that is not affine) and
-    ``quantize.translation_phase_table`` read it.
+    exactly Hermitian as the memo is.  Every kernel route, the star
+    product's band route too, reads it only through ``_dress``, for a base
+    that is not affine (``_affine``) at ``hbar = 1``; gauge data and an
+    affine base are dressed there with no table.  Outside this module only
+    ``quantize.translation_phase_table`` calls it.
     """
     if A is None:
         return np.ones((grid.size, grid.size), dtype=complex)

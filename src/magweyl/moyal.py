@@ -49,10 +49,10 @@ higher or undeclared degree) takes the band route: both factor kernels are
 filled in the base potential, and each row block of the first lattice axis
 is multiplied only against the columns within n/2 first-axis steps of it
 (``_band_compose``); the entries outside stay 0 and are never read.  The
-base's phase table strips the product, one entrywise product per band
-block; an affine base, whose factor kernels the twist dressed, is stripped
-in place by the conjugate twist instead (``grid._dress``), so no table is
-built or memoized, and the two strips agree to roundoff.
+composed kernel is then stripped in place by ``grid._dress``, the one
+phase strip of every route: by the conjugate of the base's phase table,
+or, for an affine base, whose factor kernels the twist dressed, by the
+conjugate twist, with no table built or memoized.
 ``product_kernel`` returns a kernel and composes the full matrices.
 
 A direct evaluation of the defining double phase-space integral -- the
@@ -81,7 +81,6 @@ from .grid import (
     kernel_from_symbol,
     symbol_from_kernel,
     kernel_compose,
-    segment_phase_matrix,
     _affine,
     _axis_matrices,
     _dress,
@@ -145,11 +144,9 @@ def moyal_product(f: SymbolEvaluator, g: SymbolEvaluator, B: MagneticField,
         slots = _twisted_slots(f, g, affine[0], grid, first)
         return _window_symbol(lambda s0, s1: slots[s0:s1], phase, grid)
     kf, kg = (kernel_from_symbol(h, base, grid, quad) for h in (f, g))
-    lam = None if affine is not None else segment_phase_matrix(base, grid, quad)
-    composed = _band_compose(kf.kernel, kg.kernel, lam, grid)
+    composed = _band_compose(kf.kernel, kg.kernel, grid)
     del kf, kg  # free the factors before the inverse map
-    if affine is not None:  # the conjugate twist, in place: no phase table
-        _dress(composed, base, grid, quad, strip=True)
+    _dress(composed, base, grid, quad, strip=True)
     return symbol_from_kernel(OperatorKernel(grid, composed), None, quad)
 
 
@@ -194,15 +191,14 @@ def _twisted_slots(f: SymbolEvaluator, g: SymbolEvaluator, twist: np.ndarray,
     return out.reshape((S, T) * N)
 
 
-def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,
-                  grid: PhaseSpaceGrid) -> np.ndarray:
-    """``w kf @ kg * conj(lam)`` on the pairs ``symbol_from_kernel`` reads; 0 off the band.
+def _band_compose(kf: np.ndarray, kg: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """``w kf @ kg`` on the pairs ``symbol_from_kernel`` reads; 0 off the band.
 
     ``kf`` and ``kg`` are masked kernels (see module notes).  The rows of the
     ``_row_blocks`` block ``[a0, a1)`` of the first lattice axis reach, in
     both the middle point and the column, only first-axis indices in
     ``[a0 - n/2, a1 + n/2)``, so the block is ``w kf[rows, band] @ kg[band,
-    band]``, its phase stripped by the same table (None: no phase).
+    band]``.  The phases stay on; the caller strips them (``grid._dress``).
     """
     n, w = grid.n, grid.config_weight
     stride = grid.size // n  # rows per index of the first lattice axis
@@ -210,10 +206,7 @@ def _band_compose(kf: np.ndarray, kg: np.ndarray, lam: np.ndarray | None,
     for a0, a1 in _row_blocks(n):
         rows = slice(a0 * stride, a1 * stride)
         band = slice(max(a0 - n // 2, 0) * stride, min(a1 + n // 2, n) * stride)
-        block = w * (kf[rows, band] @ kg[band, band])
-        if lam is not None:
-            block *= np.conj(lam[rows, band])
-        out[rows, band] = block
+        out[rows, band] = w * (kf[rows, band] @ kg[band, band])
     return out
 
 

@@ -59,6 +59,7 @@ from .grid import (
     _gauge_dress,
     _quantized_kernel,
     _shift_index_table,
+    _translations,
 )
 from .symbols import SymbolGrid
 
@@ -163,11 +164,12 @@ def translation_phase_table(A: VectorPotential | None, grid: PhaseSpaceGrid,
                             quad: Quadrature = DEFAULT_QUADRATURE) -> np.ndarray:
     """Phases ``e^{-i Gamma^A([y, y + x])}`` of all (y, x) lattice pairs, 0 where y + x leaves the box.
 
-    The zero-fill shift gather of ``segment_phase_matrix``: a public view in
-    translation layout, unread by the package (the benchmark resolves it).
+    ``segment_phase_matrix`` read by the one zero-fill gather of every
+    translation (``grid._translations``), returned as its transposed view in
+    ``(y, x)`` layout, so no index table is made.  Unread by the package
+    (the benchmark resolves it).
     """
-    cols, valid = _shift_index_table(grid)
-    return np.where(valid, np.take_along_axis(segment_phase_matrix(A, grid, quad), cols, 1), 0)
+    return _translations(segment_phase_matrix(A, grid, quad), grid).reshape(grid.size, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +247,13 @@ def gauge_conjugate(phi: OperatorKernel, rho: ScalarPotential,
     """Conjugate a kernel by the gauge phase ``e^{i rho(Q)}``.
 
     Entrywise multiplication by ``e^{+-i (rho(x) - rho(y))}``; a unitary
-    conjugation, so the spectrum is preserved exactly.
+    conjugation, so the spectrum is preserved exactly.  A ``rho`` of another
+    dimension than the kernel's grid raises DimensionMismatchError.
     """
     if direction not in ("forward", "inverse"):
         raise InputError("direction must be 'forward' or 'inverse'")
+    if rho.dim != phi.grid.dim:
+        raise DimensionMismatchError("potential dimension does not match grid")
     vals = np.asarray(rho(phi.grid.config_points()), dtype=float)
     sign = 1.0 if direction == "forward" else -1.0
     return OperatorKernel(phi.grid, _gauge_dress(phi.kernel.copy(), np.exp(1j * sign * vals)))

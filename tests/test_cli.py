@@ -376,6 +376,21 @@ def test_compare_coupling_verdicts(tmp_path, terms, gauges, expected):
     assert report["passed"]
 
 
+def test_compare_coupling_verdict_bands_scale_with_the_tolerance(tmp_path):
+    # the shipped cubic config differs by 0.167: past the 1e-3 band at scale 1, inside
+    # the ambiguous band at scale 1000, where the verdict no longer meets "differ"
+    cfgfile = str(CONFIGS / "coupling_cubic.json")
+    verdicts = []
+    for extra, rc_expected in (([], 0), (["--tolerance-scale", "1000"], 1)):
+        out = tmp_path / ("out%d" % len(extra))
+        rc = cli.main(["compare-coupling", "--config", cfgfile, "--out", str(out)] + extra)
+        assert rc == rc_expected
+        report = json.loads((out / "coupling_report.json").read_text())
+        assert report["expected"] == "differ"
+        verdicts.append(report["verdict"])
+    assert verdicts == ["differ", "ambiguous"]
+
+
 def test_compare_coupling_high_degree_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     write_config(cfgfile, symbol={"kind": "momentum_polynomial",

@@ -42,6 +42,32 @@ def test_symbol_of_another_dimension_is_refused():
             call()
 
 
+POTENTIAL_DIMENSION_CASES = {
+    # a 1-D symbol on a 1-D grid with a planar gauge: was an IndexError in both couplings
+    "covariant-2d-gauge": lambda: C.covariant_coupling(
+        C.PolynomialSymbol(1, [(1.0, (2,))]), F.symmetric_gauge(1.0), G.PhaseSpaceGrid(1, 8, 4.0)),
+    "minimal-2d-gauge": lambda: C.minimal_coupling(
+        C.PolynomialSymbol(1, [(1.0, (2,))]), F.symmetric_gauge(1.0), G.PhaseSpaceGrid(1, 8, 4.0)),
+    # a 2-D Gaussian with a 1-D potential: zip over one axis's plane waves dropped the other
+    "covariant-1d-potential": lambda: C.covariant_coupling(
+        G.gaussian_symbol(2, x_width=0.8, p_width=0.9), F.linear_potential([[0.5]]),
+        G.PhaseSpaceGrid(2, 6, 4.0), QUAD),
+    "minimal-1d-potential": lambda: C.minimal_coupling(
+        G.gaussian_symbol(2, x_width=0.8, p_width=0.9), F.linear_potential([[0.5]]),
+        G.PhaseSpaceGrid(2, 6, 4.0)),
+    # a 2-D rho on a 1-D kernel
+    "gauge-conjugate": lambda: Q.gauge_conjugate(
+        G.OperatorKernel.identity(G.PhaseSpaceGrid(1, 8, 4.0)),
+        F.ScalarPotential.from_poly(F.PolynomialMap(2, [[(0.3, (1, 1))]]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POTENTIAL_DIMENSION_CASES))
+def test_potential_of_another_dimension_is_refused(case):
+    with pytest.raises(DimensionMismatchError, match="potential dimension does not match grid"):
+        POTENTIAL_DIMENSION_CASES[case]()
+
+
 def test_symbolic_third_derivative_oracle():
     import sympy as sp
 

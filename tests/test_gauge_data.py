@@ -446,3 +446,24 @@ def test_phases_are_gained_in_one_dressing_step_and_kept_in_one_slot():
                        ("quantize", "_weyl_phase"), ("coupling", "_half_step_gauge")}
     assert slots == {("grid", "segment_phase_matrix"), ("fields", "VectorPotential.__init__")}
     assert not tables
+
+
+def test_one_phase_strip_and_one_translation_gather():
+    # outside grid, only translation_phase_table reads the segment table (every route
+    # strips or gains its phases in grid._dress), only grid builds one, and the
+    # zero-fill gather of every translation is read by its two users alone
+    src = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+    names = ("segment_phase_matrix", "_segment_phases", "_translations")
+    callers = {name: set() for name in names}
+    for path in sorted(src.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in callers:
+                        callers[called].add((path.stem, name))
+    assert {c for c in callers["segment_phase_matrix"] if c[0] != "grid"} == {
+        ("quantize", "translation_phase_table")}
+    assert callers["segment_phase_matrix"] and {m for m, _ in callers["_segment_phases"]} == {"grid"}
+    assert callers["_translations"] == {("wigner", "fourier_wigner"),
+                                        ("quantize", "translation_phase_table")}

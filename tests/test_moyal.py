@@ -160,11 +160,8 @@ def test_band_product_matches_full_composition_on_read_pairs(dim, n):
     read = read_pairs(g)
     for potential in (A, None):
         kf, kg = (G.kernel_from_symbol(s, potential, g, QUAD) for s in (f, h))
-        lam = None if potential is None else G.segment_phase_matrix(potential, g, QUAD)
         full = G.kernel_compose(kf, kg).kernel
-        if lam is not None:
-            full = full * np.conj(lam)
-        band = M._band_compose(kf.kernel, kg.kernel, lam, g)
+        band = M._band_compose(kf.kernel, kg.kernel, g)
         assert np.abs(band - full)[read].max() <= 1e-14 * np.abs(full[read]).max()
 
 
@@ -371,7 +368,7 @@ def test_band_route_strips_an_affine_base_by_its_twist(monkeypatch):
                                   p_width=0.9))
     A = F.symmetric_gauge(1.3)
     kf, kg = (G.kernel_from_symbol(s, A, g, QUAD) for s in (f, h))
-    band = M._band_compose(kf.kernel, kg.kernel, G.segment_phase_matrix(A, g, QUAD), g)
+    band = M._band_compose(kf.kernel, kg.kernel, g) * np.conj(G.segment_phase_matrix(A, g, QUAD))
     ref = G.symbol_from_kernel(G.OperatorKernel(g, band), None, QUAD).values
     builds = []
     original = G._segment_phases

@@ -74,7 +74,7 @@ def test_translation_table_matches_a_loop(dim, n):
     g = G.PhaseSpaceGrid(dim, n, 3.0)
     rng = np.random.default_rng(7 * dim + n)
     kern = rng.normal(size=(g.size, g.size)) + 1j * rng.normal(size=(g.size, g.size))
-    w = W._translations(kern, g)
+    w = G._translations(kern, g)
     assert w.flags.c_contiguous and w.shape == (n,) * (2 * dim)
     for x in np.ndindex(g.shape):
         for y in np.ndindex(g.shape):
@@ -83,6 +83,16 @@ def test_translation_table_matches_a_loop(dim, n):
             expect = kern[np.ravel_multi_index(y, g.shape),
                           np.ravel_multi_index(tuple(z), g.shape)] if inside else 0
             assert w[x + y] == expect
+
+
+def test_states_on_different_grids_are_refused():
+    # another n, or the same n and another L: the gather would read the wrong entries
+    u = G.gaussian_wavefunction(G.PhaseSpaceGrid(2, 8, 4.0), width=0.8)
+    for other in (G.PhaseSpaceGrid(2, 6, 4.0), G.PhaseSpaceGrid(2, 8, 5.0)):
+        v = G.gaussian_wavefunction(other, width=0.8)
+        for call in (W.fourier_wigner, W.rank_one_symbol):
+            with pytest.raises(DimensionMismatchError, match="different grids"):
+                call(u, v, None)
 
 
 def test_fourier_wigner_memory_peak(traced_peak):
